@@ -15,3 +15,12 @@ class InvariantViolation(ValueError):
 
 class ResourceCapError(RuntimeError):
     """A requested computation exceeds a configured resource cap."""
+
+
+def read_ascii(path) -> str:
+    """Contents of an ASCII input file; any other byte raises DomainError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: byte {exc.start} is not ASCII") from None

@@ -32,11 +32,12 @@ import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy
 
-from .errors import DomainError, InvariantViolation, PreconditionError
+from .errors import DomainError, InvariantViolation, PreconditionError, read_ascii
 from .measures import (
     AtomicMeasure,
     lacunary_measure,
@@ -86,14 +87,6 @@ __all__ = [
     "gdelta_witness",
     "decay_bound_study",
 ]
-
-STUDY_KINDS = (
-    "approximation",
-    "gap-vs-box",
-    "exponent-table",
-    "gdelta-witness",
-    "section3-bounds",
-)
 
 #: Environment variable naming the default output directory for reports.
 OUTPUT_DIR_ENV = "SEMISTAB_OUTDIR"
@@ -181,24 +174,16 @@ def parse_study_config(text: str) -> StudyConfig:
     if "study" not in sections:
         raise DomainError("study config needs a [study] section")
     study = sections["study"]
-    if "kind" not in study:
-        raise DomainError("[study] section needs a kind")
-    seed_raw = study.get("seed", "0")
-    try:
-        seed = int(seed_raw)
-    except ValueError:
-        raise DomainError(f"[study] seed must be an integer, got {seed_raw!r}") from None
     return StudyConfig(
-        kind=study["kind"].strip(),
-        seed=seed,
+        kind=_read_key("study", "kind", _Key("a study kind", str, str), study),
+        seed=_read_key("study", "seed", _int(0, 0), study),
         output_dir=study.get("output_dir"),
         sections=sections,
     )
 
 
 def load_study_config(path) -> StudyConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_study_config(fh.read())
+    return parse_study_config(read_ascii(path))
 
 
 def resolve_output_dir(config: StudyConfig) -> str:
@@ -208,154 +193,125 @@ def resolve_output_dir(config: StudyConfig) -> str:
     return os.environ.get(OUTPUT_DIR_ENV) or "study-out"
 
 
-# -- typed getters over raw sections ----------------------------------------
+# ---------------------------------------------------------------------------
+# key tables: every study key is declared once, in ``_KINDS``
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+_STUDY_KEYS = ("kind", "seed", "output_dir")
 
 
-def _section(config: StudyConfig, name: str) -> dict:
-    return config.sections.get(name, {})
+@dataclass(frozen=True)
+class _Key:
+    """One study key: how its INI text parses and prints, its default, its check.
+
+    A key whose text fails ``parse`` (ValueError or KeyError) or whose
+    value fails ``valid`` "must be ``need``".  ``show`` prints a wrapper
+    argument as INI text; a missing key plans as ``parse(show(default))``.
+    """
+
+    need: str
+    parse: Callable
+    show: Callable
+    default: object = _REQUIRED
+    valid: Callable = lambda value: True
 
 
-def _require_section(config: StudyConfig, name: str) -> dict:
-    if name not in config.sections:
-        raise DomainError(f"{config.kind} study needs a [{name}] section")
-    return config.sections[name]
+def _show_real(value) -> str:
+    return repr(float(value))
 
 
-def _get_str(sec: dict, secname: str, key: str, default=None) -> str:
-    if key in sec:
-        return sec[key].strip()
-    if default is None:
-        raise DomainError(f"[{secname}] needs a value for {key}")
-    return default
+def _real(default=_REQUIRED, need="a finite number", valid=lambda v: True) -> _Key:
+    return _Key(need, float, _show_real, default, lambda v: math.isfinite(v) and valid(v))
 
 
-def _get_int(sec: dict, secname: str, key: str, default=None, minimum=None) -> int:
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise DomainError(f"[{secname}] needs a value for {key}")
-        val = default
-    else:
-        try:
-            val = int(raw.strip())
-        except ValueError:
-            raise DomainError(f"[{secname}] {key} must be an integer, got {raw!r}") from None
-    if minimum is not None and val < minimum:
-        raise DomainError(f"[{secname}] {key} must be >= {minimum}")
-    return val
+def _pos(default=_REQUIRED) -> _Key:
+    return _real(default, "a positive number", lambda v: v > 0.0)
 
 
-def _get_float(sec: dict, secname: str, key: str, default=None) -> float:
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise DomainError(f"[{secname}] needs a value for {key}")
-        return float(default)
-    try:
-        val = float(raw.strip())
-    except ValueError:
-        raise DomainError(f"[{secname}] {key} must be a number, got {raw!r}") from None
-    if not math.isfinite(val):
-        raise DomainError(f"[{secname}] {key} must be finite")
-    return val
+def _int(minimum: int, default=_REQUIRED) -> _Key:
+    return _Key(f"an integer >= {minimum}", int, lambda v: str(int(v)), default,
+                lambda v: v >= minimum)
 
 
-def _get_pos_float(sec: dict, secname: str, key: str, default=None) -> float:
-    val = _get_float(sec, secname, key, default)
-    if not val > 0.0:
-        raise DomainError(f"[{secname}] {key} must be positive")
-    return val
+def _reals(default=_REQUIRED, need="a comma-separated number list", valid=lambda vs: True):
+    return _Key(need, lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()),
+                lambda vals: ", ".join(_show_real(v) for v in vals), default,
+                lambda vals: all(map(math.isfinite, vals)) and valid(vals))
 
 
-def _get_bool(sec: dict, secname: str, key: str, default: bool) -> bool:
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise DomainError(f"[{secname}] {key} must be a boolean, got {raw!r}")
+def _pair(default) -> _Key:
+    return _reals(default, "two comma-separated numbers", lambda vals: len(vals) == 2)
 
 
-def _get_float_list(sec: dict, secname: str, key: str, default=None) -> list:
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise DomainError(f"[{secname}] needs a value for {key}")
-        return list(default)
-    toks = [tok.strip() for tok in raw.split(",")]
-    toks = [tok for tok in toks if tok]
-    try:
-        return [float(tok) for tok in toks]
-    except ValueError:
-        raise DomainError(f"[{secname}] {key} must be a comma-separated number list") from None
+def _window(default) -> _Key:
+    """Two scale tokens, planned as their natural logs; wrappers may pass floats."""
+    return _Key("two scale tokens",
+                lambda text: tuple(parse_scale_token(t) for t in text.split(",") if t.strip()),
+                lambda toks: ", ".join(t if isinstance(t, str) else _show_real(t) for t in toks),
+                default, lambda logs: len(logs) == 2)
 
 
-def _get_pair(sec: dict, secname: str, key: str, default=None) -> tuple:
-    vals = _get_float_list(sec, secname, key, default)
-    if len(vals) != 2:
-        raise DomainError(f"[{secname}] {key} must hold exactly two numbers")
-    return float(vals[0]), float(vals[1])
-
-
-def _get_log_window(sec: dict, secname: str, key: str, default: tuple) -> tuple:
-    raw = sec.get(key)
-    if raw is None:
-        toks = default
-    else:
-        toks = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        if len(toks) != 2:
-            raise DomainError(f"[{secname}] {key} must hold exactly two scale tokens")
-    return parse_scale_token(toks[0]), parse_scale_token(toks[1])
-
-
-def _parse_indices(raw: str, secname: str) -> list:
-    s = raw.strip()
-    if not s:
-        raise DomainError(f"[{secname}] indices must be nonempty")
-    if ".." in s:
-        lo_s, _, hi_s = s.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise DomainError(f"[{secname}] cannot parse index range {s!r}") from None
-        if lo < 1 or hi < lo:
-            raise DomainError(f"[{secname}] index range must satisfy 1 <= lo <= hi")
-        return list(range(lo, hi + 1))
-    try:
-        vals = [int(tok) for tok in s.split(",") if tok.strip()]
-    except ValueError:
-        raise DomainError(f"[{secname}] cannot parse index list {s!r}") from None
-    if not vals:
-        raise DomainError(f"[{secname}] indices must be nonempty")
-    if any(v < 1 for v in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
-        raise DomainError(f"[{secname}] indices must be strictly increasing integers >= 1")
+def _indices(text: str) -> list:
+    lo, dots, hi = text.partition("..")
+    vals = (list(range(int(lo), int(hi) + 1)) if dots
+            else [int(tok) for tok in text.split(",") if tok.strip()])
+    if not vals or vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ValueError(text)
     return vals
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise DomainError(message)
+
+
+def _read_key(secname: str, key: str, spec: _Key, sec: dict):
+    _require(key in sec or spec.default is not _REQUIRED, f"[{secname}] needs a value for {key}")
+    raw = sec[key].strip() if key in sec else spec.show(spec.default)
+    try:
+        value = spec.parse(raw)
+        if spec.valid(value):
+            return value
+    except (ValueError, KeyError):
+        pass
+    raise DomainError(f"[{secname}] {key} must be {spec.need}, got {raw!r}")
+
+
+def _plan(config: StudyConfig) -> dict:
+    """Typed, checked value of every key of the config's kind, defaults filled in.
+
+    Unknown sections and keys raise DomainError.  A ``[potential]``
+    section is checked by the potential descriptor parser instead.
+    """
+    kind = _KINDS[config.kind]
+    tables = {"study": _STUDY_KEYS, **kind.sections}
+    for name, sec in config.sections.items():
+        if not (name == "potential" and kind.potential):
+            _require(name in tables, f"a {config.kind} study has no [{name}] section")
+            unknown = [key for key in sec if key not in tables[name]]
+            _require(not unknown, f"[{name}] has unknown keys {unknown} in a {config.kind} study")
+    plan = {
+        key: _read_key(name, key, spec, config.sections.get(name, {}))
+        for name, table in kind.sections.items()
+        for key, spec in table.items()
+    }
+    if kind.potential:
+        plan["potential"] = _potential_from_section(config.sections.get("potential", {}))
+    kind.check(plan)
+    return plan
 
 
 # -- potential <-> config section --------------------------------------------
 
 
-def _potential_from_section(sec: dict, secname: str = "potential") -> Potential:
-    if "kind" not in sec:
-        raise DomainError(f"[{secname}] needs a kind")
-    if "a_bound" not in sec:
-        raise DomainError(f"[{secname}] needs a_bound")
-    head = f"potential kind={sec['kind']} nu={sec.get('nu', '1')} a_bound={sec['a_bound']}"
-    body = [f"{key}={val}" for key, val in sec.items() if key not in ("kind", "nu", "a_bound")]
-    return potential_from_text("\n".join([head] + body))
+def _potential_from_section(sec: dict) -> Potential:
+    fields = {"nu": "1", **sec}
+    return potential_from_text("\n".join(["potential"] + [f"{k}={v}" for k, v in fields.items()]))
 
 
 def _potential_section_dict(V: Potential) -> dict:
-    lines = potential_to_text(V).strip().splitlines()
-    head = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-    sec = {"kind": head["kind"], "nu": head["nu"], "a_bound": head["a_bound"]}
-    for ln in lines[1:]:
-        key, val = ln.split("=", 1)
-        sec[key] = val
-    return sec
+    return dict(item.split("=", 1) for item in potential_to_text(V).split()[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -498,26 +454,8 @@ def _parallel_map(fn, items, jobs: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _plan_approximation(config: StudyConfig) -> dict:
-    V = _potential_from_section(_require_section(config, "potential"))
-    sec = _require_section(config, "approximation")
-    seq_kind = _get_str(sec, "approximation", "seq_kind")
-    if seq_kind not in ("truncation", "shift"):
-        raise DomainError(f"[approximation] seq_kind must be truncation or shift, got {seq_kind!r}")
-    return {
-        "V": V,
-        "seq_kind": seq_kind,
-        "indices": _parse_indices(_get_str(sec, "approximation", "indices"), "approximation"),
-        "L": _get_pos_float(sec, "approximation", "L"),
-        "h": _get_pos_float(sec, "approximation", "h"),
-        "n_probes": _get_int(sec, "approximation", "n_probes", default=3, minimum=1),
-        "metric_J": _get_int(sec, "approximation", "metric_J", default=20, minimum=4),
-        "metric_tol": _get_pos_float(sec, "approximation", "metric_tol", default=1e-3),
-    }
-
-
 def _approximation_shared(plan: dict, seed: int) -> dict:
-    H = discretize(plan["V"], plan["L"], plan["h"])
+    H = discretize(plan["potential"], plan["L"], plan["h"])
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(plan["n_probes"]):
@@ -528,7 +466,7 @@ def _approximation_shared(plan: dict, seed: int) -> dict:
 
 
 def _approximation_row(plan: dict, shared: dict, index: int) -> tuple:
-    V = plan["V"]
+    V = plan["potential"]
     if plan["seq_kind"] == "truncation":
         Vk = truncate_potential(V, index)
     else:
@@ -553,9 +491,8 @@ def _approximation_header(plan: dict) -> tuple:
     return tuple(head)
 
 
-def _run_approximation(config: StudyConfig, jobs: int):
-    plan = _plan_approximation(config)
-    shared = _approximation_shared(plan, config.seed)
+def _run_approximation(plan: dict, seed: int, jobs: int):
+    shared = _approximation_shared(plan, seed)
     rows = _parallel_map(lambda k: _approximation_row(plan, shared, k), plan["indices"], jobs)
     header = _approximation_header(plan)
     table = ReportTable("approximation", header, rows)
@@ -624,29 +561,13 @@ def _check_compact_support(V: Potential, radius: float) -> None:
         )
 
 
-def _plan_gap_vs_box(config: StudyConfig) -> dict:
-    V = _potential_from_section(_require_section(config, "potential"))
-    sec = _require_section(config, "box")
-    L_list = _get_float_list(sec, "box", "L_list")
-    if len(L_list) < 2:
-        raise DomainError("[box] L_list needs at least two box sizes")
-    if any(not b > a for a, b in zip(L_list, L_list[1:])):
-        raise DomainError("[box] L_list must be strictly increasing")
-    if any(not L > 0.0 for L in L_list):
-        raise DomainError("[box] box sizes must be positive")
-    h = _get_pos_float(sec, "box", "h")
-    _check_compact_support(V, max(L_list))
-    return {"V": V, "L_list": L_list, "h": h}
-
-
 def _gap_vs_box_row(plan: dict, L: float) -> tuple:
-    H = discretize(plan["V"], L, plan["h"])
+    H = discretize(plan["potential"], L, plan["h"])
     lam = float(H.lambda_max)
     return (float(L), lam, max(0.0, -lam))
 
 
-def _run_gap_vs_box(config: StudyConfig, jobs: int):
-    plan = _plan_gap_vs_box(config)
+def _run_gap_vs_box(plan: dict, seed: int, jobs: int):
     rows = _parallel_map(lambda L: _gap_vs_box_row(plan, L), plan["L_list"], jobs)
     abs_lam = [abs(row[1]) for row in rows]
     verdicts = [
@@ -666,30 +587,8 @@ def _run_gap_vs_box(config: StudyConfig, jobs: int):
 # ---------------------------------------------------------------------------
 
 
-def _plan_exponent_table(config: StudyConfig) -> dict:
-    sec = _require_section(config, "exponents")
-    deltas = _get_float_list(sec, "exponents", "delta_list", default=())
-    gammas = _get_float_list(sec, "exponents", "gamma_list", default=())
-    for d in deltas:
-        if not 0.5 < d < 1.0:
-            raise DomainError(f"[exponents] profile exponent delta={d!r} must lie in (1/2, 1)")
-    for g in gammas:
-        if not g > 0.0:
-            raise DomainError(f"[exponents] power-law exponent gamma={g!r} must be positive")
-    if not deltas and not gammas:
-        raise DomainError("[exponents] needs at least one delta or gamma value")
-    log_lo, log_hi = _get_log_window(sec, "exponents", "scale_window", ("1e-6", "1e-1"))
-    t_min, t_max = _get_pair(sec, "exponents", "time_window", (10.0, 1e6))
-    return {
-        "items": [("delta", d) for d in deltas] + [("gamma", g) for g in gammas],
-        "log_window": (log_lo, log_hi),
-        "time_window": (t_min, t_max),
-        "n_scales": _get_int(sec, "exponents", "n_scales", default=200, minimum=2),
-        "n_times": _get_int(sec, "exponents", "n_times", default=400, minimum=2),
-        "scaling_tol": _get_pos_float(sec, "exponents", "scaling_tol", default=1e-3),
-        "decay_tol": _get_pos_float(sec, "exponents", "decay_tol", default=0.05),
-        "tail_fraction": _get_pos_float(sec, "exponents", "tail_fraction", default=0.8),
-    }
+def _exponent_items(plan: dict) -> list:
+    return [("delta", d) for d in plan["delta_list"]] + [("gamma", g) for g in plan["gamma_list"]]
 
 
 def _exponent_table_row(plan: dict, item: tuple) -> tuple:
@@ -700,7 +599,7 @@ def _exponent_table_row(plan: dict, item: tuple) -> tuple:
     else:
         mu = power_law_measure(value)
         analytic = float(value)
-    est = scaling_exponents(mu, log_window=plan["log_window"], n_scales=plan["n_scales"])
+    est = scaling_exponents(mu, log_window=plan["scale_window"], n_scales=plan["n_scales"])
     trace = evolve_norms(mu, plan["time_window"][0], plan["time_window"][1], plan["n_times"])
     dec = decay_exponents(trace, tail_fraction=plan["tail_fraction"])
     return (
@@ -733,9 +632,8 @@ _EXPONENT_HEADER = (
 )
 
 
-def _run_exponent_table(config: StudyConfig, jobs: int):
-    plan = _plan_exponent_table(config)
-    rows = _parallel_map(lambda item: _exponent_table_row(plan, item), plan["items"], jobs)
+def _run_exponent_table(plan: dict, seed: int, jobs: int):
+    rows = _parallel_map(lambda item: _exponent_table_row(plan, item), _exponent_items(plan), jobs)
     table = ReportTable("exponent-table", _EXPONENT_HEADER, rows)
     worst_scaling = max(max(row[7], row[8]) for row in rows)
     worst_decay = max(max(row[9], row[10]) for row in rows)
@@ -761,38 +659,15 @@ def _run_exponent_table(config: StudyConfig, jobs: int):
 # ---------------------------------------------------------------------------
 
 
-def _plan_gdelta_witness(config: StudyConfig) -> dict:
-    lac = _section(config, "lacunary")
-    wit = _section(config, "witness")
-    return {
-        "scale_base": _get_pos_float(lac, "lacunary", "scale_base", default=0.5),
-        "exponents": _get_float_list(lac, "lacunary", "exponents", default=(0.5, 4.0)),
-        "n_atoms": _get_int(lac, "lacunary", "n_atoms", default=12, minimum=1),
-        "alpha_exponent": _get_pos_float(wit, "witness", "alpha_exponent", default=0.7),
-        "beta": BetaDescriptor(
-            p=_get_pos_float(wit, "witness", "beta_p", default=0.1),
-            poly_degree=_get_int(wit, "witness", "beta_poly_degree", default=0, minimum=0),
-        ),
-        "horizon": _get_pair(wit, "witness", "horizon", (10.0, 1e12)),
-        "n_t": _get_int(wit, "witness", "n_t", default=4001, minimum=2),
-        "log_window": _get_log_window(wit, "witness", "scale_window", ("2^-2048", "2^-1")),
-        "n_scales": _get_int(wit, "witness", "n_scales", default=240, minimum=2),
-        "d_minus_max": _get_pos_float(wit, "witness", "d_minus_max", default=0.7),
-        "d_plus_min": _get_pos_float(wit, "witness", "d_plus_min", default=3.0),
-        "alpha_min_log": _get_float(wit, "witness", "alpha_min_log", default=6.9),
-        "beta_max_log": _get_float(wit, "witness", "beta_max_log", default=-6.9),
-        "expect_witness": _get_bool(wit, "witness", "expect_witness", default=True),
-    }
-
-
 def _gdelta_compute(plan: dict) -> dict:
+    beta = BetaDescriptor(p=plan["beta_p"], poly_degree=plan["beta_poly_degree"])
     mu = lacunary_measure(plan["scale_base"], plan["exponents"], plan["n_atoms"])
     verdict = classify_stability(mu)
-    est = scaling_exponents(mu, log_window=plan["log_window"], n_scales=plan["n_scales"])
+    est = scaling_exponents(mu, log_window=plan["scale_window"], n_scales=plan["n_scales"])
     probe = gdelta_probe(
         mu,
         plan["alpha_exponent"],
-        beta=plan["beta"],
+        beta=beta,
         horizon=plan["horizon"],
         n_t=plan["n_t"],
     )
@@ -817,7 +692,7 @@ def _gdelta_compute(plan: dict) -> dict:
         probe.log_min_beta_weighted,
         probe.argmin_t,
         plan["alpha_exponent"],
-        plan["beta"].describe(),
+        beta.describe(),
         plan["horizon"][0],
         plan["horizon"][1],
         plan["n_t"],
@@ -848,8 +723,7 @@ _GDELTA_HEADER = (
 )
 
 
-def _run_gdelta_witness(config: StudyConfig, jobs: int):
-    plan = _plan_gdelta_witness(config)
+def _run_gdelta_witness(plan: dict, seed: int, jobs: int):
     out = _gdelta_compute(plan)
     table = ReportTable("gdelta-witness", _GDELTA_HEADER, [out["row"]])
     established = out["established"]
@@ -877,36 +751,6 @@ def _run_gdelta_witness(config: StudyConfig, jobs: int):
 # ---------------------------------------------------------------------------
 # section3-bounds study (orbit-norm decay bound sweep)
 # ---------------------------------------------------------------------------
-
-
-def _plan_section3_bounds(config: StudyConfig) -> dict:
-    sec = _section(config, "bounds")
-    hooks = _section(config, "hooks")
-    plan = {
-        "n_measures": _get_int(sec, "bounds", "n_measures", default=100, minimum=1),
-        "n_atoms": _get_int(sec, "bounds", "n_atoms", default=20, minimum=1),
-        "position_lo": _get_float(sec, "bounds", "position_lo", default=-10.0),
-        "position_hi": _get_float(sec, "bounds", "position_hi", default=0.0),
-        "t_window": _get_pair(sec, "bounds", "t_window", (1e-2, 1e3)),
-        "n_t": _get_int(sec, "bounds", "n_t", default=200, minimum=1),
-        "shifts": _get_float_list(sec, "bounds", "shifts", default=(0.5, 1.0, 2.0)),
-        "n_shifted": _get_int(sec, "bounds", "n_shifted", default=50, minimum=0),
-        "equality_position": _get_float(sec, "bounds", "equality_position", default=-2.7),
-        "bound_scale": _get_pos_float(hooks, "hooks", "bound_scale", default=1.0),
-    }
-    if not plan["position_lo"] < plan["position_hi"] <= 0.0:
-        raise DomainError("[bounds] positions must satisfy position_lo < position_hi <= 0")
-    if not plan["equality_position"] < 0.0:
-        raise DomainError("[bounds] equality_position must be negative")
-    for a in plan["shifts"]:
-        if not a >= 0.0:
-            raise DomainError("[bounds] shift levels must be >= 0")
-        if not plan["position_lo"] < -a:
-            raise DomainError(
-                f"[bounds] position_lo must lie below -a for every shift level; "
-                f"a={a!r} conflicts with position_lo={plan['position_lo']!r}"
-            )
-    return plan
 
 
 def _section3_instances(plan: dict, seed: int) -> list:
@@ -964,9 +808,8 @@ def _section3_equality_row(plan: dict) -> tuple:
     )
 
 
-def _run_section3_bounds(config: StudyConfig, jobs: int):
-    plan = _plan_section3_bounds(config)
-    instances = _section3_instances(plan, config.seed)
+def _run_section3_bounds(plan: dict, seed: int, jobs: int):
+    instances = _section3_instances(plan, seed)
     rows = _parallel_map(lambda inst: _section3_row(plan, inst), instances, jobs)
     eq_row = _section3_equality_row(plan)
     main = ReportTable(
@@ -979,28 +822,159 @@ def _run_section3_bounds(config: StudyConfig, jobs: int):
         ("position", "t_star", "gap", "norm_x", "tol", "status"),
         [eq_row],
     )
-
-    def _family_verdict(name: str, family: str) -> VerdictLine:
+    verdicts, notes = [], []
+    for name, family in (("plain-bound", "plain"), ("shifted-bound", "shifted")):
         fam = [row for row in rows if row[0] == family]
-        excess = max((row[3] - row[6] for row in fam), default=-math.inf)
+        if not fam:
+            notes.append(f"{name}: no {family} instances, so no verdict")
+            continue
+        excess = max(row[3] - row[6] for row in fam)
         bad = sum(1 for row in fam if row[7] == "violated")
-        return VerdictLine(
-            name,
-            bad == 0,
-            f"{bad} of {len(fam)} instances violated; worst excess "
-            f"{_format_cell(float(excess))}",
+        verdicts.append(
+            VerdictLine(
+                name,
+                bad == 0,
+                f"{bad} of {len(fam)} instances violated; worst excess "
+                f"{_format_cell(float(excess))}",
+            )
         )
-
-    verdicts = [
-        _family_verdict("plain-bound", "plain"),
-        _family_verdict("shifted-bound", "shifted"),
+    verdicts.append(
         VerdictLine(
             "equality-witness",
             eq_row[5] == "ok",
             f"gap {_format_cell(eq_row[2])} at t {_format_cell(eq_row[1])}",
-        ),
-    ]
-    return [main, equality], verdicts, [], {}
+        )
+    )
+    return [main, equality], verdicts, notes, {}
+
+
+# ---------------------------------------------------------------------------
+# the study kinds
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One study kind: its key tables, cross-key check, runner and row rebuild.
+
+    ``sections`` maps each section to its ``{key: _Key}`` table in echo
+    order; ``check(plan)`` raises on key combinations no single key can
+    judge; ``run(plan, seed, jobs)`` returns tables, verdicts, notes and
+    artifacts; ``rebuild(plan, seed, table, row)`` recomputes one row.
+    """
+
+    sections: dict
+    run: Callable
+    rebuild: Callable
+    check: Callable = lambda plan: None
+    potential: bool = False  # the config also holds a [potential] descriptor section
+
+
+_KINDS = {
+    "approximation": _Kind(
+        {"approximation": {
+            "seq_kind": _Key("truncation or shift", str, str,
+                             valid=lambda v: v in ("truncation", "shift")),
+            "indices": _Key("a range lo..hi or an increasing list of integers >= 1",
+                            _indices, lambda ks: ", ".join(str(int(k)) for k in ks)),
+            "L": _pos(),
+            "h": _pos(),
+            "n_probes": _int(1, 3),
+            "metric_J": _int(4, 20),
+            "metric_tol": _pos(1e-3),
+        }},
+        run=_run_approximation,
+        rebuild=lambda plan, seed, table, i: _approximation_row(
+            plan, _approximation_shared(plan, seed), plan["indices"][i]),
+        potential=True,
+    ),
+    "gap-vs-box": _Kind(
+        {"box": {
+            "L_list": _reals(need="two or more strictly increasing positive box sizes",
+                             valid=lambda Ls: len(Ls) >= 2 and Ls[0] > 0.0
+                             and all(b > a for a, b in zip(Ls, Ls[1:]))),
+            "h": _pos(),
+        }},
+        run=_run_gap_vs_box,
+        rebuild=lambda plan, seed, table, i: _gap_vs_box_row(plan, plan["L_list"][i]),
+        check=lambda plan: _check_compact_support(plan["potential"], max(plan["L_list"])),
+        potential=True,
+    ),
+    "exponent-table": _Kind(
+        {"exponents": {
+            "delta_list": _reals((), "profile exponents in (1/2, 1)",
+                                 lambda ds: all(0.5 < d < 1.0 for d in ds)),
+            "gamma_list": _reals((), "positive power-law exponents",
+                                 lambda gs: all(g > 0.0 for g in gs)),
+            "scale_window": _window(("1e-6", "1e-1")),
+            "time_window": _pair((10.0, 1e6)),
+            "n_scales": _int(2, 200),
+            "n_times": _int(2, 400),
+            "scaling_tol": _pos(1e-3),
+            "decay_tol": _pos(0.05),
+            "tail_fraction": _pos(0.8),
+        }},
+        run=_run_exponent_table,
+        rebuild=lambda plan, seed, table, i: _exponent_table_row(plan, _exponent_items(plan)[i]),
+        check=lambda plan: _require(plan["delta_list"] or plan["gamma_list"],
+                                    "[exponents] needs at least one delta or gamma value"),
+    ),
+    "gdelta-witness": _Kind(
+        {
+            "lacunary": {
+                "scale_base": _pos(0.5),
+                "exponents": _reals((0.5, 4.0)),
+                "n_atoms": _int(1, 12),
+            },
+            "witness": {
+                "alpha_exponent": _pos(0.7),
+                "beta_p": _pos(0.1),
+                "beta_poly_degree": _int(0, 0),
+                "horizon": _pair((10.0, 1e12)),
+                "n_t": _int(2, 4001),
+                "scale_window": _window(("2^-2048", "2^-1")),
+                "n_scales": _int(2, 240),
+                "d_minus_max": _pos(0.7),
+                "d_plus_min": _pos(3.0),
+                "alpha_min_log": _real(6.9),
+                "beta_max_log": _real(-6.9),
+                "expect_witness": _Key(
+                    "a boolean", lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+                    lambda v: "true" if v else "false", True),
+            },
+        },
+        run=_run_gdelta_witness,
+        rebuild=lambda plan, seed, table, i: _gdelta_compute(plan)["row"],
+    ),
+    "section3-bounds": _Kind(
+        {
+            "bounds": {
+                "n_measures": _int(1, 100),
+                "n_atoms": _int(1, 20),
+                "position_lo": _real(-10.0),
+                "position_hi": _real(0.0),
+                "t_window": _pair((1e-2, 1e3)),
+                "n_t": _int(1, 200),
+                "shifts": _reals((0.5, 1.0, 2.0), "shift levels >= 0",
+                                 lambda shifts: all(a >= 0.0 for a in shifts)),
+                "n_shifted": _int(0, 50),
+                "equality_position": _real(-2.7, "a negative number", lambda v: v < 0.0),
+            },
+            # test hook: library wrappers write it only when set away from the default
+            "hooks": {"bound_scale": _pos(1.0)},
+        },
+        run=_run_section3_bounds,
+        rebuild=lambda plan, seed, table, i: (
+            _section3_equality_row(plan) if table == "equality-witness"
+            else _section3_row(plan, _section3_instances(plan, seed)[i])),
+        check=lambda plan: _require(
+            plan["position_lo"] < plan["position_hi"] <= 0.0
+            and all(plan["position_lo"] < -a for a in plan["shifts"]),
+            "[bounds] needs position_lo < position_hi <= 0 and position_lo < -a for every shift a"),
+    ),
+}
+
+STUDY_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,20 +982,12 @@ def _run_section3_bounds(config: StudyConfig, jobs: int):
 # ---------------------------------------------------------------------------
 
 
-_RUNNERS = {
-    "approximation": _run_approximation,
-    "gap-vs-box": _run_gap_vs_box,
-    "exponent-table": _run_exponent_table,
-    "gdelta-witness": _run_gdelta_witness,
-    "section3-bounds": _run_section3_bounds,
-}
-
-
 def run_study(config: StudyConfig, jobs: int = 1) -> StudyReport:
     """Run a configured study; instances may run in parallel via ``jobs``."""
     if int(jobs) != jobs or jobs < 1:
         raise DomainError("jobs must be an integer >= 1")
-    tables, verdicts, notes, artifacts = _RUNNERS[config.kind](config, int(jobs))
+    run = _KINDS[config.kind].run
+    tables, verdicts, notes, artifacts = run(_plan(config), config.seed, int(jobs))
     return StudyReport(
         kind=config.kind,
         tables=tables,
@@ -1033,164 +999,69 @@ def run_study(config: StudyConfig, jobs: int = 1) -> StudyReport:
     )
 
 
-def _wrap_config(kind: str, seed: int, sections: dict) -> StudyConfig:
-    full = {"study": {"kind": kind, "seed": str(int(seed))}}
-    full.update(sections)
-    return StudyConfig(kind=kind, seed=int(seed), output_dir=None, sections=full)
+def _run_wrapper(kind_name: str, *, seed: int = 0, jobs: int = 1, **args) -> StudyReport:
+    """Print wrapper arguments as INI text through the kind's key tables, then run.
+
+    An argument of None stands for the key's default.
+    """
+    kind = _KINDS[kind_name]
+    sections = {"study": {"kind": kind_name, "seed": str(int(seed))}}
+    if kind.potential:
+        sections["potential"] = _potential_section_dict(args.pop("potential"))
+    for name, table in kind.sections.items():
+        sec = {}
+        for key, spec in table.items():
+            value = args.pop(key, None)
+            value = spec.default if value is None else value
+            if value is not _REQUIRED and not (name == "hooks" and value == spec.default):
+                sec[key] = spec.show(value)
+        if sec:
+            sections[name] = sec
+    if args:
+        raise TypeError(f"a {kind_name} study takes no argument {sorted(args)[0]!r}")
+    return run_study(StudyConfig(kind_name, int(seed), None, sections), jobs=jobs)
 
 
-def _scale_token(value) -> str:
-    return value if isinstance(value, str) else repr(float(value))
+# The wrappers take ``seed`` and ``jobs`` plus their kind's keys as keywords;
+# None, the default of every optional parameter, means the key's default.
 
 
-def approximation_study(
-    V: Potential,
-    seq_kind: str,
-    indices,
-    probe_vectors: int = 3,
-    *,
-    L: float,
-    h: float,
-    seed: int = 0,
-    metric_J: int = 20,
-    metric_tol: float = 1e-3,
-    jobs: int = 1,
-) -> StudyReport:
-    """Metric/resolvent/eigenvalue table along a truncation or shift sequence."""
-    sections = {
-        "potential": _potential_section_dict(V),
-        "approximation": {
-            "seq_kind": seq_kind,
-            "indices": ", ".join(str(int(i)) for i in indices),
-            "L": repr(float(L)),
-            "h": repr(float(h)),
-            "n_probes": str(int(probe_vectors)),
-            "metric_J": str(int(metric_J)),
-            "metric_tol": repr(float(metric_tol)),
-        },
-    }
-    return run_study(_wrap_config("approximation", seed, sections), jobs=jobs)
+def approximation_study(V: Potential, seq_kind: str, indices, probe_vectors: int = None,
+                        **keys) -> StudyReport:
+    """Metric/resolvent/eigenvalue table along a truncation or shift sequence.
+
+    ``probe_vectors`` is the ``n_probes`` key; ``L`` and ``h`` are required.
+    """
+    return _run_wrapper("approximation", potential=V, seq_kind=seq_kind, indices=indices,
+                        n_probes=probe_vectors, **keys)
 
 
-def gap_vs_box(V: Potential, L_list, h: float, *, seed: int = 0, jobs: int = 1) -> StudyReport:
+def gap_vs_box(V: Potential, L_list, h: float, **keys) -> StudyReport:
     """Top-eigenvalue-vs-box-size table for a compactly supported potential."""
-    sections = {
-        "potential": _potential_section_dict(V),
-        "box": {
-            "L_list": ", ".join(repr(float(L)) for L in L_list),
-            "h": repr(float(h)),
-        },
-    }
-    return run_study(_wrap_config("gap-vs-box", seed, sections), jobs=jobs)
+    return _run_wrapper("gap-vs-box", potential=V, L_list=L_list, h=h, **keys)
 
 
-def exponent_table(
-    delta_list,
-    gamma_list,
-    *,
-    scale_window=("1e-6", "1e-1"),
-    time_window=(10.0, 1e6),
-    n_scales: int = 200,
-    n_times: int = 400,
-    scaling_tol: float = 1e-3,
-    decay_tol: float = 0.05,
-    tail_fraction: float = 0.8,
-    seed: int = 0,
-    jobs: int = 1,
-) -> StudyReport:
+def exponent_table(delta_list, gamma_list, **keys) -> StudyReport:
     """Measured-vs-analytic exponents for profile and power-law measures."""
-    sections = {
-        "exponents": {
-            "delta_list": ", ".join(repr(float(d)) for d in delta_list),
-            "gamma_list": ", ".join(repr(float(g)) for g in gamma_list),
-            "scale_window": ", ".join(_scale_token(v) for v in scale_window),
-            "time_window": ", ".join(repr(float(t)) for t in time_window),
-            "n_scales": str(int(n_scales)),
-            "n_times": str(int(n_times)),
-            "scaling_tol": repr(float(scaling_tol)),
-            "decay_tol": repr(float(decay_tol)),
-            "tail_fraction": repr(float(tail_fraction)),
-        },
-    }
-    return run_study(_wrap_config("exponent-table", seed, sections), jobs=jobs)
+    return _run_wrapper("exponent-table", delta_list=delta_list, gamma_list=gamma_list, **keys)
 
 
-def gdelta_witness(
-    scale_base: float = 0.5,
-    exponents=(0.5, 4.0),
-    n_atoms: int = 12,
-    *,
-    alpha_exponent: float = 0.7,
-    beta: BetaDescriptor = BetaDescriptor(0.1),
-    horizon=(10.0, 1e12),
-    n_t: int = 4001,
-    scale_window=("2^-2048", "2^-1"),
-    n_scales: int = 240,
-    d_minus_max: float = 0.7,
-    d_plus_min: float = 3.0,
-    alpha_min_log: float = 6.9,
-    beta_max_log: float = -6.9,
-    expect_witness: bool = True,
-    seed: int = 0,
-    jobs: int = 1,
-) -> StudyReport:
-    """Lacunary witness report: classification, exponent split, probe extremes."""
-    sections = {
-        "lacunary": {
-            "scale_base": repr(float(scale_base)),
-            "exponents": ", ".join(repr(float(e)) for e in exponents),
-            "n_atoms": str(int(n_atoms)),
-        },
-        "witness": {
-            "alpha_exponent": repr(float(alpha_exponent)),
-            "beta_p": repr(float(beta.p)),
-            "beta_poly_degree": str(int(beta.poly_degree)),
-            "horizon": ", ".join(repr(float(t)) for t in horizon),
-            "n_t": str(int(n_t)),
-            "scale_window": ", ".join(_scale_token(v) for v in scale_window),
-            "n_scales": str(int(n_scales)),
-            "d_minus_max": repr(float(d_minus_max)),
-            "d_plus_min": repr(float(d_plus_min)),
-            "alpha_min_log": repr(float(alpha_min_log)),
-            "beta_max_log": repr(float(beta_max_log)),
-            "expect_witness": "true" if expect_witness else "false",
-        },
-    }
-    return run_study(_wrap_config("gdelta-witness", seed, sections), jobs=jobs)
+def gdelta_witness(scale_base: float = None, exponents=None, n_atoms: int = None, *,
+                   beta: BetaDescriptor = None, **keys) -> StudyReport:
+    """Lacunary witness report: classification, exponent split, probe extremes.
+
+    ``beta`` stands for the ``beta_p`` and ``beta_poly_degree`` keys.
+    """
+    return _run_wrapper(
+        "gdelta-witness", scale_base=scale_base, exponents=exponents, n_atoms=n_atoms,
+        beta_p=None if beta is None else beta.p,
+        beta_poly_degree=None if beta is None else beta.poly_degree, **keys,
+    )
 
 
-def decay_bound_study(
-    n_measures: int = 100,
-    n_atoms: int = 20,
-    *,
-    position_lo: float = -10.0,
-    position_hi: float = 0.0,
-    t_window=(1e-2, 1e3),
-    n_t: int = 200,
-    shifts=(0.5, 1.0, 2.0),
-    n_shifted: int = 50,
-    equality_position: float = -2.7,
-    bound_scale: float = 1.0,
-    seed: int = 0,
-    jobs: int = 1,
-) -> StudyReport:
+def decay_bound_study(n_measures: int = None, n_atoms: int = None, **keys) -> StudyReport:
     """Randomized sweep of the plain and shifted orbit-norm decay bounds."""
-    sections = {
-        "bounds": {
-            "n_measures": str(int(n_measures)),
-            "n_atoms": str(int(n_atoms)),
-            "position_lo": repr(float(position_lo)),
-            "position_hi": repr(float(position_hi)),
-            "t_window": ", ".join(repr(float(t)) for t in t_window),
-            "n_t": str(int(n_t)),
-            "shifts": ", ".join(repr(float(a)) for a in shifts),
-            "n_shifted": str(int(n_shifted)),
-            "equality_position": repr(float(equality_position)),
-        },
-    }
-    if bound_scale != 1.0:
-        sections["hooks"] = {"bound_scale": repr(float(bound_scale))}
-    return run_study(_wrap_config("section3-bounds", seed, sections), jobs=jobs)
+    return _run_wrapper("section3-bounds", n_measures=n_measures, n_atoms=n_atoms, **keys)
 
 
 # -- spot checks --------------------------------------------------------------
@@ -1208,33 +1079,6 @@ class SpotCheck:
     matches: bool
 
 
-def _rebuild_row(config: StudyConfig, table_name: str, row_index: int) -> tuple:
-    """Recompute a single table row from the config via the module operations."""
-    kind = config.kind
-    if kind == "approximation":
-        plan = _plan_approximation(config)
-        shared = _approximation_shared(plan, config.seed)
-        return _approximation_row(plan, shared, plan["indices"][row_index])
-    if kind == "gap-vs-box":
-        plan = _plan_gap_vs_box(config)
-        if row_index >= len(plan["L_list"]):
-            raise DomainError("the extrapolated row is a reporting rule, never computed")
-        return _gap_vs_box_row(plan, plan["L_list"][row_index])
-    if kind == "exponent-table":
-        plan = _plan_exponent_table(config)
-        return _exponent_table_row(plan, plan["items"][row_index])
-    if kind == "gdelta-witness":
-        plan = _plan_gdelta_witness(config)
-        return _gdelta_compute(plan)["row"]
-    if kind == "section3-bounds":
-        plan = _plan_section3_bounds(config)
-        if table_name == "equality-witness":
-            return _section3_equality_row(plan)
-        instances = _section3_instances(plan, config.seed)
-        return _section3_row(plan, instances[row_index])
-    raise DomainError(f"unknown study kind {kind!r}")
-
-
 def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
     """Re-derive ``n_cells`` random numeric report cells from the config.
 
@@ -1249,6 +1093,9 @@ def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
                     cells.append((tab.name, ri, ci))
     if not cells:
         return []
+    config = report.config
+    plan = _plan(config)
+    rebuild = _KINDS[config.kind].rebuild
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(cells), size=min(n_cells, len(cells)), replace=False)
     fresh_rows = {}
@@ -1257,7 +1104,7 @@ def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
         name, ri, ci = cells[flat]
         key = (name, ri)
         if key not in fresh_rows:
-            fresh_rows[key] = _rebuild_row(report.config, name, ri)
+            fresh_rows[key] = rebuild(plan, config.seed, name, ri)
         tab = report.table(name)
         reported = tab.rows[ri][ci]
         recomputed = fresh_rows[key][ci]

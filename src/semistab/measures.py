@@ -33,7 +33,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, read_ascii
 
 __all__ = [
     "AtomicMeasure",
@@ -777,5 +777,4 @@ def save_measure(mu, path) -> None:
 
 
 def load_measure(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return measure_from_text(fh.read())
+    return measure_from_text(read_ascii(path))

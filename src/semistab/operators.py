@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import DomainError, InvariantViolation, ResourceCapError
+from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii
 from .measures import AtomicMeasure, DensityMeasure, monomial_profile_measure, uniform_measure
 
 __all__ = [
@@ -635,34 +635,46 @@ def potential_to_text(V: Potential) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT_PARAMS = {"k", "l", "n"}
+#: Parameters a descriptor of each kind must give, besides kind, nu and
+#: a_bound; a nu=2 sampled potential also gives its side length n.
+_KIND_PARAMS = {
+    "constant": ("value",),
+    "gaussian-well": ("depth", "width"),
+    "exp-well": ("depth", "width"),
+    "square-well": ("depth", "radius"),
+    "sampled": ("grid_lo", "grid_hi", "values"),
+    "truncated": ("k",),
+    "shifted": ("l", "a"),
+}
+_INT_PARAMS = {"k", "l", "n", "nu"}
 
 
-def _build_potential(kind: str, nu: int, a_bound: float, flat: dict) -> Potential:
-    own = {}
-    base_flat = {}
-    for key, val in flat.items():
-        if key.startswith("base."):
-            base_flat[key[5:]] = val
-        else:
-            own[key] = val
-    base = None
-    if base_flat:
-        base = _build_potential(
-            base_flat.pop("kind"),
-            int(base_flat.pop("nu")),
-            float(base_flat.pop("a_bound")),
-            base_flat,
-        )
-    params = {}
-    for key, val in own.items():
+def _parse_param(key: str, text: str):
+    try:
         if key == "values":
-            params["values"] = tuple(float(tok) for tok in val.split(","))
-        elif key in _INT_PARAMS:
-            params[key] = int(val)
-        else:
-            params[key] = float(val)
-    return Potential(kind=kind, nu=nu, a_bound=a_bound, params=params, base=base)
+            return tuple(float(tok) for tok in text.split(","))
+        return int(text) if key in _INT_PARAMS else float(text)
+    except ValueError:
+        raise DomainError(f"potential parameter {key}={text!r} is not a number") from None
+
+
+def _build_potential(flat: dict) -> Potential:
+    own = {key: val for key, val in flat.items() if not key.startswith("base.")}
+    base = {key[5:]: val for key, val in flat.items() if key.startswith("base.")}
+    kind = own.pop("kind", None)
+    if kind not in _KIND_PARAMS:
+        raise DomainError(f"unknown potential kind: {kind!r}")
+    need = {"nu", "a_bound", *_KIND_PARAMS[kind]}
+    if kind == "sampled" and own.get("nu") == "2":
+        need.add("n")
+    if set(own) != need:
+        raise DomainError(
+            f"{kind} potential: unknown parameters {sorted(set(own) - need)}, "
+            f"missing {sorted(need - set(own))}"
+        )
+    params = {key: _parse_param(key, val) for key, val in own.items()}
+    return Potential(kind=kind, nu=params.pop("nu"), a_bound=params.pop("a_bound"),
+                     params=params, base=_build_potential(base) if base else None)
 
 
 def potential_from_text(text: str) -> Potential:
@@ -672,14 +684,13 @@ def potential_from_text(text: str) -> Potential:
     head = lines[0].split()
     if not head or head[0] != "potential":
         raise DomainError("not a potential descriptor")
-    fields = dict(tok.split("=", 1) for tok in head[1:])
     flat = {}
-    for ln in lines[1:]:
-        if "=" not in ln:
-            raise DomainError(f"malformed descriptor line: {ln!r}")
-        key, val = ln.split("=", 1)
+    for item in head[1:] + lines[1:]:
+        if "=" not in item:
+            raise DomainError(f"malformed descriptor entry: {item!r}")
+        key, val = item.split("=", 1)
         flat[key.strip()] = val.strip()
-    return _build_potential(fields["kind"], int(fields["nu"]), float(fields["a_bound"]), flat)
+    return _build_potential(flat)
 
 
 def save_potential(V: Potential, path) -> None:
@@ -688,8 +699,7 @@ def save_potential(V: Potential, path) -> None:
 
 
 def load_potential(path) -> Potential:
-    with open(path, "r", encoding="ascii") as fh:
-        return potential_from_text(fh.read())
+    return potential_from_text(read_ascii(path))
 
 
 def spectrum_to_csv(H: DiscretizedOperator, path) -> None:

@@ -221,6 +221,51 @@ class TestStudy:
         assert "error" in capsys.readouterr().err
 
 
+BOUNDS_HEAD = "[study]\nkind = section3-bounds\nseed = 7\n\n"
+WELL_STUDY = (
+    "[study]\nkind = gap-vs-box\n\n[box]\nL_list = 2, 4\nh = 0.25\n\n"
+    "[potential]\nkind = square-well\na_bound = 1\nradius = 1\n"
+)
+
+
+class TestInputErrors:
+    """Bad input files and configs exit 2 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("command, name, content, named", [
+        ("study", "typo.cfg", BOUNDS_HEAD + "[bounds]\nn_measure = 1\n", "n_measure"),
+        ("study", "typo.cfg", BOUNDS_HEAD + "[bound]\nn_measures = 1\n", "[bound]"),
+        ("study", "latin1.cfg", BOUNDS_HEAD.encode() + b"# caf\xe9\n", "ASCII"),
+        ("study", "depth.cfg", WELL_STUDY + "depth = abc\n", "depth"),
+        ("study", "radus.cfg", WELL_STUDY.replace("radius", "radus") + "depth = 1\n", "radus"),
+        ("operator", "radus.potential",
+         "potential kind=square-well nu=1 a_bound=1.0\ndepth=1.0\nradus=1.0\n", "radus"),
+        ("operator", "latin1.potential",
+         b"potential kind=square-well nu=1 a_bound=1.0\ndepth=1.0\nradius=1.0 # \xb5\n", "ASCII"),
+        ("classify", "latin1.measure", b"atomic n=1\n\xff\n", "ASCII"),
+    ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
+            "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
+            "non-ascii-measure"])
+    def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="ascii")
+        argv = {
+            "study": ["study", str(path), "--out", str(tmp_path / "report")],
+            "operator": ["operator", "spectrum", str(path), "--L", "4", "--h", "0.5",
+                         "--out", str(tmp_path / "spec.csv")],
+            "classify": ["classify", str(path)],
+        }[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+        assert captured.out == ""
+
+
 class TestUsageErrors:
     def test_unknown_flag_prints_usage_on_stderr(self, two_atom_file, capsys):
         rc = main(["classify", two_atom_file, "--frobnicate"])
@@ -256,10 +301,14 @@ class TestUsageErrors:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_classify(self, two_atom_file):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "semistab", "classify", two_atom_file],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "ExponentiallyStable gap=1 rate=1" in proc.stdout

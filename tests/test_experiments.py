@@ -8,6 +8,7 @@ exponent columns.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from semistab import (
     truncate_potential,
     write_report,
 )
+from semistab import experiments
 
 GAUSSIAN = gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
 
@@ -511,3 +513,117 @@ class TestSpotCheck:
         tab.rows[2] = tuple(row)
         checks = spot_check(rep, n_cells=len(tab.rows) * 5, seed=0)
         assert any(not c.matches for c in checks)
+
+
+# ---------------------------------------------------------------------------
+# key tables: wrapper echoes, unknown keys, empty families, README
+# ---------------------------------------------------------------------------
+
+# Each wrapper prints every key of its kind, defaults included, in table
+# order; these echoes were captured from the hand-written wrappers that
+# the key tables replaced.
+WRAPPER_ECHOES = {
+    "approximation": (
+        lambda: approximation_study(GAUSSIAN, "truncation", [1, 2], L=4.0, h=0.2),
+        "[study]\nkind = approximation\nseed = 0\n\n"
+        "[potential]\nkind = gaussian-well\nnu = 1\na_bound = 1.0\ndepth = 1.0\nwidth = 1.0\n\n"
+        "[approximation]\nseq_kind = truncation\nindices = 1, 2\nL = 4.0\nh = 0.2\n"
+        "n_probes = 3\nmetric_J = 20\nmetric_tol = 0.001\n",
+    ),
+    "gap-vs-box": (
+        lambda: gap_vs_box(square_well(depth=1.0, radius=1.0, a_bound=1.0), [2, 4], 0.25),
+        "[study]\nkind = gap-vs-box\nseed = 0\n\n"
+        "[potential]\nkind = square-well\nnu = 1\na_bound = 1.0\ndepth = 1.0\nradius = 1.0\n\n"
+        "[box]\nL_list = 2.0, 4.0\nh = 0.25\n",
+    ),
+    "exponent-table": (
+        lambda: exponent_table([0.75], [], n_scales=20, n_times=20),
+        "[study]\nkind = exponent-table\nseed = 0\n\n"
+        "[exponents]\ndelta_list = 0.75\ngamma_list = \nscale_window = 1e-6, 1e-1\n"
+        "time_window = 10.0, 1000000.0\nn_scales = 20\nn_times = 20\nscaling_tol = 0.001\n"
+        "decay_tol = 0.05\ntail_fraction = 0.8\n",
+    ),
+    "gdelta-witness": (
+        lambda: gdelta_witness(),
+        "[study]\nkind = gdelta-witness\nseed = 0\n\n"
+        "[lacunary]\nscale_base = 0.5\nexponents = 0.5, 4.0\nn_atoms = 12\n\n"
+        "[witness]\nalpha_exponent = 0.7\nbeta_p = 0.1\nbeta_poly_degree = 0\n"
+        "horizon = 10.0, 1000000000000.0\nn_t = 4001\nscale_window = 2^-2048, 2^-1\n"
+        "n_scales = 240\nd_minus_max = 0.7\nd_plus_min = 3.0\nalpha_min_log = 6.9\n"
+        "beta_max_log = -6.9\nexpect_witness = true\n",
+    ),
+    "section3-bounds": (
+        lambda: decay_bound_study(2, 3, n_shifted=1, n_t=5, bound_scale=1.0),
+        "[study]\nkind = section3-bounds\nseed = 0\n\n"
+        "[bounds]\nn_measures = 2\nn_atoms = 3\nposition_lo = -10.0\nposition_hi = 0.0\n"
+        "t_window = 0.01, 1000.0\nn_t = 5\nshifts = 0.5, 1.0, 2.0\nn_shifted = 1\n"
+        "equality_position = -2.7\n",
+    ),
+    "section3-hook": (
+        lambda: decay_bound_study(2, 3, n_shifted=1, n_t=5, bound_scale=0.9),
+        "[study]\nkind = section3-bounds\nseed = 0\n\n"
+        "[bounds]\nn_measures = 2\nn_atoms = 3\nposition_lo = -10.0\nposition_hi = 0.0\n"
+        "t_window = 0.01, 1000.0\nn_t = 5\nshifts = 0.5, 1.0, 2.0\nn_shifted = 1\n"
+        "equality_position = -2.7\n\n"
+        "[hooks]\nbound_scale = 0.9\n",
+    ),
+}
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("name", sorted(WRAPPER_ECHOES))
+    def test_wrapper_echo_is_pinned(self, name):
+        call, echo = WRAPPER_ECHOES[name]
+        assert call().config.echo_text() == echo
+
+    @pytest.mark.parametrize("text, named", [
+        ("[study]\nkind = section3-bounds\n\n[bounds]\nn_measure = 1\n", "n_measure"),
+        ("[study]\nkind = section3-bounds\n\n[bound]\nn_measures = 1\n", "[bound]"),
+        ("[study]\nkind = section3-bounds\nsed = 3\n", "sed"),
+        ("[study]\nkind = gdelta-witness\n\n[bounds]\nn_measures = 1\n", "[bounds]"),
+    ], ids=["key", "section", "study-key", "other-kinds-section"])
+    def test_unknown_keys_and_sections_rejected(self, text, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            run_study(parse_study_config(text))
+
+    def test_unknown_wrapper_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            decay_bound_study(n_measure=1)
+
+    @pytest.mark.parametrize("bounds", ["n_shifted = 0", "shifts ="])
+    def test_empty_shifted_family_gives_a_note_and_no_verdict(self, bounds):
+        cfg = parse_study_config(
+            f"[study]\nkind = section3-bounds\n\n[bounds]\nn_measures = 3\nn_t = 20\n{bounds}\n"
+        )
+        rep = run_study(cfg)
+        assert [v.name for v in rep.verdicts] == ["plain-bound", "equality-witness"]
+        summary = rep.summary_text()
+        assert "note: shifted-bound: no shifted instances, so no verdict" in summary
+        assert "shifted-bound 0 of 0" not in summary
+        assert rep.passed
+
+    def test_readme_key_table_lists_every_key_and_default(self):
+        """The README "Studies" key table matches the kind tables exactly."""
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                      encoding="utf-8").read()
+        documented = {}
+        for kind, section, keys in re.findall(
+            r"^\| `([\w-]+)` \| `\[(\w+)\]` \| (.*) \|$", readme, flags=re.M
+        ):
+            if section == "potential":
+                continue
+            tokens = [tok.split("=", 1) for tok in re.findall(r"`([^`]+)`", keys)]
+            documented.setdefault(kind, {})[section] = {
+                tok[0].strip(): tok[1].strip() if len(tok) == 2 else None for tok in tokens
+            }
+        expected = {
+            kind: {
+                section: {
+                    key: None if spec.default is experiments._REQUIRED else spec.show(spec.default)
+                    for key, spec in table.items()
+                }
+                for section, table in record.sections.items()
+            }
+            for kind, record in experiments._KINDS.items()
+        }
+        assert documented == expected
