@@ -772,14 +772,10 @@ def _section3_row(plan: dict, instance: tuple) -> tuple:
     family, index, a, pos, wts = instance
     mu = AtomicMeasure.from_points(pos, wts)
     t_min, t_max = plan["t_window"]
-    if family == "plain":
-        val = range_bound_check(
-            mu, t_min=t_min, t_max=t_max, n_t=plan["n_t"], bound_scale=plan["bound_scale"]
-        )
-    else:
-        val = shifted_range_bound_check(
-            mu, a, t_min=t_min, t_max=t_max, n_t=plan["n_t"], bound_scale=plan["bound_scale"]
-        )
+    # plain instances carry a = 0.0, where the shifted bound is the plain one
+    val = shifted_range_bound_check(
+        mu, a, t_min=t_min, t_max=t_max, n_t=plan["n_t"], bound_scale=plan["bound_scale"]
+    )
     return (
         family,
         index,

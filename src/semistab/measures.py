@@ -18,6 +18,11 @@ Two concrete representations are provided:
 * :class:`DensityMeasure` -- an absolutely continuous part with a
   pointwise-evaluable density in the distance coordinate ``s = |lambda|``.
 
+Each kind has one Laplace kernel, ``_log_transform``, vectorized over t,
+behind both ``log_laplace`` and ``log_laplace_moment``: one logsumexp row
+per t for atoms, one quadrature per t for densities.  The semigroup layer
+calls it in bounded-memory chunks.
+
 Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 :func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
 """
@@ -61,6 +66,12 @@ _LOG_S_CAP = 709.0
 _TAIL_EXPONENT = 745.0
 _QUAD_RELTOL = 1e-12
 _QUAD_LIMIT = 200
+
+
+def _as_1d(values) -> tuple:
+    """(values as a 1-D float array, whether the input was a scalar)."""
+    arr = np.asarray(values, dtype=float)
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _as_scalar_or_array(values: np.ndarray, scalar_input: bool):
@@ -167,9 +178,7 @@ class AtomicMeasure:
         Vectorized over ``log_eps``.  The ball is open, so an atom with
         ``log_s == log_eps`` is excluded.
         """
-        arr = np.asarray(log_eps, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _as_1d(log_eps)
         idx = np.searchsorted(self.log_s, arr, side="left")
         out = np.where(idx > 0, self._prefix[np.maximum(idx - 1, 0)], -np.inf)
         return _as_scalar_or_array(out, scalar)
@@ -181,22 +190,23 @@ class AtomicMeasure:
 
     def log_laplace(self, t):
         """ln of integral exp(2 t lambda) dmu(lambda); vectorized over t."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        s = np.exp(self.log_s)  # sub-double moduli round to 0.0, which is exact here
-        vals = logsumexp(self.log_w[None, :] - 2.0 * t_arr[:, None] * s[None, :], axis=1)
-        return _as_scalar_or_array(np.atleast_1d(vals), scalar)
+        return self._log_transform(t, self.log_w)
 
-    def log_laplace_moment(self, t: float, shift: float = 0.0) -> float:
-        """ln of integral (lambda + shift)^2 exp(2 t lambda) dmu(lambda)."""
-        s = np.exp(self.log_s)
+    def log_laplace_moment(self, t, shift: float = 0.0):
+        """ln of integral (lambda + shift)^2 exp(2 t lambda) dmu(lambda); vectorized over t."""
         if shift == 0.0:
             log_amp = 2.0 * self.log_s
         else:
             with np.errstate(divide="ignore"):
-                log_amp = 2.0 * np.log(np.abs(shift - s))
-        return float(logsumexp(self.log_w + log_amp - 2.0 * t * s))
+                log_amp = 2.0 * np.log(np.abs(shift - np.exp(self.log_s)))
+        return self._log_transform(t, self.log_w + log_amp)
+
+    def _log_transform(self, t, log_coef: np.ndarray):
+        """ln sum_k exp(log_coef_k - 2 t s_k): one logsumexp row per t."""
+        t_arr, scalar = _as_1d(t)
+        s = np.exp(self.log_s)  # sub-double moduli round to 0.0, which is exact here
+        vals = logsumexp(log_coef[None, :] - 2.0 * t_arr[:, None] * s[None, :], axis=1)
+        return _as_scalar_or_array(vals, scalar)
 
     def describe(self) -> str:
         return f"atomic n={self.n_atoms} mass={self.mass!r}"
@@ -211,19 +221,9 @@ class AtomicMeasure:
 
     @classmethod
     def from_text_lines(cls, header: dict, body: Sequence[str]) -> "AtomicMeasure":
-        n = int(header["n"])
         if header.get("coords", "log") != "log":
             raise DomainError("unsupported atomic coordinate encoding")
-        if len(body) != n:
-            raise DomainError(f"expected {n} atom lines, found {len(body)}")
-        log_s = np.empty(n)
-        log_w = np.empty(n)
-        for i, line in enumerate(body):
-            parts = line.split()
-            if len(parts) != 2:
-                raise DomainError(f"malformed atom line: {line!r}")
-            log_s[i] = float(parts[0])
-            log_w[i] = float(parts[1])
+        log_s, log_w = _parse_pairs(_field(header, "n", "atomic header", int), body, "atom")
         return cls(log_s=log_s, log_w=log_w)
 
 
@@ -372,9 +372,7 @@ class DensityMeasure:
         return self._quad_sigma(eps - self.s_lo)
 
     def log_ball_mass(self, log_eps):
-        arr = np.asarray(log_eps, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _as_1d(log_eps)
         if self.log_ball_mass_fn is not None:
             out = np.asarray(self.log_ball_mass_fn(arr), dtype=float)
         else:
@@ -386,22 +384,23 @@ class DensityMeasure:
         return _as_scalar_or_array(out, scalar)
 
     def log_laplace(self, t):
-        """ln integral exp(2 t lambda) dmu; the e^{-2 t s_lo} prefactor is
-        carried analytically so supports far from 0 stay representable."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.empty(t_arr.shape)
-        for i, ti in enumerate(t_arr):
-            val = self._quad_sigma(self.s_hi - self.s_lo, t=float(ti))
-            with np.errstate(divide="ignore"):
-                out[i] = -2.0 * float(ti) * self.s_lo + np.log(val)
-        return _as_scalar_or_array(out, scalar)
+        """ln integral exp(2 t lambda) dmu; vectorized over t."""
+        return self._log_transform(t, None)
 
-    def log_laplace_moment(self, t: float, shift: float = 0.0) -> float:
-        val = self._quad_sigma(self.s_hi - self.s_lo, t=t, moment_shift=shift)
-        with np.errstate(divide="ignore"):
-            return float(-2.0 * t * self.s_lo + np.log(val))
+    def log_laplace_moment(self, t, shift: float = 0.0):
+        """ln integral (lambda + shift)^2 exp(2 t lambda) dmu; vectorized over t."""
+        return self._log_transform(t, shift)
+
+    def _log_transform(self, t, moment_shift: Optional[float]):
+        """One quadrature per t; the e^{-2 t s_lo} prefactor is carried
+        analytically so supports far from 0 stay representable."""
+        t_arr, scalar = _as_1d(t)
+        out = np.empty(t_arr.shape)
+        for i, ti in enumerate(t_arr.tolist()):
+            val = self._quad_sigma(self.s_hi - self.s_lo, t=ti, moment_shift=moment_shift)
+            with np.errstate(divide="ignore"):
+                out[i] = -2.0 * ti * self.s_lo + np.log(val)
+        return _as_scalar_or_array(out, scalar)
 
     def describe(self) -> str:
         return f"density kind={self.kind} support=[{self.s_lo!r},{self.s_hi!r}] mass={self.mass!r}"
@@ -495,6 +494,9 @@ def uniform_measure(s_lo: float, s_hi: float, height: float = 1.0) -> DensityMea
 
     def _log_ball(le):
         le = np.asarray(le, dtype=float)
+        if lo == 0.0:
+            # ln(h eps) in log space, so radii below double range keep their mass
+            return math.log(h) + np.minimum(le, math.log(hi))
         with np.errstate(divide="ignore"):
             return np.where(
                 np.exp(le) > lo,
@@ -538,6 +540,19 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
         v_eps = vals[j] + (vals[j + 1] - vals[j]) * ds / (grid[j + 1] - grid[j])
         return float(cum[j] + 0.5 * (vals[j] + v_eps) * ds)
 
+    def _log_ball(le):
+        le = np.asarray(le, dtype=float)
+        with np.errstate(divide="ignore"):
+            out = np.log([_ball(eps) for eps in np.exp(le).ravel()]).reshape(le.shape)
+            if grid[0] == 0.0:
+                # mass eps (v0 + slope eps / 2) on the first segment, in log
+                # space so radii below double range keep their mass
+                slope = (vals[1] - vals[0]) / grid[1]
+                edge = (le + np.log(vals[0] + 0.5 * slope * np.exp(le)) if vals[0] > 0.0
+                        else 2.0 * le + np.log(0.5 * slope))
+                out = np.where(le < math.log(grid[1]), edge, out)
+        return out
+
     return DensityMeasure(
         s_lo=float(grid[0]),
         s_hi=float(grid[-1]),
@@ -545,6 +560,7 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
         kind="sampled-density",
         params={"grid": grid, "values": vals},
         ball_mass_fn=_ball,
+        log_ball_mass_fn=_log_ball,
         quad_breaks=grid,
     )
 
@@ -711,6 +727,33 @@ def laplace_moment(mu, t: float, shift: float = 0.0, log_domain: bool = False) -
 # ---------------------------------------------------------------------------
 
 
+def _number(text: str, what: str, cast=float):
+    try:
+        return cast(text)
+    except ValueError:
+        raise DomainError(f"{what} must be a number, got {text!r}") from None
+
+
+def _field(fields: dict, key: str, what: str, cast=float):
+    """fields[key] parsed by ``cast``; DomainError when missing or malformed."""
+    if key not in fields:
+        raise DomainError(f"{what} needs {key}=")
+    return _number(fields[key], key, cast)
+
+
+def _parse_pairs(n: int, lines: Sequence[str], what: str) -> tuple:
+    """Two float columns from ``n`` lines of two numbers each."""
+    if len(lines) != n:
+        raise DomainError(f"expected {n} {what} lines, found {len(lines)}")
+    cols = np.empty((2, n))
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != 2:
+            raise DomainError(f"malformed {what} line: {line!r}")
+        cols[:, i] = [_number(part, f"{what} line {line!r}") for part in parts]
+    return cols[0], cols[1]
+
+
 def _parse_header(line: str) -> tuple:
     parts = line.split()
     if not parts:
@@ -740,34 +783,27 @@ def measure_from_text(text: str):
     if kind != "density":
         raise DomainError(f"unknown measure kind: {kind!r}")
     dkind = head.get("kind")
-    params = {}
-    kv_lines = []
-    for ln in body:
-        kv_lines.append(ln)
     if dkind == "sampled-density":
-        n = int(kv_lines[0].split("=", 1)[1])
-        samples = kv_lines[1:]
-        if len(samples) != n:
-            raise DomainError(f"expected {n} sample lines, found {len(samples)}")
-        grid = np.empty(n)
-        vals = np.empty(n)
-        for i, ln in enumerate(samples):
-            a, b = ln.split()
-            grid[i] = float(a)
-            vals[i] = float(b)
-        return sampled_density_measure(grid, vals)
-    for ln in kv_lines:
+        if not body or body[0].partition("=")[0].strip() != "n":
+            raise DomainError("sampled-density needs an n= line before its samples")
+        n = _number(body[0].partition("=")[2], "n", int)
+        return sampled_density_measure(*_parse_pairs(n, body[1:], "sample"))
+    params = {}
+    for ln in body:
         if "=" not in ln:
             raise DomainError(f"malformed parameter line: {ln!r}")
         key, val = ln.split("=", 1)
-        params[key.strip()] = float(val)
+        params[key.strip()] = val.strip()
     if dkind == "power-law":
-        return power_law_measure(params["gamma"])
+        return power_law_measure(_field(params, "gamma", "power-law density"))
     if dkind == "monomial-profile":
-        return monomial_profile_measure(params["delta"])
+        return monomial_profile_measure(_field(params, "delta", "monomial-profile density"))
     if dkind == "uniform":
-        lo, hi = head["support"].split(",")
-        return uniform_measure(float(lo), float(hi), params.get("height", 1.0))
+        lo, comma, hi = _field(head, "support", "uniform density", str).partition(",")
+        if not comma:
+            raise DomainError(f"uniform support must read lo,hi, got {lo!r}")
+        return uniform_measure(_number(lo, "support"), _number(hi, "support"),
+                               _number(params.get("height", "1"), "height"))
     raise DomainError(f"unknown density kind: {dkind!r}")
 
 

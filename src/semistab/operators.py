@@ -54,6 +54,16 @@ _CHECK_RANGE = 100.0
 
 _RADIAL_KINDS = {"constant", "gaussian-well", "exp-well", "square-well"}
 _WRAPPER_KINDS = {"truncated", "shifted"}
+#: Parameters that must be positive, per kind.  They are checked on
+#: construction, so descriptors parsed from text get the same checks as
+#: the helper constructors.
+_POSITIVE_PARAMS = {
+    "gaussian-well": ("depth", "width"),
+    "exp-well": ("depth", "width"),
+    "square-well": ("depth", "radius"),
+    "truncated": ("k",),
+    "shifted": ("l",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +97,20 @@ class Potential:
                 raise DomainError("wrapper and base dimensions differ")
         elif self.base is not None:
             raise DomainError(f"{self.kind} potential takes no base")
+        for key in _POSITIVE_PARAMS.get(self.kind, ()):
+            if not self.params[key] > 0:
+                raise DomainError(f"{self.kind} potential needs {key} > 0, "
+                                  f"got {self.params[key]!r}")
+        if self.kind == "shifted" and self.params["a"] != self.base.a_bound:
+            raise DomainError("shift level a must equal the a_bound of the base potential")
         if self.kind == "sampled":
             vals = np.asarray(self.params["values"], dtype=float)
+            if not self.params["grid_hi"] > self.params["grid_lo"]:
+                raise DomainError("grid_hi must exceed grid_lo")
+            side = self.params["n"] if self.nu == 2 else vals.size
+            if side < 2 or vals.size != side ** self.nu:
+                raise DomainError(f"a nu={self.nu} sampled potential needs n^{self.nu} values "
+                                  f"with n >= 2, got {vals.size}")
             self._check_values(vals)
         else:
             rng = np.random.default_rng(987654321)
@@ -196,8 +218,6 @@ def constant_potential(value: float, nu: int = 1, a_bound: Optional[float] = Non
 def gaussian_well(depth: float = 1.0, width: float = 1.0, nu: int = 1,
                   a_bound: Optional[float] = None) -> Potential:
     """V(x) = -depth * exp(-(|x| / width)^2)."""
-    if depth <= 0.0 or width <= 0.0:
-        raise DomainError("depth and width must be positive")
     return Potential(
         kind="gaussian-well", nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
         params={"depth": float(depth), "width": float(width)},
@@ -207,8 +227,6 @@ def gaussian_well(depth: float = 1.0, width: float = 1.0, nu: int = 1,
 def exp_well(depth: float = 1.0, width: float = 1.0, nu: int = 1,
              a_bound: Optional[float] = None) -> Potential:
     """V(x) = -depth * exp(-|x| / width)."""
-    if depth <= 0.0 or width <= 0.0:
-        raise DomainError("depth and width must be positive")
     return Potential(
         kind="exp-well", nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
         params={"depth": float(depth), "width": float(width)},
@@ -218,8 +236,6 @@ def exp_well(depth: float = 1.0, width: float = 1.0, nu: int = 1,
 def square_well(depth: float = 1.0, radius: float = 1.0, nu: int = 1,
                 a_bound: Optional[float] = None) -> Potential:
     """V(x) = -depth for |x| <= radius, 0 outside."""
-    if depth <= 0.0 or radius <= 0.0:
-        raise DomainError("depth and radius must be positive")
     return Potential(
         kind="square-well", nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
         params={"depth": float(depth), "radius": float(radius)},
@@ -235,21 +251,11 @@ def sampled_potential(values, grid_lo: float, grid_hi: float, nu: int = 1,
     (bilinear interpolation, clamped at the edges).
     """
     vals = np.asarray(values, dtype=float).ravel()
-    if grid_hi <= grid_lo:
-        raise DomainError("grid_hi must exceed grid_lo")
-    params = {"grid_lo": float(grid_lo), "grid_hi": float(grid_hi)}
-    if nu == 1:
-        if vals.size < 2:
-            raise DomainError("need at least 2 samples")
-        params["values"] = tuple(vals)
-    else:
-        n = int(round(math.sqrt(vals.size)))
-        if n * n != vals.size or n < 2:
-            raise DomainError("nu=2 sampled potential needs n*n values, n >= 2")
-        params["n"] = n
-        params["values"] = tuple(vals)
+    params = {"grid_lo": float(grid_lo), "grid_hi": float(grid_hi), "values": tuple(vals)}
+    if nu == 2:
+        params["n"] = int(round(math.sqrt(vals.size)))
     if a_bound is None:
-        mn = float(vals.min())
+        mn = float(vals.min(initial=0.0))
         a_bound = -mn if mn < 0.0 else 1.0
     return Potential(kind="sampled", nu=nu, a_bound=float(a_bound), params=params)
 
@@ -270,12 +276,8 @@ def shift_potential(V: Potential, l: int, a: Optional[float] = None) -> Potentia
     """
     if int(l) != l or l < 1:
         raise DomainError("shift index l must be an integer >= 1")
-    if a is None:
-        a = V.a_bound
-    if a != V.a_bound:
-        raise DomainError("shift level a must equal the a_bound of V")
     return Potential(kind="shifted", nu=V.nu, a_bound=V.a_bound,
-                     params={"l": int(l), "a": float(a)}, base=V)
+                     params={"l": int(l), "a": float(V.a_bound if a is None else a)}, base=V)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ decay bounds, and oscillation probes for contraction semigroups.
 Everything here works in the spectral picture: a vector's orbit norm is
 the Laplace transform of its spectral measure, ``||e^{tA}x||^2 =
 integral exp(2 t lambda) dmu_x(lambda)``, evaluated in log domain so
-horizons like t = 10^12 stay representable.  Decay exponents are
-estimated from two-point slopes of ln ||e^{tA}x||^2 against ln t;
-stability is read off the spectral gap; the range bounds
+horizons like t = 10^12 stay representable.  One chunked kernel,
+``_log_orbit``, evaluates it (or its (lambda + a)^2 moment) for every
+caller: orbit traces, the range bounds and the oscillation probes.
+Decay exponents are estimated from two-point slopes of ln ||e^{tA}x||^2
+against ln t; stability is read off the spectral gap; the range bounds
 ``||e^{tA}Ax|| <= ||x||/(e t)`` and their shifted refinement are checked
 on time grids; and weighted-orbit probes exhibit orbits that decay
 slower than any prescribed polynomial along one time sequence yet
@@ -69,13 +71,20 @@ def _log_mass_of(mu) -> float:
     return math.log(mu.mass)
 
 
-def _chunked_log_laplace(mu, ts: np.ndarray) -> np.ndarray:
-    """mu.log_laplace over ts in bounded-memory chunks (chunking-invariant)."""
+def _log_orbit(mu, ts: np.ndarray, shift: Optional[float] = None) -> np.ndarray:
+    """ln ||e^{tA}x||^2 over ts, or with ``shift`` ln ||e^{tA}(A + shift)x||^2.
+
+    The one orbit-norm kernel: the measure's Laplace transform runs in
+    chunks of at most ``_CHUNK_ELEMENTS`` (t, atom) terms, and each value
+    is one logsumexp row, so results do not depend on the chunk size.
+    """
     n_atoms = getattr(mu, "n_atoms", None)
     chunk = max(1, _CHUNK_ELEMENTS // n_atoms) if n_atoms else 512
     out = np.empty(ts.size)
     for i in range(0, ts.size, chunk):
-        out[i : i + chunk] = mu.log_laplace(ts[i : i + chunk])
+        block = ts[i : i + chunk]
+        out[i : i + chunk] = (mu.log_laplace(block) if shift is None
+                              else mu.log_laplace_moment(block, shift=shift))
     return out
 
 
@@ -134,16 +143,15 @@ class OrbitTrace:
 def evolve_norms(mu, t_min: float, t_max: float, n_t: int) -> OrbitTrace:
     """Evaluate ln ||e^{tA}x||^2 on a geometric grid of ``n_t`` times.
 
-    Exact for atomic measures up to log-sum-exp rounding; chunked so
-    million-point scans stay in bounded memory with chunk-independent
-    results.
+    Exact for atomic measures up to log-sum-exp rounding; the kernel is
+    chunked, so million-point scans stay in bounded memory.
     """
     if not (0.0 < t_min < t_max and math.isfinite(t_max)):
         raise DomainError("need 0 < t_min < t_max, both finite")
     if int(n_t) != n_t or n_t < 2:
         raise DomainError("n_t must be an integer >= 2")
     ts = np.geomspace(t_min, t_max, int(n_t))
-    vals = _chunked_log_laplace(mu, ts)
+    vals = _log_orbit(mu, ts)
     return OrbitTrace(t=ts, log_norm_sq=vals, log_mass=_log_mass_of(mu),
                       source=mu.describe())
 
@@ -351,15 +359,6 @@ def _time_grid(t_grid, t_min, t_max, n_t) -> np.ndarray:
     return ts
 
 
-def _orbit_moment_norms(mu, ts: np.ndarray, shift: float) -> np.ndarray:
-    """||e^{tA}u|| for u with dmu_u = (lambda + shift)^2 dmu (0.0 on underflow)."""
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        log_val = mu.log_laplace_moment(float(t), shift=shift)
-        out[i] = math.exp(0.5 * log_val) if log_val > -1400.0 else 0.0
-    return out
-
-
 def range_bound_check(mu_x, t_grid=None, *, t_min: float = 1e-2, t_max: float = 1e3,
                       n_t: int = 200, bound_scale: float = 1.0) -> BoundCheckValue:
     """Max over the grid of ||e^{tA}Ax|| - ||x||/(e t) for mu_x = measure of x.
@@ -367,16 +366,11 @@ def range_bound_check(mu_x, t_grid=None, *, t_min: float = 1e-2, t_max: float = 
     The bound holds for every negative self-adjoint generator, so the
     returned max should not exceed 1e-12 ||x|| (the ``tol`` attribute).
     ``bound_scale`` deliberately rescales the bound; values below 1
-    exist so harnesses can prove the checker detects violations.
+    exist so harnesses can prove the checker detects violations.  This
+    is shifted_range_bound_check at a = 0.
     """
-    ts = _time_grid(t_grid, t_min, t_max, n_t)
-    norm_x = math.sqrt(mu_x.mass)
-    lhs = _orbit_moment_norms(mu_x, ts, shift=0.0)
-    rhs = bound_scale * norm_x / (math.e * ts)
-    violations = lhs - rhs
-    i = int(np.argmax(violations))
-    return BoundCheckValue(float(violations[i]), worst_t=float(ts[i]),
-                           norm_x=norm_x, tol=1e-12 * norm_x, n_t=ts.size)
+    return shifted_range_bound_check(mu_x, 0.0, t_grid, t_min=t_min, t_max=t_max, n_t=n_t,
+                                     bound_scale=bound_scale)
 
 
 def shifted_range_bound_check(mu_x, a: float, t_grid=None, *, t_min: float = 1e-2,
@@ -384,8 +378,8 @@ def shifted_range_bound_check(mu_x, a: float, t_grid=None, *, t_min: float = 1e-
                               bound_scale: float = 1.0) -> BoundCheckValue:
     """Max over the grid of ||e^{tA}(A + a)x|| - ||x|| e^{-t a}/(e t).
 
-    Requires the support of mu_x inside (-inf, -a]; a = 0 reduces
-    exactly to range_bound_check.
+    Requires the support of mu_x inside (-inf, -a]; range_bound_check
+    is the case a = 0.
     """
     if not (a >= 0.0 and math.isfinite(a)):
         raise DomainError("shift level a must be finite and >= 0")
@@ -399,7 +393,9 @@ def shifted_range_bound_check(mu_x, a: float, t_grid=None, *, t_min: float = 1e-
         raise DomainError("measure must be supported in (-inf, -a]")
     ts = _time_grid(t_grid, t_min, t_max, n_t)
     norm_x = math.sqrt(mu_x.mass)
-    lhs = _orbit_moment_norms(mu_x, ts, shift=a)
+    # orbit norms of (A + a)x, flushed to 0.0 where the log value underflows
+    lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0
+                    for v in _log_orbit(mu_x, ts, shift=a).tolist()])
     rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
     violations = lhs - rhs
     i = int(np.argmax(violations))
@@ -470,8 +466,8 @@ def gdelta_probe(mu, alpha_exponent: float, beta: BetaDescriptor = BetaDescripto
 
     Requires a StableNotExponential measure: exponentially stable
     orbits make both weights trivial, unstable ones never decay.
-    Scanning runs chunked in log domain; extremes keep the first
-    attaining grid node, so results do not depend on chunk size.
+    Extremes are taken over the whole grid and keep the first attaining
+    node.
     """
     if not alpha_exponent > 0.0:
         raise DomainError("alpha exponent must be positive")
@@ -488,26 +484,16 @@ def gdelta_probe(mu, alpha_exponent: float, beta: BetaDescriptor = BetaDescripto
             f"probe needs a StableNotExponential measure, got {verdict.classification}"
         )
     ts = np.geomspace(t_min, t_max, int(n_t))
-    n_atoms = getattr(mu, "n_atoms", None)
-    chunk = max(2, _CHUNK_ELEMENTS // n_atoms) if n_atoms else 512
-    best_max, best_max_t = -math.inf, t_min
-    best_min, best_min_t = math.inf, t_min
-    for i in range(0, ts.size, chunk):
-        block = ts[i : i + chunk]
-        half_log_norm = 0.5 * np.asarray(mu.log_laplace(block), dtype=float)
-        log_alpha = alpha_exponent * np.log(block) + half_log_norm
-        log_beta = beta.log_weight(block) + half_log_norm
-        j = int(np.argmax(log_alpha))
-        if log_alpha[j] > best_max:
-            best_max, best_max_t = float(log_alpha[j]), float(block[j])
-        k = int(np.argmin(log_beta))
-        if log_beta[k] < best_min:
-            best_min, best_min_t = float(log_beta[k]), float(block[k])
+    half_log_norm = 0.5 * _log_orbit(mu, ts)
+    log_alpha = alpha_exponent * np.log(ts) + half_log_norm
+    log_beta = beta.log_weight(ts) + half_log_norm
+    j = int(np.argmax(log_alpha))
+    k = int(np.argmin(log_beta))
     return GdeltaProbeResult(
-        log_max_alpha_weighted=best_max,
-        log_min_beta_weighted=best_min,
-        argmax_t=best_max_t,
-        argmin_t=best_min_t,
+        log_max_alpha_weighted=float(log_alpha[j]),
+        log_min_beta_weighted=float(log_beta[k]),
+        argmax_t=float(ts[j]),
+        argmin_t=float(ts[k]),
         alpha_exponent=float(alpha_exponent),
         beta=beta,
         horizon=(t_min, t_max),

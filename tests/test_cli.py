@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from semistab import (
     AtomicMeasure,
@@ -19,13 +21,16 @@ from semistab import (
     gaussian_well,
     lacunary_measure,
     load_measure,
+    measure_from_text,
     monomial_profile_measure,
     orbit_to_csv,
+    potential_from_text,
     save_measure,
     save_potential,
     spectrum_to_csv,
 )
 from semistab.cli import main
+from semistab.errors import DomainError, InvariantViolation, PreconditionError
 
 
 @pytest.fixture()
@@ -242,9 +247,17 @@ class TestInputErrors:
         ("operator", "latin1.potential",
          b"potential kind=square-well nu=1 a_bound=1.0\ndepth=1.0\nradius=1.0 # \xb5\n", "ASCII"),
         ("classify", "latin1.measure", b"atomic n=1\n\xff\n", "ASCII"),
+        ("classify", "no-n.measure", "atomic coords=log\n0.0 0.0\n", "n="),
+        ("classify", "n-x.measure", "atomic n=x\n0.0 0.0\n", "'x'"),
+        ("classify", "atom-x.measure", "atomic n=1\n0.0 abc\n", "'abc'"),
+        ("classify", "no-gamma.measure", "density kind=power-law support=0.0,1.0\n", "gamma="),
+        ("classify", "no-n-line.measure", "density kind=sampled-density support=0.0,1.0\n",
+         "n= line"),
+        ("classify", "no-support.measure", "density kind=uniform\nheight=1.0\n", "support="),
     ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
-            "non-ascii-measure"])
+            "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
+            "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):
@@ -264,6 +277,74 @@ class TestInputErrors:
         assert captured.err.startswith("error: ")
         assert named in captured.err
         assert captured.out == ""
+
+
+# Valid descriptors that the fuzz tests mutate: tokens and lines are
+# dropped, values and whole tokens are replaced by junk.
+_MEASURE_SEEDS = [
+    "atomic n=2 coords=log\n0.0 -0.7\n0.5 -0.7\n",
+    "density kind=power-law support=0.0,1.0\ngamma=2.0\n",
+    "density kind=monomial-profile support=0.0,1.0\ndelta=0.75\n",
+    "density kind=uniform support=1.0,3.0\nheight=0.5\n",
+    "density kind=sampled-density support=0.0,1.0\nn=3\n0.0 0.0\n0.5 1.0\n1.0 0.5\n",
+]
+_BASE = "base.kind=square-well\nbase.nu=1\nbase.a_bound=1.0\nbase.depth=1.0\nbase.radius=1.0\n"
+_POTENTIAL_SEEDS = [
+    "potential kind=constant nu=1 a_bound=1.0\nvalue=-0.5\n",
+    "potential kind=square-well nu=1 a_bound=1.0\ndepth=1.0\nradius=1.0\n",
+    "potential kind=gaussian-well nu=2 a_bound=1.0\ndepth=1.0\nwidth=1.0\n",
+    "potential kind=sampled nu=1 a_bound=1.0\ngrid_lo=-1.0\ngrid_hi=1.0\nvalues=-1,0,-0.5\n",
+    "potential kind=sampled nu=2 a_bound=1.0\ngrid_lo=-1.0\ngrid_hi=1.0\nn=2\n"
+    "values=-1,0,0,-1\n",
+    "potential kind=truncated nu=1 a_bound=1.0\nk=2\n" + _BASE,
+    "potential kind=shifted nu=1 a_bound=1.0\nl=1\na=1.0\n" + _BASE,
+]
+_JUNK = ["", "x", "nan", "inf", "-inf", "-1", "0", "1.5", "2", "3", "1e400", "1e-400",
+         "0,1", "1,0", "a,b", "=", "n=", "kind=bogus", "0 0", "1 2 3"]
+
+
+@hst.composite
+def _mutated(draw, seeds):
+    lines = [line.split() for line in draw(hst.sampled_from(seeds)).splitlines()]
+    for _ in range(draw(hst.integers(1, 3))):
+        i = draw(hst.integers(0, len(lines) - 1))
+        j = draw(hst.integers(0, max(len(lines[i]) - 1, 0)))
+        junk = draw(hst.sampled_from(_JUNK) | hst.text("0123456789.e-=,x ", max_size=5))
+        op = draw(hst.sampled_from(["drop-token", "drop-line", "value", "token"]))
+        if op == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif op == "drop-token" and lines[i]:
+            del lines[i][j]
+        elif op == "value" and lines[i]:
+            key, eq, _ = lines[i][j].partition("=")
+            lines[i][j] = key + eq + junk
+        else:
+            lines[i][j:j + 1] = [junk]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestParserFuzz:
+    """Malformed text raises DomainError or InvariantViolation, never a bare error."""
+
+    @staticmethod
+    def _check(parse, text):
+        try:
+            parse(text)
+        except Exception as exc:  # noqa: BLE001 -- the class is what is asserted
+            # exact classes: DomainError subclasses ValueError, so isinstance
+            # against ValueError would let a bare ValueError through
+            assert type(exc) in (DomainError, PreconditionError, InvariantViolation), (
+                f"{type(exc).__name__}: {exc} on {text!r}")
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_mutated(_MEASURE_SEEDS))
+    def test_measure_from_text(self, text):
+        self._check(measure_from_text, text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_mutated(_POTENTIAL_SEEDS))
+    def test_potential_from_text(self, text):
+        self._check(potential_from_text, text)
 
 
 class TestUsageErrors:

@@ -309,6 +309,22 @@ def test_laplace_moment_shift_cancels_matching_atom():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mu", [
+    st.AtomicMeasure.from_points([-0.0, -0.3, -1.0, -2.5, -7.0], [0.2, 0.1, 0.4, 0.2, 0.1]),
+    st.lacunary_measure(0.5, [0.5, 4.0], 12),
+    st.uniform_measure(0.5, 2.0),
+    st.power_law_measure(2.0),
+], ids=["atomic", "lacunary", "uniform", "power-law"])
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_laplace_moment_array_call_matches_scalar_calls(mu, shift):
+    ts = np.geomspace(1e-3, 1e3, 17)
+    batched = mu.log_laplace_moment(ts, shift=shift)
+    assert isinstance(batched, np.ndarray) and batched.shape == ts.shape
+    single = [mu.log_laplace_moment(float(t), shift=shift) for t in ts]
+    assert all(isinstance(v, float) for v in single)
+    assert batched.tobytes() == np.array(single).tobytes()
+
+
 def test_lacunary_positions_base_half_n4():
     # atoms at -(1/2)^(2^k), k = 1..4: -2^-2, -2^-4, -2^-8, -2^-16
     mu = st.lacunary_measure(0.5, [1.0, 1.0, 1.0, 1.0], 4)
@@ -480,6 +496,37 @@ def test_density_rejects_inconsistent_smooth_factor():
             alg_power=2.0,
             smooth_factor=lambda sig: 3.0,  # density is sig^2 * 1, not sig^2 * 3
         )
+
+
+def _mp_log_first_segment(v0, slope, log_eps):
+    eps = mp.e ** mp.mpf(log_eps)
+    return mp.log(eps * (v0 + slope * eps / 2))
+
+
+@pytest.mark.parametrize("mu, oracle", [
+    (st.uniform_measure(0.0, 1.0), lambda le: mp.mpf(le)),
+    (st.uniform_measure(0.0, 2.0, height=2.5), lambda le: mp.log(mp.mpf(2.5)) + le),
+    (st.sampled_density_measure([0.0, 1.0], [1.0, 1.0]),
+     lambda le: _mp_log_first_segment(1, 0, le)),
+    (st.sampled_density_measure([0.0, 2.0, 3.0], [1.0, 3.0, 0.0]),
+     lambda le: _mp_log_first_segment(1, 1, le)),
+    (st.sampled_density_measure([0.0, 1.0], [0.0, 2.0]),
+     lambda le: _mp_log_first_segment(0, 2, le)),
+], ids=["uniform", "uniform-height", "sampled-flat", "sampled-rising", "sampled-from-zero"])
+def test_density_ball_mass_below_double_range(mu, oracle):
+    for le in (-2000.0, -745.5, -30.0):
+        assert mu.log_ball_mass(le) == pytest.approx(float(oracle(le)), rel=1e-14)
+
+
+@pytest.mark.parametrize("mu", [
+    st.uniform_measure(0.0, 1.0),
+    st.sampled_density_measure([0.0, 1.0], [1.0, 1.0]),
+], ids=["uniform", "sampled"])
+def test_scaling_exponents_below_double_range(mu):
+    est = st.scaling_exponents(mu, log_window=(-2000.0, -1.0))
+    assert not est.convention_branch
+    assert est.d_minus == pytest.approx(1.0, abs=1e-12)
+    assert est.d_plus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampled_density_ball_mass_matches_trapezoid():

@@ -8,6 +8,7 @@ numpy.linalg solves for resolvents.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -564,6 +565,27 @@ class TestPotentialSerialization:
             potential_from_text("measure atomic n=1\n")
         with pytest.raises(DomainError):
             potential_from_text("")
+
+    # descriptors that skip the helper constructors get the same checks
+    _BASE = "base.kind=square-well\nbase.nu=1\nbase.a_bound=1.0\nbase.depth=1.0\nbase.radius=1.0\n"
+
+    @pytest.mark.parametrize("text, named", [
+        ("potential kind=shifted nu=1 a_bound=1.0\nl=-1\na=1.0\n" + _BASE, "l > 0"),
+        ("potential kind=shifted nu=1 a_bound=1.0\nl=1\na=2.0\n" + _BASE, "shift level"),
+        ("potential kind=truncated nu=1 a_bound=1.0\nk=0\n" + _BASE, "k > 0"),
+        ("potential kind=gaussian-well nu=1 a_bound=1.0\ndepth=1.0\nwidth=0\n", "width > 0"),
+        ("potential kind=square-well nu=1 a_bound=1.0\ndepth=nan\nradius=1\n", "depth > 0"),
+        ("potential kind=sampled nu=1 a_bound=1.0\ngrid_lo=1.0\ngrid_hi=-1.0\nvalues=-1,0\n",
+         "grid_hi"),
+        ("potential kind=sampled nu=1 a_bound=1.0\ngrid_lo=-1.0\ngrid_hi=1.0\nvalues=-1\n",
+         "n >= 2"),
+        ("potential kind=sampled nu=2 a_bound=1.0\ngrid_lo=-1.0\ngrid_hi=1.0\nn=3\n"
+         "values=-1,0,0,-1\n", "n^2 values"),
+    ], ids=["shift-index", "shift-level", "truncation-index", "zero-width", "nan-depth",
+            "reversed-grid", "one-sample", "sample-count"])
+    def test_parsed_parameters_are_checked(self, text, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            potential_from_text(text)
 
     def test_spectrum_csv_round_trips_eigenvalues(self, tmp_path):
         op = discretize(gaussian_well(), L=2.0, h=0.25)

@@ -501,3 +501,44 @@ class TestGdeltaProbe:
     def test_beta_descriptor_text(self):
         assert BetaDescriptor(0.5).describe() == "exp(t^0.5)"
         assert BetaDescriptor(0.25, 2).describe() == "t^2*exp(t^0.25)"
+
+
+# ---------------------------------------------------------------------------
+# the chunked orbit kernel
+# ---------------------------------------------------------------------------
+
+
+class TestChunkedKernel:
+    """Every orbit-norm caller goes through one chunked kernel whose values
+    do not depend on the chunk size, down to one t per chunk."""
+
+    def _results(self):
+        rng = np.random.default_rng(1212)
+        mu = random_atomic(rng)
+        shifted_mu = AtomicMeasure.from_points(-1.0 - rng.uniform(0.0, 9.0, 20),
+                                               rng.uniform(0.1, 1.0, 20))
+        lac = lacunary_measure(**LACUNARY)
+        trace = evolve_norms(mu, 0.01, 1e4, 97)
+        probe = gdelta_probe(lac, 0.7, BetaDescriptor(0.1), (10.0, 1e12), 301)
+        plain = range_bound_check(mu, n_t=53)
+        shifted = shifted_range_bound_check(shifted_mu, 1.0, n_t=53)
+        return (trace.log_norm_sq.tobytes(), tuple(probe)[0], tuple(probe)[1], probe.argmax_t,
+                probe.argmin_t, float(plain), plain.worst_t, float(shifted), shifted.worst_t)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, rows):
+        import semistab.semigroup as sg
+
+        whole = self._results()
+        monkeypatch.setattr(sg, "_CHUNK_ELEMENTS", rows * 20)  # 20 atoms per row
+        assert self._results() == whole
+
+    def test_bound_check_matches_per_time_evaluation(self):
+        rng = np.random.default_rng(1313)
+        mu = random_atomic(rng)
+        ts = np.geomspace(0.01, 1e3, 41)
+        check = shifted_range_bound_check(mu, 0.0, t_grid=ts)
+        lhs = [math.exp(0.5 * mu.log_laplace_moment(float(t))) for t in ts]
+        violations = np.array(lhs) - math.sqrt(mu.mass) / (math.e * ts)
+        assert float(check) == float(np.max(violations))
+        assert check.worst_t == float(ts[np.argmax(violations)])
