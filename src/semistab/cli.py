@@ -12,6 +12,8 @@ classify <file> [--gap-tol TOL] [--atom-tol TOL]
     Print the one-line stability verdict of a stored measure.
 study <config> [--jobs N] [--out DIR]
     Run a configured study, write its report, print the summary.
+    ``--jobs`` is accepted and ignored (N must be >= 1); rows always run
+    in config order.
 
 Exit codes: 0 means every asserted contract passed, 1 means a checked
 contract was violated, 2 means a usage or configuration error.  Tables
@@ -114,8 +116,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_study_config(args.config)
-    report = run_study(config, jobs=args.jobs)
+    report = run_study(config)
     out_dir = args.out if args.out else resolve_output_dir(config)
     write_report(report, out_dir)
     sys.stdout.write(report.summary_text())
@@ -179,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run a configured study and write its report")
     p_study.add_argument("config", help="study config file (INI)")
-    p_study.add_argument("--jobs", type=int, default=1, help="parallel instances (default 1)")
+    p_study.add_argument("--jobs", type=int, default=1,
+                         help="accepted and ignored; rows run in config order (default 1)")
     p_study.add_argument("--out", help="report directory (default from config or environment)")
     p_study.set_defaults(func=_cmd_study)
 
@@ -199,6 +204,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -64,6 +65,8 @@ __all__ = [
 _LOG_S_CAP = 709.0
 # exp(-x) underflows to 0.0 for x > ~745; quadrature tail cut uses this
 _TAIL_EXPONENT = 745.0
+# ln of the smallest normal double; ball radii below it are subnormal or 0
+_LOG_DBL_MIN = math.log(sys.float_info.min)
 _QUAD_RELTOL = 1e-12
 _QUAD_LIMIT = 200
 
@@ -376,12 +379,21 @@ class DensityMeasure:
         if self.log_ball_mass_fn is not None:
             out = np.asarray(self.log_ball_mass_fn(arr), dtype=float)
         else:
-            with np.errstate(divide="ignore"):
-                out = np.array([
-                    np.log(self.ball_mass(float(np.exp(le)))) if np.exp(le) > 0.0 else -np.inf
-                    for le in arr
-                ])
+            out = np.array([self._log_ball_mass_by_quad(float(le)) for le in arr])
         return _as_scalar_or_array(out, scalar)
+
+    def _log_ball_mass_by_quad(self, le: float) -> float:
+        if le < _LOG_DBL_MIN and self.s_lo == 0.0:
+            # below double range the edge form is exact to double precision:
+            # the mass of [0, eps] is c eps^(p+1) / (p+1), c the smooth factor at 0
+            c = float(self.smooth_factor(0.0) if self.smooth_factor is not None
+                      else self.density(0.0))
+            if not (c > 0.0 and math.isfinite(c)):
+                return -math.inf
+            p1 = self.alg_power + 1.0
+            return math.log(c) + p1 * le - math.log(p1)
+        with np.errstate(divide="ignore"):
+            return np.log(self.ball_mass(float(np.exp(le)))) if np.exp(le) > 0.0 else -np.inf
 
     def log_laplace(self, t):
         """ln integral exp(2 t lambda) dmu; vectorized over t."""

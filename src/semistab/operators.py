@@ -3,10 +3,13 @@
 The operators built here are ``H = Lap_h + diag(V)`` on the box
 ``[-L, L]^nu`` (nu in {1, 2}) with Dirichlet boundary conditions and a
 bounded potential ``-a <= V <= 0``, plus the exact multiplication-model
-generator ``(Mu)(y) = -y u(y)``.  A metric on potentials
-``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)`` and two canonical
-approximation sequences (truncation and downward shift) support
-convergence studies; resolvent diagnostics quantify how close two
+generator ``(Mu)(y) = -y u(y)``.  ``discretize`` builds H once, for both
+dimensions, as one sparse matrix: the 1-D second-difference matrix T, or
+the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.
+
+A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
+and two canonical approximation sequences (truncation and downward shift)
+support convergence studies; resolvent diagnostics quantify how close two
 discretized operators are in the strong-resolvent sense.
 """
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii
@@ -54,7 +58,7 @@ _CHECK_RANGE = 100.0
 
 _RADIAL_KINDS = {"constant", "gaussian-well", "exp-well", "square-well"}
 _WRAPPER_KINDS = {"truncated", "shifted"}
-#: Parameters that must be positive, per kind.  They are checked on
+#: Parameters that must be positive and finite, per kind.  They are checked on
 #: construction, so descriptors parsed from text get the same checks as
 #: the helper constructors.
 _POSITIVE_PARAMS = {
@@ -98,8 +102,8 @@ class Potential:
         elif self.base is not None:
             raise DomainError(f"{self.kind} potential takes no base")
         for key in _POSITIVE_PARAMS.get(self.kind, ()):
-            if not self.params[key] > 0:
-                raise DomainError(f"{self.kind} potential needs {key} > 0, "
+            if not 0 < self.params[key] < math.inf:
+                raise DomainError(f"{self.kind} potential needs a finite {key} > 0, "
                                   f"got {self.params[key]!r}")
         if self.kind == "shifted" and self.params["a"] != self.base.a_bound:
             raise DomainError("shift level a must equal the a_bound of the base potential")
@@ -299,11 +303,13 @@ def dirichlet_laplacian_eigenvalues(n: int, h: float) -> np.ndarray:
 class DiscretizedOperator:
     """H = Lap_h + diag(V) on a Dirichlet box, eigen-decomposed and cached.
 
-    ``eigenvalues`` are sorted descending (closest to 0 first) and
-    ``eigenvectors[:, j]`` is the orthonormal eigenvector for
-    ``eigenvalues[j]``.  The grid is the interior of [-L, L]^nu with
-    spacing h; for nu=2 the flat index is ``i * n_side + j`` for the
-    point ``(x_i, y_j)``.
+    ``H`` is the one read-only sparse (CSR) matrix of the operator;
+    ``apply`` and every consumer read it.  ``eigenvalues`` are sorted
+    descending (closest to 0 first) and ``eigenvectors[:, j]`` is the
+    orthonormal eigenvector for ``eigenvalues[j]``; the solver follows the
+    dimension (tridiagonal in 1-D, dense in 2-D).  The grid is the
+    interior of [-L, L]^nu with spacing h; for nu=2 the flat index is
+    ``i * n_side + j`` for the point ``(x_i, y_j)``.
     """
 
     nu: int
@@ -316,9 +322,11 @@ class DiscretizedOperator:
     eigenvectors: np.ndarray
     grid: np.ndarray
     v_diag: np.ndarray
+    H: sparse.csr_array
 
     def __post_init__(self) -> None:
-        for arr in (self.eigenvalues, self.eigenvectors, self.grid, self.v_diag):
+        for arr in (self.eigenvalues, self.eigenvectors, self.grid, self.v_diag,
+                    self.H.data, self.H.indices, self.H.indptr):
             np.asarray(arr).setflags(write=False)
 
     @property
@@ -326,27 +334,11 @@ class DiscretizedOperator:
         return float(self.eigenvalues[0])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply H by the finite-difference stencil (vectors or column stacks)."""
+        """Apply H to a vector or a column stack (real or complex)."""
         u = np.asarray(u)
         if u.shape[0] != self.N:
             raise DomainError("vector length does not match the grid")
-        inv_h2 = 1.0 / (self.h * self.h)
-        if self.nu == 1:
-            out = -2.0 * u * inv_h2
-            out[1:] += u[:-1] * inv_h2
-            out[:-1] += u[1:] * inv_h2
-        else:
-            n = self.n_side
-            uu = u.reshape((n, n) + u.shape[1:])
-            out = -4.0 * uu * inv_h2
-            out[1:, :] += uu[:-1, :] * inv_h2
-            out[:-1, :] += uu[1:, :] * inv_h2
-            out[:, 1:] += uu[:, :-1] * inv_h2
-            out[:, :-1] += uu[:, 1:] * inv_h2
-            out = out.reshape(u.shape)
-        if u.ndim == 1:
-            return out + self.v_diag * u
-        return out + self.v_diag[:, None] * u
+        return self.H @ u
 
     def describe(self) -> str:
         return (
@@ -359,12 +351,13 @@ def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP,
                validate: bool = True) -> DiscretizedOperator:
     """Discretize H = Lap_h + diag(V) on [-L, L]^nu with Dirichlet walls.
 
-    ``h`` must divide 2L into at least 8 cells; the interior point
-    count N = (2L/h - 1)^nu must not exceed ``n_cap``.
+    ``L`` and ``h`` must be positive with 2L/h finite, and ``h`` must
+    divide 2L into at least 8 cells; the interior point count
+    N = (2L/h - 1)^nu must not exceed ``n_cap``.
     """
-    if L <= 0.0 or h <= 0.0:
-        raise DomainError("L and h must be positive")
-    cells_f = 2.0 * L / h
+    cells_f = 2.0 * L / h if L > 0.0 and h > 0.0 else math.nan
+    if not math.isfinite(cells_f):
+        raise DomainError(f"L and h must be positive with 2L/h finite, got L={L!r}, h={h!r}")
     cells = int(round(cells_f))
     if abs(cells_f - cells) > 1e-9 * max(1.0, cells_f):
         raise DomainError("h must divide 2L into an integer number of cells")
@@ -388,23 +381,19 @@ def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP,
         raise InvariantViolation("potential violates its bounds on the grid")
 
     inv_h2 = 1.0 / (h * h)
+    T = sparse.diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1], shape=(n, n))
+    H = ((T if V.nu == 1 else sparse.kronsum(T, T)) + sparse.diags_array(v_diag)).tocsr()
     if V.nu == 1:
-        diag = -2.0 * inv_h2 + v_diag
-        off = np.full(n - 1, inv_h2)
-        vals, vecs = eigh_tridiagonal(diag, off)
+        vals, vecs = eigh_tridiagonal(H.diagonal(), H.diagonal(1))
     else:
-        T = np.diag(np.full(n, -2.0 * inv_h2)) + np.diag(np.full(n - 1, inv_h2), 1) \
-            + np.diag(np.full(n - 1, inv_h2), -1)
-        eye = np.eye(n)
-        H = np.kron(T, eye) + np.kron(eye, T) + np.diag(v_diag)
-        vals, vecs = eigh(H)
+        vals, vecs = eigh(H.toarray())
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
 
     op = DiscretizedOperator(
         nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
-        eigenvalues=vals, eigenvectors=vecs, grid=grid, v_diag=v_diag,
+        eigenvalues=vals, eigenvectors=vecs, grid=grid, v_diag=v_diag, H=H,
     )
     if validate:
         _validate_operator(op)
@@ -675,8 +664,12 @@ def _build_potential(flat: dict) -> Potential:
             f"missing {sorted(need - set(own))}"
         )
     params = {key: _parse_param(key, val) for key, val in own.items()}
-    return Potential(kind=kind, nu=params.pop("nu"), a_bound=params.pop("a_bound"),
-                     params=params, base=_build_potential(base) if base else None)
+    base = _build_potential(base) if base else None
+    try:
+        return Potential(kind=kind, nu=params.pop("nu"), a_bound=params.pop("a_bound"),
+                         params=params, base=base)
+    except InvariantViolation as exc:  # parsed values are input, so out of bounds is bad input
+        raise DomainError(f"{kind} potential: {exc}") from None
 
 
 def potential_from_text(text: str) -> Potential:

@@ -30,7 +30,9 @@ from semistab import (
     spectrum_to_csv,
 )
 from semistab.cli import main
-from semistab.errors import DomainError, InvariantViolation, PreconditionError
+from semistab.errors import DomainError, InvariantViolation, PreconditionError, ResourceCapError
+from semistab.experiments import _plan, parse_study_config
+from test_acceptance import STUDY_CONFIGS
 
 
 @pytest.fixture()
@@ -231,6 +233,7 @@ WELL_STUDY = (
     "[study]\nkind = gap-vs-box\n\n[box]\nL_list = 2, 4\nh = 0.25\n\n"
     "[potential]\nkind = square-well\na_bound = 1\nradius = 1\n"
 )
+WELL = "potential kind=square-well nu=1 a_bound=1.0\ndepth=1.0\nradius=1.0\n"
 
 
 class TestInputErrors:
@@ -254,29 +257,61 @@ class TestInputErrors:
         ("classify", "no-n-line.measure", "density kind=sampled-density support=0.0,1.0\n",
          "n= line"),
         ("classify", "no-support.measure", "density kind=uniform\nheight=1.0\n", "support="),
+        ("operator --L nan", "well.potential", WELL, "L=nan"),
+        ("operator --L inf", "well.potential", WELL, "L=inf"),
+        ("operator --L 1e308 --h 1", "well.potential", WELL, "L=1e+308"),
+        ("operator --h nan", "well.potential", WELL, "h=nan"),
+        ("operator --h 1e-320", "well.potential", WELL, "h=1e-320"),
+        ("study", "huge-box.cfg", WELL_STUDY.replace("2, 4", "2, 1e308") + "depth = 1\n",
+         "L=1e+308"),
+        ("study --jobs 0", "bounds.cfg", BOUNDS_HEAD, "--jobs"),
     ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
-            "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support"])
+            "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support",
+            "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "study-L-overflow",
+            "jobs-zero"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content, encoding="ascii")
+        command, *extra = command.split()
         argv = {
             "study": ["study", str(path), "--out", str(tmp_path / "report")],
             "operator": ["operator", "spectrum", str(path), "--L", "4", "--h", "0.5",
                          "--out", str(tmp_path / "spec.csv")],
             "classify": ["classify", str(path)],
         }[command]
-        rc = main(argv)
+        rc = main(argv + extra)  # a repeated option overrides the default one
         captured = capsys.readouterr()
         assert rc == 2
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ")
         assert named in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("target, argv", [
+        ("evolve_norms", ["evolve", "{measure}", "--tmin", "1", "--tmax", "2", "--nt", "10"]),
+        ("scaling_exponents", ["measure", "exponents", "{measure}", "--window", "1e-3,1e-1"]),
+        ("run_study", ["study", "{config}", "--out", "{out}"]),
+    ])
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch, two_atom_file,
+                                     target, argv):
+        # a real oversize request (say --nt 10^12) fails only where memory runs out
+        def oversize(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(f"semistab.cli.{target}", oversize)
+        config = tmp_path / "bounds.cfg"
+        config.write_text(BOUNDS_HEAD, encoding="ascii")
+        rc = main([arg.format(measure=two_atom_file, config=config, out=tmp_path / "r")
+                   for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: not enough memory: Unable to allocate")
+        assert "Traceback" not in captured.err
 
 
 # Valid descriptors that the fuzz tests mutate: tokens and lines are
@@ -323,6 +358,22 @@ def _mutated(draw, seeds):
     return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
+_STUDY_JUNK = ["nan", "inf", "-1", "0", "1e308", "abc", "", "1..0", "2^-4000"]
+
+
+@hst.composite
+def _mutated_study(draw):
+    lines = draw(hst.sampled_from(sorted(STUDY_CONFIGS.values()))).strip().splitlines()
+    for _ in range(draw(hst.integers(1, 3))):
+        i = draw(hst.integers(0, len(lines) - 1))
+        key, eq, _ = lines[i].partition("=")
+        if eq and draw(hst.booleans()):
+            lines[i] = f"{key.strip()} = {draw(hst.sampled_from(_STUDY_JUNK))}"
+        elif len(lines) > 1:
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
 class TestParserFuzz:
     """Malformed text raises DomainError or InvariantViolation, never a bare error."""
 
@@ -345,6 +396,16 @@ class TestParserFuzz:
     @given(_mutated(_POTENTIAL_SEEDS))
     def test_potential_from_text(self, text):
         self._check(potential_from_text, text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_mutated_study())
+    def test_study_config_plan(self, text):
+        # a study config is input: every rejection must be a usage-class error
+        try:
+            _plan(parse_study_config(text))
+        except Exception as exc:  # noqa: BLE001 -- the class is what is asserted
+            assert type(exc) in (DomainError, PreconditionError, ResourceCapError), (
+                f"{type(exc).__name__}: {exc} on {text!r}")
 
 
 class TestUsageErrors:

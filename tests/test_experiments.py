@@ -51,10 +51,9 @@ from semistab import experiments
 GAUSSIAN = gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
 
 
-def small_truncation_report(seed=11, jobs=1):
+def small_truncation_report(seed=11):
     return approximation_study(
-        GAUSSIAN, "truncation", range(1, 7), probe_vectors=2, L=8.0, h=0.1,
-        seed=seed, jobs=jobs,
+        GAUSSIAN, "truncation", range(1, 7), probe_vectors=2, L=8.0, h=0.1, seed=seed,
     )
 
 
@@ -451,23 +450,6 @@ class TestReportArtifacts:
         second = write_report(run_study(load_study_config(cfg_path)), tmp_path / "b")
         for name in ("section3-bounds.csv", "equality-witness.csv", "config.echo.ini"):
             assert open(first[name], "rb").read() == open(second[name], "rb").read()
-
-    def test_parallel_run_is_byte_identical_to_serial(self, tmp_path):
-        cfg = parse_study_config(bounds_config_text())
-        serial = write_report(run_study(cfg, jobs=1), tmp_path / "serial")
-        threaded = write_report(run_study(cfg, jobs=4), tmp_path / "threaded")
-        for name in ("section3-bounds.csv", "equality-witness.csv"):
-            assert open(serial[name], "rb").read() == open(threaded[name], "rb").read()
-
-    def test_approximation_parallel_matches_serial(self):
-        a = small_truncation_report(jobs=1).table("approximation").rows
-        b = small_truncation_report(jobs=3).table("approximation").rows
-        assert a == b
-
-    def test_jobs_validation(self):
-        cfg = parse_study_config(bounds_config_text())
-        with pytest.raises(DomainError):
-            run_study(cfg, jobs=0)
 
     def test_nan_cells_rejected(self):
         table = ReportTable("t", ("a",), [(float("nan"),)])

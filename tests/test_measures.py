@@ -518,6 +518,38 @@ def test_density_ball_mass_below_double_range(mu, oracle):
         assert mu.log_ball_mass(le) == pytest.approx(float(oracle(le)), rel=1e-14)
 
 
+# User densities without a closed form: density(s) = s^p (c0 + s) on [0, 1].
+# The oracle integrates the ball mass exactly in mpmath.
+_USER_DENSITIES = {
+    0: st.DensityMeasure(0.0, 1.0, density=lambda s: 1.5 + s),
+    2: st.DensityMeasure(0.0, 1.0, density=lambda s: s ** 2 * (2.0 + s), alg_power=2.0,
+                         smooth_factor=lambda sig: 2.0 + sig),
+}
+
+
+@pytest.mark.parametrize("p, c0", [(0, 1.5), (2, 2.0)])
+def test_user_density_ball_mass_below_double_range(p, c0):
+    mu = _USER_DENSITIES[p]
+    for le in (-744.0, -2000.0):
+        eps = mp.e ** mp.mpf(le)
+        oracle = mp.log(c0 * eps ** (p + 1) / (p + 1) + eps ** (p + 2) / (p + 2))
+        assert mu.log_ball_mass(le) == pytest.approx(float(oracle), rel=1e-14)
+
+
+def test_user_density_ball_mass_keeps_minus_inf_without_edge_value():
+    mu = st.DensityMeasure(0.0, 1.0, density=lambda s: s, alg_power=1.0,
+                           smooth_factor=lambda sig: 1.0 * (sig > 0.0))
+    assert mu.log_ball_mass(-2000.0) == -math.inf
+
+
+def test_user_density_scaling_exponents_below_double_range():
+    mu = st.DensityMeasure(0.0, 1.0, density=np.ones_like)
+    est = st.scaling_exponents(mu, log_window=(-2000.0, -1.0))
+    assert not est.convention_branch
+    assert est.d_minus == pytest.approx(1.0, abs=1e-12)
+    assert est.d_plus == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("mu", [
     st.uniform_measure(0.0, 1.0),
     st.sampled_density_measure([0.0, 1.0], [1.0, 1.0]),

@@ -155,8 +155,11 @@ class TestDiscretize:
             discretize(constant_potential(0.0, nu=2), L=3.1, h=0.1)
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(DomainError):
-            discretize(constant_potential(0.0), L=-1.0, h=0.1)
+        # non-finite, overflowing (2L/h = inf) and subnormal geometry included
+        for L, h in [(-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1e308, 1.0),
+                     (5.0, math.nan), (5.0, 1e-320)]:
+            with pytest.raises(DomainError, match="2L/h finite"):
+                discretize(constant_potential(0.0), L=L, h=h)
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_random_potentials_give_negative_spectra(self, nu):
@@ -179,6 +182,46 @@ class TestDiscretize:
                 op = discretize(V, L=2.0, h=0.5)
             scale = np.max(np.abs(op.eigenvalues))
             assert np.all(op.eigenvalues <= 1e-10 * scale)
+
+
+class TestOperatorMatrix:
+    CASES = {
+        "nu1": (exp_well(depth=0.5, width=2.0), 5.0, 0.25),
+        "nu2": (gaussian_well(depth=0.8, width=1.3, nu=2), 2.0, 0.25),
+        "nu2-sampled": (sampled_potential(-np.linspace(0.0, 1.0, 25) ** 2, -2.0, 2.0, nu=2),
+                        2.0, 0.25),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matrix_equals_dense_loop_oracle(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        assert np.array_equal(op.H.toarray(), oracle_dense_matrix(V, L, h))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_apply_matches_dense_product(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        H = oracle_dense_matrix(V, L, h)
+        rng = np.random.default_rng(31)
+        vec = rng.standard_normal(op.N)
+        stack = rng.standard_normal((op.N, 3))
+        cplx = vec + 1j * rng.standard_normal(op.N)
+        for u in (vec, stack, cplx):
+            got = op.apply(u)
+            assert got.shape == u.shape and got.dtype == u.dtype
+            assert np.linalg.norm(got - H @ u) <= 1e-12 * np.linalg.norm(H @ u)
+
+    def test_apply_rejects_wrong_length(self):
+        op = discretize(constant_potential(0.0), L=2.0, h=0.25)
+        with pytest.raises(DomainError):
+            op.apply(np.ones(op.N + 1))
+
+    def test_matrix_is_read_only(self):
+        op = discretize(gaussian_well(nu=2), L=2.0, h=0.5)
+        for arr in (op.H.data, op.H.indices, op.H.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 class TestPotentialConstruction:
