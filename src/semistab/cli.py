@@ -93,7 +93,7 @@ def _cmd_operator_spectrum(args) -> int:
     _ensure_parent(out)
     spectrum_to_csv(H, out)
     print("spectrum_csv,n_eigenvalues,lambda_max")
-    print(f"{out},{H.N},{float(H.lambda_max)!r}")
+    print(f"{out},{H.N},{float(H.eigenvalues[0])!r}")
     return 0
 
 

@@ -328,6 +328,16 @@ class DensityMeasure:
         else:
             c = moment_shift - self.s_lo
             f = lambda sig: float(smooth(sig)) * (c - sig) ** 2 * math.exp(-2.0 * t * sig)
+        pts = None
+        if self.quad_breaks is not None:
+            inner = self.quad_breaks - self.s_lo
+            inner = inner[(inner > 0.0) & (inner < upper)]
+            pts = inner if inner.size else None
+        return self._quad(f, upper, pts)
+
+    def _quad(self, f: Callable[[float], float], upper: float, points=None) -> float:
+        """integral_0^upper sig^alg f(sig) dsig, with the endpoint-weighted
+        rule when alg_power != 0 (``points`` are used only without it)."""
         # roundoff warnings on extreme-decay integrands are expected; accuracy
         # is policed through the returned error estimate instead
         with warnings.catch_warnings():
@@ -338,13 +348,8 @@ class DensityMeasure:
                     epsabs=0.0, epsrel=_QUAD_RELTOL, limit=_QUAD_LIMIT,
                 )
             else:
-                pts = None
-                if self.quad_breaks is not None:
-                    inner = self.quad_breaks - self.s_lo
-                    inner = inner[(inner > 0.0) & (inner < upper)]
-                    pts = inner if inner.size else None
                 val, err = integrate.quad(
-                    f, 0.0, upper, points=pts,
+                    f, 0.0, upper, points=points,
                     epsabs=0.0, epsrel=_QUAD_RELTOL, limit=_QUAD_LIMIT,
                 )
         if not math.isfinite(val) or (val != 0.0 and err > 1e-6 * abs(val)):
@@ -383,17 +388,21 @@ class DensityMeasure:
         return _as_scalar_or_array(out, scalar)
 
     def _log_ball_mass_by_quad(self, le: float) -> float:
-        if le < _LOG_DBL_MIN and self.s_lo == 0.0:
-            # below double range the edge form is exact to double precision:
-            # the mass of [0, eps] is c eps^(p+1) / (p+1), c the smooth factor at 0
-            c = float(self.smooth_factor(0.0) if self.smooth_factor is not None
-                      else self.density(0.0))
-            if not (c > 0.0 and math.isfinite(c)):
-                return -math.inf
-            p1 = self.alg_power + 1.0
-            return math.log(c) + p1 * le - math.log(p1)
+        p1 = self.alg_power + 1.0
+        if self.s_lo == 0.0 and min(le, p1 * le) < _LOG_DBL_MIN:
+            # eps or eps^(p+1) leaves double range: integrate over sig = eps tau,
+            # mass = eps^(p+1) integral_0^1 tau^p c(eps tau) dtau.  Where eps
+            # itself underflows, c(eps tau) is the edge value c(0) and this is
+            # the exact edge form c eps^(p+1) / (p+1)
+            eps = math.exp(le) if le >= _LOG_DBL_MIN else 0.0
+            smooth = self.smooth_factor if self.smooth_factor is not None else self.density
+            upper = 1.0 if eps <= self.s_hi else self.s_hi / eps
+            scaled = self._quad(lambda tau: float(smooth(eps * tau)), upper)
+            with np.errstate(divide="ignore"):
+                return p1 * le + float(np.log(scaled))
+        eps = math.exp(le)
         with np.errstate(divide="ignore"):
-            return np.log(self.ball_mass(float(np.exp(le)))) if np.exp(le) > 0.0 else -np.inf
+            return float(np.log(self.ball_mass(eps))) if eps > 0.0 else -math.inf
 
     def log_laplace(self, t):
         """ln integral exp(2 t lambda) dmu; vectorized over t."""

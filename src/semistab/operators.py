@@ -5,7 +5,10 @@ The operators built here are ``H = Lap_h + diag(V)`` on the box
 bounded potential ``-a <= V <= 0``, plus the exact multiplication-model
 generator ``(Mu)(y) = -y u(y)``.  ``discretize`` builds H once, for both
 dimensions, as one sparse matrix: the 1-D second-difference matrix T, or
-the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.
+the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.  Every solve
+on H runs on demand and is cached on the operator: the top eigenpair,
+the resolvent factorization, and the full eigendecomposition, which
+only the spectral measure and the spectrum CSV read.
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -17,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse.linalg import eigsh, splu
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii
 from .measures import AtomicMeasure, DensityMeasure, monomial_profile_measure, uniform_measure
@@ -301,15 +306,25 @@ def dirichlet_laplacian_eigenvalues(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """H = Lap_h + diag(V) on a Dirichlet box, eigen-decomposed and cached.
+    """H = Lap_h + diag(V) on a Dirichlet box, with its solves cached.
 
     ``H`` is the one read-only sparse (CSR) matrix of the operator;
-    ``apply`` and every consumer read it.  ``eigenvalues`` are sorted
-    descending (closest to 0 first) and ``eigenvectors[:, j]`` is the
-    orthonormal eigenvector for ``eigenvalues[j]``; the solver follows the
-    dimension (tridiagonal in 1-D, dense in 2-D).  The grid is the
-    interior of [-L, L]^nu with spacing h; for nu=2 the flat index is
-    ``i * n_side + j`` for the point ``(x_i, y_j)``.
+    ``apply`` and every solve read it.  Each solve runs on first use and
+    is cached on the operator:
+
+    * ``lambda_max``: the top eigenvalue, from an ARPACK shift-invert
+      top-eigenpair solve;
+    * ``eigenvalues`` / ``eigenvectors``: the full decomposition
+      (tridiagonal in 1-D, dense in 2-D), sorted descending (closest to 0
+      first), with ``eigenvectors[:, j]`` the orthonormal eigenvector for
+      ``eigenvalues[j]``;
+    * the factorization of ``iI - H`` behind ``resolvent_apply``.
+
+    The two solves are independent, so ``lambda_max`` and
+    ``eigenvalues[0]`` agree only to about 1e-12 times the Dirichlet
+    spectral scale, not bit for bit.  Every computed eigenpair is validated before it is cached.  The grid
+    is the interior of [-L, L]^nu with spacing h; for nu=2 the flat index
+    is ``i * n_side + j`` for the point ``(x_i, y_j)``.
     """
 
     nu: int
@@ -318,20 +333,52 @@ class DiscretizedOperator:
     n_side: int
     N: int
     potential: Potential
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     grid: np.ndarray
     v_diag: np.ndarray
     H: sparse.csr_array
 
     def __post_init__(self) -> None:
-        for arr in (self.eigenvalues, self.eigenvectors, self.grid, self.v_diag,
-                    self.H.data, self.H.indices, self.H.indptr):
+        for arr in (self.grid, self.v_diag, self.H.data, self.H.indices, self.H.indptr):
             np.asarray(arr).setflags(write=False)
 
+    @cached_property
+    def _eig(self) -> tuple:
+        if self.nu == 1:
+            vals, vecs = eigh_tridiagonal(self.H.diagonal(), self.H.diagonal(1))
+        else:
+            vals, vecs = eigh(self.H.toarray())
+        order = np.argsort(vals)[::-1]
+        vals = vals[order]
+        vecs = vecs[:, order]
+        _check_eigenpairs(self, vals, vecs, float(np.max(np.abs(vals))))
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
+
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eig[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eig[1]
+
+    @cached_property
     def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
+        # H + cI is nonnegative and irreducible, so the top eigenvector is
+        # positive and the constant start vector always overlaps it; a fixed
+        # start vector also makes re-runs bit-identical
+        vals, vecs = eigsh(self.H, k=1, sigma=0.0, v0=np.ones(self.N))
+        # bottom of the free Dirichlet spectrum; V <= 0 puts H's bottom below it
+        n = self.n_side
+        scale = self.nu * (4.0 / (self.h * self.h)) * math.sin(n * math.pi / (2.0 * (n + 1))) ** 2
+        _check_eigenpairs(self, vals, vecs, scale)
+        return float(vals[0])
+
+    @cached_property
+    def _resolvent_solver(self) -> Callable[[np.ndarray], np.ndarray]:
+        """r -> (iI - H)^(-1) r from the sparse LU factors of iI - H."""
+        return splu((1j * sparse.eye_array(self.N) - self.H).tocsc()).solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply H to a vector or a column stack (real or complex)."""
@@ -347,13 +394,13 @@ class DiscretizedOperator:
         )
 
 
-def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP,
-               validate: bool = True) -> DiscretizedOperator:
+def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP) -> DiscretizedOperator:
     """Discretize H = Lap_h + diag(V) on [-L, L]^nu with Dirichlet walls.
 
     ``L`` and ``h`` must be positive with 2L/h finite, and ``h`` must
     divide 2L into at least 8 cells; the interior point count
-    N = (2L/h - 1)^nu must not exceed ``n_cap``.
+    N = (2L/h - 1)^nu must not exceed ``n_cap``.  Only the grid, the
+    potential values and H are built here; the solves run on demand.
     """
     cells_f = 2.0 * L / h if L > 0.0 and h > 0.0 else math.nan
     if not math.isfinite(cells_f):
@@ -383,34 +430,23 @@ def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP,
     inv_h2 = 1.0 / (h * h)
     T = sparse.diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1], shape=(n, n))
     H = ((T if V.nu == 1 else sparse.kronsum(T, T)) + sparse.diags_array(v_diag)).tocsr()
-    if V.nu == 1:
-        vals, vecs = eigh_tridiagonal(H.diagonal(), H.diagonal(1))
-    else:
-        vals, vecs = eigh(H.toarray())
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    op = DiscretizedOperator(
-        nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
-        eigenvalues=vals, eigenvectors=vecs, grid=grid, v_diag=v_diag, H=H,
-    )
-    if validate:
-        _validate_operator(op)
-    return op
+    return DiscretizedOperator(nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
+                               grid=grid, v_diag=v_diag, H=H)
 
 
-def _validate_operator(op: DiscretizedOperator) -> None:
-    scale = float(np.max(np.abs(op.eigenvalues)))
-    if np.any(op.eigenvalues > 1e-10 * scale):
+def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarray,
+                      scale: float) -> None:
+    """Eigenpairs (vals[j], vecs[:, j]) of a Dirichlet operator: nonpositive
+    and orthonormal to 1e-10, with residuals below 1e-9 * scale."""
+    if np.any(vals > 1e-10 * scale):
         raise InvariantViolation("positive eigenvalue in a Dirichlet discretization")
-    gram = op.eigenvectors.T @ op.eigenvectors
-    if float(np.max(np.abs(gram - np.eye(op.N)))) > 1e-10:
+    gram = vecs.T @ vecs
+    if float(np.max(np.abs(gram - np.eye(vals.size)))) > 1e-10:
         raise InvariantViolation("eigenvector basis is not orthonormal to 1e-10")
-    resid = op.apply(op.eigenvectors) - op.eigenvectors * op.eigenvalues[None, :]
+    resid = op.apply(vecs) - vecs * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
     if worst > 1e-9 * scale:
-        raise InvariantViolation("eigenpair residual exceeds 1e-9 * ||H||")
+        raise InvariantViolation("eigenpair residual exceeds 1e-9 * scale")
 
 
 def spectral_measure(H: DiscretizedOperator, x) -> AtomicMeasure:
@@ -504,7 +540,11 @@ def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5,
 
 
 def resolvent_apply(H: DiscretizedOperator, u) -> np.ndarray:
-    """(iI - H)^(-1) u through the eigenbasis, refined to residual <= 1e-10 ||u||."""
+    """(iI - H)^(-1) u by a cached solve, refined to residual <= 1e-10 ||u||.
+
+    Raises InvariantViolation when the residual still exceeds that bound
+    after three refinement rounds.
+    """
     u = np.asarray(u)
     if u.shape != (H.N,):
         raise DomainError("vector length does not match the operator grid")
@@ -512,13 +552,17 @@ def resolvent_apply(H: DiscretizedOperator, u) -> np.ndarray:
     norm_u = float(np.linalg.norm(u))
     if norm_u == 0.0:
         return np.zeros(H.N, dtype=complex)
-    inv = 1.0 / (1j - H.eigenvalues)
-    w = H.eigenvectors @ (inv * (H.eigenvectors.T @ u))
-    for _ in range(3):
-        resid = u - (1j * w - H.apply(w))
-        if float(np.linalg.norm(resid)) <= 1e-12 * norm_u:
+    solve = H._resolvent_solver
+    w = solve(u)
+    for rounds in range(4):
+        r = u - (1j * w - H.apply(w))
+        resid = float(np.linalg.norm(r))
+        if resid <= 1e-12 * norm_u or rounds == 3:
             break
-        w = w + H.eigenvectors @ (inv * (H.eigenvectors.T @ resid))
+        w = w + solve(r)
+    if resid > 1e-10 * norm_u:
+        raise InvariantViolation(f"resolvent residual {resid!r} exceeds 1e-10 ||u|| = "
+                                 f"{1e-10 * norm_u!r}")
     return w
 
 
@@ -699,7 +743,9 @@ def load_potential(path) -> Potential:
 
 def spectrum_to_csv(H: DiscretizedOperator, path) -> None:
     """Write the spectrum as CSV with columns (index, eigenvalue)."""
+    # solve (and possibly fail) before the file is opened and truncated
+    vals = H.eigenvalues
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("index,eigenvalue\n")
-        for j, lam in enumerate(H.eigenvalues):
+        for j, lam in enumerate(vals):
             fh.write(f"{j},{float(lam)!r}\n")

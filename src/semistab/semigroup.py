@@ -291,7 +291,7 @@ def _spectral_top(subject, atom_tol: float) -> tuple:
     if isinstance(subject, DensityMeasure):
         return -float(subject.s_lo), 0.0
     if isinstance(subject, DiscretizedOperator):
-        lam_top = float(subject.eigenvalues[0])
+        lam_top = subject.lambda_max
         return lam_top, 1.0 if lam_top > -atom_tol else 0.0
     raise DomainError(f"cannot classify a {type(subject).__name__}")
 

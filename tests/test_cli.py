@@ -5,6 +5,7 @@ path.  Everything runs in-process through main(argv); one subprocess
 test covers the python -m wiring.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy import sparse
 
 from semistab import (
     AtomicMeasure,
@@ -160,6 +162,44 @@ class TestOperatorSpectrum:
         expected = tmp_path / "expected.csv"
         spectrum_to_csv(H, expected)
         assert open(out_csv, "rb").read() == open(expected, "rb").read()
+
+    def test_2d_stdout_reads_the_written_spectrum(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def recording_discretize(*args, **kwargs):
+            built.append(discretize(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("semistab.cli.discretize", recording_discretize)
+        pot = tmp_path / "well.potential"
+        save_potential(gaussian_well(depth=1.0, width=1.0, nu=2, a_bound=1.0), pot)
+        out_csv = tmp_path / "spec.csv"
+        rc = main(["operator", "spectrum", str(pot), "--L", "2", "--h", "0.25",
+                   "--out", str(out_csv)])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == out_csv.read_text().splitlines()[1].split(",")[1]
+        # one full decomposition and no top-eigenpair or resolvent solve
+        assert "_eig" in built[0].__dict__
+        assert "lambda_max" not in built[0].__dict__
+        assert "_resolvent_solver" not in built[0].__dict__
+
+    def test_failed_decomposition_leaves_existing_output(self, tmp_path, capsys, monkeypatch):
+        def lifted_discretize(*args, **kwargs):
+            # H + 100 I has positive eigenvalues, so the eigenpair check raises
+            op = discretize(*args, **kwargs)
+            return dataclasses.replace(op, H=(op.H + 100.0 * sparse.eye_array(op.N)).tocsr())
+
+        monkeypatch.setattr("semistab.cli.discretize", lifted_discretize)
+        pot = tmp_path / "well.potential"
+        save_potential(gaussian_well(depth=1.0, width=1.0, nu=2, a_bound=1.0), pot)
+        out_csv = tmp_path / "spec.csv"
+        out_csv.write_text("index,eigenvalue\n0,-1.0\n", encoding="ascii")
+        rc = main(["operator", "spectrum", str(pot), "--L", "2", "--h", "0.25",
+                   "--out", str(out_csv)])
+        assert rc == 1
+        assert "positive eigenvalue" in capsys.readouterr().err
+        assert out_csv.read_text(encoding="ascii") == "index,eigenvalue\n0,-1.0\n"
 
     def test_resource_cap_is_a_config_error(self, tmp_path, capsys):
         pot = tmp_path / "well.potential"

@@ -524,16 +524,36 @@ _USER_DENSITIES = {
     0: st.DensityMeasure(0.0, 1.0, density=lambda s: 1.5 + s),
     2: st.DensityMeasure(0.0, 1.0, density=lambda s: s ** 2 * (2.0 + s), alg_power=2.0,
                          smooth_factor=lambda sig: 2.0 + sig),
+    -0.5: st.DensityMeasure(0.0, 1.0, density=lambda s: s ** -0.5 * (1.0 + s), alg_power=-0.5,
+                            smooth_factor=lambda sig: 1.0 + sig),
 }
 
 
-@pytest.mark.parametrize("p, c0", [(0, 1.5), (2, 2.0)])
+@pytest.mark.parametrize("p, c0", [(0, 1.5), (2, 2.0), (-0.5, 1.0)])
 def test_user_density_ball_mass_below_double_range(p, c0):
     mu = _USER_DENSITIES[p]
-    for le in (-744.0, -2000.0):
+    for le in (-700.0, -744.0, -2000.0):
         eps = mp.e ** mp.mpf(le)
         oracle = mp.log(c0 * eps ** (p + 1) / (p + 1) + eps ** (p + 2) / (p + 2))
         assert mu.log_ball_mass(le) == pytest.approx(float(oracle), rel=1e-14)
+
+
+# A pure edge power: at ln eps = -700 eps is a normal double but eps^3 / 3 is not.
+_CUBIC_BALL = st.DensityMeasure(0.0, 1.0, density=lambda s: s ** 2, alg_power=2.0,
+                                smooth_factor=lambda sig: 1.0)
+
+
+def test_user_density_ball_mass_in_the_underflow_band():
+    for le in (-250.0, -500.0, -700.0):
+        oracle = mp.log((mp.e ** mp.mpf(le)) ** 3 / 3)
+        assert _CUBIC_BALL.log_ball_mass(le) == pytest.approx(float(oracle), rel=1e-14)
+
+
+def test_user_density_with_edge_power_scaling_exponents():
+    est = st.scaling_exponents(_CUBIC_BALL, log_window=(-2000.0, -1.0))
+    assert not est.convention_branch
+    assert est.d_minus == pytest.approx(3.0, abs=1e-12)
+    assert est.d_plus == pytest.approx(3.0, abs=1e-12)
 
 
 def test_user_density_ball_mass_keeps_minus_inf_without_edge_value():

@@ -7,19 +7,23 @@ by explicit loops, scipy.linalg.expm for semigroup evolution, and
 numpy.linalg solves for resolvents.
 """
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
+from semistab import experiments
 from semistab import (
     AtomicMeasure,
     DomainError,
     InvariantViolation,
     MultiplicationModel,
     ResourceCapError,
+    classify_stability,
     constant_potential,
     discretize,
     exp_well,
@@ -27,10 +31,12 @@ from semistab import (
     laplace_norm_sq,
     load_potential,
     metric_d,
+    parse_study_config,
     potential_from_text,
     potential_to_text,
     resolvent_apply,
     resolvent_gap,
+    run_study,
     sampled_potential,
     save_potential,
     shift_potential,
@@ -222,6 +228,78 @@ class TestOperatorMatrix:
         for arr in (op.H.data, op.H.indices, op.H.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
+
+
+def dirichlet_bottom(op):
+    """|lowest eigenvalue| of the free Dirichlet Laplacian on the operator's grid."""
+    n = op.n_side
+    return op.nu * (4.0 / op.h ** 2) * math.sin(n * math.pi / (2.0 * (n + 1))) ** 2
+
+
+class TestOnDemandSolves:
+    CASES = TestOperatorMatrix.CASES
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_lambda_max_matches_dense_oracle_and_full_spectrum(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        lam = op.lambda_max
+        assert "_eig" not in op.__dict__
+        tol = 1e-12 * dirichlet_bottom(op)
+        assert abs(lam - np.max(np.linalg.eigvalsh(oracle_dense_matrix(V, L, h)))) <= tol
+        assert abs(lam - op.eigenvalues[0]) <= tol
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_resolvent_matches_dense_solve(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        u = np.random.default_rng(32).uniform(-1.0, 1.0, op.N)
+        dense = oracle_dense_matrix(V, L, h)
+        expected = np.linalg.solve(1j * np.eye(op.N) - dense, u.astype(complex))
+        assert np.linalg.norm(resolvent_apply(op, u) - expected) <= 1e-12 * np.linalg.norm(u)
+        assert "_eig" not in op.__dict__
+
+    def test_2d_lambda_max_is_bit_identical_across_operators(self):
+        V = gaussian_well(depth=0.8, width=1.3, nu=2)
+        first = discretize(V, L=3.0, h=0.25).lambda_max
+        second = discretize(V, L=3.0, h=0.25).lambda_max
+        assert first.hex() == second.hex()
+
+    def test_resolvent_residual_contract_enforced(self):
+        op = discretize(gaussian_well(), L=5.0, h=0.25)
+        u = np.random.default_rng(33).uniform(-1.0, 1.0, op.N)
+        op.__dict__["_resolvent_solver"] = lambda r: 0.5 * r  # a wrong solver
+        with pytest.raises(InvariantViolation, match="resolvent residual"):
+            resolvent_apply(op, u)
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_eigenpair_checks_run_on_demand(self, nu):
+        op = discretize(constant_potential(0.0, nu=nu), L=2.0, h=0.5)
+        lifted = dataclasses.replace(op, H=(op.H + 100.0 * sparse.eye_array(op.N)).tocsr())
+        with pytest.raises(InvariantViolation, match="positive eigenvalue"):
+            lifted.lambda_max
+        with pytest.raises(InvariantViolation, match="positive eigenvalue"):
+            lifted.eigenvalues
+
+    def test_study_rows_and_verdicts_skip_the_full_decomposition(self, monkeypatch):
+        built = []
+
+        def recording_discretize(*args, **kwargs):
+            built.append(discretize(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "discretize", recording_discretize)
+        run_study(parse_study_config(
+            "[study]\nkind = approximation\n[potential]\nkind = gaussian-well\nnu = 1\n"
+            "a_bound = 1.0\ndepth = 1.0\nwidth = 1.0\n[approximation]\n"
+            "seq_kind = truncation\nindices = 1..3\nL = 5\nh = 0.25\nn_probes = 2\n"
+        ))
+        assert len(built) == 4
+        assert all("_eig" not in op.__dict__ for op in built)
+        assert all("lambda_max" in op.__dict__ for op in built[1:])
+        op = discretize(gaussian_well(nu=2), L=2.0, h=0.25)
+        classify_stability(op)
+        assert "_eig" not in op.__dict__ and "lambda_max" in op.__dict__
 
 
 class TestPotentialConstruction:

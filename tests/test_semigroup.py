@@ -286,7 +286,7 @@ class TestClassifyStability:
         op = discretize(constant_potential(0.0), L=10.0, h=0.25)
         v = classify_stability(op)
         assert v.classification == "ExponentiallyStable"
-        assert v.gap == -op.eigenvalues[0]
+        assert v.gap == -op.lambda_max
         assert v.rate == v.gap
 
     def test_unsupported_subject_rejected(self):
