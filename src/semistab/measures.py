@@ -39,7 +39,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
 
-from .errors import DomainError, InvariantViolation, read_ascii
+from .errors import DomainError, InvariantViolation, read_ascii, read_descriptor
 
 __all__ = [
     "AtomicMeasure",
@@ -161,7 +161,10 @@ class AtomicMeasure:
 
     @property
     def mass(self) -> float:
-        return float(math.exp(self.log_mass))
+        try:
+            return math.exp(self.log_mass)
+        except OverflowError:  # finite weights can still sum beyond double range
+            return math.inf
 
     @property
     def positions(self) -> np.ndarray:
@@ -222,13 +225,6 @@ class AtomicMeasure:
             lines.append(f"{float(ls)!r} {float(lw)!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text_lines(cls, header: dict, body: Sequence[str]) -> "AtomicMeasure":
-        if header.get("coords", "log") != "log":
-            raise DomainError("unsupported atomic coordinate encoding")
-        log_s, log_w = _parse_pairs(_field(header, "n", "atomic header", int), body, "atom")
-        return cls(log_s=log_s, log_w=log_w)
-
 
 # ---------------------------------------------------------------------------
 # density measures
@@ -247,8 +243,14 @@ class DensityMeasure:
     Supplying ``alg_power`` and ``smooth_factor`` routes all quadrature
     through an endpoint-weighted rule, which keeps relative accuracy
     even when the algebraic factor is singular or vanishes to high
-    order.  ``ball_mass_fn`` / ``log_ball_mass_fn`` are optional closed
-    forms, cross-checked against quadrature on construction.
+    order.
+
+    ``log_ball_mass_fn`` is the optional closed form of the ball mass, in
+    the log domain: it maps ``ln eps`` (an array) to ``ln mu(B(0, eps))``,
+    with ``-inf`` for an empty ball.  When given, it is checked against
+    quadrature at 10 radii on construction, and both ``log_ball_mass`` and
+    ``ball_mass`` (as ``exp(log_ball_mass(ln eps))``) read it; without it,
+    both integrate the density.
     """
 
     s_lo: float
@@ -256,7 +258,6 @@ class DensityMeasure:
     density: Callable[[np.ndarray], np.ndarray]
     kind: str = "density"
     params: dict = field(default_factory=dict)
-    ball_mass_fn: Optional[Callable[[float], float]] = None
     log_ball_mass_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     alg_power: float = 0.0
     smooth_factor: Optional[Callable[[float], float]] = None
@@ -286,29 +287,23 @@ class DensityMeasure:
         if not (mass > 0.0 and math.isfinite(mass)):
             raise InvariantViolation("total mass must be finite and positive")
         object.__setattr__(self, "_mass", mass)
-        self._check_closed_forms()
+        if self.log_ball_mass_fn is not None:
+            self._check_closed_form()
 
-    def _check_closed_forms(self) -> None:
-        # closed forms must agree with quadrature at 10 fixed pseudo-random radii
-        if self.ball_mass_fn is None and self.log_ball_mass_fn is None:
-            return
+    def _check_closed_form(self) -> None:
+        # the closed form must agree with quadrature at 10 fixed pseudo-random
+        # radii, to 1e-8 relative (an empty ball on both sides agrees)
         rng = np.random.default_rng(774411)
         radii = self.s_lo + (self.s_hi - self.s_lo) * rng.uniform(0.02, 0.98, size=10)
         for eps in radii:
-            by_quad = self._quad_sigma(eps - self.s_lo)
-            if self.ball_mass_fn is not None:
-                closed = float(self.ball_mass_fn(float(eps)))
-                if abs(closed - by_quad) > 1e-8 * abs(by_quad) + 1e-10 * self._mass:
-                    raise InvariantViolation(
-                        f"closed-form ball mass disagrees with quadrature at eps={eps!r}: "
-                        f"{closed!r} vs {by_quad!r}"
-                    )
-            if self.log_ball_mass_fn is not None and by_quad > 0.0:
-                closed_log = float(np.atleast_1d(self.log_ball_mass_fn(math.log(eps)))[0])
-                if abs(closed_log - math.log(by_quad)) > 1e-7:
-                    raise InvariantViolation(
-                        f"closed-form log ball mass disagrees with quadrature at eps={eps!r}"
-                    )
+            closed = float(np.atleast_1d(self.log_ball_mass_fn(math.log(eps)))[0])
+            with np.errstate(divide="ignore"):
+                by_quad = float(np.log(self._quad_sigma(eps - self.s_lo)))
+            if not (closed == by_quad or abs(closed - by_quad) <= 1e-8):
+                raise InvariantViolation(
+                    f"closed-form log ball mass disagrees with quadrature at eps={eps!r}: "
+                    f"{closed!r} vs {by_quad!r}"
+                )
 
     # -- quadrature core ---------------------------------------------------
 
@@ -375,8 +370,8 @@ class DensityMeasure:
             raise DomainError("ball radius must be positive")
         if eps <= self.s_lo:
             return 0.0
-        if self.ball_mass_fn is not None:
-            return float(self.ball_mass_fn(float(eps)))
+        if self.log_ball_mass_fn is not None:
+            return math.exp(self.log_ball_mass(math.log(eps)))
         return self._quad_sigma(eps - self.s_lo)
 
     def log_ball_mass(self, log_eps):
@@ -400,9 +395,8 @@ class DensityMeasure:
             scaled = self._quad(lambda tau: float(smooth(eps * tau)), upper)
             with np.errstate(divide="ignore"):
                 return p1 * le + float(np.log(scaled))
-        eps = math.exp(le)
         with np.errstate(divide="ignore"):
-            return float(np.log(self.ball_mass(eps))) if eps > 0.0 else -math.inf
+            return float(np.log(self._quad_sigma(math.exp(le) - self.s_lo)))
 
     def log_laplace(self, t):
         """ln integral exp(2 t lambda) dmu; vectorized over t."""
@@ -466,7 +460,6 @@ def power_law_measure(gamma: float) -> DensityMeasure:
         density=lambda s: g * np.asarray(s, dtype=float) ** (g - 1.0),
         kind="power-law",
         params={"gamma": g},
-        ball_mass_fn=lambda eps: min(eps, 1.0) ** g,
         log_ball_mass_fn=lambda le: g * np.minimum(np.asarray(le, dtype=float), 0.0),
         alg_power=g - 1.0,
         smooth_factor=(lambda sig: g) if g != 1.0 else None,
@@ -485,20 +478,13 @@ def monomial_profile_measure(delta: float) -> DensityMeasure:
     d = float(delta)
     p = 2.0 * d + 1.0
 
-    def _ball(eps: float) -> float:
-        return min(eps, 1.0) ** p / p
-
-    def _log_ball(le):
-        return p * np.minimum(np.asarray(le, dtype=float), 0.0) - math.log(p)
-
     return DensityMeasure(
         s_lo=0.0,
         s_hi=1.0,
         density=lambda s: np.asarray(s, dtype=float) ** (2.0 * d),
         kind="monomial-profile",
         params={"delta": d},
-        ball_mass_fn=_ball,
-        log_ball_mass_fn=_log_ball,
+        log_ball_mass_fn=lambda le: p * np.minimum(le, 0.0) - math.log(p),
         alg_power=2.0 * d,
         smooth_factor=lambda sig: 1.0,
     )
@@ -510,20 +496,13 @@ def uniform_measure(s_lo: float, s_hi: float, height: float = 1.0) -> DensityMea
         raise DomainError("height must be positive and finite")
     lo, hi, h = float(s_lo), float(s_hi), float(height)
 
-    def _ball(eps: float) -> float:
-        return h * max(0.0, min(eps, hi) - lo)
-
     def _log_ball(le):
         le = np.asarray(le, dtype=float)
         if lo == 0.0:
             # ln(h eps) in log space, so radii below double range keep their mass
             return math.log(h) + np.minimum(le, math.log(hi))
         with np.errstate(divide="ignore"):
-            return np.where(
-                np.exp(le) > lo,
-                np.log(h * np.maximum(np.minimum(np.exp(le), hi) - lo, 0.0)),
-                -np.inf,
-            )
+            return np.log(h * np.maximum(np.minimum(np.exp(le), hi) - lo, 0.0))
 
     return DensityMeasure(
         s_lo=lo,
@@ -531,7 +510,6 @@ def uniform_measure(s_lo: float, s_hi: float, height: float = 1.0) -> DensityMea
         density=lambda s: np.full_like(np.asarray(s, dtype=float), h),
         kind="uniform",
         params={"height": h},
-        ball_mass_fn=_ball,
         log_ball_mass_fn=_log_ball,
     )
 
@@ -580,7 +558,6 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
         density=lambda s: np.interp(np.asarray(s, dtype=float), grid, vals),
         kind="sampled-density",
         params={"grid": grid, "values": vals},
-        ball_mass_fn=_ball,
         log_ball_mass_fn=_log_ball,
         quad_breaks=grid,
     )
@@ -755,19 +732,20 @@ def _number(text: str, what: str, cast=float):
         raise DomainError(f"{what} must be a number, got {text!r}") from None
 
 
-def _field(fields: dict, key: str, what: str, cast=float):
-    """fields[key] parsed by ``cast``; DomainError when missing or malformed."""
-    if key not in fields:
-        raise DomainError(f"{what} needs {key}=")
-    return _number(fields[key], key, cast)
+def _field(entries: dict, key: str, cast=float):
+    """entries[key] parsed by ``cast``; DomainError when missing or malformed."""
+    if key not in entries:
+        raise DomainError(f"the measure needs its {key}= line or header entry")
+    return _number(entries[key], key, cast)
 
 
-def _parse_pairs(n: int, lines: Sequence[str], what: str) -> tuple:
-    """Two float columns from ``n`` lines of two numbers each."""
-    if len(lines) != n:
-        raise DomainError(f"expected {n} {what} lines, found {len(lines)}")
+def _pairs(entries: dict, rows: Sequence[str], what: str) -> tuple:
+    """Two float columns from the ``n`` rows of two numbers each."""
+    n = _field(entries, "n", int)
+    if len(rows) != n:
+        raise DomainError(f"expected {n} {what} lines, found {len(rows)}")
     cols = np.empty((2, n))
-    for i, line in enumerate(lines):
+    for i, line in enumerate(rows):
         parts = line.split()
         if len(parts) != 2:
             raise DomainError(f"malformed {what} line: {line!r}")
@@ -775,18 +753,25 @@ def _parse_pairs(n: int, lines: Sequence[str], what: str) -> tuple:
     return cols[0], cols[1]
 
 
-def _parse_header(line: str) -> tuple:
-    parts = line.split()
-    if not parts:
-        raise DomainError("empty measure header")
-    kind = parts[0]
-    fields = {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise DomainError(f"malformed header token: {tok!r}")
-        key, val = tok.split("=", 1)
-        fields[key] = val
-    return kind, fields
+def _support(text: str) -> tuple:
+    lo, comma, hi = text.partition(",")
+    if not comma:
+        raise DomainError(f"support must read lo,hi, got {text!r}")
+    return _number(lo, "support"), _number(hi, "support")
+
+
+_DENSITY = {"kind", "support", "mass"}
+#: each measure family: the entries it takes, and its constructor from them and the rows
+_FAMILIES = {
+    "atomic": ({"n", "coords", "mass"}, lambda e, rows: AtomicMeasure(*_pairs(e, rows, "atom"))),
+    "power-law": (_DENSITY | {"gamma"}, lambda e, rows: power_law_measure(_field(e, "gamma"))),
+    "monomial-profile": (_DENSITY | {"delta"},
+                         lambda e, rows: monomial_profile_measure(_field(e, "delta"))),
+    "uniform": (_DENSITY | {"height"}, lambda e, rows: uniform_measure(
+        *_support(_field(e, "support", str)), _number(e.get("height", "1"), "height"))),
+    "sampled-density": (_DENSITY | {"n"},
+                        lambda e, rows: sampled_density_measure(*_pairs(e, rows, "sample"))),
+}
 
 
 def measure_to_text(mu) -> str:
@@ -794,38 +779,34 @@ def measure_to_text(mu) -> str:
 
 
 def measure_from_text(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DomainError("empty measure file")
-    kind, head = _parse_header(lines[0])
-    body = lines[1:]
-    if kind == "atomic":
-        return AtomicMeasure.from_text_lines(head, body)
-    if kind != "density":
-        raise DomainError(f"unknown measure kind: {kind!r}")
-    dkind = head.get("kind")
-    if dkind == "sampled-density":
-        if not body or body[0].partition("=")[0].strip() != "n":
-            raise DomainError("sampled-density needs an n= line before its samples")
-        n = _number(body[0].partition("=")[2], "n", int)
-        return sampled_density_measure(*_parse_pairs(n, body[1:], "sample"))
-    params = {}
-    for ln in body:
-        if "=" not in ln:
-            raise DomainError(f"malformed parameter line: {ln!r}")
-        key, val = ln.split("=", 1)
-        params[key.strip()] = val.strip()
-    if dkind == "power-law":
-        return power_law_measure(_field(params, "gamma", "power-law density"))
-    if dkind == "monomial-profile":
-        return monomial_profile_measure(_field(params, "delta", "monomial-profile density"))
-    if dkind == "uniform":
-        lo, comma, hi = _field(head, "support", "uniform density", str).partition(",")
-        if not comma:
-            raise DomainError(f"uniform support must read lo,hi, got {lo!r}")
-        return uniform_measure(_number(lo, "support"), _number(hi, "support"),
-                               _number(params.get("height", "1"), "height"))
-    raise DomainError(f"unknown density kind: {dkind!r}")
+    """Parse a measure file: ``atomic`` or ``density kind=<family>``.
+
+    Each family takes exactly its ``_FAMILIES`` entries.  ``mass`` and
+    ``support`` restate the measure; when given, they must match the
+    loaded one (``support`` exactly, ``mass`` to 1e-9 relative).
+    """
+    tag, entries, rows = read_descriptor(text, "measure")
+    if tag not in ("atomic", "density"):
+        raise DomainError(f"unknown measure kind: {tag!r}")
+    family = entries.get("kind") if tag == "density" else tag
+    if family not in _FAMILIES or (tag == "density" and family == "atomic"):
+        raise DomainError(f"unknown density kind: {family!r}")
+    own, build = _FAMILIES[family]
+    unknown = sorted(set(entries) - own)
+    if unknown:
+        raise DomainError(f"{family} measure: unknown entries {unknown}")
+    if rows and "n" not in own:
+        raise DomainError(f"malformed {family} measure line: {rows[0]!r}")
+    if entries.get("coords", "log") != "log":
+        raise DomainError("unsupported atomic coordinate encoding")
+    mu = build(entries, rows)
+    if "support" in entries and _support(entries["support"]) != (mu.s_lo, mu.s_hi):
+        raise DomainError(f"support={entries['support']} disagrees with the loaded "
+                          f"support [{mu.s_lo!r}, {mu.s_hi!r}]")
+    if "mass" in entries and not math.isclose(_number(entries["mass"], "mass"), mu.mass,
+                                              rel_tol=1e-9):
+        raise DomainError(f"mass={entries['mass']} disagrees with the loaded mass {mu.mass!r}")
+    return mu
 
 
 def save_measure(mu, path) -> None:

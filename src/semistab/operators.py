@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, splu
 
-from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii
+from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii, read_descriptor
 from .measures import AtomicMeasure, DensityMeasure, monomial_profile_measure, uniform_measure
 
 __all__ = [
@@ -56,28 +56,51 @@ __all__ = [
     "spectrum_to_csv",
 ]
 
-_DEFAULT_N_CAP = 3600
+#: largest grid (interior point count N) that ``discretize`` builds
+_N_CAP = 3600
+#: the sup in ``metric_d``'s term j is sampled with spacing _SUP_STEP * j + _SUP_STEP
+_SUP_STEP = 0.01
 _BOUND_SLACK = 1e-12
 _CHECK_POINTS = 10_000
 _CHECK_RANGE = 100.0
-
-_RADIAL_KINDS = {"constant", "gaussian-well", "exp-well", "square-well"}
-_WRAPPER_KINDS = {"truncated", "shifted"}
-#: Parameters that must be positive and finite, per kind.  They are checked on
-#: construction, so descriptors parsed from text get the same checks as
-#: the helper constructors.
-_POSITIVE_PARAMS = {
-    "gaussian-well": ("depth", "width"),
-    "exp-well": ("depth", "width"),
-    "square-well": ("depth", "radius"),
-    "truncated": ("k",),
-    "shifted": ("l",),
-}
 
 
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(","))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One potential kind: ``params`` maps each parameter besides kind, nu and
+    a_bound to its text parser; ``positive`` ones must be finite and > 0, checked
+    on construction.  A radial kind evaluates as ``profile(|x|, params)``; a
+    ``wraps`` kind transforms a base potential of the same dimension."""
+
+    params: dict
+    positive: tuple = ()
+    profile: Optional[Callable[[np.ndarray, dict], np.ndarray]] = None
+    wraps: bool = False
+
+
+_KINDS = {
+    "constant": _Kind({"value": float},
+                      profile=lambda r, p: np.full(r.shape, p["value"], dtype=float)),
+    "gaussian-well": _Kind({"depth": float, "width": float}, ("depth", "width"),
+                           lambda r, p: -p["depth"] * np.exp(-((r / p["width"]) ** 2))),
+    "exp-well": _Kind({"depth": float, "width": float}, ("depth", "width"),
+                      lambda r, p: -p["depth"] * np.exp(-r / p["width"])),
+    "square-well": _Kind({"depth": float, "radius": float}, ("depth", "radius"),
+                         lambda r, p: np.where(r <= p["radius"], -p["depth"], 0.0)),
+    # n, the side of the square sample grid, is given only when nu = 2
+    "sampled": _Kind({"grid_lo": float, "grid_hi": float, "values": _floats, "n": int}),
+    "truncated": _Kind({"k": int}, ("k",), wraps=True),
+    "shifted": _Kind({"l": int, "a": float}, ("l",), wraps=True),
+}
 
 
 @dataclass(frozen=True)
@@ -99,14 +122,17 @@ class Potential:
             raise DomainError("nu must be 1 or 2")
         if not (self.a_bound > 0.0 and math.isfinite(self.a_bound)):
             raise DomainError("a_bound must be positive and finite")
-        if self.kind in _WRAPPER_KINDS:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
+            raise DomainError(f"unknown potential kind: {self.kind!r}")
+        if spec.wraps:
             if self.base is None:
                 raise DomainError(f"{self.kind} potential needs a base potential")
             if self.base.nu != self.nu:
                 raise DomainError("wrapper and base dimensions differ")
         elif self.base is not None:
             raise DomainError(f"{self.kind} potential takes no base")
-        for key in _POSITIVE_PARAMS.get(self.kind, ()):
+        for key in spec.positive:
             if not 0 < self.params[key] < math.inf:
                 raise DomainError(f"{self.kind} potential needs a finite {key} > 0, "
                                   f"got {self.params[key]!r}")
@@ -142,11 +168,8 @@ class Potential:
 
     @property
     def is_radial(self) -> bool:
-        if self.kind in _RADIAL_KINDS:
-            return True
-        if self.kind in _WRAPPER_KINDS:
-            return self.base.is_radial
-        return False
+        spec = _KINDS[self.kind]
+        return spec.profile is not None or (spec.wraps and self.base.is_radial)
 
     def _radius(self, points: np.ndarray) -> np.ndarray:
         arr = np.asarray(points, dtype=float)
@@ -161,29 +184,15 @@ class Potential:
     def eval(self, points) -> np.ndarray:
         """Evaluate V at an array of points ((...,) for nu=1, (..., 2) for nu=2)."""
         arr = np.asarray(points, dtype=float)
-        k = self.kind
-        if k == "constant":
-            shape = arr.shape if self.nu == 1 else arr.shape[:-1]
-            return np.full(shape, self.params["value"], dtype=float)
-        if k == "gaussian-well":
-            r = self._radius(arr)
-            return -self.params["depth"] * np.exp(-((r / self.params["width"]) ** 2))
-        if k == "exp-well":
-            r = self._radius(arr)
-            return -self.params["depth"] * np.exp(-r / self.params["width"])
-        if k == "square-well":
-            r = self._radius(arr)
-            return np.where(r <= self.params["radius"], -self.params["depth"], 0.0)
-        if k == "sampled":
+        profile = _KINDS[self.kind].profile
+        if profile is not None:
+            return profile(self._radius(arr), self.params)
+        if self.kind == "sampled":
             return self._eval_sampled(arr)
-        if k == "truncated":
-            r = self._radius(arr)
-            return np.where(r < self.params["k"], self.base.eval(arr), 0.0)
-        if k == "shifted":
-            l = self.params["l"]
-            a = self.params["a"]
-            return (l / (l + 1.0)) * self.base.eval(arr) - a / (l + 1.0)
-        raise DomainError(f"unknown potential kind: {k!r}")
+        if self.kind == "truncated":
+            return np.where(self._radius(arr) < self.params["k"], self.base.eval(arr), 0.0)
+        l, a = self.params["l"], self.params["a"]  # shifted
+        return (l / (l + 1.0)) * self.base.eval(arr) - a / (l + 1.0)
 
     def _eval_sampled(self, arr: np.ndarray) -> np.ndarray:
         lo = self.params["grid_lo"]
@@ -224,31 +233,28 @@ def constant_potential(value: float, nu: int = 1, a_bound: Optional[float] = Non
     return Potential(kind="constant", nu=nu, a_bound=float(a_bound), params={"value": float(value)})
 
 
+def _well(kind: str, depth: float, size: float, nu: int, a_bound: Optional[float]) -> Potential:
+    depth_key, size_key = _KINDS[kind].params
+    return Potential(kind=kind, nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
+                     params={depth_key: float(depth), size_key: float(size)})
+
+
 def gaussian_well(depth: float = 1.0, width: float = 1.0, nu: int = 1,
                   a_bound: Optional[float] = None) -> Potential:
     """V(x) = -depth * exp(-(|x| / width)^2)."""
-    return Potential(
-        kind="gaussian-well", nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
-        params={"depth": float(depth), "width": float(width)},
-    )
+    return _well("gaussian-well", depth, width, nu, a_bound)
 
 
 def exp_well(depth: float = 1.0, width: float = 1.0, nu: int = 1,
              a_bound: Optional[float] = None) -> Potential:
     """V(x) = -depth * exp(-|x| / width)."""
-    return Potential(
-        kind="exp-well", nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
-        params={"depth": float(depth), "width": float(width)},
-    )
+    return _well("exp-well", depth, width, nu, a_bound)
 
 
 def square_well(depth: float = 1.0, radius: float = 1.0, nu: int = 1,
                 a_bound: Optional[float] = None) -> Potential:
     """V(x) = -depth for |x| <= radius, 0 outside."""
-    return Potential(
-        kind="square-well", nu=nu, a_bound=float(a_bound if a_bound is not None else depth),
-        params={"depth": float(depth), "radius": float(radius)},
-    )
+    return _well("square-well", depth, radius, nu, a_bound)
 
 
 def sampled_potential(values, grid_lo: float, grid_hi: float, nu: int = 1,
@@ -394,12 +400,12 @@ class DiscretizedOperator:
         )
 
 
-def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP) -> DiscretizedOperator:
+def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
     """Discretize H = Lap_h + diag(V) on [-L, L]^nu with Dirichlet walls.
 
     ``L`` and ``h`` must be positive with 2L/h finite, and ``h`` must
     divide 2L into at least 8 cells; the interior point count
-    N = (2L/h - 1)^nu must not exceed ``n_cap``.  Only the grid, the
+    N = (2L/h - 1)^nu must not exceed 3600.  Only the grid, the
     potential values and H are built here; the solves run on demand.
     """
     cells_f = 2.0 * L / h if L > 0.0 and h > 0.0 else math.nan
@@ -412,10 +418,9 @@ def discretize(V: Potential, L: float, h: float, n_cap: int = _DEFAULT_N_CAP) ->
         raise DomainError("h must divide 2L into at least 8 cells")
     n = cells - 1
     N = n ** V.nu
-    if N > n_cap:
-        raise ResourceCapError(
-            f"grid size N={N} exceeds the cap {n_cap}; enlarge h or raise n_cap"
-        )
+    if N > _N_CAP:
+        raise ResourceCapError(f"grid size N={N} exceeds the cap of {_N_CAP} points; "
+                               f"use a larger h or a smaller L")
     coords = -L + h * np.arange(1, n + 1, dtype=float)
     if V.nu == 1:
         grid = coords
@@ -509,14 +514,13 @@ def _sup_abs_diff(V: Potential, U: Potential, j: int, spacing: float) -> float:
     return float(np.max(np.abs(V.eval(pts) - U.eval(pts))))
 
 
-def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5,
-             h_sup: Optional[float] = None) -> MetricValue:
+def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5) -> MetricValue:
     """Partial sum of sum_j min(2^-j, sup_{|x| <= j} |V - U|) up to j = J.
 
     The neglected tail is below 2^-J; the precondition 2^(-J+1) <= tail_tol
     guarantees it is within the caller's tolerance.  The supremum over
     each closed ball is approximated by sampling with spacing
-    0.01 j + 0.01 (or the constant ``h_sup`` if given).
+    0.01 j + 0.01.
     """
     if V.nu != U.nu:
         raise DomainError("potentials live in different dimensions")
@@ -528,8 +532,7 @@ def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5,
         raise DomainError("J too small for the requested tail_tol")
     terms = []
     for j in range(J + 1):
-        spacing = h_sup if h_sup is not None else 0.01 * j + 0.01
-        sup_j = _sup_abs_diff(V, U, j, spacing)
+        sup_j = _sup_abs_diff(V, U, j, _SUP_STEP * j + _SUP_STEP)
         terms.append(min(2.0 ** (-j), sup_j))
     return MetricValue(float(np.sum(terms)), tail_bound=2.0 ** (-J), terms=terms, J=J)
 
@@ -647,67 +650,41 @@ class MultiplicationModel:
 # ---------------------------------------------------------------------------
 
 
-def _dump_params(V: Potential, prefix: str, lines: list) -> None:
-    for key in sorted(V.params):
-        val = V.params[key]
-        if key == "values":
-            joined = ",".join(repr(float(v)) for v in val)
-            lines.append(f"{prefix}values={joined}")
-        elif isinstance(val, int):
-            lines.append(f"{prefix}{key}={val}")
-        else:
-            lines.append(f"{prefix}{key}={float(val)!r}")
-    if V.base is not None:
-        lines.append(f"{prefix}base.kind={V.base.kind}")
-        lines.append(f"{prefix}base.nu={V.base.nu}")
-        lines.append(f"{prefix}base.a_bound={float(V.base.a_bound)!r}")
-        _dump_params(V.base, prefix + "base.", lines)
+def _entries(V: Potential, prefix: str = "") -> list:
+    """Descriptor entries of V, then those of its base prefixed by ``base.``."""
+    out = [f"{prefix}kind={V.kind}", f"{prefix}nu={V.nu}", f"{prefix}a_bound={float(V.a_bound)!r}"]
+    for key, val in sorted(V.params.items()):
+        text = (",".join(repr(float(v)) for v in val) if key == "values"
+                else str(val) if isinstance(val, int) else repr(float(val)))
+        out.append(f"{prefix}{key}={text}")
+    return out + (_entries(V.base, prefix + "base.") if V.base is not None else [])
 
 
 def potential_to_text(V: Potential) -> str:
-    lines = [f"potential kind={V.kind} nu={V.nu} a_bound={float(V.a_bound)!r}"]
-    _dump_params(V, "", lines)
-    return "\n".join(lines) + "\n"
+    entries = _entries(V)
+    return "\n".join(["potential " + " ".join(entries[:3])] + entries[3:]) + "\n"
 
 
-#: Parameters a descriptor of each kind must give, besides kind, nu and
-#: a_bound; a nu=2 sampled potential also gives its side length n.
-_KIND_PARAMS = {
-    "constant": ("value",),
-    "gaussian-well": ("depth", "width"),
-    "exp-well": ("depth", "width"),
-    "square-well": ("depth", "radius"),
-    "sampled": ("grid_lo", "grid_hi", "values"),
-    "truncated": ("k",),
-    "shifted": ("l", "a"),
-}
-_INT_PARAMS = {"k", "l", "n", "nu"}
-
-
-def _parse_param(key: str, text: str):
-    try:
-        if key == "values":
-            return tuple(float(tok) for tok in text.split(","))
-        return int(text) if key in _INT_PARAMS else float(text)
-    except ValueError:
-        raise DomainError(f"potential parameter {key}={text!r} is not a number") from None
-
-
-def _build_potential(flat: dict) -> Potential:
-    own = {key: val for key, val in flat.items() if not key.startswith("base.")}
-    base = {key[5:]: val for key, val in flat.items() if key.startswith("base.")}
+def _build_potential(entries: dict) -> Potential:
+    own = {key: val for key, val in entries.items() if not key.startswith("base.")}
+    base = {key[5:]: val for key, val in entries.items() if key.startswith("base.")}
     kind = own.pop("kind", None)
-    if kind not in _KIND_PARAMS:
+    if kind not in _KINDS:
         raise DomainError(f"unknown potential kind: {kind!r}")
-    need = {"nu", "a_bound", *_KIND_PARAMS[kind]}
-    if kind == "sampled" and own.get("nu") == "2":
-        need.add("n")
-    if set(own) != need:
+    casts = {"nu": int, "a_bound": float, **_KINDS[kind].params}
+    if kind == "sampled" and own.get("nu") != "2":
+        del casts["n"]
+    if set(own) != set(casts):
         raise DomainError(
-            f"{kind} potential: unknown parameters {sorted(set(own) - need)}, "
-            f"missing {sorted(need - set(own))}"
+            f"{kind} potential: unknown parameters {sorted(set(own) - set(casts))}, "
+            f"missing {sorted(set(casts) - set(own))}"
         )
-    params = {key: _parse_param(key, val) for key, val in own.items()}
+    params = {}
+    for key, val in own.items():
+        try:
+            params[key] = casts[key](val)
+        except ValueError:
+            raise DomainError(f"potential parameter {key}={val!r} is not a number") from None
     base = _build_potential(base) if base else None
     try:
         return Potential(kind=kind, nu=params.pop("nu"), a_bound=params.pop("a_bound"),
@@ -717,19 +694,12 @@ def _build_potential(flat: dict) -> Potential:
 
 
 def potential_from_text(text: str) -> Potential:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DomainError("empty potential descriptor")
-    head = lines[0].split()
-    if not head or head[0] != "potential":
+    tag, entries, rows = read_descriptor(text, "potential")
+    if tag != "potential":
         raise DomainError("not a potential descriptor")
-    flat = {}
-    for item in head[1:] + lines[1:]:
-        if "=" not in item:
-            raise DomainError(f"malformed descriptor entry: {item!r}")
-        key, val = item.split("=", 1)
-        flat[key.strip()] = val.strip()
-    return _build_potential(flat)
+    if rows:
+        raise DomainError(f"malformed potential entry: {rows[0]!r}")
+    return _build_potential(entries)
 
 
 def save_potential(V: Potential, path) -> None:

@@ -64,13 +64,6 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def _log_mass_of(mu) -> float:
-    log_mass = getattr(mu, "log_mass", None)
-    if log_mass is not None:
-        return float(log_mass)
-    return math.log(mu.mass)
-
-
 def _log_orbit(mu, ts: np.ndarray, shift: Optional[float] = None) -> np.ndarray:
     """ln ||e^{tA}x||^2 over ts, or with ``shift`` ln ||e^{tA}(A + shift)x||^2.
 
@@ -152,7 +145,7 @@ def evolve_norms(mu, t_min: float, t_max: float, n_t: int) -> OrbitTrace:
         raise DomainError("n_t must be an integer >= 2")
     ts = np.geomspace(t_min, t_max, int(n_t))
     vals = _log_orbit(mu, ts)
-    return OrbitTrace(t=ts, log_norm_sq=vals, log_mass=_log_mass_of(mu),
+    return OrbitTrace(t=ts, log_norm_sq=vals, log_mass=float(mu.log_mass),
                       source=mu.describe())
 
 

@@ -305,12 +305,28 @@ class TestInputErrors:
         ("study", "huge-box.cfg", WELL_STUDY.replace("2, 4", "2, 1e308") + "depth = 1\n",
          "L=1e+308"),
         ("study --jobs 0", "bounds.cfg", BOUNDS_HEAD, "--jobs"),
+        ("operator", "nu-twice.potential",
+         "potential kind=gaussian-well nu=1 a_bound=1.0 nu=2\ndepth=1.0\nwidth=1.0\n", "nu="),
+        ("operator", "width-twice.potential",
+         "potential kind=gaussian-well nu=1 a_bound=1.0\ndepth=1.0\nwidth=1.0\nwidth=2.0\n",
+         "width="),
+        ("classify", "gamma-twice.measure",
+         "density kind=power-law support=0.0,1.0\ngamma=0.5\ngamma=2\n", "gamma="),
+        ("classify", "foo.measure", "density kind=power-law support=0.0,1.0\ngamma=0.5\nfoo=3\n",
+         "foo"),
+        ("classify", "support.measure", "density kind=power-law support=5,9 mass=7\ngamma=0.5\n",
+         "support=5,9"),
+        ("classify", "mass.measure", "density kind=power-law support=0.0,1.0 mass=7\ngamma=0.5\n",
+         "mass=7"),
+        ("classify", "atomic-mass.measure", "atomic n=1 mass=2.0\n0.0 0.0\n", "mass=2.0"),
     ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
             "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support",
             "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "study-L-overflow",
-            "jobs-zero"])
+            "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
+            "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
+            "stated-mass-mismatch", "stated-atomic-mass-mismatch"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):

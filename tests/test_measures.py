@@ -7,6 +7,8 @@ and direct small-case enumeration.
 """
 
 import math
+import os
+import re
 
 import mpmath as mp
 import numpy as np
@@ -471,7 +473,8 @@ def test_density_rejects_wrong_closed_form():
             s_lo=0.0,
             s_hi=1.0,
             density=lambda s: np.full_like(np.asarray(s, float), 1.0),
-            ball_mass_fn=lambda eps: 0.5 * min(eps, 1.0),  # off by factor 2
+            # ln(eps) - ln 2: the uniform ball mass off by a factor 2
+            log_ball_mass_fn=lambda le: np.minimum(le, 0.0) - math.log(2.0),
         )
 
 
@@ -645,6 +648,41 @@ def test_sampled_density_roundtrip():
     back = st.measure_from_text(st.measure_to_text(mu))
     assert np.array_equal(back.params["grid"], grid)
     assert np.array_equal(back.params["values"], vals)
+
+
+def test_atomic_roundtrip_mass_beyond_double_range():
+    mu = st.AtomicMeasure(log_s=[0.0, 1.0], log_w=[800.0, 0.0])
+    assert mu.mass == math.inf
+    back = st.measure_from_text(st.measure_to_text(mu))
+    assert np.array_equal(back.log_w, mu.log_w)
+
+
+# repeated, unknown and disagreeing entries are also exercised through the CLI
+@pytest.mark.parametrize("text, named", [
+    ("density kind=power-law mass=nan\ngamma=0.5\n", "mass=nan disagrees"),
+    ("density kind=uniform support=1.0,3.0 mass=2.0000001\n", "mass=2.0000001 disagrees"),
+    ("density kind=power-law\ngamma=0.5\n0.0 1.0\n", "malformed power-law measure line"),
+    ("density kind=atomic n=1\n0.0 0.0\n", "unknown density kind: 'atomic'"),
+    ("atomic n=1 support=0,1\n0.0 0.0\n", "unknown entries ['support']"),
+], ids=["nan-mass", "uniform-mass", "stray-row", "atomic-as-density", "atomic-support"])
+def test_measure_from_text_checks_every_entry(text, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        st.measure_from_text(text)
+
+
+def test_readme_lists_every_measure_family_and_entry():
+    """The README "File formats" measure list matches the family table exactly."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    bullet = re.search(r"^- \*\*Measures\*\*.*?(?=^- )", readme, flags=re.M | re.S)
+    documented = {family: set(re.findall(r"`(\w+)`", entries))
+                  for family, entries in re.findall(r"`([\w-]+)` \(([^)]*)\)", bullet.group(0))}
+    assert documented == {family: own for family, (own, _) in st.measures._FAMILIES.items()}
+
+
+def test_stated_mass_within_tolerance_loads():
+    mu = st.measure_from_text("density kind=uniform support=1.0,3.0 mass=2.000000001\n")
+    assert mu.mass == 2.0
 
 
 def test_measure_file_io(tmp_path):

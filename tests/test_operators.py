@@ -9,6 +9,7 @@ numpy.linalg solves for resolvents.
 
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-from semistab import experiments
+from semistab import experiments, operators
 from semistab import (
     AtomicMeasure,
     DomainError,
@@ -673,6 +674,37 @@ class TestPotentialSerialization:
         assert W.base.kind == "shifted"
         assert W.base.base.kind == "gaussian-well"
 
+    # one example per kind of the potential-kind table, built for a given nu
+    _EXAMPLES = {
+        "constant": lambda nu: constant_potential(-0.3, nu=nu),
+        "gaussian-well": lambda nu: gaussian_well(depth=1.7, width=0.9, nu=nu),
+        "exp-well": lambda nu: exp_well(depth=0.4, width=3.0, nu=nu),
+        "square-well": lambda nu: square_well(depth=2.0, radius=1.5, nu=nu),
+        "sampled": lambda nu: sampled_potential(-np.linspace(0.0, 1.0, 16), -2.0, 2.0, nu=nu,
+                                                a_bound=1.0),
+        "truncated": lambda nu: truncate_potential(square_well(nu=nu), 2),
+        "shifted": lambda nu: shift_potential(exp_well(depth=1.2, nu=nu), 4),
+    }
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(operators._KINDS))
+    def test_every_kind_round_trips(self, kind, nu):
+        # a kind added to the table without an example here, or without text support, fails
+        V = self._EXAMPLES[kind](nu)
+        assert V.kind == kind
+        W = self._round_trip(V)
+        assert W.params == V.params
+        assert potential_to_text(W) == potential_to_text(V)
+
+    def test_readme_lists_every_kind_and_parameter(self):
+        """The README "File formats" potential list matches the kind table exactly."""
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                      encoding="utf-8").read()
+        bullet = re.search(r"^- \*\*Potentials\*\*.*?(?=^- )", readme, flags=re.M | re.S)
+        documented = {kind: re.findall(r"`(\w+)`", params)
+                      for kind, params in re.findall(r"`([\w-]+)` \(([^)]*)\)", bullet.group(0))}
+        assert documented == {kind: list(spec.params) for kind, spec in operators._KINDS.items()}
+
     def test_file_round_trip(self, tmp_path):
         V = shift_potential(exp_well(depth=1.2), 4)
         path = tmp_path / "well.potential"
@@ -702,8 +734,17 @@ class TestPotentialSerialization:
          "n >= 2"),
         ("potential kind=sampled nu=2 a_bound=1.0\ngrid_lo=-1.0\ngrid_hi=1.0\nn=3\n"
          "values=-1,0,0,-1\n", "n^2 values"),
+        ("potential kind=gaussian-well nu=1 a_bound=1.0 nu=2\ndepth=1.0\nwidth=1.0\n",
+         "nu= is given twice"),
+        ("potential kind=gaussian-well nu=1 a_bound=1.0\ndepth=1.0\nwidth=1.0\nwidth=2.0\n",
+         "width= is given twice"),
+        ("potential kind=truncated nu=1 a_bound=1.0\nk=2\n" + _BASE + "base.kind=exp-well\n",
+         "base.kind= is given twice"),
+        ("potential kind=square-well nu=1 a_bound=1.0\ndepth 1.0\nradius=1.0\n", "depth 1.0"),
+        ("potential kind=square-well nu=1 a_bound=1.0\n=1.0\nradius=1.0\n", "'=1.0'"),
     ], ids=["shift-index", "shift-level", "truncation-index", "zero-width", "nan-depth",
-            "reversed-grid", "one-sample", "sample-count"])
+            "reversed-grid", "one-sample", "sample-count", "repeated-nu", "repeated-width",
+            "repeated-base-kind", "no-equals", "no-key"])
     def test_parsed_parameters_are_checked(self, text, named):
         with pytest.raises(DomainError, match=re.escape(named)):
             potential_from_text(text)
