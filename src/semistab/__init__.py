@@ -1,11 +1,12 @@
 """semistab: stability and scaling analysis for contraction semigroups.
 
 The package builds negative self-adjoint operators (finite-difference
-Dirichlet boxes and multiplication models), represents spectral
-measures on (-inf, 0], evolves the generated contraction semigroups in
-the spectral picture, estimates decay and scaling exponents, classifies
-stability through the spectral gap, and packages the whole thing into
-reproducible, config-driven studies with a CLI front end.
+Dirichlet boxes), represents spectral measures on (-inf, 0] (among them
+the closed-form measures of multiplication generators), evolves the
+generated contraction semigroups in the spectral picture, estimates
+decay and scaling exponents, classifies stability through the spectral
+gap, and packages the whole thing into reproducible, config-driven
+studies with a CLI front end.
 """
 
 from .errors import (
@@ -36,7 +37,6 @@ from .measures import (
 from .operators import (
     DiscretizedOperator,
     MetricValue,
-    MultiplicationModel,
     Potential,
     constant_potential,
     dirichlet_laplacian_eigenvalues,

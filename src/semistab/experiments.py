@@ -19,8 +19,10 @@ kind-specific sections), runs deterministically from its seed, and
 writes a directory of CSV tables, a normalized config echo, and a
 plain-text summary with one PASS/FAIL line per verdict.  All random
 inputs are drawn up front in config order, so re-runs produce
-byte-identical CSVs.  ``spot_check`` re-derives randomly chosen report
-cells straight from the library operations.
+byte-identical CSVs.  Each table is declared once, by its row inputs and
+a row function returning ``{column: cell}``; the CSV header, the
+verdicts and ``spot_check``, which re-derives randomly chosen report
+cells straight from the library operations, all read those columns.
 """
 
 from __future__ import annotations
@@ -442,11 +444,38 @@ def write_report(report: StudyReport, out_dir=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# approximation study
+# study tables: each declared once by its row inputs and its row
 # ---------------------------------------------------------------------------
 
 
-def _approximation_shared(plan: dict, seed: int) -> dict:
+@dataclass(frozen=True)
+class _Table:
+    """One report table.
+
+    ``items(plan, seed)`` lists the row inputs in config order; every
+    random draw and every operator the rows share is made there.
+    ``row(plan, item)`` returns one row as ``{column: cell}``, so the
+    header is the columns of the first row.
+    """
+
+    name: str
+    items: Callable
+    row: Callable
+
+
+def _report_table(name: str, rows: list) -> ReportTable:
+    header = tuple(rows[0])
+    for row in rows:
+        if tuple(row) != header:
+            raise InvariantViolation(f"table {name!r}: row columns {tuple(row)} differ "
+                                     f"from the header {header}")
+    return ReportTable(name, header, [tuple(row.values()) for row in rows])
+
+
+# -- approximation -------------------------------------------------------------
+
+
+def _approximation_items(plan: dict, seed: int) -> list:
     H = discretize(plan["potential"], plan["L"], plan["h"])
     rng = np.random.default_rng(seed)
     probes = []
@@ -454,49 +483,28 @@ def _approximation_shared(plan: dict, seed: int) -> dict:
         u = rng.uniform(-1.0, 1.0, H.N)
         u /= np.linalg.norm(u)
         probes.append(u)
-    return {"H": H, "probes": probes}
+    return [(index, H, probes) for index in plan["indices"]]
 
 
-def _approximation_row(plan: dict, shared: dict, index: int) -> tuple:
+def _approximation_row(plan: dict, item: tuple) -> dict:
+    index, H, probes = item
     V = plan["potential"]
-    if plan["seq_kind"] == "truncation":
-        Vk = truncate_potential(V, index)
-    else:
-        Vk = shift_potential(V, index)
-    dist = float(metric_d(Vk, V, J=plan["metric_J"]))
+    Vk = (truncate_potential if plan["seq_kind"] == "truncation" else shift_potential)(V, index)
     Hk = discretize(Vk, plan["L"], plan["h"])
-    row = [index, dist, float(Hk.lambda_max)]
+    row = {"index": index, "metric_d": float(metric_d(Vk, V, J=plan["metric_J"])),
+           "lambda_max": float(Hk.lambda_max)}
     if plan["seq_kind"] == "shift":
-        row.append(-float(V.a_bound) / (index + 1.0))
-    for u in shared["probes"]:
-        lhs, rhs = resolvent_gap(Hk, shared["H"], u)
-        row.extend([float(lhs), float(rhs)])
-    return tuple(row)
+        row["shift_cap"] = -float(V.a_bound) / (index + 1.0)
+    for p, u in enumerate(probes, 1):
+        row[f"lhs_{p}"], row[f"rhs_{p}"] = resolvent_gap(Hk, H, u)
+    return row
 
 
-def _approximation_header(plan: dict) -> tuple:
-    head = ["index", "metric_d", "lambda_max"]
-    if plan["seq_kind"] == "shift":
-        head.append("shift_cap")
-    for p in range(1, plan["n_probes"] + 1):
-        head.extend([f"lhs_{p}", f"rhs_{p}"])
-    return tuple(head)
-
-
-def _run_approximation(plan: dict, seed: int):
-    shared = _approximation_shared(plan, seed)
-    rows = [_approximation_row(plan, shared, k) for k in plan["indices"]]
-    header = _approximation_header(plan)
-    table = ReportTable("approximation", header, rows)
-
-    metric_col = [row[1] for row in rows]
-    lam_col = [row[2] for row in rows]
-    probe_start = 4 if plan["seq_kind"] == "shift" else 3
-    worst_gap = max(
-        row[i] - row[i + 1]
-        for row in rows
-        for i in range(probe_start, len(row), 2)
-    )
+def _judge_approximation(plan: dict, tables: dict):
+    rows = tables["approximation"]
+    metric = [row["metric_d"] for row in rows]
+    worst_gap = max(row[f"lhs_{p}"] - row[f"rhs_{p}"]
+                    for row in rows for p in range(1, plan["n_probes"] + 1))
     verdicts = [
         VerdictLine(
             "resolvent-domination",
@@ -505,22 +513,21 @@ def _run_approximation(plan: dict, seed: int):
         ),
         VerdictLine(
             "metric-nonincreasing",
-            all(b <= a for a, b in zip(metric_col, metric_col[1:])),
-            f"first {_format_cell(metric_col[0])} last {_format_cell(metric_col[-1])}",
+            all(b <= a for a, b in zip(metric, metric[1:])),
+            f"first {_format_cell(metric[0])} last {_format_cell(metric[-1])}",
         ),
     ]
     if plan["seq_kind"] == "truncation":
         verdicts.append(
             VerdictLine(
                 "metric-threshold",
-                metric_col[-1] < plan["metric_tol"],
-                f"metric {_format_cell(metric_col[-1])} at index {plan['indices'][-1]} "
+                metric[-1] < plan["metric_tol"],
+                f"metric {_format_cell(metric[-1])} at index {plan['indices'][-1]} "
                 f"(tol {_format_cell(plan['metric_tol'])})",
             )
         )
     else:
-        caps = [row[3] for row in rows]
-        worst = max(lam - cap for lam, cap in zip(lam_col, caps))
+        worst = max(row["lambda_max"] - row["shift_cap"] for row in rows)
         verdicts.append(
             VerdictLine(
                 "shift-gap-bound",
@@ -528,12 +535,10 @@ def _run_approximation(plan: dict, seed: int):
                 f"max lambda_max excess over -a/(l+1) {_format_cell(float(worst))}",
             )
         )
-    return [table], verdicts, [], {}
+    return verdicts, [], {}
 
 
-# ---------------------------------------------------------------------------
-# gap-vs-box study
-# ---------------------------------------------------------------------------
+# -- gap-vs-box ----------------------------------------------------------------
 
 
 def _check_compact_support(V: Potential, radius: float) -> None:
@@ -554,15 +559,15 @@ def _check_compact_support(V: Potential, radius: float) -> None:
         )
 
 
-def _gap_vs_box_row(plan: dict, L: float) -> tuple:
-    H = discretize(plan["potential"], L, plan["h"])
-    lam = float(H.lambda_max)
-    return (float(L), lam, max(0.0, -lam))
+def _gap_vs_box_row(plan: dict, L: float) -> dict:
+    if L == math.inf:  # box sizes are finite, so this is the flagged limit row
+        return {"L": "inf", "lambda_max": "extrapolated", "gap": "extrapolated"}
+    lam = float(discretize(plan["potential"], L, plan["h"]).lambda_max)
+    return {"L": float(L), "lambda_max": lam, "gap": max(0.0, -lam)}
 
 
-def _run_gap_vs_box(plan: dict, seed: int):
-    rows = [_gap_vs_box_row(plan, L) for L in plan["L_list"]]
-    abs_lam = [abs(row[1]) for row in rows]
+def _judge_gap_vs_box(plan: dict, tables: dict):
+    abs_lam = [abs(row["lambda_max"]) for row in tables["gap-vs-box"][:-1]]
     verdicts = [
         VerdictLine(
             "gap-nonincreasing",
@@ -570,21 +575,17 @@ def _run_gap_vs_box(plan: dict, seed: int):
             f"|lambda_max| from {_format_cell(abs_lam[0])} to {_format_cell(abs_lam[-1])}",
         )
     ]
-    all_rows = list(rows) + [("inf", "extrapolated", "extrapolated")]
-    table = ReportTable("gap-vs-box", ("L", "lambda_max", "gap"), all_rows)
-    return [table], verdicts, ["the final row is extrapolated, never computed"], {}
+    return verdicts, ["the final row is extrapolated, never computed"], {}
 
 
-# ---------------------------------------------------------------------------
-# exponent-table study
-# ---------------------------------------------------------------------------
+# -- exponent-table ------------------------------------------------------------
 
 
-def _exponent_items(plan: dict) -> list:
+def _exponent_items(plan: dict, seed: int) -> list:
     return [("delta", d) for d in plan["delta_list"]] + [("gamma", g) for g in plan["gamma_list"]]
 
 
-def _exponent_table_row(plan: dict, item: tuple) -> tuple:
+def _exponent_row(plan: dict, item: tuple) -> dict:
     family, value = item
     if family == "delta":
         mu = monomial_profile_measure(value)
@@ -595,41 +596,25 @@ def _exponent_table_row(plan: dict, item: tuple) -> tuple:
     est = scaling_exponents(mu, log_window=plan["scale_window"], n_scales=plan["n_scales"])
     trace = evolve_norms(mu, plan["time_window"][0], plan["time_window"][1], plan["n_times"])
     dec = decay_exponents(trace, tail_fraction=plan["tail_fraction"])
-    return (
-        family,
-        float(value),
-        analytic,
-        est.d_minus,
-        est.d_plus,
-        dec.liminf_est,
-        dec.limsup_est,
-        abs(est.d_minus - analytic),
-        abs(est.d_plus - analytic),
-        abs(dec.liminf_est + analytic),
-        abs(dec.limsup_est + analytic),
-    )
+    return {
+        "family": family,
+        "parameter": float(value),
+        "analytic": analytic,
+        "d_minus": est.d_minus,
+        "d_plus": est.d_plus,
+        "decay_liminf": dec.liminf_est,
+        "decay_limsup": dec.limsup_est,
+        "err_d_minus": abs(est.d_minus - analytic),
+        "err_d_plus": abs(est.d_plus - analytic),
+        "err_decay_liminf": abs(dec.liminf_est + analytic),
+        "err_decay_limsup": abs(dec.limsup_est + analytic),
+    }
 
 
-_EXPONENT_HEADER = (
-    "family",
-    "parameter",
-    "analytic",
-    "d_minus",
-    "d_plus",
-    "decay_liminf",
-    "decay_limsup",
-    "err_d_minus",
-    "err_d_plus",
-    "err_decay_liminf",
-    "err_decay_limsup",
-)
-
-
-def _run_exponent_table(plan: dict, seed: int):
-    rows = [_exponent_table_row(plan, item) for item in _exponent_items(plan)]
-    table = ReportTable("exponent-table", _EXPONENT_HEADER, rows)
-    worst_scaling = max(max(row[7], row[8]) for row in rows)
-    worst_decay = max(max(row[9], row[10]) for row in rows)
+def _judge_exponent_table(plan: dict, tables: dict):
+    rows = tables["exponent-table"]
+    worst_scaling = max(max(row["err_d_minus"], row["err_d_plus"]) for row in rows)
+    worst_decay = max(max(row["err_decay_liminf"], row["err_decay_limsup"]) for row in rows)
     verdicts = [
         VerdictLine(
             "scaling-accuracy",
@@ -644,17 +629,18 @@ def _run_exponent_table(plan: dict, seed: int):
             f"(tol {_format_cell(plan['decay_tol'])})",
         ),
     ]
-    return [table], verdicts, [], {}
+    return verdicts, [], {}
 
 
-# ---------------------------------------------------------------------------
-# gdelta-witness study
-# ---------------------------------------------------------------------------
+# -- gdelta-witness ------------------------------------------------------------
 
 
-def _gdelta_compute(plan: dict) -> dict:
+def _lacunary(plan: dict) -> AtomicMeasure:
+    return lacunary_measure(plan["scale_base"], plan["exponents"], plan["n_atoms"])
+
+
+def _gdelta_row(plan: dict, mu: AtomicMeasure) -> dict:
     beta = BetaDescriptor(p=plan["beta_p"], poly_degree=plan["beta_poly_degree"])
-    mu = lacunary_measure(plan["scale_base"], plan["exponents"], plan["n_atoms"])
     verdict = classify_stability(mu)
     est = scaling_exponents(mu, log_window=plan["scale_window"], n_scales=plan["n_scales"])
     probe = gdelta_probe(
@@ -671,60 +657,36 @@ def _gdelta_compute(plan: dict) -> dict:
         and probe.log_max_alpha_weighted >= plan["alpha_min_log"]
         and probe.log_min_beta_weighted <= plan["beta_max_log"]
     )
-    row = (
-        plan["scale_base"],
-        ";".join(repr(float(e)) for e in plan["exponents"]),
-        plan["n_atoms"],
-        verdict.classification,
-        est.d_minus,
-        est.d_plus,
-        float(np.min(est.ratios)),
-        float(np.max(est.ratios)),
-        probe.log_max_alpha_weighted,
-        probe.argmax_t,
-        probe.log_min_beta_weighted,
-        probe.argmin_t,
-        plan["alpha_exponent"],
-        beta.describe(),
-        plan["horizon"][0],
-        plan["horizon"][1],
-        plan["n_t"],
-        "established" if established else "none",
-    )
-    return {"mu": mu, "verdict": verdict, "established": established, "row": row}
+    return {
+        "scale_base": plan["scale_base"],
+        "exponents": ";".join(repr(float(e)) for e in plan["exponents"]),
+        "n_atoms": plan["n_atoms"],
+        "classification": verdict.classification,
+        "d_minus": est.d_minus,
+        "d_plus": est.d_plus,
+        "ratio_min": float(np.min(est.ratios)),
+        "ratio_max": float(np.max(est.ratios)),
+        "log_max_alpha_weighted": probe.log_max_alpha_weighted,
+        "argmax_t": probe.argmax_t,
+        "log_min_beta_weighted": probe.log_min_beta_weighted,
+        "argmin_t": probe.argmin_t,
+        "alpha_exponent": plan["alpha_exponent"],
+        "beta": beta.describe(),
+        "horizon_min": plan["horizon"][0],
+        "horizon_max": plan["horizon"][1],
+        "n_t": plan["n_t"],
+        "witness": "established" if established else "none",
+    }
 
 
-_GDELTA_HEADER = (
-    "scale_base",
-    "exponents",
-    "n_atoms",
-    "classification",
-    "d_minus",
-    "d_plus",
-    "ratio_min",
-    "ratio_max",
-    "log_max_alpha_weighted",
-    "argmax_t",
-    "log_min_beta_weighted",
-    "argmin_t",
-    "alpha_exponent",
-    "beta",
-    "horizon_min",
-    "horizon_max",
-    "n_t",
-    "witness",
-)
-
-
-def _run_gdelta_witness(plan: dict, seed: int):
-    out = _gdelta_compute(plan)
-    table = ReportTable("gdelta-witness", _GDELTA_HEADER, [out["row"]])
-    established = out["established"]
+def _judge_gdelta_witness(plan: dict, tables: dict):
+    (row,) = tables["gdelta-witness"]
+    established = row["witness"] == "established"
     verdicts = [
         VerdictLine(
             "classification",
-            out["verdict"].classification == "StableNotExponential",
-            out["verdict"].classification,
+            row["classification"] == "StableNotExponential",
+            row["classification"],
         ),
         VerdictLine(
             "witness-expectation",
@@ -737,13 +699,10 @@ def _run_gdelta_witness(plan: dict, seed: int):
         if established
         else "witness: no oscillation witness"
     ]
-    artifacts = {"witness.measure": measure_to_text(out["mu"])}
-    return [table], verdicts, notes, artifacts
+    return verdicts, notes, {"witness.measure": measure_to_text(_lacunary(plan))}
 
 
-# ---------------------------------------------------------------------------
-# section3-bounds study (orbit-norm decay bound sweep)
-# ---------------------------------------------------------------------------
+# -- section3-bounds (orbit-norm decay bound sweep) ----------------------------
 
 
 def _section3_instances(plan: dict, seed: int) -> list:
@@ -761,7 +720,7 @@ def _section3_instances(plan: dict, seed: int) -> list:
     return instances
 
 
-def _section3_row(plan: dict, instance: tuple) -> tuple:
+def _section3_row(plan: dict, instance: tuple) -> dict:
     family, index, a, pos, wts = instance
     mu = AtomicMeasure.from_points(pos, wts)
     t_min, t_max = plan["t_window"]
@@ -769,55 +728,43 @@ def _section3_row(plan: dict, instance: tuple) -> tuple:
     val = shifted_range_bound_check(
         mu, a, t_min=t_min, t_max=t_max, n_t=plan["n_t"], bound_scale=plan["bound_scale"]
     )
-    return (
-        family,
-        index,
-        float(a),
-        float(val),
-        val.worst_t,
-        val.norm_x,
-        val.tol,
-        "ok" if val.passed else "violated",
-    )
+    return {
+        "family": family,
+        "index": index,
+        "shift": float(a),
+        "max_violation": float(val),
+        "worst_t": val.worst_t,
+        "norm_x": val.norm_x,
+        "tol": val.tol,
+        "status": "ok" if val.passed else "violated",
+    }
 
 
-def _section3_equality_row(plan: dict) -> tuple:
-    pos = plan["equality_position"]
+def _equality_row(plan: dict, pos: float) -> dict:
     mu = AtomicMeasure.from_points([pos], [1.0])
     t_star = 1.0 / abs(pos)
     val = range_bound_check(mu, t_grid=np.array([t_star]), bound_scale=plan["bound_scale"])
     gap = abs(float(val))
-    return (
-        float(pos),
-        float(t_star),
-        gap,
-        val.norm_x,
-        val.tol,
-        "ok" if gap <= val.tol else "violated",
-    )
+    return {
+        "position": float(pos),
+        "t_star": float(t_star),
+        "gap": gap,
+        "norm_x": val.norm_x,
+        "tol": val.tol,
+        "status": "ok" if gap <= val.tol else "violated",
+    }
 
 
-def _run_section3_bounds(plan: dict, seed: int):
-    rows = [_section3_row(plan, inst) for inst in _section3_instances(plan, seed)]
-    eq_row = _section3_equality_row(plan)
-    main = ReportTable(
-        "section3-bounds",
-        ("family", "index", "shift", "max_violation", "worst_t", "norm_x", "tol", "status"),
-        rows,
-    )
-    equality = ReportTable(
-        "equality-witness",
-        ("position", "t_star", "gap", "norm_x", "tol", "status"),
-        [eq_row],
-    )
+def _judge_section3_bounds(plan: dict, tables: dict):
+    rows, (eq,) = tables["section3-bounds"], tables["equality-witness"]
     verdicts, notes = [], []
     for name, family in (("plain-bound", "plain"), ("shifted-bound", "shifted")):
-        fam = [row for row in rows if row[0] == family]
+        fam = [row for row in rows if row["family"] == family]
         if not fam:
             notes.append(f"{name}: no {family} instances, so no verdict")
             continue
-        excess = max(row[3] - row[6] for row in fam)
-        bad = sum(1 for row in fam if row[7] == "violated")
+        excess = max(row["max_violation"] - row["tol"] for row in fam)
+        bad = sum(1 for row in fam if row["status"] == "violated")
         verdicts.append(
             VerdictLine(
                 name,
@@ -829,11 +776,11 @@ def _run_section3_bounds(plan: dict, seed: int):
     verdicts.append(
         VerdictLine(
             "equality-witness",
-            eq_row[5] == "ok",
-            f"gap {_format_cell(eq_row[2])} at t {_format_cell(eq_row[1])}",
+            eq["status"] == "ok",
+            f"gap {_format_cell(eq['gap'])} at t {_format_cell(eq['t_star'])}",
         )
     )
-    return [main, equality], verdicts, notes, {}
+    return verdicts, notes, {}
 
 
 # ---------------------------------------------------------------------------
@@ -843,17 +790,18 @@ def _run_section3_bounds(plan: dict, seed: int):
 
 @dataclass(frozen=True)
 class _Kind:
-    """One study kind: its key tables, cross-key check, runner and row rebuild.
+    """One study kind: its key tables, report tables, verdicts and cross-key check.
 
     ``sections`` maps each section to its ``{key: _Key}`` table in echo
-    order; ``check(plan)`` raises on key combinations no single key can
-    judge; ``run(plan, seed)`` returns tables, verdicts, notes and
-    artifacts; ``rebuild(plan, seed, table, row)`` recomputes one row.
+    order; ``tables`` are its ``_Table``s in report order;
+    ``judge(plan, tables)`` reads the cells of ``{table name: [row]}`` by
+    column and returns verdicts, notes and artifacts; ``check(plan)`` raises on
+    key combinations no single key can judge.
     """
 
     sections: dict
-    run: Callable
-    rebuild: Callable
+    tables: tuple
+    judge: Callable
     check: Callable = lambda plan: None
     potential: bool = False  # the config also holds a [potential] descriptor section
 
@@ -871,9 +819,8 @@ _KINDS = {
             "metric_J": _int(4, 20),
             "metric_tol": _pos(1e-3),
         }},
-        run=_run_approximation,
-        rebuild=lambda plan, seed, table, i: _approximation_row(
-            plan, _approximation_shared(plan, seed), plan["indices"][i]),
+        (_Table("approximation", _approximation_items, _approximation_row),),
+        _judge_approximation,
         potential=True,
     ),
     "gap-vs-box": _Kind(
@@ -883,8 +830,8 @@ _KINDS = {
                              and all(b > a for a, b in zip(Ls, Ls[1:]))),
             "h": _pos(),
         }},
-        run=_run_gap_vs_box,
-        rebuild=lambda plan, seed, table, i: _gap_vs_box_row(plan, plan["L_list"][i]),
+        (_Table("gap-vs-box", lambda plan, seed: [*plan["L_list"], math.inf], _gap_vs_box_row),),
+        _judge_gap_vs_box,
         check=lambda plan: _check_compact_support(plan["potential"], max(plan["L_list"])),
         potential=True,
     ),
@@ -902,8 +849,8 @@ _KINDS = {
             "decay_tol": _pos(0.05),
             "tail_fraction": _pos(0.8),
         }},
-        run=_run_exponent_table,
-        rebuild=lambda plan, seed, table, i: _exponent_table_row(plan, _exponent_items(plan)[i]),
+        (_Table("exponent-table", _exponent_items, _exponent_row),),
+        _judge_exponent_table,
         check=lambda plan: _require(plan["delta_list"] or plan["gamma_list"],
                                     "[exponents] needs at least one delta or gamma value"),
     ),
@@ -931,8 +878,8 @@ _KINDS = {
                     lambda v: "true" if v else "false", True),
             },
         },
-        run=_run_gdelta_witness,
-        rebuild=lambda plan, seed, table, i: _gdelta_compute(plan)["row"],
+        (_Table("gdelta-witness", lambda plan, seed: [_lacunary(plan)], _gdelta_row),),
+        _judge_gdelta_witness,
     ),
     "section3-bounds": _Kind(
         {
@@ -951,10 +898,10 @@ _KINDS = {
             # test hook: library wrappers write it only when set away from the default
             "hooks": {"bound_scale": _pos(1.0)},
         },
-        run=_run_section3_bounds,
-        rebuild=lambda plan, seed, table, i: (
-            _section3_equality_row(plan) if table == "equality-witness"
-            else _section3_row(plan, _section3_instances(plan, seed)[i])),
+        (_Table("section3-bounds", _section3_instances, _section3_row),
+         _Table("equality-witness", lambda plan, seed: [plan["equality_position"]],
+                _equality_row)),
+        _judge_section3_bounds,
         check=lambda plan: _require(
             plan["position_lo"] < plan["position_hi"] <= 0.0
             and all(plan["position_lo"] < -a for a in plan["shifts"]),
@@ -972,8 +919,11 @@ STUDY_KINDS = tuple(_KINDS)
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Run a configured study; its rows are computed in config order."""
-    run = _KINDS[config.kind].run
-    tables, verdicts, notes, artifacts = run(_plan(config), config.seed)
+    kind, plan = _KINDS[config.kind], _plan(config)
+    rows = {tab.name: [tab.row(plan, item) for item in tab.items(plan, config.seed)]
+            for tab in kind.tables}
+    tables = [_report_table(name, table_rows) for name, table_rows in rows.items()]
+    verdicts, notes, artifacts = kind.judge(plan, rows)
     return StudyReport(
         kind=config.kind,
         tables=tables,
@@ -1068,37 +1018,37 @@ class SpotCheck:
 def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
     """Re-derive ``n_cells`` random numeric report cells from the config.
 
+    Each chosen row is rebuilt through its table's ``items`` and ``row``.
     Every cell must reproduce bit-for-bit; a mismatch means the report
     and the library operations disagree.
     """
-    cells = []
-    for tab in report.tables:
-        for ri, row in enumerate(tab.rows):
-            for ci, cell in enumerate(row):
-                if isinstance(cell, float) and not isinstance(cell, bool):
-                    cells.append((tab.name, ri, ci))
+    cells = [
+        (tab.name, ri, column, cell)
+        for tab in report.tables
+        for ri, row in enumerate(tab.rows)
+        for column, cell in zip(tab.header, row)
+        if isinstance(cell, float)
+    ]
     if not cells:
         return []
     config = report.config
     plan = _plan(config)
-    rebuild = _KINDS[config.kind].rebuild
+    tables = {tab.name: tab for tab in _KINDS[config.kind].tables}
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(cells), size=min(n_cells, len(cells)), replace=False)
-    fresh_rows = {}
-    results = []
+    items, fresh_rows, results = {}, {}, []
     for flat in sorted(int(i) for i in chosen):
-        name, ri, ci = cells[flat]
-        key = (name, ri)
-        if key not in fresh_rows:
-            fresh_rows[key] = rebuild(plan, config.seed, name, ri)
-        tab = report.table(name)
-        reported = tab.rows[ri][ci]
-        recomputed = fresh_rows[key][ci]
+        name, ri, column, reported = cells[flat]
+        if name not in items:
+            items[name] = tables[name].items(plan, config.seed)
+        if (name, ri) not in fresh_rows:
+            fresh_rows[name, ri] = tables[name].row(plan, items[name][ri])
+        recomputed = fresh_rows[name, ri][column]
         results.append(
             SpotCheck(
                 table=name,
                 row=ri,
-                column=tab.header[ci],
+                column=column,
                 reported=float(reported),
                 recomputed=float(recomputed),
                 matches=_format_cell(reported) == _format_cell(recomputed),

@@ -423,6 +423,9 @@ class DensityMeasure:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
+        if self.kind == "atomic" or self.kind not in _FAMILIES:
+            raise DomainError(f"a density of kind {self.kind!r} has no measure file format; "
+                              f"only the families {sorted(set(_FAMILIES) - {'atomic'})} do")
         head = (
             f"density kind={self.kind} support={self.s_lo!r},{self.s_hi!r} "
             f"mass={self.mass!r}"
@@ -470,8 +473,9 @@ def monomial_profile_measure(delta: float) -> DensityMeasure:
     """Measure with density s**(2 delta) on [0, 1].
 
     This is the spectral measure of the vector with profile y**delta
-    (restricted to [0, 1]) under the multiplication generator; the ball
-    mass is eps**(2 delta + 1) / (2 delta + 1) for eps <= 1.
+    (restricted to [0, 1]) under the multiplication generator
+    ``(Mu)(y) = -y u(y)``; the ball mass is eps**(2 delta + 1) / (2 delta + 1)
+    for eps <= 1.
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError("delta must be positive and finite")
@@ -810,8 +814,9 @@ def measure_from_text(text: str):
 
 
 def save_measure(mu, path) -> None:
+    text = measure_to_text(mu)  # a refused measure leaves the file as it was
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(measure_to_text(mu))
+        fh.write(text)
 
 
 def load_measure(path):

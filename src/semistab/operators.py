@@ -2,10 +2,9 @@
 
 The operators built here are ``H = Lap_h + diag(V)`` on the box
 ``[-L, L]^nu`` (nu in {1, 2}) with Dirichlet boundary conditions and a
-bounded potential ``-a <= V <= 0``, plus the exact multiplication-model
-generator ``(Mu)(y) = -y u(y)``.  ``discretize`` builds H once, for both
-dimensions, as one sparse matrix: the 1-D second-difference matrix T, or
-the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.  Every solve
+bounded potential ``-a <= V <= 0``.  ``discretize`` builds H once, for
+both dimensions, as one sparse matrix: the 1-D second-difference matrix
+T, or the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.  Every solve
 on H runs on demand and is cached on the operator: the top eigenpair,
 the resolvent factorization, and the full eigendecomposition, which
 only the spectral measure and the spectrum CSV read.
@@ -29,7 +28,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii, read_descriptor
-from .measures import AtomicMeasure, DensityMeasure, monomial_profile_measure, uniform_measure
+from .measures import AtomicMeasure
 
 __all__ = [
     "Potential",
@@ -48,7 +47,6 @@ __all__ = [
     "metric_d",
     "resolvent_apply",
     "resolvent_gap",
-    "MultiplicationModel",
     "potential_to_text",
     "potential_from_text",
     "save_potential",
@@ -584,65 +582,6 @@ def resolvent_gap(H_approx: DiscretizedOperator, H: DiscretizedOperator, u) -> t
     lhs = float(np.linalg.norm(ru_approx - ru))
     rhs = float(np.linalg.norm((H_approx.v_diag - H.v_diag) * ru))
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# exact multiplication model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiplicationModel:
-    """Generator (Mu)(y) = -y u(y) applied to a closed-form profile f.
-
-    The spectral measure of the vector f is |f(y)|^2 dy pushed to
-    lambda = -y, available exactly as a DensityMeasure.  Profile kinds:
-
-    * ``monomial``: f(y) = y**delta on [0, 1] (params: delta)
-    * ``indicator``: f = 1 on [y_lo, y_hi] (params: y_lo, y_hi)
-    """
-
-    profile_kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.profile_kind == "monomial":
-            if not self.params.get("delta", 0.0) > 0.0:
-                raise DomainError("monomial profile needs delta > 0")
-        elif self.profile_kind == "indicator":
-            lo = self.params.get("y_lo", 0.0)
-            hi = self.params.get("y_hi", 0.0)
-            if not (0.0 <= lo < hi):
-                raise DomainError("indicator profile needs 0 <= y_lo < y_hi")
-        else:
-            raise DomainError(f"unknown profile kind: {self.profile_kind!r}")
-        if not self.norm_sq > 0.0:
-            raise InvariantViolation("profile must have positive finite norm")
-
-    def profile(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.profile_kind == "monomial":
-            d = self.params["delta"]
-            return np.where((y >= 0.0) & (y <= 1.0), np.abs(y) ** d, 0.0)
-        lo, hi = self.params["y_lo"], self.params["y_hi"]
-        return np.where((y >= lo) & (y <= hi), 1.0, 0.0)
-
-    @property
-    def support_bound(self) -> float:
-        if self.profile_kind == "monomial":
-            return 1.0
-        return float(self.params["y_hi"])
-
-    @property
-    def norm_sq(self) -> float:
-        if self.profile_kind == "monomial":
-            return 1.0 / (2.0 * self.params["delta"] + 1.0)
-        return float(self.params["y_hi"] - self.params["y_lo"])
-
-    def spectral_measure(self) -> DensityMeasure:
-        if self.profile_kind == "monomial":
-            return monomial_profile_measure(self.params["delta"])
-        return uniform_measure(self.params["y_lo"], self.params["y_hi"])
 
 
 # ---------------------------------------------------------------------------

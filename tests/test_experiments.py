@@ -497,6 +497,87 @@ class TestSpotCheck:
         assert any(not c.matches for c in checks)
 
 
+# One small run per kind, with each table's header and the artifacts it
+# writes; the headers were captured before the rows became named columns.
+STUDY_CASES = {
+    "approximation": (
+        lambda: approximation_study(GAUSSIAN, "shift", [1, 2, 3], probe_vectors=2, L=4.0, h=0.2),
+        {"approximation": ("index", "metric_d", "lambda_max", "shift_cap",
+                           "lhs_1", "rhs_1", "lhs_2", "rhs_2")},
+        (),
+    ),
+    "gap-vs-box": (
+        lambda: gap_vs_box(square_well(depth=1.0, radius=1.0, nu=2), [2.0, 3.0], 0.25),
+        {"gap-vs-box": ("L", "lambda_max", "gap")},
+        (),
+    ),
+    "exponent-table": (
+        lambda: exponent_table([0.75], [1.0], n_scales=40, n_times=60),
+        {"exponent-table": ("family", "parameter", "analytic", "d_minus", "d_plus",
+                            "decay_liminf", "decay_limsup", "err_d_minus", "err_d_plus",
+                            "err_decay_liminf", "err_decay_limsup")},
+        (),
+    ),
+    "gdelta-witness": (
+        lambda: gdelta_witness(n_t=400),
+        {"gdelta-witness": ("scale_base", "exponents", "n_atoms", "classification",
+                            "d_minus", "d_plus", "ratio_min", "ratio_max",
+                            "log_max_alpha_weighted", "argmax_t", "log_min_beta_weighted",
+                            "argmin_t", "alpha_exponent", "beta", "horizon_min",
+                            "horizon_max", "n_t", "witness")},
+        ("witness.measure",),
+    ),
+    "section3-bounds": (
+        lambda: decay_bound_study(4, 5, n_shifted=2, n_t=30, seed=3),
+        {"section3-bounds": ("family", "index", "shift", "max_violation", "worst_t",
+                             "norm_x", "tol", "status"),
+         "equality-witness": ("position", "t_star", "gap", "norm_x", "tol", "status")},
+        (),
+    ),
+}
+
+
+class TestStudyTables:
+    @pytest.mark.parametrize("kind", sorted(STUDY_CASES))
+    def test_headers_are_pinned_and_every_cell_reproduces(self, kind):
+        call, headers, artifacts = STUDY_CASES[kind]
+        rep = call()
+        assert rep.kind == kind and rep.passed
+        assert {tab.name: tab.header for tab in rep.tables} == headers
+        assert tuple(sorted(rep.artifacts)) == artifacts
+        n_numeric = sum(isinstance(cell, float)
+                        for tab in rep.tables for row in tab.rows for cell in row)
+        checks = spot_check(rep, n_cells=n_numeric)
+        assert n_numeric > 0 and len(checks) == n_numeric
+        assert all(c.matches for c in checks)
+
+    @pytest.mark.parametrize("second", [{"b": 1.0}, {"a": 1.0}, {"b": 1.0, "a": 1.0},
+                                        {"a": 1.0, "b": 1.0, "c": 1.0}],
+                             ids=["renamed", "missing", "reordered", "extra"])
+    def test_rows_must_share_the_first_rows_columns(self, second):
+        with pytest.raises(InvariantViolation, match="differ"):
+            experiments._report_table("t", [{"a": 0.0, "b": 0.0}, second])
+
+    def test_readme_lists_every_table_column_and_artifact(self):
+        """The README "Studies" file table matches the pinned headers and artifacts."""
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                      encoding="utf-8").read()
+        documented = {
+            (kind, name): tuple(re.findall(r"`([\w<>]+)`", columns))
+            for kind, name, columns in re.findall(
+                r"^\| `([\w-]+)` \| `([\w-]+\.(?:csv|measure))` \| (.*) \|$",
+                readme, flags=re.M)
+        }
+        expected = {}
+        for kind, (_, headers, artifacts) in STUDY_CASES.items():
+            for name, header in headers.items():
+                # one lhs_<p>, rhs_<p> pair per probe
+                columns = [re.sub(r"^([lr]hs)_\d+$", r"\1_<p>", col) for col in header]
+                expected[kind, f"{name}.csv"] = tuple(dict.fromkeys(columns))
+            expected.update({(kind, name): () for name in artifacts})
+        assert documented == expected
+
+
 # ---------------------------------------------------------------------------
 # key tables: wrapper echoes, unknown keys, empty families, README
 # ---------------------------------------------------------------------------

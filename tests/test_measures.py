@@ -112,6 +112,28 @@ def test_ball_mass_monomial_profile_closed_form():
         assert st.ball_mass(mu, eps) == pytest.approx(eps ** 2.5 / 2.5, rel=1e-12)
 
 
+def test_monomial_profile_mass_closed_form():
+    # the profile y**delta on [0, 1] has norm^2 1/(2 delta + 1)
+    mu = st.monomial_profile_measure(0.75)
+    assert mu.mass == pytest.approx(1.0 / 2.5, rel=1e-12)
+
+
+def test_monomial_profile_ball_mass_below_one():
+    mu = st.monomial_profile_measure(0.6)
+    p = 2 * 0.6 + 1
+    for eps in (1e-4, 0.03, 0.7):
+        assert mu.ball_mass(eps) == pytest.approx(eps ** p / p, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: st.monomial_profile_measure(0.0),
+    lambda: st.uniform_measure(3.0, 1.0),
+], ids=["monomial-delta-zero", "uniform-reversed"])
+def test_profile_constructors_reject_bad_parameters(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_ball_mass_two_atoms():
     mu = st.AtomicMeasure.from_points([-1.0, -2.0], [0.5, 0.5])
     assert st.ball_mass(mu, 3.0) == 1.0          # whole support
@@ -253,6 +275,14 @@ def test_laplace_log_domain_far_support():
     assert lv == pytest.approx(-2000.0 - math.log(2000.0), abs=1e-9)
     # linear domain underflows cleanly to 0; no exception, no NaN
     assert st.laplace_norm_sq(mu, 1e3) == 0.0
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+def test_uniform_laplace_closed_form(t):
+    # indicator profile on [1, 3]: integral e^{-2 t s} ds = (e^{-2t} - e^{-6t}) / (2t)
+    mu = st.uniform_measure(1.0, 3.0)
+    expected = (math.exp(-2.0 * t) - math.exp(-6.0 * t)) / (2.0 * t)
+    assert st.laplace_norm_sq(mu, t) == pytest.approx(expected, rel=1e-10)
 
 
 def test_laplace_monotone_in_t():
@@ -691,6 +721,23 @@ def test_measure_file_io(tmp_path):
     st.save_measure(mu, path)
     back = st.load_measure(path)
     assert np.array_equal(back.log_s, mu.log_s)
+
+
+@pytest.mark.parametrize("kind", ["density", "atomic", "my-profile"])
+def test_unregistered_density_is_not_written(kind):
+    # measure_from_text could not read it back, so to_text refuses it
+    mu = st.DensityMeasure(0.0, 1.0, density=np.ones_like, kind=kind)
+    with pytest.raises(DomainError, match=re.escape(repr(kind))):
+        st.measure_to_text(mu)
+
+
+def test_refused_save_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "kept.measure"
+    st.save_measure(st.power_law_measure(2.0), path)
+    before = path.read_bytes()
+    with pytest.raises(DomainError):
+        st.save_measure(st.DensityMeasure(0.0, 1.0, density=np.ones_like), path)
+    assert path.read_bytes() == before
 
 
 def test_measure_from_text_rejects_garbage():

@@ -22,7 +22,6 @@ from semistab import (
     AtomicMeasure,
     DomainError,
     InvariantViolation,
-    MultiplicationModel,
     ResourceCapError,
     classify_stability,
     constant_potential,
@@ -599,46 +598,6 @@ class TestGapShrinkage:
             mags.append(abs(op.lambda_max))
         assert mags[1] <= mags[0] + 1e-12
         assert mags[2] <= mags[1] + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# exact multiplication model
-# ---------------------------------------------------------------------------
-
-
-class TestMultiplicationModel:
-    def test_monomial_norm_and_measure_mass_agree(self):
-        model = MultiplicationModel("monomial", {"delta": 0.75})
-        assert model.norm_sq == pytest.approx(0.4, rel=1e-15)
-        mu = model.spectral_measure()
-        assert mu.mass == pytest.approx(model.norm_sq, rel=1e-12)
-
-    def test_monomial_ball_mass_closed_form(self):
-        model = MultiplicationModel("monomial", {"delta": 0.6})
-        mu = model.spectral_measure()
-        p = 2 * 0.6 + 1
-        for eps in (1e-4, 0.03, 0.7):
-            assert mu.ball_mass(eps) == pytest.approx(eps ** p / p, rel=1e-12)
-
-    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
-    def test_indicator_laplace_closed_form(self, t):
-        model = MultiplicationModel("indicator", {"y_lo": 1.0, "y_hi": 3.0})
-        mu = model.spectral_measure()
-        expected = (math.exp(-2.0 * t) - math.exp(-6.0 * t)) / (2.0 * t)
-        assert laplace_norm_sq(mu, t) == pytest.approx(expected, rel=1e-10)
-
-    def test_profile_values(self):
-        model = MultiplicationModel("monomial", {"delta": 2.0})
-        y = np.array([0.0, 0.5, 1.0, 1.5])
-        assert np.allclose(model.profile(y), [0.0, 0.25, 1.0, 0.0])
-
-    def test_invalid_profiles_rejected(self):
-        with pytest.raises(DomainError):
-            MultiplicationModel("monomial", {"delta": 0.0})
-        with pytest.raises(DomainError):
-            MultiplicationModel("indicator", {"y_lo": 3.0, "y_hi": 1.0})
-        with pytest.raises(DomainError):
-            MultiplicationModel("spline", {})
 
 
 # ---------------------------------------------------------------------------
