@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import logsumexp
 
 from .errors import DomainError, InvariantViolation, read_ascii, read_descriptor
@@ -291,11 +290,9 @@ class DensityMeasure:
             self._check_closed_form()
 
     def _check_closed_form(self) -> None:
-        # the closed form must agree with quadrature at 10 fixed pseudo-random
-        # radii, to 1e-8 relative (an empty ball on both sides agrees)
-        rng = np.random.default_rng(774411)
-        radii = self.s_lo + (self.s_hi - self.s_lo) * rng.uniform(0.02, 0.98, size=10)
-        for eps in radii:
+        # the closed form must agree with quadrature at the check radii, to
+        # 1e-8 relative (an empty ball on both sides agrees)
+        for eps in self._check_radii():
             closed = float(np.atleast_1d(self.log_ball_mass_fn(math.log(eps)))[0])
             with np.errstate(divide="ignore"):
                 by_quad = float(np.log(self._quad_sigma(eps - self.s_lo)))
@@ -304,6 +301,11 @@ class DensityMeasure:
                     f"closed-form log ball mass disagrees with quadrature at eps={eps!r}: "
                     f"{closed!r} vs {by_quad!r}"
                 )
+
+    def _check_radii(self) -> np.ndarray:
+        """10 fixed pseudo-random radii inside the support, for the self-checks."""
+        rng = np.random.default_rng(774411)
+        return self.s_lo + (self.s_hi - self.s_lo) * rng.uniform(0.02, 0.98, size=10)
 
     # -- quadrature core ---------------------------------------------------
 
@@ -333,6 +335,11 @@ class DensityMeasure:
     def _quad(self, f: Callable[[float], float], upper: float, points=None) -> float:
         """integral_0^upper sig^alg f(sig) dsig, with the endpoint-weighted
         rule when alg_power != 0 (``points`` are used only without it)."""
+        # imported at its only use: scipy.integrate (with scipy.optimize,
+        # scipy.spatial and scipy.fft behind it) would otherwise slow every
+        # start, and runs without a density never need it
+        from scipy import integrate
+
         # roundoff warnings on extreme-decay integrands are expected; accuracy
         # is policed through the returned error estimate instead
         with warnings.catch_warnings():
@@ -440,7 +447,21 @@ class DensityMeasure:
         else:
             for key, val in sorted(self.params.items()):
                 lines.append(f"{key}={float(val)!r}")
-        return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        # kind and params are labels the caller supplied: the text must load
+        # back as this measure, to 1e-9 in log ball mass at the check radii
+        # (an empty ball matches only an empty ball)
+        le = np.log(self._check_radii())
+        ours = self.log_ball_mass(le)
+        try:
+            theirs = measure_from_text(text).log_ball_mass(le)
+        except DomainError as exc:
+            raise DomainError(f"this density does not load back from its kind={self.kind} "
+                              f"text: {exc}") from None
+        if not all(a == b or abs(a - b) <= 1e-9 for a, b in zip(ours, theirs)):
+            raise DomainError(f"this density is not the {self.kind} measure its params "
+                              f"describe, so its text would load as a different measure")
+        return text
 
 
 # ---------------------------------------------------------------------------

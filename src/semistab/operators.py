@@ -6,8 +6,9 @@ bounded potential ``-a <= V <= 0``.  ``discretize`` builds H once, for
 both dimensions, as one sparse matrix: the 1-D second-difference matrix
 T, or the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.  Every solve
 on H runs on demand and is cached on the operator: the top eigenpair,
-the resolvent factorization, and the full eigendecomposition, which
-only the spectral measure and the spectrum CSV read.
+the resolvent factorization, the eigenvalues alone, which the spectrum
+CSV reads, and the full eigendecomposition, which only the spectral
+measure reads.
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii, read_descriptor
@@ -56,6 +57,8 @@ __all__ = [
 
 #: largest grid (interior point count N) that ``discretize`` builds
 _N_CAP = 3600
+#: eigenvalue gaps at which ``eigenvalues`` is checked by a Sylvester inertia count
+_INERTIA_SHIFTS = 6
 #: the sup in ``metric_d``'s term j is sampled with spacing _SUP_STEP * j + _SUP_STEP
 _SUP_STEP = 0.01
 _BOUND_SLACK = 1e-12
@@ -318,15 +321,20 @@ class DiscretizedOperator:
 
     * ``lambda_max``: the top eigenvalue, from an ARPACK shift-invert
       top-eigenpair solve;
-    * ``eigenvalues`` / ``eigenvectors``: the full decomposition
-      (tridiagonal in 1-D, dense in 2-D), sorted descending (closest to 0
-      first), with ``eigenvectors[:, j]`` the orthonormal eigenvector for
-      ``eigenvalues[j]``;
+    * ``eigenvalues``: every eigenvalue, sorted descending (closest to 0
+      first), from a values-only solve (tridiagonal in 1-D, dense in
+      2-D).  No eigenvector is computed; the values are checked by the
+      trace and Frobenius identities and by Sylvester inertia counts of
+      ``H - sigma I`` at a few shifts in spectral gaps;
+    * ``eigenvectors``: the full decomposition, with ``eigenvectors[:, j]``
+      the orthonormal eigenvector for the j-th eigenvalue, in the same
+      order;
     * the factorization of ``iI - H`` behind ``resolvent_apply``.
 
-    The two solves are independent, so ``lambda_max`` and
-    ``eigenvalues[0]`` agree only to about 1e-12 times the Dirichlet
-    spectral scale, not bit for bit.  Every computed eigenpair is validated before it is cached.  The grid
+    The solves are independent, so ``lambda_max``, ``eigenvalues`` and
+    the values paired with ``eigenvectors`` agree only to about 1e-12
+    times the Dirichlet spectral scale, not bit for bit.  Every computed
+    eigenvalue and eigenpair is validated before it is cached.  The grid
     is the interior of [-L, L]^nu with spacing h; for nu=2 the flat index
     is ``i * n_side + j`` for the point ``(x_i, y_j)``.
     """
@@ -359,9 +367,16 @@ class DiscretizedOperator:
         vecs.setflags(write=False)
         return vals, vecs
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return self._eig[0]
+        if self.nu == 1:
+            vals = eigh_tridiagonal(self.H.diagonal(), self.H.diagonal(1), eigvals_only=True)
+        else:
+            vals = eigvalsh(self.H.toarray())
+        vals = np.sort(vals)[::-1]
+        _check_eigenvalues(self, vals)
+        vals.setflags(write=False)
+        return vals
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -452,6 +467,58 @@ def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarra
         raise InvariantViolation("eigenpair residual exceeds 1e-9 * scale")
 
 
+def _check_eigenvalues(op: DiscretizedOperator, vals: np.ndarray) -> None:
+    """All N eigenvalues of a Dirichlet operator, sorted descending, checked
+    without eigenvectors: nonpositive, with the Sylvester inertia of H at
+    gaps of the spectrum, and with sum(vals) = tr H and vals @ vals =
+    ||H||_F^2 to 1e-12 N scale and 1e-12 N scale^2."""
+    scale = float(np.max(np.abs(vals)))
+    if np.any(vals > 1e-10 * scale):
+        raise InvariantViolation("positive eigenvalue in a Dirichlet discretization")
+    _check_inertia(op, vals, scale)
+    if abs(float(np.sum(vals)) - float(np.sum(op.H.diagonal()))) > 1e-12 * op.N * scale:
+        raise InvariantViolation("eigenvalue sum misses the trace of H by more than "
+                                 "1e-12 N scale")
+    if abs(float(vals @ vals) - float(op.H.data @ op.H.data)) > 1e-12 * op.N * scale * scale:
+        raise InvariantViolation("eigenvalue sum of squares misses the squared Frobenius "
+                                 "norm of H by more than 1e-12 N scale^2")
+
+
+def _check_inertia(op: DiscretizedOperator, vals: np.ndarray, scale: float) -> None:
+    """Sylvester inertia at up to _INERTIA_SHIFTS gaps spread over the spectrum.
+
+    Factored without pivoting, H - sigma I = L D L^T with U = D L^T, so the
+    positive diagonal entries of U count the eigenvalues above sigma.  Each
+    sigma is the midpoint of a gap vals[k] - vals[k+1] wider than
+    1e-6 * scale, where the count must be k + 1: a sigma inside an exactly
+    degenerate pair (the square well's x <-> y symmetry) would miscount.  A
+    factorization that pivots or meets a zero or non-finite pivot moves on to
+    the next gap.
+    """
+    gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
+    checked = 0
+    for start in np.unique(np.linspace(0, gaps.size - 1, _INERTIA_SHIFTS).round().astype(int)):
+        for k in gaps[start:]:
+            sigma = 0.5 * float(vals[k] + vals[k + 1])
+            shifted = (op.H - sparse.diags_array(np.full(op.N, sigma))).tocsc()
+            lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+            pivots = lu.U.diagonal()
+            if (np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.isfinite(pivots))
+                    and np.all(pivots != 0.0)):
+                break
+        else:
+            break  # no later gap factors cleanly either
+        above = int(np.count_nonzero(pivots > 0.0))
+        if above != k + 1:
+            raise InvariantViolation(f"Sylvester inertia of H - sigma I at sigma={sigma!r} "
+                                     f"counts {above} eigenvalues above sigma, the spectrum "
+                                     f"{k + 1}")
+        checked += 1
+    if checked == 0:
+        raise InvariantViolation("no eigenvalue gap admits a Sylvester inertia count")
+
+
 def spectral_measure(H: DiscretizedOperator, x) -> AtomicMeasure:
     """Atomic spectral measure of the vector x: atoms (lambda_j, |<v_j, x>|^2)."""
     x = np.asarray(x, dtype=float)
@@ -460,11 +527,12 @@ def spectral_measure(H: DiscretizedOperator, x) -> AtomicMeasure:
     norm_sq = float(x @ x)
     if norm_sq <= 0.0:
         raise DomainError("x must be a nonzero vector")
-    coeff = H.eigenvectors.T @ x
+    vals, vecs = H._eig
+    coeff = vecs.T @ x
     weights = coeff * coeff
     keep = weights > 0.0
     # eigenvalues within the validation tolerance of 0 count as 0
-    positions = np.minimum(H.eigenvalues[keep], 0.0)
+    positions = np.minimum(vals[keep], 0.0)
     mu = AtomicMeasure.from_points(positions, weights[keep])
     if abs(mu.mass - norm_sq) > 1e-12 * norm_sq:
         raise InvariantViolation("spectral measure mass does not match ||x||^2")

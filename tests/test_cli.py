@@ -179,8 +179,9 @@ class TestOperatorSpectrum:
         assert rc == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[2] == out_csv.read_text().splitlines()[1].split(",")[1]
-        # one full decomposition and no top-eigenpair or resolvent solve
-        assert "_eig" in built[0].__dict__
+        # one values-only solve: no eigenvectors, no top-eigenpair or resolvent solve
+        assert "eigenvalues" in built[0].__dict__
+        assert "_eig" not in built[0].__dict__
         assert "lambda_max" not in built[0].__dict__
         assert "_resolvent_solver" not in built[0].__dict__
 
@@ -497,16 +498,32 @@ class TestUsageErrors:
         assert "usage:" in captured.out
 
 
+def _src_env():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_classify(self, two_atom_file):
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "semistab", "classify", two_atom_file],
             capture_output=True,
             text=True,
-            env=env,
+            env=_src_env(),
         )
         assert proc.returncode == 0
         assert "ExponentiallyStable gap=1 rate=1" in proc.stdout
+
+    def test_cold_import_leaves_out_scipy_integrate(self):
+        # only density quadrature uses it, and it is the slowest import behind
+        # the package; a top-level import would tax every start
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, semistab, semistab.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

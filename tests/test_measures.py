@@ -731,13 +731,29 @@ def test_unregistered_density_is_not_written(kind):
         st.measure_to_text(mu)
 
 
+def _mislabelled_uniform():
+    # density 2s on [0, 1] labelled as the uniform density of height 1: same
+    # support and mass, but ball_mass(0.5) is 0.25 here and 0.5 as labelled
+    return st.DensityMeasure(0.0, 1.0, density=lambda s: 2.0 * s, kind="uniform",
+                             params={"height": 1.0})
+
+
+def test_mislabelled_density_is_not_written():
+    mu = _mislabelled_uniform()
+    assert mu.ball_mass(0.5) == pytest.approx(0.25)
+    assert st.uniform_measure(0.0, 1.0).ball_mass(0.5) == pytest.approx(0.5)
+    with pytest.raises(DomainError, match="uniform"):
+        st.measure_to_text(mu)
+
+
 def test_refused_save_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "kept.measure"
     st.save_measure(st.power_law_measure(2.0), path)
     before = path.read_bytes()
-    with pytest.raises(DomainError):
-        st.save_measure(st.DensityMeasure(0.0, 1.0, density=np.ones_like), path)
-    assert path.read_bytes() == before
+    for refused in (st.DensityMeasure(0.0, 1.0, density=np.ones_like), _mislabelled_uniform()):
+        with pytest.raises(DomainError):
+            st.save_measure(refused, path)
+        assert path.read_bytes() == before
 
 
 def test_measure_from_text_rejects_garbage():

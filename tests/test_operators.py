@@ -280,6 +280,16 @@ class TestOnDemandSolves:
             lifted.lambda_max
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
             lifted.eigenvalues
+        with pytest.raises(InvariantViolation, match="positive eigenvalue"):
+            lifted.eigenvectors
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_eigenvalues_match_dense_oracle_without_eigenvectors(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        expected = np.sort(np.linalg.eigvalsh(oracle_dense_matrix(V, L, h)))[::-1]
+        assert np.max(np.abs(op.eigenvalues - expected)) <= 1e-12 * dirichlet_bottom(op)
+        assert "_eig" not in op.__dict__
 
     def test_study_rows_and_verdicts_skip_the_full_decomposition(self, monkeypatch):
         built = []
@@ -300,6 +310,45 @@ class TestOnDemandSolves:
         op = discretize(gaussian_well(nu=2), L=2.0, h=0.25)
         classify_stability(op)
         assert "_eig" not in op.__dict__ and "lambda_max" in op.__dict__
+
+
+class TestEigenvalueChecks:
+    """Each vector-free check of ``eigenvalues`` on a spectrum with one planted
+    fault that the checks run before it let through.  ``setup_method`` reads
+    the true spectrum through ``eigenvalues``, so it passes every check."""
+
+    def setup_method(self):
+        self.op = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
+        self.vals = np.array(self.op.eigenvalues)
+        self.scale = dirichlet_bottom(self.op)
+
+    def test_value_moved_across_a_gap_fails_the_inertia_count(self):
+        # the top value moved to mid-gap below the second: the count above
+        # the new top gap is off by one (the trace, checked later, moves too)
+        faulty = self.vals.copy()
+        faulty[0] = 0.5 * (self.vals[1] + self.vals[2])
+        with pytest.raises(InvariantViolation, match="Sylvester inertia"):
+            operators._check_eigenvalues(self.op, np.sort(faulty)[::-1])
+
+    def test_spectrum_without_gaps_fails_the_inertia_count(self):
+        with pytest.raises(InvariantViolation, match="no eigenvalue gap"):
+            operators._check_eigenvalues(self.op, np.full(self.op.N, self.vals[0]))
+
+    def test_shifted_spectrum_fails_the_trace(self):
+        # 1e-8 scale is far inside every half-gap, so the inertia counts hold
+        with pytest.raises(InvariantViolation, match="trace"):
+            operators._check_eigenvalues(self.op, self.vals - 1e-8 * self.scale)
+
+    def test_scaled_spectrum_fails_the_frobenius_norm(self):
+        # scaled about the mean: the trace holds, the sum of squares moves
+        mean = float(np.mean(self.vals))
+        with pytest.raises(InvariantViolation, match="Frobenius"):
+            operators._check_eigenvalues(self.op, mean + (1.0 + 1e-8) * (self.vals - mean))
+
+    def test_square_well_degenerate_pairs_pass(self):
+        op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=2.0, h=0.25)
+        vals = op.eigenvalues  # every check ran, and passed
+        assert np.any(vals[:-1] - vals[1:] <= 1e-12 * dirichlet_bottom(op))  # x <-> y pairs
 
 
 class TestPotentialConstruction:
