@@ -32,8 +32,8 @@ def main():
     print()
 
     print("== truncation: V_k = V inside |x| <= k, 0 outside ==")
-    report = ss.approximation_study(WELL, "truncation", range(1, 9),
-                                    probe_vectors=2, L=L, h=H_STEP, seed=3)
+    report = ss.study("approximation", potential=WELL, seq_kind="truncation",
+                      indices=range(1, 9), n_probes=2, L=L, h=H_STEP, seed=3)
     print_table(report, ("index", "metric_d", "lambda_max", "lhs_1", "rhs_1"))
     print("metric_d collapses super-exponentially (the tail of the well),")
     print("lambda_max drifts toward the free operator's, and the resolvent")
@@ -42,8 +42,8 @@ def main():
     print()
 
     print("== shift: V_l = V - 1/(l+1), a gap by construction ==")
-    report = ss.approximation_study(WELL, "shift", range(1, 9),
-                                    probe_vectors=2, L=L, h=H_STEP, seed=3)
+    report = ss.study("approximation", potential=WELL, seq_kind="shift",
+                      indices=range(1, 9), n_probes=2, L=L, h=H_STEP, seed=3)
     print_table(report, ("index", "metric_d", "lambda_max", "shift_cap"))
     print("every member respects lambda_max <= -1/(l+1) = shift_cap, so each")
     print("is exponentially stable; the caps tend to 0, so no uniform rate")

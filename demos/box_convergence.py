@@ -29,7 +29,7 @@ def print_report(title, report):
 
 def main():
     free = ss.constant_potential(0.0, nu=1, a_bound=1.0)
-    report = ss.gap_vs_box(free, BOXES, H_STEP)
+    report = ss.study("gap-vs-box", potential=free, L_list=BOXES, h=H_STEP)
     print_report("free operator (V = 0)", report)
 
     gaps = [float(r[2]) for r in report.table("gap-vs-box").rows[:-1]]
@@ -39,11 +39,13 @@ def main():
     print()
 
     well = ss.square_well(depth=1.0, radius=2.0, nu=1, a_bound=1.0)
-    print_report("square well, depth 1 on [-2, 2]", ss.gap_vs_box(well, BOXES, H_STEP))
+    report = ss.study("gap-vs-box", potential=well, L_list=BOXES, h=H_STEP)
+    print_report("square well, depth 1 on [-2, 2]", report)
 
     print("a potential with unbounded support is refused up front:")
     try:
-        ss.gap_vs_box(ss.constant_potential(-0.5, nu=1, a_bound=1.0), BOXES, H_STEP)
+        ss.study("gap-vs-box", potential=ss.constant_potential(-0.5, nu=1, a_bound=1.0),
+                 L_list=BOXES, h=H_STEP)
     except ss.PreconditionError as exc:
         print("  PreconditionError:", exc)
 

@@ -46,9 +46,9 @@ def main():
     print()
 
     print("== the falsification hook: tighten the bound by 10% ==")
-    honest = ss.decay_bound_study(n_measures=6, n_atoms=8, n_shifted=3, n_t=80, seed=7)
-    hooked = ss.decay_bound_study(n_measures=6, n_atoms=8, n_shifted=3, n_t=80, seed=7,
-                                  bound_scale=0.9)
+    keys = dict(n_measures=6, n_atoms=8, n_shifted=3, n_t=80, seed=7)
+    honest = ss.study("section3-bounds", **keys)
+    hooked = ss.study("section3-bounds", **keys, bound_scale=0.9)
     for label, report in (("bound_scale = 1.0", honest), ("bound_scale = 0.9", hooked)):
         lines = "; ".join(v.line() for v in report.verdicts)
         print(f"  {label}: overall {'PASS' if report.passed else 'FAIL'}  [{lines}]")

@@ -53,7 +53,7 @@ def main():
     print()
 
     print("== the full study emits the witness measure itself ==")
-    report = ss.gdelta_witness(0.5, (0.5, 4.0), 12)
+    report = ss.study("gdelta-witness", scale_base=0.5, exponents=(0.5, 4.0), n_atoms=12)
     for verdict in report.verdicts:
         print("  " + verdict.line())
     for note in report.notes:

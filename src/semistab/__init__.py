@@ -86,17 +86,13 @@ from .experiments import (
     StudyConfig,
     StudyReport,
     VerdictLine,
-    approximation_study,
-    decay_bound_study,
-    exponent_table,
-    gap_vs_box,
-    gdelta_witness,
     load_study_config,
     parse_scale_token,
     parse_study_config,
     resolve_output_dir,
     run_study,
     spot_check,
+    study,
     write_report,
 )
 

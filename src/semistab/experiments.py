@@ -17,7 +17,9 @@ The five study kinds exercise the library end to end:
 A study is described by an INI config (one ``[study]`` section plus
 kind-specific sections), runs deterministically from its seed, and
 writes a directory of CSV tables, a normalized config echo, and a
-plain-text summary with one PASS/FAIL line per verdict.  All random
+plain-text summary with one PASS/FAIL line per verdict.  From Python,
+``study(kind, seed=..., **keys)`` takes the same keys as keywords and
+runs them through the same INI text.  All random
 inputs are drawn up front in config order, so re-runs produce
 byte-identical CSVs.  Each table is declared once, by its row inputs and
 a row function returning ``{column: cell}``; the CSV header, the
@@ -82,11 +84,7 @@ __all__ = [
     "run_study",
     "write_report",
     "spot_check",
-    "approximation_study",
-    "gap_vs_box",
-    "exponent_table",
-    "gdelta_witness",
-    "decay_bound_study",
+    "study",
 ]
 
 #: Environment variable naming the default output directory for reports.
@@ -145,10 +143,7 @@ class StudyConfig:
     sections: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in STUDY_KINDS:
-            raise DomainError(
-                f"unknown study kind {self.kind!r}; expected one of {', '.join(STUDY_KINDS)}"
-            )
+        _kind(self.kind)
         if int(self.seed) != self.seed or self.seed < 0:
             raise DomainError("seed must be an integer >= 0")
 
@@ -207,8 +202,8 @@ class _Key:
     """One study key: how its INI text parses and prints, its default, its check.
 
     A key whose text fails ``parse`` (ValueError or KeyError) or whose
-    value fails ``valid`` "must be ``need``".  ``show`` prints a wrapper
-    argument as INI text; a missing key plans as ``parse(show(default))``.
+    value fails ``valid`` "must be ``need``".  ``show`` prints a ``study``
+    keyword as INI text; a missing key plans as ``parse(show(default))``.
     """
 
     need: str
@@ -246,7 +241,7 @@ def _pair(default) -> _Key:
 
 
 def _window(default) -> _Key:
-    """Two scale tokens, planned as their natural logs; wrappers may pass floats."""
+    """Two scale tokens, planned as their natural logs; ``study`` may pass floats."""
     return _Key("two scale tokens",
                 lambda text: tuple(parse_scale_token(t) for t in text.split(",") if t.strip()),
                 lambda toks: ", ".join(t if isinstance(t, str) else _show_real(t) for t in toks),
@@ -265,6 +260,12 @@ def _indices(text: str) -> list:
 def _require(ok, message: str) -> None:
     if not ok:
         raise DomainError(message)
+
+
+def _kind(name: str) -> "_Kind":
+    _require(name in _KINDS,
+             f"unknown study kind {name!r}; expected one of {', '.join(STUDY_KINDS)}")
+    return _KINDS[name]
 
 
 def _read_key(secname: str, key: str, spec: _Key, sec: dict):
@@ -298,7 +299,9 @@ def _plan(config: StudyConfig) -> dict:
         for key, spec in table.items()
     }
     if kind.potential:
-        plan["potential"] = _potential_from_section(config.sections.get("potential", {}))
+        _require("potential" in config.sections,
+                 f"a {config.kind} study needs a [potential] section")
+        plan["potential"] = _potential_from_section(config.sections["potential"])
     kind.check(plan)
     return plan
 
@@ -559,14 +562,14 @@ def _check_compact_support(V: Potential, radius: float) -> None:
         )
 
 
-def _gap_vs_box_row(plan: dict, L: float) -> dict:
+def _box_row(plan: dict, L: float) -> dict:
     if L == math.inf:  # box sizes are finite, so this is the flagged limit row
         return {"L": "inf", "lambda_max": "extrapolated", "gap": "extrapolated"}
     lam = float(discretize(plan["potential"], L, plan["h"]).lambda_max)
     return {"L": float(L), "lambda_max": lam, "gap": max(0.0, -lam)}
 
 
-def _judge_gap_vs_box(plan: dict, tables: dict):
+def _judge_box(plan: dict, tables: dict):
     abs_lam = [abs(row["lambda_max"]) for row in tables["gap-vs-box"][:-1]]
     verdicts = [
         VerdictLine(
@@ -611,7 +614,7 @@ def _exponent_row(plan: dict, item: tuple) -> dict:
     }
 
 
-def _judge_exponent_table(plan: dict, tables: dict):
+def _judge_exponents(plan: dict, tables: dict):
     rows = tables["exponent-table"]
     worst_scaling = max(max(row["err_d_minus"], row["err_d_plus"]) for row in rows)
     worst_decay = max(max(row["err_decay_liminf"], row["err_decay_limsup"]) for row in rows)
@@ -679,7 +682,7 @@ def _gdelta_row(plan: dict, mu: AtomicMeasure) -> dict:
     }
 
 
-def _judge_gdelta_witness(plan: dict, tables: dict):
+def _judge_witness(plan: dict, tables: dict):
     (row,) = tables["gdelta-witness"]
     established = row["witness"] == "established"
     verdicts = [
@@ -830,8 +833,8 @@ _KINDS = {
                              and all(b > a for a, b in zip(Ls, Ls[1:]))),
             "h": _pos(),
         }},
-        (_Table("gap-vs-box", lambda plan, seed: [*plan["L_list"], math.inf], _gap_vs_box_row),),
-        _judge_gap_vs_box,
+        (_Table("gap-vs-box", lambda plan, seed: [*plan["L_list"], math.inf], _box_row),),
+        _judge_box,
         check=lambda plan: _check_compact_support(plan["potential"], max(plan["L_list"])),
         potential=True,
     ),
@@ -850,7 +853,7 @@ _KINDS = {
             "tail_fraction": _pos(0.8),
         }},
         (_Table("exponent-table", _exponent_items, _exponent_row),),
-        _judge_exponent_table,
+        _judge_exponents,
         check=lambda plan: _require(plan["delta_list"] or plan["gamma_list"],
                                     "[exponents] needs at least one delta or gamma value"),
     ),
@@ -879,7 +882,7 @@ _KINDS = {
             },
         },
         (_Table("gdelta-witness", lambda plan, seed: [_lacunary(plan)], _gdelta_row),),
-        _judge_gdelta_witness,
+        _judge_witness,
     ),
     "section3-bounds": _Kind(
         {
@@ -895,7 +898,7 @@ _KINDS = {
                 "n_shifted": _int(0, 50),
                 "equality_position": _real(-2.7, "a negative number", lambda v: v < 0.0),
             },
-            # test hook: library wrappers write it only when set away from the default
+            # test hook: ``study`` writes it only when set away from the default
             "hooks": {"bound_scale": _pos(1.0)},
         },
         (_Table("section3-bounds", _section3_instances, _section3_row),
@@ -913,7 +916,7 @@ STUDY_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
-# dispatch, wrappers, spot checks
+# dispatch, the library entry, spot checks
 # ---------------------------------------------------------------------------
 
 
@@ -935,69 +938,29 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
 
 
-def _run_wrapper(kind_name: str, *, seed: int = 0, **args) -> StudyReport:
-    """Print wrapper arguments as INI text through the kind's key tables, then run.
+def study(kind: str, *, seed: int = 0, **keys) -> StudyReport:
+    """Run a study of ``kind`` whose keywords are its INI keys.
 
-    An argument of None stands for the key's default.
+    The kinds with a ``[potential]`` section also take ``potential`` (a
+    Potential).  An omitted key takes its default.  The keys are printed
+    as INI text through the kind's key tables and run by ``run_study``,
+    so the config echo reproduces the call.
     """
-    kind = _KINDS[kind_name]
-    sections = {"study": {"kind": kind_name, "seed": str(int(seed))}}
-    if kind.potential:
-        sections["potential"] = _potential_section_dict(args.pop("potential"))
-    for name, table in kind.sections.items():
+    record = _kind(kind)
+    sections = {"study": {"kind": kind, "seed": str(int(seed))}}
+    if record.potential and "potential" in keys:
+        sections["potential"] = _potential_section_dict(keys.pop("potential"))
+    for name, table in record.sections.items():
         sec = {}
         for key, spec in table.items():
-            value = args.pop(key, None)
-            value = spec.default if value is None else value
+            value = keys.pop(key, spec.default)
             if value is not _REQUIRED and not (name == "hooks" and value == spec.default):
                 sec[key] = spec.show(value)
         if sec:
             sections[name] = sec
-    if args:
-        raise TypeError(f"a {kind_name} study takes no argument {sorted(args)[0]!r}")
-    return run_study(StudyConfig(kind_name, int(seed), None, sections))
-
-
-# The wrappers take ``seed`` plus their kind's keys as keywords;
-# None, the default of every optional parameter, means the key's default.
-
-
-def approximation_study(V: Potential, seq_kind: str, indices, probe_vectors: int = None,
-                        **keys) -> StudyReport:
-    """Metric/resolvent/eigenvalue table along a truncation or shift sequence.
-
-    ``probe_vectors`` is the ``n_probes`` key; ``L`` and ``h`` are required.
-    """
-    return _run_wrapper("approximation", potential=V, seq_kind=seq_kind, indices=indices,
-                        n_probes=probe_vectors, **keys)
-
-
-def gap_vs_box(V: Potential, L_list, h: float, **keys) -> StudyReport:
-    """Top-eigenvalue-vs-box-size table for a compactly supported potential."""
-    return _run_wrapper("gap-vs-box", potential=V, L_list=L_list, h=h, **keys)
-
-
-def exponent_table(delta_list, gamma_list, **keys) -> StudyReport:
-    """Measured-vs-analytic exponents for profile and power-law measures."""
-    return _run_wrapper("exponent-table", delta_list=delta_list, gamma_list=gamma_list, **keys)
-
-
-def gdelta_witness(scale_base: float = None, exponents=None, n_atoms: int = None, *,
-                   beta: BetaDescriptor = None, **keys) -> StudyReport:
-    """Lacunary witness report: classification, exponent split, probe extremes.
-
-    ``beta`` stands for the ``beta_p`` and ``beta_poly_degree`` keys.
-    """
-    return _run_wrapper(
-        "gdelta-witness", scale_base=scale_base, exponents=exponents, n_atoms=n_atoms,
-        beta_p=None if beta is None else beta.p,
-        beta_poly_degree=None if beta is None else beta.poly_degree, **keys,
-    )
-
-
-def decay_bound_study(n_measures: int = None, n_atoms: int = None, **keys) -> StudyReport:
-    """Randomized sweep of the plain and shifted orbit-norm decay bounds."""
-    return _run_wrapper("section3-bounds", n_measures=n_measures, n_atoms=n_atoms, **keys)
+    if keys:
+        raise TypeError(f"a {kind} study takes no keyword {sorted(keys)[0]!r}")
+    return run_study(StudyConfig(kind, int(seed), None, sections))
 
 
 # -- spot checks --------------------------------------------------------------

@@ -397,7 +397,7 @@ class DiscretizedOperator:
     @cached_property
     def _resolvent_solver(self) -> Callable[[np.ndarray], np.ndarray]:
         """r -> (iI - H)^(-1) r from the sparse LU factors of iI - H."""
-        return splu((1j * sparse.eye_array(self.N) - self.H).tocsc()).solve
+        return splu((sparse.diags_array(np.full(self.N, 1j)) - self.H).tocsc()).solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply H to a vector or a column stack (real or complex)."""
@@ -557,12 +557,6 @@ class MetricValue(float):
 
 def _sup_abs_diff(V: Potential, U: Potential, j: int, spacing: float) -> float:
     """sup over the closed ball |x| <= j of |V - U|, approximated on a grid."""
-    if j == 0:
-        if V.nu == 1:
-            pts = np.array([0.0])
-        else:
-            pts = np.zeros((1, 2))
-        return float(np.max(np.abs(V.eval(pts) - U.eval(pts))))
     if V.is_radial and U.is_radial:
         m = int(math.ceil(j / spacing)) + 1
         r = np.linspace(0.0, float(j), m)

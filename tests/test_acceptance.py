@@ -132,10 +132,10 @@ def test_05_classification_agrees_with_gap_threshold_predicate():
 def test_06_density_sequence_studies():
     V = ss.gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
     start = time.perf_counter()
-    trunc = ss.approximation_study(V, "truncation", range(1, 13),
-                                   probe_vectors=3, L=20.0, h=0.05)
-    shift = ss.approximation_study(V, "shift", range(1, 21),
-                                   probe_vectors=3, L=20.0, h=0.05)
+    trunc = ss.study("approximation", potential=V, seq_kind="truncation",
+                     indices=range(1, 13), n_probes=3, L=20.0, h=0.05)
+    shift = ss.study("approximation", potential=V, seq_kind="shift",
+                     indices=range(1, 21), n_probes=3, L=20.0, h=0.05)
     elapsed = time.perf_counter() - start
 
     rows = trunc.table("approximation").rows

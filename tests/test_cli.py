@@ -189,7 +189,8 @@ class TestOperatorSpectrum:
         def lifted_discretize(*args, **kwargs):
             # H + 100 I has positive eigenvalues, so the eigenpair check raises
             op = discretize(*args, **kwargs)
-            return dataclasses.replace(op, H=(op.H + 100.0 * sparse.eye_array(op.N)).tocsr())
+            lift = sparse.diags_array(np.full(op.N, 100.0))
+            return dataclasses.replace(op, H=(op.H + lift).tocsr())
 
         monkeypatch.setattr("semistab.cli.discretize", lifted_discretize)
         pot = tmp_path / "well.potential"

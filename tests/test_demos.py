@@ -1,6 +1,6 @@
 """Smoke test: every narrative script under demos/ runs to completion.
 
-The demos call the library wrappers and the CLI the way a reader would,
+The demos call the library and the CLI the way a reader would,
 so each one runs as its own process from an empty working directory.
 """
 

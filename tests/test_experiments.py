@@ -21,14 +21,9 @@ from semistab import (
     PreconditionError,
     ReportTable,
     StudyConfig,
-    approximation_study,
     constant_potential,
-    decay_bound_study,
     discretize,
-    exponent_table,
-    gap_vs_box,
     gaussian_well,
-    gdelta_witness,
     load_measure,
     load_study_config,
     metric_d,
@@ -43,18 +38,19 @@ from semistab import (
     scaling_exponents,
     spot_check,
     square_well,
+    study,
     truncate_potential,
     write_report,
 )
 from semistab import experiments
 
 GAUSSIAN = gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
+FREE = constant_potential(0.0, a_bound=1.0)
 
 
 def small_truncation_report(seed=11):
-    return approximation_study(
-        GAUSSIAN, "truncation", range(1, 7), probe_vectors=2, L=8.0, h=0.1, seed=seed,
-    )
+    return study("approximation", potential=GAUSSIAN, seq_kind="truncation",
+                 indices=range(1, 7), n_probes=2, L=8.0, h=0.1, seed=seed)
 
 
 def bounds_config_text(bound_scale=None, seed=7):
@@ -180,9 +176,8 @@ class TestApproximationStudy:
         assert (row[5], row[6]) == (float(lhs2), float(rhs2))
 
     def test_shift_caps_hold_exactly(self):
-        rep = approximation_study(
-            GAUSSIAN, "shift", range(1, 9), probe_vectors=2, L=8.0, h=0.1, seed=3
-        )
+        rep = study("approximation", potential=GAUSSIAN, seq_kind="shift",
+                    indices=range(1, 9), n_probes=2, L=8.0, h=0.1, seed=3)
         assert rep.passed
         tab = rep.table("approximation")
         assert tab.header[3] == "shift_cap"
@@ -199,7 +194,8 @@ class TestApproximationStudy:
 
     def test_rejects_bad_sequence_kind_and_indices(self):
         with pytest.raises(DomainError):
-            approximation_study(GAUSSIAN, "dilation", [1, 2], L=8.0, h=0.1)
+            study("approximation", potential=GAUSSIAN, seq_kind="dilation", indices=[1, 2],
+                  L=8.0, h=0.1)
         cfg = parse_study_config(
             "[study]\nkind = approximation\n\n"
             "[potential]\nkind = gaussian-well\nnu = 1\na_bound = 1.0\n"
@@ -217,7 +213,7 @@ class TestApproximationStudy:
 
 class TestGapVsBox:
     def test_free_potential_matches_closed_form(self):
-        rep = gap_vs_box(constant_potential(0.0, a_bound=1.0), [5.0, 10.0, 20.0], 0.25)
+        rep = study("gap-vs-box", potential=FREE, L_list=[5.0, 10.0, 20.0], h=0.25)
         assert rep.passed
         rows = rep.table("gap-vs-box").rows
         for L, lam, gap in rows[:-1]:
@@ -227,32 +223,33 @@ class TestGapVsBox:
             assert gap == -lam
 
     def test_free_potential_gap_quarters_when_box_doubles(self):
-        rep = gap_vs_box(constant_potential(0.0, a_bound=1.0), [5.0, 10.0, 20.0], 0.25)
+        rep = study("gap-vs-box", potential=FREE, L_list=[5.0, 10.0, 20.0], h=0.25)
         gaps = [row[2] for row in rep.table("gap-vs-box").rows[:-1]]
         assert abs(gaps[0] / gaps[1] - 4.0) < 0.01
         assert abs(gaps[1] / gaps[2] - 4.0) < 0.01
 
     def test_compact_well_bracketed_by_free_value(self):
-        rep = gap_vs_box(square_well(depth=1.0, radius=1.0, a_bound=1.0), [10.0, 20.0, 40.0], 0.25)
+        well = square_well(depth=1.0, radius=1.0, a_bound=1.0)
+        rep = study("gap-vs-box", potential=well, L_list=[10.0, 20.0, 40.0], h=0.25)
         assert rep.passed
-        free = gap_vs_box(constant_potential(0.0, a_bound=1.0), [10.0, 20.0, 40.0], 0.25)
+        free = study("gap-vs-box", potential=FREE, L_list=[10.0, 20.0, 40.0], h=0.25)
         for row, frow in zip(rep.table("gap-vs-box").rows[:-1], free.table("gap-vs-box").rows[:-1]):
             assert frow[2] <= row[2] <= frow[2] + 1.0
 
     def test_final_row_is_flagged_never_computed(self):
-        rep = gap_vs_box(constant_potential(0.0, a_bound=1.0), [5.0, 10.0], 0.25)
+        rep = study("gap-vs-box", potential=FREE, L_list=[5.0, 10.0], h=0.25)
         assert rep.table("gap-vs-box").rows[-1] == ("inf", "extrapolated", "extrapolated")
         assert any("never computed" in note for note in rep.notes)
 
     def test_unbounded_support_rejected(self):
         with pytest.raises(PreconditionError):
-            gap_vs_box(GAUSSIAN, [2.0, 3.0], 0.25)
+            study("gap-vs-box", potential=GAUSSIAN, L_list=[2.0, 3.0], h=0.25)
 
     def test_nonincreasing_box_list_rejected(self):
         with pytest.raises(DomainError):
-            gap_vs_box(constant_potential(0.0, a_bound=1.0), [10.0, 10.0], 0.25)
+            study("gap-vs-box", potential=FREE, L_list=[10.0, 10.0], h=0.25)
         with pytest.raises(DomainError):
-            gap_vs_box(constant_potential(0.0, a_bound=1.0), [10.0], 0.25)
+            study("gap-vs-box", potential=FREE, L_list=[10.0], h=0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +259,8 @@ class TestGapVsBox:
 
 class TestExponentTable:
     def test_profile_and_power_law_columns(self):
-        rep = exponent_table([0.75], [1.0], n_scales=60, n_times=120)
+        rep = study("exponent-table", delta_list=[0.75], gamma_list=[1.0], n_scales=60,
+                    n_times=120)
         assert rep.passed
         rows = rep.table("exponent-table").rows
         delta_row = [r for r in rows if r[0] == "delta"][0]
@@ -275,7 +273,7 @@ class TestExponentTable:
         assert abs(gamma_row[5] + 1.0) <= 0.05 and abs(gamma_row[6] + 1.0) <= 0.05
 
     def test_row_recomputes_from_module_operations(self):
-        rep = exponent_table([], [2.0], n_scales=40, n_times=80)
+        rep = study("exponent-table", delta_list=[], gamma_list=[2.0], n_scales=40, n_times=80)
         row = rep.table("exponent-table").rows[0]
         est = scaling_exponents(
             power_law_measure(2.0),
@@ -285,7 +283,8 @@ class TestExponentTable:
         assert (row[3], row[4]) == (est.d_minus, est.d_plus)
 
     def test_empty_delta_list_gives_gamma_only_report(self):
-        rep = exponent_table([], [0.5, 1.0], n_scales=40, n_times=80)
+        rep = study("exponent-table", delta_list=[], gamma_list=[0.5, 1.0], n_scales=40,
+                    n_times=80)
         assert rep.passed
         families = {row[0] for row in rep.table("exponent-table").rows}
         assert families == {"gamma"}
@@ -293,15 +292,15 @@ class TestExponentTable:
     def test_delta_outside_half_one_rejected(self):
         for bad in (0.4, 0.5, 1.0, 1.3):
             with pytest.raises(DomainError):
-                exponent_table([bad], [1.0])
+                study("exponent-table", delta_list=[bad], gamma_list=[1.0])
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(DomainError):
-            exponent_table([0.75], [0.0])
+            study("exponent-table", delta_list=[0.75], gamma_list=[0.0])
 
     def test_empty_config_rejected(self):
         with pytest.raises(DomainError):
-            exponent_table([], [])
+            study("exponent-table", delta_list=[], gamma_list=[])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ class TestExponentTable:
 
 class TestGdeltaWitness:
     def test_alternating_exponents_establish_the_witness(self):
-        rep = gdelta_witness()
+        rep = study("gdelta-witness")
         assert rep.passed
         row = dict(zip(rep.table("gdelta-witness").header, rep.table("gdelta-witness").rows[0]))
         assert row["classification"] == "StableNotExponential"
@@ -323,7 +322,7 @@ class TestGdeltaWitness:
         assert "witness: oscillation witness established" in rep.notes
 
     def test_witness_measure_artifact_round_trips(self, tmp_path):
-        rep = gdelta_witness()
+        rep = study("gdelta-witness")
         paths = write_report(rep, tmp_path / "out")
         assert "witness.measure" in paths
         mu = load_measure(paths["witness.measure"])
@@ -338,7 +337,8 @@ class TestGdeltaWitness:
         # the raw ratio tracks the epsilon-scaling order of the measure;
         # above the largest atom the ball has full mass and the ratio
         # degrades to ln(1)/ln(eps) = 0.
-        rep = gdelta_witness(
+        rep = study(
+            "gdelta-witness",
             exponents=(1.0,),
             alpha_exponent=0.4,
             expect_witness=False,
@@ -353,12 +353,12 @@ class TestGdeltaWitness:
         assert "witness: no oscillation witness" in rep.notes
 
     def test_equal_exponents_against_witness_expectation_fails(self):
-        rep = gdelta_witness(exponents=(1.0,), alpha_exponent=0.4, expect_witness=True)
+        rep = study("gdelta-witness", exponents=(1.0,), alpha_exponent=0.4, expect_witness=True)
         assert not rep.passed
 
     def test_short_horizon_rejected(self):
         with pytest.raises(DomainError):
-            gdelta_witness(horizon=(10.0, 500.0))
+            study("gdelta-witness", horizon=(10.0, 500.0))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ class TestGdeltaWitness:
 
 class TestDecayBoundStudy:
     def test_default_bound_holds_everywhere(self):
-        rep = decay_bound_study(n_measures=12, n_shifted=6, n_t=120, seed=2)
+        rep = study("section3-bounds", n_measures=12, n_shifted=6, n_t=120, seed=2)
         assert rep.passed
         rows = rep.table("section3-bounds").rows
         assert len(rows) == 12 + 3 * 6
@@ -377,7 +377,7 @@ class TestDecayBoundStudy:
         assert families == ["plain"] * 12 + ["shifted"] * 18
 
     def test_rows_recompute_from_module_operations(self):
-        rep = decay_bound_study(n_measures=4, n_shifted=2, n_t=60, seed=9)
+        rep = study("section3-bounds", n_measures=4, n_shifted=2, n_t=60, seed=9)
         row = rep.table("section3-bounds").rows[1]
         rng = np.random.default_rng(9)
         pos = rng.uniform(-10.0, 0.0, 20)
@@ -391,7 +391,7 @@ class TestDecayBoundStudy:
         assert row[4] == val.worst_t
 
     def test_equality_witness_row(self):
-        rep = decay_bound_study(n_measures=3, n_shifted=2, n_t=60)
+        rep = study("section3-bounds", n_measures=3, n_shifted=2, n_t=60)
         row = rep.table("equality-witness").rows[0]
         assert row[0] == -2.7
         assert row[1] == 1.0 / 2.7
@@ -399,7 +399,7 @@ class TestDecayBoundStudy:
         assert row[5] == "ok"
 
     def test_tightened_bound_hook_is_detected(self):
-        rep = decay_bound_study(n_measures=6, n_shifted=3, n_t=80, bound_scale=0.9)
+        rep = study("section3-bounds", n_measures=6, n_shifted=3, n_t=80, bound_scale=0.9)
         assert not rep.passed
         equality = [v for v in rep.verdicts if v.name == "equality-witness"][0]
         assert not equality.passed
@@ -408,7 +408,7 @@ class TestDecayBoundStudy:
 
     def test_position_window_must_clear_every_shift(self):
         with pytest.raises(DomainError):
-            decay_bound_study(position_lo=-1.0, shifts=(0.5, 2.0))
+            study("section3-bounds", position_lo=-1.0, shifts=(0.5, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ class TestReportArtifacts:
             ReportTable("t", ("a", "b"), [(1.0,)]).to_csv_text()
 
     def test_failures_are_tagged_strings_not_nan(self):
-        rep = decay_bound_study(n_measures=4, n_shifted=2, n_t=60, bound_scale=0.5)
+        rep = study("section3-bounds", n_measures=4, n_shifted=2, n_t=60, bound_scale=0.5)
         text = rep.table("section3-bounds").to_csv_text()
         assert "violated" in text
         assert "nan" not in text.lower()
@@ -471,7 +471,7 @@ class TestReportArtifacts:
 
 class TestSpotCheck:
     def test_bounds_cells_reproduce_bitwise(self):
-        rep = decay_bound_study(n_measures=5, n_shifted=3, n_t=60, seed=4)
+        rep = study("section3-bounds", n_measures=5, n_shifted=3, n_t=60, seed=4)
         checks = spot_check(rep, n_cells=5, seed=1)
         assert len(checks) == 5
         assert all(c.matches for c in checks)
@@ -483,12 +483,12 @@ class TestSpotCheck:
         assert all(c.matches for c in checks)
 
     def test_exponent_cells_reproduce_bitwise(self):
-        rep = exponent_table([0.75], [1.0], n_scales=40, n_times=80)
+        rep = study("exponent-table", delta_list=[0.75], gamma_list=[1.0], n_scales=40, n_times=80)
         checks = spot_check(rep, n_cells=5, seed=3)
         assert all(c.matches for c in checks)
 
     def test_tampered_cell_is_caught(self):
-        rep = decay_bound_study(n_measures=4, n_shifted=2, n_t=60, seed=4)
+        rep = study("section3-bounds", n_measures=4, n_shifted=2, n_t=60, seed=4)
         tab = rep.table("section3-bounds")
         row = list(tab.rows[2])
         row[3] = row[3] + 1e-9
@@ -501,25 +501,28 @@ class TestSpotCheck:
 # writes; the headers were captured before the rows became named columns.
 STUDY_CASES = {
     "approximation": (
-        lambda: approximation_study(GAUSSIAN, "shift", [1, 2, 3], probe_vectors=2, L=4.0, h=0.2),
+        lambda: study("approximation", potential=GAUSSIAN, seq_kind="shift", indices=[1, 2, 3],
+                      n_probes=2, L=4.0, h=0.2),
         {"approximation": ("index", "metric_d", "lambda_max", "shift_cap",
                            "lhs_1", "rhs_1", "lhs_2", "rhs_2")},
         (),
     ),
     "gap-vs-box": (
-        lambda: gap_vs_box(square_well(depth=1.0, radius=1.0, nu=2), [2.0, 3.0], 0.25),
+        lambda: study("gap-vs-box", potential=square_well(depth=1.0, radius=1.0, nu=2),
+                      L_list=[2.0, 3.0], h=0.25),
         {"gap-vs-box": ("L", "lambda_max", "gap")},
         (),
     ),
     "exponent-table": (
-        lambda: exponent_table([0.75], [1.0], n_scales=40, n_times=60),
+        lambda: study("exponent-table", delta_list=[0.75], gamma_list=[1.0], n_scales=40,
+                      n_times=60),
         {"exponent-table": ("family", "parameter", "analytic", "d_minus", "d_plus",
                             "decay_liminf", "decay_limsup", "err_d_minus", "err_d_plus",
                             "err_decay_liminf", "err_decay_limsup")},
         (),
     ),
     "gdelta-witness": (
-        lambda: gdelta_witness(n_t=400),
+        lambda: study("gdelta-witness", n_t=400),
         {"gdelta-witness": ("scale_base", "exponents", "n_atoms", "classification",
                             "d_minus", "d_plus", "ratio_min", "ratio_max",
                             "log_max_alpha_weighted", "argmax_t", "log_min_beta_weighted",
@@ -528,7 +531,7 @@ STUDY_CASES = {
         ("witness.measure",),
     ),
     "section3-bounds": (
-        lambda: decay_bound_study(4, 5, n_shifted=2, n_t=30, seed=3),
+        lambda: study("section3-bounds", n_measures=4, n_atoms=5, n_shifted=2, n_t=30, seed=3),
         {"section3-bounds": ("family", "index", "shift", "max_violation", "worst_t",
                              "norm_x", "tol", "status"),
          "equality-witness": ("position", "t_star", "gap", "norm_x", "tol", "status")},
@@ -579,35 +582,37 @@ class TestStudyTables:
 
 
 # ---------------------------------------------------------------------------
-# key tables: wrapper echoes, unknown keys, empty families, README
+# key tables: study echoes, unknown keys, empty families, README
 # ---------------------------------------------------------------------------
 
-# Each wrapper prints every key of its kind, defaults included, in table
-# order; these echoes were captured from the hand-written wrappers that
-# the key tables replaced.
+# ``study`` prints every key of its kind, defaults included, in table
+# order; these echoes were captured from the hand-written per-kind
+# functions that the key tables replaced.
 WRAPPER_ECHOES = {
     "approximation": (
-        lambda: approximation_study(GAUSSIAN, "truncation", [1, 2], L=4.0, h=0.2),
+        lambda: study("approximation", potential=GAUSSIAN, seq_kind="truncation", indices=[1, 2],
+                      L=4.0, h=0.2),
         "[study]\nkind = approximation\nseed = 0\n\n"
         "[potential]\nkind = gaussian-well\nnu = 1\na_bound = 1.0\ndepth = 1.0\nwidth = 1.0\n\n"
         "[approximation]\nseq_kind = truncation\nindices = 1, 2\nL = 4.0\nh = 0.2\n"
         "n_probes = 3\nmetric_J = 20\nmetric_tol = 0.001\n",
     ),
     "gap-vs-box": (
-        lambda: gap_vs_box(square_well(depth=1.0, radius=1.0, a_bound=1.0), [2, 4], 0.25),
+        lambda: study("gap-vs-box", potential=square_well(depth=1.0, radius=1.0, a_bound=1.0),
+                      L_list=[2, 4], h=0.25),
         "[study]\nkind = gap-vs-box\nseed = 0\n\n"
         "[potential]\nkind = square-well\nnu = 1\na_bound = 1.0\ndepth = 1.0\nradius = 1.0\n\n"
         "[box]\nL_list = 2.0, 4.0\nh = 0.25\n",
     ),
     "exponent-table": (
-        lambda: exponent_table([0.75], [], n_scales=20, n_times=20),
+        lambda: study("exponent-table", delta_list=[0.75], gamma_list=[], n_scales=20, n_times=20),
         "[study]\nkind = exponent-table\nseed = 0\n\n"
         "[exponents]\ndelta_list = 0.75\ngamma_list = \nscale_window = 1e-6, 1e-1\n"
         "time_window = 10.0, 1000000.0\nn_scales = 20\nn_times = 20\nscaling_tol = 0.001\n"
         "decay_tol = 0.05\ntail_fraction = 0.8\n",
     ),
     "gdelta-witness": (
-        lambda: gdelta_witness(),
+        lambda: study("gdelta-witness"),
         "[study]\nkind = gdelta-witness\nseed = 0\n\n"
         "[lacunary]\nscale_base = 0.5\nexponents = 0.5, 4.0\nn_atoms = 12\n\n"
         "[witness]\nalpha_exponent = 0.7\nbeta_p = 0.1\nbeta_poly_degree = 0\n"
@@ -615,15 +620,26 @@ WRAPPER_ECHOES = {
         "n_scales = 240\nd_minus_max = 0.7\nd_plus_min = 3.0\nalpha_min_log = 6.9\n"
         "beta_max_log = -6.9\nexpect_witness = true\n",
     ),
+    "gdelta-beta": (
+        lambda: study("gdelta-witness", beta_p=0.2, beta_poly_degree=2, n_t=400),
+        "[study]\nkind = gdelta-witness\nseed = 0\n\n"
+        "[lacunary]\nscale_base = 0.5\nexponents = 0.5, 4.0\nn_atoms = 12\n\n"
+        "[witness]\nalpha_exponent = 0.7\nbeta_p = 0.2\nbeta_poly_degree = 2\n"
+        "horizon = 10.0, 1000000000000.0\nn_t = 400\nscale_window = 2^-2048, 2^-1\n"
+        "n_scales = 240\nd_minus_max = 0.7\nd_plus_min = 3.0\nalpha_min_log = 6.9\n"
+        "beta_max_log = -6.9\nexpect_witness = true\n",
+    ),
     "section3-bounds": (
-        lambda: decay_bound_study(2, 3, n_shifted=1, n_t=5, bound_scale=1.0),
+        lambda: study("section3-bounds", n_measures=2, n_atoms=3, n_shifted=1, n_t=5,
+                      bound_scale=1.0),
         "[study]\nkind = section3-bounds\nseed = 0\n\n"
         "[bounds]\nn_measures = 2\nn_atoms = 3\nposition_lo = -10.0\nposition_hi = 0.0\n"
         "t_window = 0.01, 1000.0\nn_t = 5\nshifts = 0.5, 1.0, 2.0\nn_shifted = 1\n"
         "equality_position = -2.7\n",
     ),
     "section3-hook": (
-        lambda: decay_bound_study(2, 3, n_shifted=1, n_t=5, bound_scale=0.9),
+        lambda: study("section3-bounds", n_measures=2, n_atoms=3, n_shifted=1, n_t=5,
+                      bound_scale=0.9),
         "[study]\nkind = section3-bounds\nseed = 0\n\n"
         "[bounds]\nn_measures = 2\nn_atoms = 3\nposition_lo = -10.0\nposition_hi = 0.0\n"
         "t_window = 0.01, 1000.0\nn_t = 5\nshifts = 0.5, 1.0, 2.0\nn_shifted = 1\n"
@@ -650,8 +666,18 @@ class TestKeyTables:
             run_study(parse_study_config(text))
 
     def test_unknown_wrapper_keyword_rejected(self):
-        with pytest.raises(TypeError):
-            decay_bound_study(n_measure=1)
+        with pytest.raises(TypeError, match="n_measure"):
+            study("section3-bounds", n_measure=1)
+        with pytest.raises(TypeError, match="potential"):
+            study("section3-bounds", potential=FREE)
+
+    def test_unknown_study_kind_names_the_valid_kinds(self):
+        with pytest.raises(DomainError, match="gap_vs_box.*gap-vs-box, exponent-table"):
+            study("gap_vs_box")
+
+    def test_missing_potential_names_the_section(self):
+        with pytest.raises(DomainError, match=r"needs a \[potential\] section"):
+            study("gap-vs-box", L_list=[2.0, 4.0], h=0.25)
 
     @pytest.mark.parametrize("bounds", ["n_shifted = 0", "shifts ="])
     def test_empty_shifted_family_gives_a_note_and_no_verdict(self, bounds):

@@ -275,7 +275,8 @@ class TestOnDemandSolves:
     @pytest.mark.parametrize("nu", [1, 2])
     def test_eigenpair_checks_run_on_demand(self, nu):
         op = discretize(constant_potential(0.0, nu=nu), L=2.0, h=0.5)
-        lifted = dataclasses.replace(op, H=(op.H + 100.0 * sparse.eye_array(op.N)).tocsr())
+        lift = sparse.diags_array(np.full(op.N, 100.0))
+        lifted = dataclasses.replace(op, H=(op.H + lift).tocsr())
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
             lifted.lambda_max
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
