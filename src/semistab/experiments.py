@@ -32,8 +32,10 @@ from __future__ import annotations
 import configparser
 import datetime
 import math
+import numbers
 import os
 import platform
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -166,9 +168,12 @@ def parse_study_config(text: str) -> StudyConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise DomainError(f"malformed study config: {exc}") from None
-    sections = {name: dict(cp[name]) for name in cp.sections()}
-    if "study" not in sections:
-        raise DomainError("study config needs a [study] section")
+    return _study_config({name: dict(cp[name]) for name in cp.sections()})
+
+
+def _study_config(sections: dict) -> StudyConfig:
+    """StudyConfig of INI sections (key -> text), its [study] kind and seed checked."""
+    _require("study" in sections, "study config needs a [study] section")
     study = sections["study"]
     return StudyConfig(
         kind=_read_key("study", "kind", _Key("a study kind", str, str), study),
@@ -203,7 +208,9 @@ class _Key:
 
     A key whose text fails ``parse`` (ValueError or KeyError) or whose
     value fails ``valid`` "must be ``need``".  ``show`` prints a ``study``
-    keyword as INI text; a missing key plans as ``parse(show(default))``.
+    keyword as INI text without rounding it, so the keyword meets the same
+    parse and check as that text; a missing key plans as
+    ``parse(show(default))``.
     """
 
     need: str
@@ -214,7 +221,9 @@ class _Key:
 
 
 def _show_real(value) -> str:
-    return repr(float(value))
+    """A number as the INI text of its float; any other value as its ``str``,
+    which the key's parse then reads (or rejects) as INI text."""
+    return repr(float(value)) if isinstance(value, numbers.Real) else str(value)
 
 
 def _real(default=_REQUIRED, need="a finite number", valid=lambda v: True) -> _Key:
@@ -226,13 +235,20 @@ def _pos(default=_REQUIRED) -> _Key:
 
 
 def _int(minimum: int, default=_REQUIRED) -> _Key:
-    return _Key(f"an integer >= {minimum}", int, lambda v: str(int(v)), default,
+    return _Key(f"an integer >= {minimum}", int, str, default,
                 lambda v: v >= minimum)
+
+
+def _show_list(show_item: Callable) -> Callable:
+    """Print a list keyword as comma-separated INI text; a str, or any value
+    that is not iterable, prints as its ``str`` for the key's parse to read."""
+    return lambda vals: (", ".join(map(show_item, vals))
+                         if isinstance(vals, Iterable) and not isinstance(vals, str) else str(vals))
 
 
 def _reals(default=_REQUIRED, need="a comma-separated number list", valid=lambda vs: True):
     return _Key(need, lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()),
-                lambda vals: ", ".join(_show_real(v) for v in vals), default,
+                _show_list(_show_real), default,
                 lambda vals: all(map(math.isfinite, vals)) and valid(vals))
 
 
@@ -244,8 +260,7 @@ def _window(default) -> _Key:
     """Two scale tokens, planned as their natural logs; ``study`` may pass floats."""
     return _Key("two scale tokens",
                 lambda text: tuple(parse_scale_token(t) for t in text.split(",") if t.strip()),
-                lambda toks: ", ".join(t if isinstance(t, str) else _show_real(t) for t in toks),
-                default, lambda logs: len(logs) == 2)
+                _show_list(_show_real), default, lambda logs: len(logs) == 2)
 
 
 def _indices(text: str) -> list:
@@ -815,7 +830,7 @@ _KINDS = {
             "seq_kind": _Key("truncation or shift", str, str,
                              valid=lambda v: v in ("truncation", "shift")),
             "indices": _Key("a range lo..hi or an increasing list of integers >= 1",
-                            _indices, lambda ks: ", ".join(str(int(k)) for k in ks)),
+                            _indices, _show_list(str)),
             "L": _pos(),
             "h": _pos(),
             "n_probes": _int(1, 3),
@@ -878,7 +893,8 @@ _KINDS = {
                 "beta_max_log": _real(-6.9),
                 "expect_witness": _Key(
                     "a boolean", lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-                    lambda v: "true" if v else "false", True),
+                    lambda v: str(bool(v)).lower() if isinstance(v, (bool, np.bool_)) else str(v),
+                    True),
             },
         },
         (_Table("gdelta-witness", lambda plan, seed: [_lacunary(plan)], _gdelta_row),),
@@ -944,10 +960,12 @@ def study(kind: str, *, seed: int = 0, **keys) -> StudyReport:
     The kinds with a ``[potential]`` section also take ``potential`` (a
     Potential).  An omitted key takes its default.  The keys are printed
     as INI text through the kind's key tables and run by ``run_study``,
-    so the config echo reproduces the call.
+    so the config echo reproduces the call, and a keyword its INI text
+    would not accept (``n_t=2.7``, ``n_t="abc"``, ``seed=None``) raises
+    the same DomainError.
     """
     record = _kind(kind)
-    sections = {"study": {"kind": kind, "seed": str(int(seed))}}
+    sections = {"study": {"kind": kind, "seed": str(seed)}}
     if record.potential and "potential" in keys:
         sections["potential"] = _potential_section_dict(keys.pop("potential"))
     for name, table in record.sections.items():
@@ -960,7 +978,7 @@ def study(kind: str, *, seed: int = 0, **keys) -> StudyReport:
             sections[name] = sec
     if keys:
         raise TypeError(f"a {kind} study takes no keyword {sorted(keys)[0]!r}")
-    return run_study(StudyConfig(kind, int(seed), None, sections))
+    return run_study(_study_config(sections))
 
 
 # -- spot checks --------------------------------------------------------------

@@ -8,7 +8,9 @@ T, or the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.  Every solve
 on H runs on demand and is cached on the operator: the top eigenpair,
 the resolvent factorization, the eigenvalues alone, which the spectrum
 CSV reads, and the full eigendecomposition, which only the spectral
-measure reads.
+measure reads.  The last two are banded LAPACK solves (band reduction,
+then a tridiagonal solve) on one copy of H in lower band storage, whose
+half-bandwidth is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D.
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -25,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
+from scipy.linalg import eig_banded
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii, read_descriptor
@@ -322,21 +324,25 @@ class DiscretizedOperator:
     * ``lambda_max``: the top eigenvalue, from an ARPACK shift-invert
       top-eigenpair solve;
     * ``eigenvalues``: every eigenvalue, sorted descending (closest to 0
-      first), from a values-only solve (tridiagonal in 1-D, dense in
-      2-D).  No eigenvector is computed; the values are checked by the
-      trace and Frobenius identities and by Sylvester inertia counts of
-      ``H - sigma I`` at a few shifts in spectral gaps;
-    * ``eigenvectors``: the full decomposition, with ``eigenvectors[:, j]``
-      the orthonormal eigenvector for the j-th eigenvalue, in the same
-      order;
+      first), from a values-only banded solve.  No eigenvector is
+      computed; the values are checked by the trace and Frobenius
+      identities and by Sylvester inertia counts of ``H - sigma I`` at a
+      few shifts in spectral gaps;
+    * ``eigenvectors``: the full decomposition, from a banded solve with
+      vectors, with ``eigenvectors[:, j]`` the orthonormal eigenvector for
+      the j-th eigenvalue, in the same order;
     * the factorization of ``iI - H`` behind ``resolvent_apply``.
 
-    The solves are independent, so ``lambda_max``, ``eigenvalues`` and
-    the values paired with ``eigenvectors`` agree only to about 1e-12
-    times the Dirichlet spectral scale, not bit for bit.  Every computed
-    eigenvalue and eigenpair is validated before it is cached.  The grid
-    is the interior of [-L, L]^nu with spacing h; for nu=2 the flat index
-    is ``i * n_side + j`` for the point ``(x_i, y_j)``.
+    Both banded solves (LAPACK ``?sbevd`` through ``scipy.linalg.eig_banded``)
+    read ``_band``, H in lower band storage with half-bandwidth
+    ``b = n_side ** (nu - 1)``, so neither forms a dense N x N copy of H;
+    without vectors the band reduction costs O(N^2 b) where a dense one
+    costs O(N^3).  The solves are independent, so ``lambda_max``,
+    ``eigenvalues`` and the values paired with ``eigenvectors`` agree only
+    to about 1e-12 times the Dirichlet spectral scale, not bit for bit.
+    Every computed eigenvalue and eigenpair is validated before it is
+    cached.  The grid is the interior of [-L, L]^nu with spacing h; for
+    nu=2 the flat index is ``i * n_side + j`` for the point ``(x_i, y_j)``.
     """
 
     nu: int
@@ -354,11 +360,19 @@ class DiscretizedOperator:
             np.asarray(arr).setflags(write=False)
 
     @cached_property
+    def _band(self) -> np.ndarray:
+        """H in LAPACK lower band storage: row k is ``H.diagonal(-k)``, zero-padded
+        to N, for k up to the half-bandwidth ``n_side ** (nu - 1)``."""
+        b = self.n_side ** (self.nu - 1)
+        band = np.zeros((b + 1, self.N))
+        for k in range(b + 1):
+            band[k, :self.N - k] = self.H.diagonal(-k)
+        band.setflags(write=False)
+        return band
+
+    @cached_property
     def _eig(self) -> tuple:
-        if self.nu == 1:
-            vals, vecs = eigh_tridiagonal(self.H.diagonal(), self.H.diagonal(1))
-        else:
-            vals, vecs = eigh(self.H.toarray())
+        vals, vecs = eig_banded(self._band, lower=True)
         order = np.argsort(vals)[::-1]
         vals = vals[order]
         vecs = vecs[:, order]
@@ -369,11 +383,7 @@ class DiscretizedOperator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if self.nu == 1:
-            vals = eigh_tridiagonal(self.H.diagonal(), self.H.diagonal(1), eigvals_only=True)
-        else:
-            vals = eigvalsh(self.H.toarray())
-        vals = np.sort(vals)[::-1]
+        vals = np.sort(eig_banded(self._band, lower=True, eigvals_only=True))[::-1]
         _check_eigenvalues(self, vals)
         vals.setflags(write=False)
         return vals

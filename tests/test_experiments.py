@@ -671,6 +671,35 @@ class TestKeyTables:
         with pytest.raises(TypeError, match="potential"):
             study("section3-bounds", potential=FREE)
 
+    @pytest.mark.parametrize("kind, keys, message", [
+        ("section3-bounds", dict(n_measures=2.7), "[bounds] n_measures must be an integer >= 1, "
+                                                  "got '2.7'"),
+        ("section3-bounds", dict(seed=1.9), "[study] seed must be an integer >= 0, got '1.9'"),
+        ("section3-bounds", dict(seed=-1), "[study] seed must be an integer >= 0, got '-1'"),
+        ("section3-bounds", dict(n_t="abc"), "[bounds] n_t must be an integer >= 1, got 'abc'"),
+        ("section3-bounds", dict(n_t=None), "[bounds] n_t must be an integer >= 1, got 'None'"),
+        ("section3-bounds", dict(seed=None), "[study] seed must be an integer >= 0, got 'None'"),
+        ("section3-bounds", dict(bound_scale=None), "[hooks] bound_scale must be a positive "
+                                                    "number, got 'None'"),
+        ("section3-bounds", dict(position_lo="abc"), "[bounds] position_lo must be a finite "
+                                                     "number, got 'abc'"),
+        ("approximation", dict(potential=GAUSSIAN, seq_kind="truncation", indices=[1, 2.5],
+                               L=4.0, h=0.2), "[approximation] indices must be"),
+        ("gap-vs-box", dict(potential=FREE, L_list=None, h=0.25), "[box] L_list must be"),
+        ("gdelta-witness", dict(expect_witness=None), "[witness] expect_witness must be a "
+                                                      "boolean, got 'None'"),
+    ], ids=["float-int", "float-seed", "negative-seed", "unparsed-int", "none-int", "none-seed",
+            "none-real", "unparsed-real", "float-index", "none-list", "none-bool"])
+    def test_wrapper_keyword_meets_the_ini_check(self, kind, keys, message):
+        """A keyword is printed unrounded, so it fails exactly as its INI text would."""
+        with pytest.raises(DomainError, match=re.escape(message)):
+            study(kind, **keys)
+
+    def test_wrapper_keyword_text_is_ini_text(self):
+        rep = study("approximation", potential=GAUSSIAN, seq_kind="truncation", indices="1..2",
+                    L="4", h=0.2, n_probes="2")
+        assert "indices = 1..2\nL = 4\nh = 0.2\nn_probes = 2\n" in rep.config.echo_text()
+
     def test_unknown_study_kind_names_the_valid_kinds(self):
         with pytest.raises(DomainError, match="gap_vs_box.*gap-vs-box, exponent-table"):
             study("gap_vs_box")

@@ -3,7 +3,8 @@ and resolvent diagnostics.
 
 Oracles used here are independent of the package internals: the cosine
 form of the Dirichlet second-difference spectrum, dense matrices built
-by explicit loops, scipy.linalg.expm for semigroup evolution, and
+by explicit loops, scipy.linalg.expm for semigroup evolution,
+scipy.linalg.eigh_tridiagonal for the 1-D banded solves, and
 numpy.linalg solves for resolvents.
 """
 
@@ -11,11 +12,12 @@ import dataclasses
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from semistab import experiments, operators
 from semistab import (
@@ -311,6 +313,59 @@ class TestOnDemandSolves:
         op = discretize(gaussian_well(nu=2), L=2.0, h=0.25)
         classify_stability(op)
         assert "_eig" not in op.__dict__ and "lambda_max" in op.__dict__
+
+
+class TestBandedSolves:
+    """``eigenvalues`` and ``_eig`` solve H from its lower band storage ``_band``."""
+
+    CASES = TestOperatorMatrix.CASES
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_band_scatters_back_to_the_matrix(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        band = op._band
+        assert band.shape == (op.n_side ** (op.nu - 1) + 1, op.N)
+        dense = np.zeros((op.N, op.N))
+        for k, row in enumerate(band):
+            assert not np.any(row[op.N - k:])  # the padding past the k-th diagonal
+            dense += np.diag(row[:op.N - k], -k)
+            if k:
+                dense += np.diag(row[:op.N - k], k)
+        assert np.array_equal(dense, op.H.toarray())
+
+    def test_1d_solves_are_bit_identical_to_the_tridiagonal_solver(self):
+        V, L, h = self.CASES["nu1"]
+        op = discretize(V, L=L, h=h)
+        d, e = op.H.diagonal(), op.H.diagonal(1)
+        # sterf is the values-only solve that LAPACK's ?sbevd runs on a tridiagonal band
+        vals = eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+        assert np.array_equal(op.eigenvalues, vals[::-1])
+        try:
+            vals, vecs = eigh_tridiagonal(d, e, lapack_driver="stevd")
+        except ValueError:
+            pytest.skip("this scipy's eigh_tridiagonal cannot run stevd")
+        assert np.array_equal(op._eig[0], vals[::-1])
+        assert np.array_equal(op._eig[1], vecs[:, ::-1])
+
+    @pytest.mark.parametrize("case", ["nu2", "nu2-sampled"])
+    def test_2d_eigenpair_values_agree_with_eigenvalues(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        assert np.max(np.abs(op._eig[0] - op.eigenvalues)) <= 1e-12 * dirichlet_bottom(op)
+
+    def test_2d_eigenvalues_need_no_dense_copy(self):
+        # the spectrum-2d benchmark operator; a dense N x N copy of H would
+        # alone take four times the bound
+        op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=5.0, h=0.2)
+        assert op.N == 2401
+        tracemalloc.start()
+        try:
+            op.eigenvalues
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op.N * op.N * 8 / 4
 
 
 class TestEigenvalueChecks:
