@@ -39,7 +39,6 @@ from .operators import (
     MetricValue,
     Potential,
     constant_potential,
-    dirichlet_laplacian_eigenvalues,
     discretize,
     exp_well,
     gaussian_well,
@@ -76,7 +75,6 @@ from .semigroup import (
     orbit_to_csv,
     range_bound_check,
     shifted_range_bound_check,
-    verdict_to_text,
 )
 from .experiments import (
     OUTPUT_DIR_ENV,
@@ -88,6 +86,7 @@ from .experiments import (
     VerdictLine,
     load_study_config,
     parse_scale_token,
+    parse_scale_window,
     parse_study_config,
     resolve_output_dir,
     run_study,

@@ -33,7 +33,7 @@ from .errors import DomainError, InvariantViolation, ResourceCapError
 from .experiments import (
     OUTPUT_DIR_ENV,
     load_study_config,
-    parse_scale_token,
+    parse_scale_window,
     resolve_output_dir,
     run_study,
     write_report,
@@ -61,14 +61,6 @@ def _ensure_parent(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def _split_window(raw: str) -> tuple:
-    parts = [tok.strip() for tok in raw.split(",")]
-    parts = [tok for tok in parts if tok]
-    if len(parts) != 2:
-        raise DomainError(f"--window needs two comma-separated scales, got {raw!r}")
-    return parse_scale_token(parts[0]), parse_scale_token(parts[1])
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -76,8 +68,8 @@ def _split_window(raw: str) -> tuple:
 
 def _cmd_measure_exponents(args) -> int:
     mu = load_measure(args.file)
-    log_window = _split_window(args.window)
-    est = scaling_exponents(mu, log_window=log_window, n_scales=args.scales)
+    est = scaling_exponents(mu, log_window=parse_scale_window(args.window),
+                            n_scales=args.scales)
     print("d_minus,d_plus,n_scales,log_eps_min,log_eps_max")
     print(
         f"{float(est.d_minus)!r},{float(est.d_plus)!r},{est.n_scales},"

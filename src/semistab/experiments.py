@@ -80,6 +80,7 @@ __all__ = [
     "StudyReport",
     "SpotCheck",
     "parse_scale_token",
+    "parse_scale_window",
     "parse_study_config",
     "load_study_config",
     "resolve_output_dir",
@@ -128,6 +129,14 @@ def parse_scale_token(token: str) -> float:
     if not (val > 0.0 and math.isfinite(val)):
         raise DomainError(f"scale {tok!r} must be positive and finite")
     return math.log(val)
+
+
+def parse_scale_window(text: str) -> tuple:
+    """Natural logs of a window's two comma-separated scale tokens."""
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if len(tokens) != 2:
+        raise DomainError(f"a scale window needs two comma-separated scales, got {text!r}")
+    return parse_scale_token(tokens[0]), parse_scale_token(tokens[1])
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +262,13 @@ def _reals(default=_REQUIRED, need="a comma-separated number list", valid=lambda
 
 
 def _pair(default) -> _Key:
-    return _reals(default, "two comma-separated numbers", lambda vals: len(vals) == 2)
+    return _reals(default, "two times 0 < t_min < t_max",
+                  lambda vals: len(vals) == 2 and 0.0 < vals[0] < vals[1])
 
 
 def _window(default) -> _Key:
     """Two scale tokens, planned as their natural logs; ``study`` may pass floats."""
-    return _Key("two scale tokens",
-                lambda text: tuple(parse_scale_token(t) for t in text.split(",") if t.strip()),
-                _show_list(_show_real), default, lambda logs: len(logs) == 2)
+    return _Key("two scale tokens", parse_scale_window, _show_list(_show_real), default)
 
 
 def _indices(text: str) -> list:

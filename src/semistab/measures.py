@@ -20,8 +20,9 @@ Two concrete representations are provided:
 
 Each kind has one Laplace kernel, ``_log_transform``, vectorized over t,
 behind both ``log_laplace`` and ``log_laplace_moment``: one logsumexp row
-per t for atoms, one quadrature per t for densities.  The semigroup layer
-calls it in bounded-memory chunks.
+per t for atoms, taken in blocks of at most ``_CHUNK_ELEMENTS`` (t, atom)
+terms so any t grid runs in bounded memory, and one quadrature per t for
+densities.
 
 Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 :func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
@@ -68,6 +69,8 @@ _TAIL_EXPONENT = 745.0
 _LOG_DBL_MIN = math.log(sys.float_info.min)
 _QUAD_RELTOL = 1e-12
 _QUAD_LIMIT = 200
+# (t, atom) terms per logsumexp block of the atomic Laplace kernel
+_CHUNK_ELEMENTS = 262_144
 
 
 def _as_1d(values) -> tuple:
@@ -155,6 +158,11 @@ class AtomicMeasure:
         return int(self.log_s.size)
 
     @property
+    def s_lo(self) -> float:
+        """Distance from 0 to the nearest atom (0.0 for an atom at 0)."""
+        return float(np.exp(self.log_s[0]))
+
+    @property
     def log_mass(self) -> float:
         return float(self._prefix[-1])
 
@@ -184,12 +192,14 @@ class AtomicMeasure:
         ``log_s == log_eps`` is excluded.
         """
         arr, scalar = _as_1d(log_eps)
+        if np.any(np.isnan(arr)):
+            raise DomainError("log ball radius must not be NaN")
         idx = np.searchsorted(self.log_s, arr, side="left")
         out = np.where(idx > 0, self._prefix[np.maximum(idx - 1, 0)], -np.inf)
         return _as_scalar_or_array(out, scalar)
 
     def ball_mass(self, eps: float) -> float:
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise DomainError("ball radius must be positive")
         return float(math.exp(self.log_ball_mass(math.log(eps))))
 
@@ -207,10 +217,18 @@ class AtomicMeasure:
         return self._log_transform(t, self.log_w + log_amp)
 
     def _log_transform(self, t, log_coef: np.ndarray):
-        """ln sum_k exp(log_coef_k - 2 t s_k): one logsumexp row per t."""
+        """ln sum_k exp(log_coef_k - 2 t s_k): one logsumexp row per t.
+
+        Rows run in blocks of at most ``_CHUNK_ELEMENTS`` (t, atom) terms,
+        so memory stays bounded and no value depends on the block size.
+        """
         t_arr, scalar = _as_1d(t)
         s = np.exp(self.log_s)  # sub-double moduli round to 0.0, which is exact here
-        vals = logsumexp(log_coef[None, :] - 2.0 * t_arr[:, None] * s[None, :], axis=1)
+        rows = max(1, _CHUNK_ELEMENTS // self.n_atoms)
+        vals = np.empty(t_arr.size)
+        for i in range(0, t_arr.size, rows):
+            block = t_arr[i : i + rows]
+            vals[i : i + rows] = logsumexp(log_coef - 2.0 * block[:, None] * s, axis=1)
         return _as_scalar_or_array(vals, scalar)
 
     def describe(self) -> str:
@@ -373,7 +391,7 @@ class DensityMeasure:
     # -- measure operations ---------------------------------------------
 
     def ball_mass(self, eps: float) -> float:
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise DomainError("ball radius must be positive")
         if eps <= self.s_lo:
             return 0.0
@@ -383,6 +401,8 @@ class DensityMeasure:
 
     def log_ball_mass(self, log_eps):
         arr, scalar = _as_1d(log_eps)
+        if np.any(np.isnan(arr)):
+            raise DomainError("log ball radius must not be NaN")
         if self.log_ball_mass_fn is not None:
             out = np.asarray(self.log_ball_mass_fn(arr), dtype=float)
         else:
@@ -715,9 +735,7 @@ def scaling_exponents(
 
 def ball_mass(mu, eps: float) -> float:
     """mu({lambda : |lambda| < eps}) for eps > 0."""
-    if not eps > 0.0:
-        raise DomainError("ball radius must be positive")
-    return mu.ball_mass(float(eps))
+    return mu.ball_mass(eps)
 
 
 def log_ball_mass(mu, log_eps):

@@ -44,7 +44,6 @@ __all__ = [
     "shift_potential",
     "DiscretizedOperator",
     "discretize",
-    "dirichlet_laplacian_eigenvalues",
     "spectral_measure",
     "MetricValue",
     "metric_d",
@@ -301,16 +300,6 @@ def shift_potential(V: Potential, l: int, a: Optional[float] = None) -> Potentia
 # ---------------------------------------------------------------------------
 # discretized operators
 # ---------------------------------------------------------------------------
-
-
-def dirichlet_laplacian_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Closed-form spectrum of the 1-D Dirichlet second-difference operator.
-
-    Returns -(4/h^2) sin^2(j pi / (2 (n+1))), j = 1..n, descending.
-    """
-    j = np.arange(1, n + 1, dtype=float)
-    vals = -(4.0 / (h * h)) * np.sin(j * math.pi / (2.0 * (n + 1))) ** 2
-    return np.sort(vals)[::-1]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ decay bounds, and oscillation probes for contraction semigroups.
 Everything here works in the spectral picture: a vector's orbit norm is
 the Laplace transform of its spectral measure, ``||e^{tA}x||^2 =
 integral exp(2 t lambda) dmu_x(lambda)``, evaluated in log domain so
-horizons like t = 10^12 stay representable.  One chunked kernel,
-``_log_orbit``, evaluates it (or its (lambda + a)^2 moment) for every
-caller: orbit traces, the range bounds and the oscillation probes.
+horizons like t = 10^12 stay representable.  Every caller (orbit
+traces, the range bounds and the oscillation probes) reads it, or its
+(lambda + a)^2 moment, from the measure's ``log_laplace`` or
+``log_laplace_moment``, whose kernel runs in bounded-memory chunks.  Each
+generated time grid is geometric and needs 0 < t_min < t_max.
 Decay exponents are estimated from two-point slopes of ln ||e^{tA}x||^2
 against ln t; stability is read off the spectral gap; the range bounds
 ``||e^{tA}Ax|| <= ||x||/(e t)`` and their shifted refinement are checked
@@ -18,6 +20,7 @@ faster than polynomially along another.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,15 +48,12 @@ __all__ = [
     "GdeltaProbeResult",
     "gdelta_probe",
     "orbit_to_csv",
-    "verdict_to_text",
     "format_number",
 ]
 
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_ATOM_TOL = 1e-12
 RATIO_FLOOR = -50.0
-
-_CHUNK_ELEMENTS = 262_144
 
 
 def format_number(x: float) -> str:
@@ -64,21 +64,14 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-def _log_orbit(mu, ts: np.ndarray, shift: Optional[float] = None) -> np.ndarray:
-    """ln ||e^{tA}x||^2 over ts, or with ``shift`` ln ||e^{tA}(A + shift)x||^2.
-
-    The one orbit-norm kernel: the measure's Laplace transform runs in
-    chunks of at most ``_CHUNK_ELEMENTS`` (t, atom) terms, and each value
-    is one logsumexp row, so results do not depend on the chunk size.
-    """
-    n_atoms = getattr(mu, "n_atoms", None)
-    chunk = max(1, _CHUNK_ELEMENTS // n_atoms) if n_atoms else 512
-    out = np.empty(ts.size)
-    for i in range(0, ts.size, chunk):
-        block = ts[i : i + chunk]
-        out[i : i + chunk] = (mu.log_laplace(block) if shift is None
-                              else mu.log_laplace_moment(block, shift=shift))
-    return out
+def _geomgrid(t_min, t_max, n_t, min_points: int) -> np.ndarray:
+    """``n_t`` geometric times from t_min to t_max, the one check of a time
+    window: 0 < t_min < t_max, both finite, and an integer n_t >= min_points."""
+    if not 0.0 < t_min < t_max < math.inf:
+        raise DomainError(f"need times 0 < t_min < t_max, both finite, got {t_min!r}, {t_max!r}")
+    if not (isinstance(n_t, numbers.Real) and math.isfinite(n_t) and int(n_t) == n_t >= min_points):
+        raise DomainError(f"n_t must be an integer >= {min_points}, got {n_t!r}")
+    return np.geomspace(t_min, t_max, int(n_t))
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +127,14 @@ class OrbitTrace:
 
 
 def evolve_norms(mu, t_min: float, t_max: float, n_t: int) -> OrbitTrace:
-    """Evaluate ln ||e^{tA}x||^2 on a geometric grid of ``n_t`` times.
+    """Evaluate ln ||e^{tA}x||^2 on a geometric grid of ``n_t`` >= 2 times,
+    0 < t_min < t_max.
 
-    Exact for atomic measures up to log-sum-exp rounding; the kernel is
-    chunked, so million-point scans stay in bounded memory.
+    Exact for atomic measures up to log-sum-exp rounding; the measure's
+    kernel is chunked, so million-point scans stay in bounded memory.
     """
-    if not (0.0 < t_min < t_max and math.isfinite(t_max)):
-        raise DomainError("need 0 < t_min < t_max, both finite")
-    if int(n_t) != n_t or n_t < 2:
-        raise DomainError("n_t must be an integer >= 2")
-    ts = np.geomspace(t_min, t_max, int(n_t))
-    vals = _log_orbit(mu, ts)
-    return OrbitTrace(t=ts, log_norm_sq=vals, log_mass=float(mu.log_mass),
+    ts = _geomgrid(t_min, t_max, n_t, 2)
+    return OrbitTrace(t=ts, log_norm_sq=mu.log_laplace(ts), log_mass=float(mu.log_mass),
                       source=mu.describe())
 
 
@@ -265,10 +254,6 @@ class StabilityVerdict:
         return " ".join(parts)
 
 
-def verdict_to_text(verdict: StabilityVerdict) -> str:
-    return verdict.describe() + "\n"
-
-
 def _spectral_top(subject, atom_tol: float) -> tuple:
     """(lam_top, mass_at_zero) for a measure or discretized operator.
 
@@ -277,11 +262,9 @@ def _spectral_top(subject, atom_tol: float) -> tuple:
     eigenvalue within atom_tol of 0, which freezes its eigenvector,
     reported with unit weight).
     """
-    if isinstance(subject, AtomicMeasure):
-        if np.isneginf(subject.log_s[0]):
-            return 0.0, float(np.exp(subject.log_w[0]))
-        return -float(np.exp(subject.log_s[0])), 0.0
-    if isinstance(subject, DensityMeasure):
+    if isinstance(subject, AtomicMeasure) and np.isneginf(subject.log_s[0]):
+        return 0.0, float(np.exp(subject.log_w[0]))
+    if isinstance(subject, (AtomicMeasure, DensityMeasure)):
         return -float(subject.s_lo), 0.0
     if isinstance(subject, DiscretizedOperator):
         lam_top = subject.lambda_max
@@ -341,12 +324,11 @@ class BoundCheckValue(float):
 
 
 def _time_grid(t_grid, t_min, t_max, n_t) -> np.ndarray:
-    if t_grid is not None:
-        ts = np.asarray(t_grid, dtype=float)
-        if ts.ndim != 1 or ts.size < 1:
-            raise DomainError("t_grid must be a nonempty 1-D array")
-    else:
-        ts = np.geomspace(t_min, t_max, n_t)
+    if t_grid is None:
+        return _geomgrid(t_min, t_max, n_t, 1)
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise DomainError("t_grid must be a nonempty 1-D array")
     if not (np.all(np.isfinite(ts)) and np.all(ts > 0.0)):
         raise DomainError("times must be finite and positive")
     return ts
@@ -376,19 +358,15 @@ def shifted_range_bound_check(mu_x, a: float, t_grid=None, *, t_min: float = 1e-
     """
     if not (a >= 0.0 and math.isfinite(a)):
         raise DomainError("shift level a must be finite and >= 0")
-    if isinstance(mu_x, AtomicMeasure):
-        support_top = float(np.exp(mu_x.log_s[0]))
-    elif isinstance(mu_x, DensityMeasure):
-        support_top = float(mu_x.s_lo)
-    else:
+    if not isinstance(mu_x, (AtomicMeasure, DensityMeasure)):
         raise DomainError(f"cannot bound-check a {type(mu_x).__name__}")
-    if support_top < a:
+    if mu_x.s_lo < a:
         raise DomainError("measure must be supported in (-inf, -a]")
     ts = _time_grid(t_grid, t_min, t_max, n_t)
     norm_x = math.sqrt(mu_x.mass)
     # orbit norms of (A + a)x, flushed to 0.0 where the log value underflows
     lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0
-                    for v in _log_orbit(mu_x, ts, shift=a).tolist()])
+                    for v in mu_x.log_laplace_moment(ts, shift=a).tolist()])
     rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
     violations = lhs - rhs
     i = int(np.argmax(violations))
@@ -465,19 +443,15 @@ def gdelta_probe(mu, alpha_exponent: float, beta: BetaDescriptor = BetaDescripto
     if not alpha_exponent > 0.0:
         raise DomainError("alpha exponent must be positive")
     t_min, t_max = float(horizon[0]), float(horizon[1])
-    if not (0.0 < t_min < t_max and math.isfinite(t_max)):
-        raise DomainError("horizon must satisfy 0 < t_min < t_max")
+    ts = _geomgrid(t_min, t_max, n_t, 2)
     if t_max / t_min < 1e2:
         raise DomainError("horizon must span at least two decades")
-    if int(n_t) != n_t or n_t < 2:
-        raise DomainError("n_t must be an integer >= 2")
     verdict = classify_stability(mu)
     if verdict.classification != "StableNotExponential":
         raise PreconditionError(
             f"probe needs a StableNotExponential measure, got {verdict.classification}"
         )
-    ts = np.geomspace(t_min, t_max, int(n_t))
-    half_log_norm = 0.5 * _log_orbit(mu, ts)
+    half_log_norm = 0.5 * mu.log_laplace(ts)
     log_alpha = alpha_exponent * np.log(ts) + half_log_norm
     log_beta = beta.log_weight(ts) + half_log_norm
     j = int(np.argmax(log_alpha))

@@ -321,6 +321,10 @@ class TestInputErrors:
         ("classify", "mass.measure", "density kind=power-law support=0.0,1.0 mass=7\ngamma=0.5\n",
          "mass=7"),
         ("classify", "atomic-mass.measure", "atomic n=1 mass=2.0\n0.0 0.0\n", "mass=2.0"),
+        ("study", "t-zero.cfg", BOUNDS_HEAD + "[bounds]\nt_window = 0, 1000\n",
+         "[bounds] t_window must be two times 0 < t_min < t_max, got '0, 1000'"),
+        ("study", "t-reversed.cfg", BOUNDS_HEAD + "[bounds]\nt_window = 1000, 0.01\n",
+         "[bounds] t_window must be two times 0 < t_min < t_max, got '1000, 0.01'"),
     ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
@@ -328,7 +332,8 @@ class TestInputErrors:
             "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "study-L-overflow",
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
-            "stated-mass-mismatch", "stated-atomic-mass-mismatch"])
+            "stated-mass-mismatch", "stated-atomic-mass-mismatch", "t-window-from-zero",
+            "t-window-reversed"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):

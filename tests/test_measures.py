@@ -150,6 +150,15 @@ def test_ball_mass_rejects_nonpositive_radius():
         st.ball_mass(mu, -0.5)
 
 
+@pytest.mark.parametrize("mu", [st.AtomicMeasure.from_points([-1.0], [1.0]),
+                                st.power_law_measure(0.5)], ids=["atomic", "density"])
+def test_nan_ball_radius_is_rejected(mu):
+    for call in (mu.ball_mass, mu.log_ball_mass, lambda eps: st.ball_mass(mu, eps),
+                 lambda le: mu.log_ball_mass(np.array([-1.0, le]))):
+        with pytest.raises(DomainError):
+            call(math.nan)
+
+
 def test_ball_mass_monotone_on_random_radius_pairs():
     rng = np.random.default_rng(7)
     measures = [

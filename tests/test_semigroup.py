@@ -7,10 +7,12 @@ orbits, and direct antiderivatives for the bound examples.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from semistab import (
     AtomicMeasure,
@@ -37,7 +39,6 @@ from semistab import (
     scaling_exponents,
     shifted_range_bound_check,
     uniform_measure,
-    verdict_to_text,
 )
 
 LACUNARY = dict(scale_base=0.5, exponents=(0.5, 4.0), n_atoms=12)
@@ -111,8 +112,9 @@ class TestEvolveNorms:
         mu = AtomicMeasure.from_points(rng.uniform(-5.0, -0.1, 600),
                                        rng.uniform(0.1, 1.0, 600))
         trace = evolve_norms(mu, 0.1, 1e4, 1000)  # forces several chunks
-        direct = mu.log_laplace(trace.t)
-        assert np.array_equal(trace.log_norm_sq, direct)
+        s = np.exp(mu.log_s)
+        rowwise = [logsumexp(mu.log_w - 2.0 * t * s) for t in trace.t]
+        np.testing.assert_allclose(trace.log_norm_sq, rowwise, rtol=0.0, atol=1e-12)
 
     def test_contraction_holds_on_random_measures(self):
         rng = np.random.default_rng(909)
@@ -248,8 +250,8 @@ class TestClassifyStability:
 
     def test_verdict_line_is_exact(self):
         mu = AtomicMeasure.from_points([-1.0, -2.0], [0.5, 0.5])
-        line = verdict_to_text(classify_stability(mu))
-        assert line == "ExponentiallyStable gap=1 rate=1 gap_tol=1e-08 atom_tol=1e-12\n"
+        line = classify_stability(mu).describe()
+        assert line == "ExponentiallyStable gap=1 rate=1 gap_tol=1e-08 atom_tol=1e-12"
 
     def test_lacunary_is_stable_not_exponential(self):
         v = classify_stability(lacunary_measure(**LACUNARY))
@@ -389,6 +391,15 @@ class TestRangeBound:
         with pytest.raises(DomainError):
             range_bound_check(mu, t_grid=np.array([]))
 
+    @pytest.mark.parametrize("window", [dict(n_t=0), dict(t_min=0.0), dict(n_t=2.5),
+                                        dict(n_t=-3), dict(t_min=1e3, t_max=1e-2)],
+                             ids=["no-points", "zero-start", "fractional-n_t", "negative-n_t",
+                                  "reversed"])
+    def test_generated_time_grid_validation(self, window):
+        mu = AtomicMeasure.from_points([-1.0], [1.0])
+        with pytest.raises(DomainError):
+            range_bound_check(mu, **window)
+
 
 class TestShiftedRangeBound:
     def test_single_atom_with_unit_shift(self):
@@ -527,11 +538,24 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_results_do_not_depend_on_chunk_size(self, monkeypatch, rows):
-        import semistab.semigroup as sg
+        import semistab.measures as ms
 
         whole = self._results()
-        monkeypatch.setattr(sg, "_CHUNK_ELEMENTS", rows * 20)  # 20 atoms per row
+        monkeypatch.setattr(ms, "_CHUNK_ELEMENTS", rows * 20)  # 20 atoms per row
         assert self._results() == whole
+
+    def test_direct_call_runs_in_bounded_memory(self):
+        rng = np.random.default_rng(1414)
+        mu = AtomicMeasure.from_points(rng.uniform(-10.0, -0.01, 1000),
+                                       rng.uniform(0.1, 1.0, 1000))
+        ts = np.geomspace(0.01, 1e4, 4000)
+        tracemalloc.start()
+        try:
+            mu.log_laplace(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6 * 8  # one (t, atom) array of doubles
 
     def test_bound_check_matches_per_time_evaluation(self):
         rng = np.random.default_rng(1313)
