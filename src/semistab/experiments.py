@@ -781,6 +781,17 @@ def _equality_row(plan: dict, pos: float) -> dict:
     }
 
 
+def _check_section3_bounds(plan: dict) -> None:
+    _require(plan["position_lo"] < plan["position_hi"] <= 0.0
+             and all(plan["position_lo"] < -a for a in plan["shifts"]),
+             "[bounds] needs position_lo < position_hi <= 0 and position_lo < -a for every shift a")
+    # weights lie below 1, so ||x|| < sqrt(n_atoms) and the bound is largest at t_min
+    t_min = plan["t_window"][0]
+    _require(math.isfinite(plan["bound_scale"] * math.sqrt(plan["n_atoms"]) / (math.e * t_min)),
+             f"[bounds] t_window starts at {t_min!r}, where the bound ||x|| e^(-ta)/(e t) "
+             f"is not finite")
+
+
 def _judge_section3_bounds(plan: dict, tables: dict):
     rows, (eq,) = tables["section3-bounds"], tables["equality-witness"]
     verdicts, notes = [], []
@@ -891,7 +902,9 @@ _KINDS = {
                 "alpha_exponent": _pos(0.7),
                 "beta_p": _pos(0.1),
                 "beta_poly_degree": _int(0, 0),
-                "horizon": _pair((10.0, 1e12)),
+                "horizon": _reals((10.0, 1e12), "two times 0 < t_min < t_max, two decades apart",
+                                  lambda vals: len(vals) == 2 and 0.0 < vals[0]
+                                  and vals[1] / vals[0] >= 1e2),
                 "n_t": _int(2, 4001),
                 "scale_window": _window(("2^-2048", "2^-1")),
                 "n_scales": _int(2, 240),
@@ -929,10 +942,7 @@ _KINDS = {
          _Table("equality-witness", lambda plan, seed: [plan["equality_position"]],
                 _equality_row)),
         _judge_section3_bounds,
-        check=lambda plan: _require(
-            plan["position_lo"] < plan["position_hi"] <= 0.0
-            and all(plan["position_lo"] < -a for a in plan["shifts"]),
-            "[bounds] needs position_lo < position_hi <= 0 and position_lo < -a for every shift a"),
+        check=_check_section3_bounds,
     ),
 }
 

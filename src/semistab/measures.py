@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, InvariantViolation, read_ascii, read_descriptor
 
@@ -71,6 +70,27 @@ _QUAD_RELTOL = 1e-12
 _QUAD_LIMIT = 200
 # (t, atom) terms per logsumexp block of the atomic Laplace kernel
 _CHUNK_ELEMENTS = 262_144
+
+
+def _logsumexp(a: np.ndarray):
+    """ln sum exp(a) along the last axis, by scipy.special.logsumexp's algorithm
+    (scipy 1.17), bit for bit, without importing scipy.special.
+
+    The maxima are summed apart, as their count m, and the rest enter
+    through ``log1p``: ``log1p(s / m) + ln m + max`` with s the sum of
+    ``exp(a - max)`` over the other entries.  Where that is not finite (all
+    entries -inf, or an inf or nan entry) the result is ``ln sum exp(a)``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max)[..., 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=-1)), out)
+    return out[()]
 
 
 def _as_1d(values) -> tuple:
@@ -228,7 +248,7 @@ class AtomicMeasure:
         vals = np.empty(t_arr.size)
         for i in range(0, t_arr.size, rows):
             block = t_arr[i : i + rows]
-            vals[i : i + rows] = logsumexp(log_coef - 2.0 * block[:, None] * s, axis=1)
+            vals[i : i + rows] = _logsumexp(log_coef - 2.0 * block[:, None] * s)
         return _as_scalar_or_array(vals, scalar)
 
     def describe(self) -> str:
@@ -634,7 +654,7 @@ def lacunary_measure(scale_base: float, exponents: Sequence[float], n_atoms: int
     ks = np.arange(1, n_atoms + 1, dtype=float)
     log_s = (2.0 ** ks) * math.log(scale_base)
     log_w = exps * log_s
-    log_w = log_w - logsumexp(log_w)
+    log_w = log_w - _logsumexp(log_w)
     return AtomicMeasure(log_s=log_s, log_w=log_w)
 
 

@@ -9,8 +9,17 @@ on H runs on demand and is cached on the operator: the top eigenpair,
 the resolvent factorization, the eigenvalues alone, which the spectrum
 CSV reads, and the full eigendecomposition, which only the spectral
 measure reads.  The last two are banded LAPACK solves (band reduction,
-then a tridiagonal solve) on one copy of H in lower band storage, whose
-half-bandwidth is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D.
+then a tridiagonal solve) on H in lower band storage, whose half-bandwidth
+is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D.
+
+A 2-D V that is swap-symmetric on the grid, ``V(x, y) == V(y, x)`` bit for
+bit, makes H commute with the swap (x, y) -> (y, x).  Every radial kind is,
+and so is a sampled V with a symmetric sample matrix.  The eigenvalues are
+then solved on the swap's even and odd sectors: two bands of about N/2
+points and half-bandwidth about n_side/2, whose spectra together are H's.
+The mirrors x -> -x and y -> -y are not used: the grid points
+``-L + h k`` are not mirror-exact in floating point, so V is not exactly
+mirror-symmetric on the grid.
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -215,11 +224,12 @@ class Potential:
         iy = np.clip(fy.astype(int), 0, n - 2)
         tx = fx - ix
         ty = fy - iy
+        # each weight is one product and the two mixed terms are summed first,
+        # so a symmetric sample matrix gives V(x, y) == V(y, x) bit for bit
         return (
-            vv[ix, iy] * (1 - tx) * (1 - ty)
-            + vv[ix + 1, iy] * tx * (1 - ty)
-            + vv[ix, iy + 1] * (1 - tx) * ty
-            + vv[ix + 1, iy + 1] * tx * ty
+            vv[ix, iy] * ((1 - tx) * (1 - ty))
+            + (vv[ix + 1, iy] * (tx * (1 - ty)) + vv[ix, iy + 1] * ((1 - tx) * ty))
+            + vv[ix + 1, iy + 1] * (tx * ty)
         )
 
     def describe(self) -> str:
@@ -313,20 +323,24 @@ class DiscretizedOperator:
     * ``lambda_max``: the top eigenvalue, from an ARPACK shift-invert
       top-eigenpair solve;
     * ``eigenvalues``: every eigenvalue, sorted descending (closest to 0
-      first), from a values-only banded solve.  No eigenvector is
-      computed; the values are checked by the trace and Frobenius
-      identities and by Sylvester inertia counts of ``H - sigma I`` at a
-      few shifts in spectral gaps;
+      first), from values-only banded solves.  No eigenvector is
+      computed; the values are checked on H itself by the trace and
+      Frobenius identities and by Sylvester inertia counts of
+      ``H - sigma I`` at a few shifts in spectral gaps;
     * ``eigenvectors``: the full decomposition, from a banded solve with
       vectors, with ``eigenvectors[:, j]`` the orthonormal eigenvector for
       the j-th eigenvalue, in the same order;
     * the factorization of ``iI - H`` behind ``resolvent_apply``.
 
     Both banded solves (LAPACK ``?sbevd`` through ``scipy.linalg.eig_banded``)
-    read ``_band``, H in lower band storage with half-bandwidth
-    ``b = n_side ** (nu - 1)``, so neither forms a dense N x N copy of H;
-    without vectors the band reduction costs O(N^2 b) where a dense one
-    costs O(N^3).  The solves are independent, so ``lambda_max``,
+    read H in lower band storage, so neither forms a dense N x N copy of H;
+    without vectors the band reduction costs O(N^2 b) at half-bandwidth b
+    where a dense one costs O(N^3).  The full decomposition reads ``_band``,
+    all of H with ``b = n_side ** (nu - 1)``.  ``eigenvalues`` reads it too
+    in 1-D and for a 2-D V that is not swap-symmetric on the grid; for a
+    swap-symmetric one it solves the swap's two sectors ``P+-^T H P+-``
+    (``_swap_sectors``), of about N/2 points and ``b`` about n_side/2 each,
+    for about a third of the time.  The solves are independent, so ``lambda_max``,
     ``eigenvalues`` and the values paired with ``eigenvectors`` agree only
     to about 1e-12 times the Dirichlet spectral scale, not bit for bit.
     Every computed eigenvalue and eigenpair is validated before it is
@@ -350,14 +364,17 @@ class DiscretizedOperator:
 
     @cached_property
     def _band(self) -> np.ndarray:
-        """H in LAPACK lower band storage: row k is ``H.diagonal(-k)``, zero-padded
-        to N, for k up to the half-bandwidth ``n_side ** (nu - 1)``."""
-        b = self.n_side ** (self.nu - 1)
-        band = np.zeros((b + 1, self.N))
-        for k in range(b + 1):
-            band[k, :self.N - k] = self.H.diagonal(-k)
-        band.setflags(write=False)
-        return band
+        """H in LAPACK lower band storage, half-bandwidth ``n_side ** (nu - 1)``."""
+        return _lower_band(self.H)
+
+    @property
+    def _swap_symmetric(self) -> bool:
+        """V(x_i, y_j) == V(x_j, y_i) bit for bit on a 2-D grid, so H commutes
+        with the swap (x, y) -> (y, x)."""
+        if self.nu != 2:
+            return False
+        v = self.v_diag.reshape(self.n_side, self.n_side)
+        return bool(np.array_equal(v, v.T))
 
     @cached_property
     def _eig(self) -> tuple:
@@ -372,7 +389,11 @@ class DiscretizedOperator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        vals = np.sort(eig_banded(self._band, lower=True, eigvals_only=True))[::-1]
+        # the swap sectors P+^T H P+ and P-^T H P- hold H's spectrum between them
+        bands = ([_lower_band(P.T @ self.H @ P) for P in _swap_sectors(self.n_side)]
+                 if self._swap_symmetric else [self._band])
+        vals = np.concatenate([eig_banded(band, lower=True, eigvals_only=True) for band in bands])
+        vals = np.sort(vals)[::-1]
         _check_eigenvalues(self, vals)
         vals.setflags(write=False)
         return vals
@@ -449,6 +470,42 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
     H = ((T if V.nu == 1 else sparse.kronsum(T, T)) + sparse.diags_array(v_diag)).tocsr()
     return DiscretizedOperator(nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
                                grid=grid, v_diag=v_diag, H=H)
+
+
+def _lower_band(M) -> np.ndarray:
+    """Symmetric sparse M in LAPACK lower band storage: row k is
+    ``M.diagonal(-k)``, zero-padded, for k up to M's half-bandwidth."""
+    coo = M.tocoo()
+    b = int(np.max(coo.row - coo.col))
+    band = np.zeros((b + 1, M.shape[0]))
+    for k in range(b + 1):
+        band[k, :M.shape[0] - k] = M.diagonal(-k)
+    band.setflags(write=False)
+    return band
+
+
+def _swap_sectors(n: int) -> tuple:
+    """(P+, P-): orthonormal sparse maps onto the vectors of an n x n grid that
+    are even and odd under the swap (i, j) -> (j, i).
+
+    P+ has a column ``(e_ij + e_ji) / sqrt(2)`` for each i > j and ``e_ii``
+    for each i; P- has ``(e_ij - e_ji) / sqrt(2)`` for each i > j.  Columns
+    run along the anti-diagonals, ordered by ``(i + j, i - j)``: a grid
+    neighbour is then at most about n / 2 columns away, so a swap-symmetric
+    H becomes ``P+^T H P+`` and ``P-^T H P-``, each with half-bandwidth
+    about n / 2 where H has n.
+    """
+    maps = []
+    for sign, (i, j) in ((1.0, np.tril_indices(n)), (-1.0, np.tril_indices(n, -1))):
+        order = np.lexsort((i - j, i + j))
+        i, j = i[order], j[order]
+        pair = np.flatnonzero(i > j)
+        rows = np.concatenate([i * n + j, j[pair] * n + i[pair]])
+        cols = np.concatenate([np.arange(i.size), pair])
+        data = np.concatenate([np.where(i > j, math.sqrt(0.5), 1.0),
+                               np.full(pair.size, sign * math.sqrt(0.5))])
+        maps.append(sparse.csr_array((data, (rows, cols)), shape=(n * n, i.size)))
+    return tuple(maps)
 
 
 def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarray,

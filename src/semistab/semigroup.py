@@ -353,8 +353,9 @@ def shifted_range_bound_check(mu_x, a: float, t_grid=None, *, t_min: float = 1e-
                               bound_scale: float = 1.0) -> BoundCheckValue:
     """Max over the grid of ||e^{tA}(A + a)x|| - ||x|| e^{-t a}/(e t).
 
-    Requires the support of mu_x inside (-inf, -a]; range_bound_check
-    is the case a = 0.
+    Requires the support of mu_x inside (-inf, -a] and a bound that is
+    finite at every time (at subnormal times 1/(e t) overflows, and an
+    infinite bound would pass vacuously); range_bound_check is the case a = 0.
     """
     if not (a >= 0.0 and math.isfinite(a)):
         raise DomainError("shift level a must be finite and >= 0")
@@ -364,10 +365,14 @@ def shifted_range_bound_check(mu_x, a: float, t_grid=None, *, t_min: float = 1e-
         raise DomainError("measure must be supported in (-inf, -a]")
     ts = _time_grid(t_grid, t_min, t_max, n_t)
     norm_x = math.sqrt(mu_x.mass)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
+    if not np.all(np.isfinite(rhs)):
+        raise DomainError(f"the bound ||x|| e^(-ta)/(e t) is not finite at "
+                          f"t = {float(ts[~np.isfinite(rhs)][0])!r}")
     # orbit norms of (A + a)x, flushed to 0.0 where the log value underflows
     lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0
                     for v in mu_x.log_laplace_moment(ts, shift=a).tolist()])
-    rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
     violations = lhs - rhs
     i = int(np.argmax(violations))
     return BoundCheckValue(float(violations[i]), worst_t=float(ts[i]),

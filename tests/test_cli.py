@@ -325,6 +325,8 @@ class TestInputErrors:
          "[bounds] t_window must be two times 0 < t_min < t_max, got '0, 1000'"),
         ("study", "t-reversed.cfg", BOUNDS_HEAD + "[bounds]\nt_window = 1000, 0.01\n",
          "[bounds] t_window must be two times 0 < t_min < t_max, got '1000, 0.01'"),
+        ("study", "t-subnormal.cfg", BOUNDS_HEAD + "[bounds]\nt_window = 1e-320, 1e-300\n",
+         "[bounds] t_window starts at 1e-320, where the bound ||x|| e^(-ta)/(e t) is not finite"),
     ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
@@ -333,7 +335,7 @@ class TestInputErrors:
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
             "stated-mass-mismatch", "stated-atomic-mass-mismatch", "t-window-from-zero",
-            "t-window-reversed"])
+            "t-window-reversed", "t-window-subnormal"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):
@@ -533,3 +535,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cold_import_leaves_out_scipy_special(self):
+        # the atomic Laplace kernel's logsumexp is a local numpy copy
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, semistab, semistab.cli; print('scipy.special' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_python_dash_m_study_names_the_short_horizon(self, tmp_path):
+        cfg = tmp_path / "witness.cfg"
+        cfg.write_text("[study]\nkind = gdelta-witness\n\n[witness]\nhorizon = 10, 500\n",
+                       encoding="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "semistab", "study", str(cfg), "--out", str(tmp_path / "r")],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: [witness] horizon must be two times 0 < t_min < t_max, "
+                               "two decades apart, got '10, 500'\n")
+        assert proc.stdout == ""

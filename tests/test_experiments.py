@@ -357,7 +357,7 @@ class TestGdeltaWitness:
         assert not rep.passed
 
     def test_short_horizon_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"\[witness\] horizon must be .* two decades"):
             study("gdelta-witness", horizon=(10.0, 500.0))
 
 

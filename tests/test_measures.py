@@ -345,6 +345,28 @@ def test_laplace_moment_shift_cancels_matching_atom():
     assert val == pytest.approx(0.3 * 4.0 * math.exp(-3.0), rel=1e-13)
 
 
+def test_logsumexp_is_bit_identical_to_scipy():
+    # the kernel's numpy copy of scipy.special.logsumexp, on rows with tied
+    # maxima, -inf entries and all--inf rows, along the last axis and in 1-D
+    from scipy.special import logsumexp
+
+    from semistab.measures import _logsumexp
+
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 9), rng.integers(1, 40)
+        a = rng.normal(0.0, rng.choice([1.0, 40.0, 800.0]), (rows, cols)).round(rng.integers(0, 3))
+        a[:, rng.integers(0, cols)] = a.max(axis=1)  # a tie at each row's maximum
+        a[rng.uniform(size=a.shape) < 0.2] = -np.inf
+        a[rng.integers(0, rows)] = -np.inf
+        expected = logsumexp(a, axis=1)
+        assert _logsumexp(a).tobytes() == expected.tobytes()
+        for row in a:
+            got = _logsumexp(row)
+            assert isinstance(got, np.float64)
+            assert got.tobytes() == np.float64(logsumexp(row)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # lacunary_measure
 # ---------------------------------------------------------------------------

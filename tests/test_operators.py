@@ -192,13 +192,26 @@ class TestDiscretize:
             assert np.all(op.eigenvalues <= 1e-10 * scale)
 
 
+_SYMMETRIC_SAMPLES = -np.random.default_rng(41).uniform(0.0, 0.5, (5, 5))
+
+
 class TestOperatorMatrix:
+    # every 2-D case but "nu2-sampled" is swap-symmetric, V(x, y) == V(y, x);
+    # the 1.8 / 0.4 grids have an even side, n_side = 8
     CASES = {
         "nu1": (exp_well(depth=0.5, width=2.0), 5.0, 0.25),
         "nu2": (gaussian_well(depth=0.8, width=1.3, nu=2), 2.0, 0.25),
         "nu2-sampled": (sampled_potential(-np.linspace(0.0, 1.0, 25) ** 2, -2.0, 2.0, nu=2),
                         2.0, 0.25),
+        "nu2-constant": (constant_potential(-0.4, nu=2), 1.8, 0.4),
+        "nu2-exp": (exp_well(depth=0.6, width=0.9, nu=2), 1.8, 0.4),
+        "nu2-square": (square_well(depth=1.0, radius=1.0, nu=2), 2.0, 0.25),
+        "nu2-truncated": (truncate_potential(gaussian_well(nu=2), 1), 1.8, 0.4),
+        "nu2-shifted": (shift_potential(exp_well(nu=2), 2), 2.0, 0.25),
+        "nu2-sampled-symmetric": (sampled_potential(_SYMMETRIC_SAMPLES + _SYMMETRIC_SAMPLES.T,
+                                                    -2.0, 2.0, nu=2, a_bound=1.0), 1.8, 0.4),
     }
+    UNFOLDED = ("nu1", "nu2-sampled")
 
     @pytest.mark.parametrize("case", CASES)
     def test_matrix_equals_dense_loop_oracle(self, case):
@@ -293,6 +306,9 @@ class TestOnDemandSolves:
         expected = np.sort(np.linalg.eigvalsh(oracle_dense_matrix(V, L, h)))[::-1]
         assert np.max(np.abs(op.eigenvalues - expected)) <= 1e-12 * dirichlet_bottom(op)
         assert "_eig" not in op.__dict__
+        # a swap-symmetric 2-D V is solved on the two swap sectors, never on _band
+        assert op._swap_symmetric == (case not in TestOperatorMatrix.UNFOLDED)
+        assert ("_band" in op.__dict__) == (case in TestOperatorMatrix.UNFOLDED)
 
     def test_study_rows_and_verdicts_skip_the_full_decomposition(self, monkeypatch):
         built = []
@@ -348,7 +364,7 @@ class TestBandedSolves:
         assert np.array_equal(op._eig[0], vals[::-1])
         assert np.array_equal(op._eig[1], vecs[:, ::-1])
 
-    @pytest.mark.parametrize("case", ["nu2", "nu2-sampled"])
+    @pytest.mark.parametrize("case", [case for case in CASES if case != "nu1"])
     def test_2d_eigenpair_values_agree_with_eigenvalues(self, case):
         V, L, h = self.CASES[case]
         op = discretize(V, L=L, h=h)
@@ -366,6 +382,72 @@ class TestBandedSolves:
         finally:
             tracemalloc.stop()
         assert peak < op.N * op.N * 8 / 4
+        assert "_band" not in op.__dict__  # the square well took the swap fold
+
+
+class TestSwapFold:
+    """The swap sectors behind ``eigenvalues`` for a swap-symmetric 2-D V;
+    ``TestOnDemandSolves`` checks the folded values against dense solves."""
+
+    @pytest.mark.parametrize("n", [8, 15, 49])
+    def test_sectors_are_orthonormal_swap_eigenspaces(self, n):
+        plus, minus = operators._swap_sectors(n)
+        assert plus.shape == (n * n, n * (n + 1) // 2)
+        assert minus.shape == (n * n, n * (n - 1) // 2)
+        both = sparse.hstack([plus, minus])
+        assert abs(both.T @ both - sparse.diags_array(np.ones(n * n))).max() <= 1e-15
+        swap = np.arange(n * n).reshape(n, n).T.ravel()  # (i, j) -> (j, i)
+        assert abs(plus[swap] - plus).max() == 0.0
+        assert abs(minus[swap] + minus).max() == 0.0
+
+    def test_spectrum_2d_sectors_halve_size_and_bandwidth(self):
+        op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=5.0, h=0.2)
+        bands = [operators._lower_band(P.T @ op.H @ P)
+                 for P in operators._swap_sectors(op.n_side)]
+        assert [band.shape for band in bands] == [(26, 1225), (26, 1176)]
+        assert op._band.shape == (50, 2401)
+
+
+class TestSwapFoldFaults:
+    """Faults planted in the fold.  ``_check_eigenvalues`` reads H itself, not
+    the sectors, so each one fails it."""
+
+    def setup_method(self):
+        self.op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0),
+                             L=2.0, h=0.25)
+
+    def test_one_sector_alone_fails_the_checks(self, monkeypatch):
+        sectors = operators._swap_sectors
+        monkeypatch.setattr(operators, "_swap_sectors", lambda n: sectors(n)[:1])
+        with pytest.raises(InvariantViolation):
+            self.op.eigenvalues
+
+    def test_unnormalized_pair_columns_fail_the_checks(self, monkeypatch):
+        sectors = operators._swap_sectors
+
+        def unit_weights(n):
+            maps = tuple(P.copy() for P in sectors(n))
+            for P in maps:
+                P.data = np.sign(P.data)  # 1 where 1/sqrt(2) belongs: P is not orthogonal
+            return maps
+
+        monkeypatch.setattr(operators, "_swap_sectors", unit_weights)
+        with pytest.raises(InvariantViolation):
+            self.op.eigenvalues
+
+    def test_forced_fold_of_one_asymmetric_entry_fails_the_checks(self, monkeypatch):
+        op, n = self.op, self.op.n_side
+        v = op.v_diag.copy()
+        v[(n // 2) * n + n // 2 - 1] = -0.9  # inside the well, off the diagonal i == j
+        asym = dataclasses.replace(op, v_diag=v,
+                                   H=(op.H + sparse.diags_array(v - op.v_diag)).tocsr())
+        assert not asym._swap_symmetric
+        expected = np.sort(np.linalg.eigvalsh(asym.H.toarray()))[::-1]
+        assert np.max(np.abs(asym.eigenvalues - expected)) <= 1e-12 * dirichlet_bottom(op)
+        forced = dataclasses.replace(asym)  # nothing cached yet
+        monkeypatch.setattr(operators.DiscretizedOperator, "_swap_symmetric", True)
+        with pytest.raises(InvariantViolation):
+            forced.eigenvalues
 
 
 class TestEigenvalueChecks:

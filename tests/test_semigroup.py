@@ -443,6 +443,16 @@ class TestShiftedRangeBound:
         check = shifted_range_bound_check(mu, 1.0, bound_scale=0.9)
         assert not check.passed
 
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_bound_overflowing_at_subnormal_times_is_refused(self, a):
+        # ||x|| e^{-ta}/(e t) is inf at t = 1e-320; checked against it, any
+        # orbit would pass
+        mu = AtomicMeasure.from_points([-2.0], [1.0])
+        with pytest.raises(DomainError, match="not finite at t = 1e-320"):
+            shifted_range_bound_check(mu, a, t_min=1e-320, t_max=1e-300, n_t=20)
+        with pytest.raises(DomainError, match="not finite"):
+            shifted_range_bound_check(mu, a, t_grid=np.array([1.0, 1e-320]))
+
 
 # ---------------------------------------------------------------------------
 # weighted-orbit probe
