@@ -21,6 +21,14 @@ The mirrors x -> -x and y -> -y are not used: the grid points
 ``-L + h k`` are not mirror-exact in floating point, so V is not exactly
 mirror-symmetric on the grid.
 
+The eigenvalues are checked on H itself, never on the sectors, by the
+trace and Frobenius identities and by Sylvester inertia counts of
+``H - sigma I`` at a few shifts in spectral gaps.  Each count is a block
+LDL^T over consecutive blocks of ``m = ceil(sqrt(N))`` rows (n_side in 2-D,
+where it equals the half-bandwidth): LAPACK ``dsysv`` factors each Schur
+complement with Bunch-Kaufman pivoting (``dsytrf``), and by Haynsworth's
+inertia additivity the blocks' counts add up to H's, at O(N m^2) per shift.
+
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
 support convergence studies; resolvent diagnostics quantify how close two
@@ -37,6 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dsysv
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii, read_descriptor
@@ -326,7 +335,8 @@ class DiscretizedOperator:
       first), from values-only banded solves.  No eigenvector is
       computed; the values are checked on H itself by the trace and
       Frobenius identities and by Sylvester inertia counts of
-      ``H - sigma I`` at a few shifts in spectral gaps;
+      ``H - sigma I`` at a few shifts in spectral gaps, each a block LDL^T
+      of H in blocks of about sqrt(N) rows (``_check_inertia``);
     * ``eigenvectors``: the full decomposition, from a banded solve with
       vectors, with ``eigenvectors[:, j]`` the orthonormal eigenvector for
       the j-th eigenvalue, in the same order;
@@ -526,8 +536,10 @@ def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarra
 def _check_eigenvalues(op: DiscretizedOperator, vals: np.ndarray) -> None:
     """All N eigenvalues of a Dirichlet operator, sorted descending, checked
     without eigenvectors: nonpositive, with the Sylvester inertia of H at
-    gaps of the spectrum, and with sum(vals) = tr H and vals @ vals =
-    ||H||_F^2 to 1e-12 N scale and 1e-12 N scale^2."""
+    gaps of the spectrum (``_check_inertia``, block LDL^T counts at
+    O(N m^2) each for blocks of m = ceil(sqrt(N)) rows), and with
+    sum(vals) = tr H and vals @ vals = ||H||_F^2 to 1e-12 N scale and
+    1e-12 N scale^2."""
     scale = float(np.max(np.abs(vals)))
     if np.any(vals > 1e-10 * scale):
         raise InvariantViolation("positive eigenvalue in a Dirichlet discretization")
@@ -543,36 +555,136 @@ def _check_eigenvalues(op: DiscretizedOperator, vals: np.ndarray) -> None:
 def _check_inertia(op: DiscretizedOperator, vals: np.ndarray, scale: float) -> None:
     """Sylvester inertia at up to _INERTIA_SHIFTS gaps spread over the spectrum.
 
-    Factored without pivoting, H - sigma I = L D L^T with U = D L^T, so the
-    positive diagonal entries of U count the eigenvalues above sigma.  Each
-    sigma is the midpoint of a gap vals[k] - vals[k+1] wider than
-    1e-6 * scale, where the count must be k + 1: a sigma inside an exactly
-    degenerate pair (the square well's x <-> y symmetry) would miscount.  A
-    factorization that pivots or meets a zero or non-finite pivot moves on to
-    the next gap.
+    Each sigma is the midpoint of a gap vals[k] - vals[k+1] wider than
+    1e-6 * scale, where the number of eigenvalues of H above sigma must be
+    k + 1: a sigma inside an exactly degenerate pair (the square well's
+    x <-> y symmetry) would miscount.  The count is ``_count_above``, a
+    block LDL^T of H - sigma I over the blocks that ``_band_blocks`` cuts
+    from H once for every shift.  It reads all of H, never the swap sectors
+    that ``eigenvalues`` may have solved, so it also checks the fold.  A
+    shift whose count meets a singular or non-finite block moves on to the
+    next gap not yet tried (``_spread_gaps``).
     """
     gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
+    blocks = _band_blocks(op.H)
+
+    def midpoint(k: int) -> float:
+        return 0.5 * float(vals[k] + vals[k + 1])
+
     checked = 0
-    for start in np.unique(np.linspace(0, gaps.size - 1, _INERTIA_SHIFTS).round().astype(int)):
-        for k in gaps[start:]:
-            sigma = 0.5 * float(vals[k] + vals[k + 1])
-            shifted = (op.H - sparse.diags_array(np.full(op.N, sigma))).tocsc()
-            lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True))
-            pivots = lu.U.diagonal()
-            if (np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.isfinite(pivots))
-                    and np.all(pivots != 0.0)):
-                break
-        else:
-            break  # no later gap factors cleanly either
-        above = int(np.count_nonzero(pivots > 0.0))
+    for k, above in _spread_gaps(gaps, lambda k: _count_above(blocks, midpoint(k))):
         if above != k + 1:
-            raise InvariantViolation(f"Sylvester inertia of H - sigma I at sigma={sigma!r} "
+            raise InvariantViolation(f"Sylvester inertia of H - sigma I at sigma={midpoint(k)!r} "
                                      f"counts {above} eigenvalues above sigma, the spectrum "
                                      f"{k + 1}")
         checked += 1
     if checked == 0:
         raise InvariantViolation("no eigenvalue gap admits a Sylvester inertia count")
+
+
+def _spread_gaps(gaps: np.ndarray, count: Callable[[int], Optional[int]]):
+    """Yield ``(k, count(k))`` at up to _INERTIA_SHIFTS distinct gaps k of
+    ``gaps``, spread evenly over it.  Where ``count(k)`` is None (no count at
+    that gap), the search moves on to the next gap not yet tried; once every
+    later gap has failed, it stops."""
+    untried = 0  # every gap tried so far lies before this position
+    for start in np.unique(np.linspace(0, gaps.size - 1, _INERTIA_SHIFTS).round().astype(int)):
+        for pos in range(max(start, untried), gaps.size):
+            above = count(int(gaps[pos]))
+            if above is not None:
+                break
+        else:
+            return
+        untried = pos + 1
+        yield int(gaps[pos]), above
+
+
+def _band_blocks(M) -> tuple:
+    """Symmetric sparse M of half-bandwidth b, cut into consecutive blocks of
+    ``m = max(ceil(sqrt(N)), b)`` rows.
+
+    Returns ``(diag, corners, last)``: ``diag[q]`` holds the lower triangle
+    of the q-th diagonal block (the last one padded to m rows), ``corners[q]``
+    the b x b block that couples block q to block q + 1 (rows 0..b-1 of
+    block q + 1, columns m-b..m-1 of block q), and ``last`` the row count of
+    the last block.  As m >= b, no other entries of M lie off the diagonal
+    blocks.  In 2-D m = b = n_side; at the 1-D cap m = 60 and b = 1.
+    """
+    coo = M.tocoo()
+    lower = coo.row >= coo.col
+    row, col, data = coo.row[lower], coo.col[lower], coo.data[lower]
+    N = M.shape[0]
+    b = int(np.max(row - col))
+    m = max(math.isqrt(N - 1) + 1, b)
+    n_blocks = -(-N // m)
+    q, i = np.divmod(row, m)
+    p, j = np.divmod(col, m)
+    same = q == p
+    diag = np.zeros((n_blocks, m, m))
+    diag[q[same], i[same], j[same]] = data[same]
+    corners = np.zeros((n_blocks - 1, b, b))
+    corners[p[~same], i[~same], j[~same] - (m - b)] = data[~same]
+    return diag, corners, N - (n_blocks - 1) * m
+
+
+def _count_above(blocks: tuple, sigma: float) -> Optional[int]:
+    """Number of eigenvalues above sigma of the matrix cut into ``blocks`` by
+    ``_band_blocks``, or None where a block is singular or non-finite.
+
+    Haynsworth's inertia additivity over the block LDL^T of M - sigma I
+    gives ``In(M - sigma I) = sum_q In(S_q)`` for the Schur complements
+    ``S_0 = A_0 - sigma I``, ``S_(q+1) = A_(q+1) - sigma I - C_q S_q^-1 C_q^T``
+    with diagonal blocks A_q and couplings C_q.  C_q reaches only the
+    trailing b columns of block q, so only ``S_q^-1`` times those b columns
+    of C_q^T carries over, into the leading b x b corner of S_(q+1).  LAPACK
+    ``dsysv`` factors each S_q with Bunch-Kaufman pivoting (``dsytrf``),
+    ``P S_q P^T = L D L^T``, which keeps its inertia, and solves for that
+    product in the same call; D's 1 x 1 pivots count by sign, its 2 x 2
+    pivots by their own determinant and trace.  The cost is O(N m^2) for
+    blocks of m rows.
+    """
+    diag, corners, last = blocks
+    n_blocks, m = diag.shape[:2]
+    b = corners.shape[1]
+    N = (n_blocks - 1) * m + last
+    pivot, sub, ipiv = np.empty(N), np.zeros(N), np.empty(N, dtype=int)
+    shift = sigma * np.eye(m)
+    rhs = np.zeros((m, b), order="F")
+    for q in range(n_blocks):
+        S = diag[q] - shift
+        if q:
+            S[:b, :b] -= corners[q - 1] @ x[m - b:]
+        if q < n_blocks - 1:
+            rhs[m - b:] = corners[q].T
+        else:
+            S = S[:last, :last]  # and its solve is not used
+        ldu, piv, x, info = dsysv(S, rhs[:len(S)], lower=1, overwrite_a=1)
+        if info != 0:
+            return None
+        rows = slice(q * m, q * m + len(S))
+        pivot[rows] = np.diagonal(ldu)
+        sub[rows][:-1] = np.diagonal(ldu, -1)
+        ipiv[rows] = piv
+    return _positive_pivots(pivot, sub, ipiv)
+
+
+def _positive_pivots(pivot: np.ndarray, sub: np.ndarray, ipiv: np.ndarray) -> Optional[int]:
+    """Positive eigenvalues of the block diagonal D of ``dsytrf`` factors
+    (lower storage): ``pivot`` is D's diagonal, ``sub`` its subdiagonal where
+    a 2 x 2 pivot starts, ``ipiv`` the pivot indices.  None where D is
+    singular or not finite.  Bunch-Kaufman's 2 x 2 pivots have a negative
+    determinant, but each is counted from its own determinant and trace."""
+    # a 2 x 2 pivot marks both its rows with one negative ipiv, a 1 x 1 pivot
+    # its row with a positive one, so the negative rows pair off in order
+    one = ipiv > 0
+    two = np.flatnonzero(~one)[::2]
+    det = pivot[two] * pivot[two + 1] - sub[two] * sub[two]
+    trace = pivot[two] + pivot[two + 1]
+    if not (np.all(np.isfinite(pivot)) and np.all(np.isfinite(det))
+            and np.all(pivot[one] != 0.0) and np.all(det != 0.0)):
+        return None
+    return (int(np.count_nonzero(pivot[one] > 0.0)) + int(np.count_nonzero(det < 0.0))
+            + 2 * int(np.count_nonzero((det > 0.0) & (trace > 0.0))))
 
 
 def spectral_measure(H: DiscretizedOperator, x) -> AtomicMeasure:

@@ -27,6 +27,7 @@ from semistab import (
     monomial_profile_measure,
     orbit_to_csv,
     potential_from_text,
+    sampled_potential,
     save_measure,
     save_potential,
     spectrum_to_csv,
@@ -184,6 +185,30 @@ class TestOperatorSpectrum:
         assert "_eig" not in built[0].__dict__
         assert "lambda_max" not in built[0].__dict__
         assert "_resolvent_solver" not in built[0].__dict__
+
+    @pytest.mark.parametrize("V, L, h, N", [
+        (gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0), 18.0, 0.01, 3599),  # the 1-D cap
+        # a sampled 2-D V that is not swap-symmetric: the solve reads all of H, unfolded
+        (sampled_potential(-np.linspace(0.0, 1.0, 25) ** 2, -2.0, 2.0, nu=2), 3.0, 0.2, 841),
+    ], ids=["nu1-cap", "nu2-sampled-unfolded"])
+    def test_spectrum_paths_outside_the_benchmark(self, tmp_path, capsys, monkeypatch,
+                                                  V, L, h, N):
+        built = []
+
+        def recording_discretize(*args, **kwargs):
+            built.append(discretize(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("semistab.cli.discretize", recording_discretize)
+        pot = tmp_path / "well.potential"
+        save_potential(V, pot)
+        out_csv = tmp_path / "spec.csv"
+        rc = main(["operator", "spectrum", str(pot), "--L", str(L), "--h", str(h),
+                   "--out", str(out_csv)])
+        assert rc == 0
+        assert int(capsys.readouterr().out.splitlines()[1].split(",")[1]) == N
+        assert len(out_csv.read_text().splitlines()) == N + 1
+        assert not built[0]._swap_symmetric and "_band" in built[0].__dict__
 
     def test_failed_decomposition_leaves_existing_output(self, tmp_path, capsys, monkeypatch):
         def lifted_discretize(*args, **kwargs):

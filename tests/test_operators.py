@@ -4,8 +4,9 @@ and resolvent diagnostics.
 Oracles used here are independent of the package internals: the cosine
 form of the Dirichlet second-difference spectrum, dense matrices built
 by explicit loops, scipy.linalg.expm for semigroup evolution,
-scipy.linalg.eigh_tridiagonal for the 1-D banded solves, and
-numpy.linalg solves for resolvents.
+scipy.linalg.eigh_tridiagonal for the 1-D banded solves, numpy.linalg
+solves for resolvents, and, for the inertia counts, a sparse LU without
+pivoting and dense numpy.linalg.eigvalsh counts.
 """
 
 import dataclasses
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg.lapack import dsytrf
+from scipy.sparse.linalg import splu
 
 from semistab import experiments, operators
 from semistab import (
@@ -487,6 +490,160 @@ class TestEigenvalueChecks:
         op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=2.0, h=0.25)
         vals = op.eigenvalues  # every check ran, and passed
         assert np.any(vals[:-1] - vals[1:] <= 1e-12 * dirichlet_bottom(op))  # x <-> y pairs
+
+
+def splu_count_above(M, sigma):
+    """Eigenvalues of M above sigma from a sparse LU of M - sigma I without
+    pivoting, M - sigma I = L D L^T with U = D L^T: the positive diagonal
+    entries of U.  None where the factorization pivots or meets a zero or
+    non-finite pivot."""
+    shifted = (M - sparse.diags_array(np.full(M.shape[0], sigma))).tocsc()
+    lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.isfinite(pivots))
+            and np.all(pivots != 0.0)):
+        return None
+    return int(np.count_nonzero(pivots > 0.0))
+
+
+def random_band_matrix(rng, N, b, zero_diagonal=False):
+    """Sparse random symmetric matrix of half-bandwidth b."""
+    offsets = np.arange(-b, b + 1)
+    diagonals = [rng.standard_normal(N - abs(k)) for k in range(b + 1)]
+    if zero_diagonal:
+        diagonals[0][:] = 0.0
+    return sparse.diags_array([diagonals[abs(k)] for k in offsets], offsets=offsets).tocsr()
+
+
+class TestInertiaCount:
+    """The block LDL^T count behind ``_check_inertia`` against two oracles:
+    the sparse LU count without pivoting and a dense ``eigvalsh`` count."""
+
+    CASES = {
+        "nu1-square": (square_well(depth=1.0, radius=1.0), 5.0, 0.1),
+        "nu1-exp": (exp_well(depth=0.5, width=2.0), 5.0, 0.1),
+        "nu2-square": (square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), 2.0, 0.25),
+        "nu2-exp": (exp_well(depth=0.6, width=0.9, nu=2), 2.0, 0.25),
+        "nu2-sampled": TestOperatorMatrix.CASES["nu2-sampled"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_operator_counts_match_both_oracles(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        vals = np.sort(np.linalg.eigvalsh(op.H.toarray()))[::-1]
+        scale = float(np.max(np.abs(vals)))
+        gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
+        assert case != "nu2-square" or gaps.size < op.N - 1  # the degenerate x <-> y pairs
+        blocks = operators._band_blocks(op.H)
+        for k in gaps[np.unique(np.linspace(0, gaps.size - 1, 40).round().astype(int))]:
+            sigma = 0.5 * float(vals[k] + vals[k + 1])
+            assert operators._count_above(blocks, sigma) == k + 1
+            assert splu_count_above(op.H, sigma) == k + 1
+
+    @pytest.mark.parametrize("N, b", [(10, 1), (37, 2), (50, 3), (83, 5), (20, 6)])
+    @pytest.mark.parametrize("zero_diagonal", [False, True])
+    def test_random_band_counts_match_both_oracles(self, N, b, zero_diagonal):
+        rng = np.random.default_rng(N * 10 + b)
+        M = random_band_matrix(rng, N, b, zero_diagonal)
+        diag, corners, last = blocks = operators._band_blocks(M)
+        m = max(math.ceil(math.sqrt(N)), b)
+        assert diag.shape == (-(-N // m), m, m) and corners.shape[1:] == (b, b)
+        assert 0 < last < m  # N is not a multiple of m
+        vals = np.linalg.eigvalsh(M.toarray())
+        sigmas = [0.0, *rng.uniform(vals[0], vals[-1], 8)]
+        for sigma in sigmas:
+            expected = int(np.count_nonzero(vals > sigma))
+            assert operators._count_above(blocks, sigma) == expected
+            assert splu_count_above(M, sigma) in (expected, None)
+        if zero_diagonal:
+            # at sigma = 0 every diagonal pivot is 0: Bunch-Kaufman takes 2 x 2
+            # pivots, and the count without pivoting fails at once
+            assert np.any(dsytrf(diag[0], lower=1)[1] < 0)
+            assert splu_count_above(M, 0.0) is None
+
+    @pytest.mark.parametrize("a, c, d, positive", [
+        (1.0, 0.5, 2.0, 2),  # positive definite: det > 0, trace > 0
+        (-1.0, 0.5, -2.0, 0),  # negative definite: det > 0, trace < 0
+        (1.0, 2.0, 1.0, 1),  # indefinite, det < 0: the only kind Bunch-Kaufman makes
+        (1.0, 1.0, 1.0, None),  # singular
+        (1.0, math.inf, 1.0, None),
+    ])
+    def test_2x2_pivots_count_from_determinant_and_trace(self, a, c, d, positive):
+        # D = diag(2, [[a, c], [c, d]], -1, [[-3, 1], [1, 4]]); lower-storage ipiv marks
+        # each 2 x 2 pivot's rows with one negative index, here -5 for both of them
+        pivot = np.array([2.0, a, d, -1.0, -3.0, 4.0])
+        sub = np.array([0.3, c, 0.7, 0.2, 1.0, 0.0])  # entries off the pivots are L's
+        ipiv = np.array([1, -5, -5, 4, -5, -5])
+        expected = None if positive is None else 1 + positive + 1
+        assert operators._positive_pivots(pivot, sub, ipiv) == expected
+
+    def test_zero_or_non_finite_1x1_pivot_gives_no_count(self):
+        ipiv = np.array([1, 2, 3])
+        assert operators._positive_pivots(np.array([1.0, 0.0, -1.0]), np.zeros(3), ipiv) is None
+        assert operators._positive_pivots(np.array([1.0, np.nan, -1.0]), np.zeros(3), ipiv) is None
+        assert operators._positive_pivots(np.array([1.0, 2.0, -1.0]), np.zeros(3), ipiv) == 2
+
+    def test_exactly_singular_block_gives_no_count(self):
+        M = random_band_matrix(np.random.default_rng(5), 50, 3).tolil()
+        r = 2 * 8 + 1  # row 1 of the third block of m = 8 rows
+        M[r, :] = 0.0
+        M[:, r] = 0.0
+        M[r, r] = 0.75  # the Schur complement at sigma = 0.75 has a zero row
+        blocks = operators._band_blocks(M.tocsr())
+        assert operators._count_above(blocks, 0.75) is None
+        assert operators._count_above(blocks, 0.7) is not None
+
+    def test_check_inertia_moves_on_after_no_count(self, monkeypatch):
+        op = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
+        vals = np.array(op.eigenvalues)
+        count, shifts = operators._count_above, []
+
+        def first_shift_fails(blocks, sigma):
+            shifts.append(sigma)
+            return None if len(shifts) == 1 else count(blocks, sigma)
+
+        monkeypatch.setattr(operators, "_count_above", first_shift_fails)
+        operators._check_inertia(op, vals, float(np.max(np.abs(vals))))
+        assert len(shifts) == operators._INERTIA_SHIFTS + 1
+        assert len(set(shifts)) == len(shifts)
+        assert shifts[1] == 0.5 * float(vals[1] + vals[2])  # the gap after the failed one
+
+    @pytest.mark.parametrize("fails, tried, counted", [
+        # starts 0, 2, 4, 6, 8, 10: the fallback from 0 lands on 2, so start 2 takes 3
+        ({0, 1}, [0, 1, 2, 3, 4, 6, 8, 10], [2, 3, 4, 6, 8, 10]),
+        # no count from 5 on: start 6 tries 6..10 and the search stops
+        ({5, 6, 7, 8, 9, 10}, [0, 2, 4, 6, 7, 8, 9, 10], [0, 2, 4]),
+        (set(range(11)), list(range(11)), []),
+    ])
+    def test_spread_gaps_tries_each_gap_once(self, fails, tried, counted):
+        gaps = 3 * np.arange(11)
+        calls = []
+
+        def count(k):
+            calls.append(k // 3)
+            return None if k // 3 in fails else -k
+
+        picked = list(operators._spread_gaps(gaps, count))
+        assert calls == tried
+        assert picked == [(3 * pos, -3 * pos) for pos in counted]
+
+    def test_spread_gaps_with_fewer_gaps_than_shifts(self):
+        assert list(operators._spread_gaps(np.array([4, 7]), lambda k: k)) == [(4, 4), (7, 7)]
+        assert list(operators._spread_gaps(np.array([], dtype=int), lambda k: k)) == []
+
+    @pytest.mark.parametrize("case", ["nu1", "nu2", "nu2-sampled"])
+    def test_eigenvalues_make_no_sparse_lu(self, case, monkeypatch):
+        def no_splu(*args, **kwargs):
+            raise AssertionError("sparse LU")
+
+        monkeypatch.setattr(operators, "splu", no_splu)
+        V, L, h = TestOperatorMatrix.CASES[case]
+        op = discretize(V, L=L, h=h)
+        assert op.eigenvalues.size == op.N
+        with pytest.raises(AssertionError, match="sparse LU"):
+            resolvent_apply(op, np.ones(op.N))  # the resolvent keeps its sparse LU
 
 
 class TestPotentialConstruction:
