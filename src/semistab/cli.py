@@ -17,10 +17,12 @@ study <config> [--jobs N] [--out DIR]
 
 Exit codes: 0 means every asserted contract passed, 1 means a checked
 contract was violated, 2 means a usage or configuration error.  Tables
-on stdout use a fixed column order with one header line; stderr
-carries only diagnostics.  Window values accept plain decimals and
-power tokens ("1e-6", "2^-2048").  The SEMISTAB_OUTDIR environment
-variable sets the default output directory.
+on stdout are CSV in the dialect of the written files: a fixed column
+order, one header line, one row.  An ``--out`` path that cannot be a
+cell of that row (a comma, double quote or line break in it) is a usage
+error.  Stderr carries only diagnostics.  Window values accept plain
+decimals and power tokens ("1e-6", "2^-2048").  The SEMISTAB_OUTDIR
+environment variable sets the default output directory.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import argparse
 import os
 import sys
 
-from .errors import DomainError, InvariantViolation, ResourceCapError
+from .errors import DomainError, InvariantViolation, ResourceCapError, csv_cell, csv_text
 from .experiments import (
     OUTPUT_DIR_ENV,
     load_study_config,
@@ -51,14 +53,15 @@ from .semigroup import (
 __all__ = ["build_parser", "main"]
 
 
-def _default_outdir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV) or "."
-
-
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+def _out_path(out, name: str) -> str:
+    """``--out``, else ``name`` in $SEMISTAB_OUTDIR or "."; the stdout row prints
+    it as a cell, so a path that cannot be one is a usage error before any solve."""
+    path = out or os.path.join(os.environ.get(OUTPUT_DIR_ENV) or ".", name)
+    try:
+        return csv_cell(path)
+    except InvariantViolation:
+        raise DomainError(f"output path {path!r} holds a comma, double quote or line break, "
+                          f"so it cannot be a CSV cell") from None
 
 
 # ---------------------------------------------------------------------------
@@ -70,33 +73,26 @@ def _cmd_measure_exponents(args) -> int:
     mu = load_measure(args.file)
     est = scaling_exponents(mu, log_window=parse_scale_window(args.window),
                             n_scales=args.scales)
-    print("d_minus,d_plus,n_scales,log_eps_min,log_eps_max")
-    print(
-        f"{float(est.d_minus)!r},{float(est.d_plus)!r},{est.n_scales},"
-        f"{float(est.log_scale_range[0])!r},{float(est.log_scale_range[1])!r}"
-    )
+    sys.stdout.write(csv_text(("d_minus", "d_plus", "n_scales", "log_eps_min", "log_eps_max"),
+                              [(est.d_minus, est.d_plus, est.n_scales, *est.log_scale_range)]))
     return 0
 
 
 def _cmd_operator_spectrum(args) -> int:
-    V = load_potential(args.file)
-    H = discretize(V, args.L, args.h)
-    out = args.out or os.path.join(_default_outdir(), "spectrum.csv")
-    _ensure_parent(out)
+    out = _out_path(args.out, "spectrum.csv")
+    H = discretize(load_potential(args.file), args.L, args.h)
     spectrum_to_csv(H, out)
-    print("spectrum_csv,n_eigenvalues,lambda_max")
-    print(f"{out},{H.N},{float(H.eigenvalues[0])!r}")
+    sys.stdout.write(csv_text(("spectrum_csv", "n_eigenvalues", "lambda_max"),
+                              [(out, H.N, H.eigenvalues[0])]))
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    mu = load_measure(args.file)
-    trace = evolve_norms(mu, args.tmin, args.tmax, args.nt)
-    out = args.out or os.path.join(_default_outdir(), "orbit.csv")
-    _ensure_parent(out)
+    out = _out_path(args.out, "orbit.csv")
+    trace = evolve_norms(load_measure(args.file), args.tmin, args.tmax, args.nt)
     orbit_to_csv(trace, out)
-    print("orbit_csv,n_t,t_min,t_max")
-    print(f"{out},{trace.n_t},{float(trace.t[0])!r},{float(trace.t[-1])!r}")
+    sys.stdout.write(csv_text(("orbit_csv", "n_t", "t_min", "t_max"),
+                              [(out, trace.n_t, trace.t[0], trace.t[-1])]))
     return 0
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the plain-text input readers."""
+"""Exception types shared across the package, and its plain-text readers and writers."""
+
+import numbers
+import os
 
 
 class DomainError(ValueError):
@@ -24,6 +27,43 @@ def read_ascii(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: byte {exc.start} is not ASCII") from None
+
+
+def write_ascii(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII with LF line ends, creating the parent
+    directory; the text is built first, so a failure leaves the file as it was."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
+def csv_cell(cell) -> str:
+    """One cell of the package's CSV dialect: a str without comma, double quote or
+    line break; an integer; another real as its float's ``repr``.  Any other cell,
+    NaN and bool among them, raises InvariantViolation: failures are tagged strings."""
+    if type(cell) is float and cell == cell or type(cell) is int:  # the common case, first
+        return repr(cell)
+    if isinstance(cell, str) and not any(ch in cell for ch in ',"\n\r'):
+        return cell
+    if isinstance(cell, numbers.Real) and not isinstance(cell, bool):
+        if isinstance(cell, numbers.Integral):
+            return str(int(cell))
+        if float(cell) == float(cell):  # a NaN is not == itself
+            return repr(float(cell))
+    raise InvariantViolation(f"{cell!r} cannot be a CSV cell: cells are strings without a "
+                             f"comma, double quote or line break, integers, or non-NaN reals")
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header line and rows of ``csv_cell`` cells, each row as
+    wide as the header; LF line ends, no quoting."""
+    rows, width = list(rows), len(header)
+    ragged = set(map(len, rows)) - {width}
+    if ragged:
+        raise InvariantViolation(f"CSV row with {min(ragged)} cells under {width} columns")
+    return "\n".join(",".join(map(csv_cell, row)) for row in (header, *rows)) + "\n"
 
 
 def read_descriptor(text: str, what: str) -> tuple:

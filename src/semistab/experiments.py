@@ -42,7 +42,8 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .errors import DomainError, InvariantViolation, PreconditionError, read_ascii
+from .errors import (DomainError, InvariantViolation, PreconditionError, csv_cell, csv_text,
+                     read_ascii, write_ascii)
 from .measures import (
     AtomicMeasure,
     lacunary_measure,
@@ -63,6 +64,7 @@ from .operators import (
 )
 from .semigroup import (
     BetaDescriptor,
+    _tail_start,
     classify_stability,
     decay_exponents,
     evolve_norms,
@@ -261,14 +263,19 @@ def _reals(default=_REQUIRED, need="a comma-separated number list", valid=lambda
                 lambda vals: all(map(math.isfinite, vals)) and valid(vals))
 
 
-def _pair(default) -> _Key:
-    return _reals(default, "two times 0 < t_min < t_max",
-                  lambda vals: len(vals) == 2 and 0.0 < vals[0] < vals[1])
+def _times(default, decades: bool = False) -> _Key:
+    """Two times 0 < t_min < t_max; with ``decades``, also t_max / t_min >= 100,
+    the span a decay fit or a probe needs."""
+    need = "two times 0 < t_min < t_max" + (", two decades apart" if decades else "")
+    return _reals(default, need, lambda vals: len(vals) == 2 and 0.0 < vals[0] < vals[1]
+                  and (not decades or vals[1] / vals[0] >= 1e2))
 
 
 def _window(default) -> _Key:
     """Two scale tokens, planned as their natural logs; ``study`` may pass floats."""
-    return _Key("two scale tokens", parse_scale_window, _show_list(_show_real), default)
+    return _Key("two scale tokens 0 < eps_min < eps_max < 1", parse_scale_window,
+                _show_list(_show_real), default,
+                lambda logs: -math.inf < logs[0] < logs[1] < 0.0)
 
 
 def _indices(text: str) -> list:
@@ -346,23 +353,6 @@ def _potential_section_dict(V: Potential) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, str):
-        if "," in cell or "\n" in cell:
-            raise InvariantViolation(f"table cell {cell!r} would break the CSV shape")
-        return cell
-    if isinstance(cell, (bool, np.bool_)):
-        raise InvariantViolation("boolean table cells are not part of the format")
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        val = float(cell)
-        if math.isnan(val):
-            raise InvariantViolation("NaN cell in a report table; failures must be tagged strings")
-        return repr(val)
-    raise InvariantViolation(f"unsupported table cell type {type(cell).__name__}")
-
-
 @dataclass(frozen=True)
 class ReportTable:
     """One CSV artifact: a name, a fixed header, and homogeneous rows."""
@@ -372,15 +362,10 @@ class ReportTable:
     rows: list
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise InvariantViolation(
-                    f"table {self.name!r} row with {len(row)} cells under "
-                    f"{len(self.header)} columns"
-                )
-            lines.append(",".join(_format_cell(cell) for cell in row))
-        return "\n".join(lines) + "\n"
+        try:
+            return csv_text(self.header, self.rows)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"table {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -451,22 +436,12 @@ def _provenance() -> dict:
 def write_report(report: StudyReport, out_dir=None) -> dict:
     """Write config echo, CSV tables, artifacts, and summary; return paths."""
     target = out_dir if out_dir is not None else resolve_output_dir(report.config)
-    os.makedirs(target, exist_ok=True)
-    paths = {}
-
-    def _emit(name: str, text: str) -> None:
-        path = os.path.join(target, name)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        paths[name] = path
-
-    _emit("config.echo.ini", report.config.echo_text())
-    for tab in report.tables:
-        _emit(f"{tab.name}.csv", tab.to_csv_text())
-    for name in sorted(report.artifacts):
-        _emit(name, report.artifacts[name])
-    _emit("summary.txt", report.summary_text())
-    return paths
+    texts = {"config.echo.ini": report.config.echo_text(),
+             **{f"{tab.name}.csv": tab.to_csv_text() for tab in report.tables},
+             **dict(sorted(report.artifacts.items())), "summary.txt": report.summary_text()}
+    for name, text in texts.items():
+        write_ascii(os.path.join(target, name), text)
+    return {name: os.path.join(target, name) for name in texts}
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +510,12 @@ def _judge_approximation(plan: dict, tables: dict):
         VerdictLine(
             "resolvent-domination",
             worst_gap <= _RESOLVENT_SLACK,
-            f"max lhs-rhs {_format_cell(float(worst_gap))}",
+            f"max lhs-rhs {csv_cell(worst_gap)}",
         ),
         VerdictLine(
             "metric-nonincreasing",
             all(b <= a for a, b in zip(metric, metric[1:])),
-            f"first {_format_cell(metric[0])} last {_format_cell(metric[-1])}",
+            f"first {csv_cell(metric[0])} last {csv_cell(metric[-1])}",
         ),
     ]
     if plan["seq_kind"] == "truncation":
@@ -548,8 +523,8 @@ def _judge_approximation(plan: dict, tables: dict):
             VerdictLine(
                 "metric-threshold",
                 metric[-1] < plan["metric_tol"],
-                f"metric {_format_cell(metric[-1])} at index {plan['indices'][-1]} "
-                f"(tol {_format_cell(plan['metric_tol'])})",
+                f"metric {csv_cell(metric[-1])} at index {plan['indices'][-1]} "
+                f"(tol {csv_cell(plan['metric_tol'])})",
             )
         )
     else:
@@ -558,7 +533,7 @@ def _judge_approximation(plan: dict, tables: dict):
             VerdictLine(
                 "shift-gap-bound",
                 worst <= 0.0,
-                f"max lambda_max excess over -a/(l+1) {_format_cell(float(worst))}",
+                f"max lambda_max excess over -a/(l+1) {csv_cell(worst)}",
             )
         )
     return verdicts, [], {}
@@ -598,7 +573,7 @@ def _judge_box(plan: dict, tables: dict):
         VerdictLine(
             "gap-nonincreasing",
             all(b <= a + _GAP_MONOTONE_SLACK for a, b in zip(abs_lam, abs_lam[1:])),
-            f"|lambda_max| from {_format_cell(abs_lam[0])} to {_format_cell(abs_lam[-1])}",
+            f"|lambda_max| from {csv_cell(abs_lam[0])} to {csv_cell(abs_lam[-1])}",
         )
     ]
     return verdicts, ["the final row is extrapolated, never computed"], {}
@@ -637,6 +612,16 @@ def _exponent_row(plan: dict, item: tuple) -> dict:
     }
 
 
+def _check_exponents(plan: dict) -> None:
+    _require(plan["delta_list"] or plan["gamma_list"],
+             "[exponents] needs at least one delta or gamma value")
+    n_times, tail_fraction = plan["n_times"], plan["tail_fraction"]
+    n_tail = n_times - _tail_start(n_times, tail_fraction)
+    _require(n_tail >= 2, f"[exponents] n_times and tail_fraction must leave the decay fit "
+                          f"2 or more tail points, got {n_tail} from n_times = {n_times}, "
+                          f"tail_fraction = {tail_fraction!r}")
+
+
 def _judge_exponents(plan: dict, tables: dict):
     rows = tables["exponent-table"]
     worst_scaling = max(max(row["err_d_minus"], row["err_d_plus"]) for row in rows)
@@ -645,14 +630,14 @@ def _judge_exponents(plan: dict, tables: dict):
         VerdictLine(
             "scaling-accuracy",
             worst_scaling <= plan["scaling_tol"],
-            f"max |d - analytic| {_format_cell(float(worst_scaling))} "
-            f"(tol {_format_cell(plan['scaling_tol'])})",
+            f"max |d - analytic| {csv_cell(worst_scaling)} "
+            f"(tol {csv_cell(plan['scaling_tol'])})",
         ),
         VerdictLine(
             "decay-accuracy",
             worst_decay <= plan["decay_tol"],
-            f"max |decay + analytic| {_format_cell(float(worst_decay))} "
-            f"(tol {_format_cell(plan['decay_tol'])})",
+            f"max |decay + analytic| {csv_cell(worst_decay)} "
+            f"(tol {csv_cell(plan['decay_tol'])})",
         ),
     ]
     return verdicts, [], {}
@@ -685,7 +670,7 @@ def _gdelta_row(plan: dict, mu: AtomicMeasure) -> dict:
     )
     return {
         "scale_base": plan["scale_base"],
-        "exponents": ";".join(repr(float(e)) for e in plan["exponents"]),
+        "exponents": ";".join(map(csv_cell, plan["exponents"])),
         "n_atoms": plan["n_atoms"],
         "classification": verdict.classification,
         "d_minus": est.d_minus,
@@ -807,14 +792,14 @@ def _judge_section3_bounds(plan: dict, tables: dict):
                 name,
                 bad == 0,
                 f"{bad} of {len(fam)} instances violated; worst excess "
-                f"{_format_cell(float(excess))}",
+                f"{csv_cell(excess)}",
             )
         )
     verdicts.append(
         VerdictLine(
             "equality-witness",
             eq["status"] == "ok",
-            f"gap {_format_cell(eq['gap'])} at t {_format_cell(eq['t_star'])}",
+            f"gap {csv_cell(eq['gap'])} at t {csv_cell(eq['t_star'])}",
         )
     )
     return verdicts, notes, {}
@@ -853,7 +838,7 @@ _KINDS = {
             "L": _pos(),
             "h": _pos(),
             "n_probes": _int(1, 3),
-            "metric_J": _int(4, 20),
+            "metric_J": _int(18, 20),  # metric_d's tail_tol of 1e-5 needs 2^(1-J) <= 1e-5
             "metric_tol": _pos(1e-3),
         }},
         (_Table("approximation", _approximation_items, _approximation_row),),
@@ -879,17 +864,16 @@ _KINDS = {
             "gamma_list": _reals((), "positive power-law exponents",
                                  lambda gs: all(g > 0.0 for g in gs)),
             "scale_window": _window(("1e-6", "1e-1")),
-            "time_window": _pair((10.0, 1e6)),
+            "time_window": _times((10.0, 1e6), decades=True),
             "n_scales": _int(2, 200),
             "n_times": _int(2, 400),
             "scaling_tol": _pos(1e-3),
             "decay_tol": _pos(0.05),
-            "tail_fraction": _pos(0.8),
+            "tail_fraction": _real(0.8, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0),
         }},
         (_Table("exponent-table", _exponent_items, _exponent_row),),
         _judge_exponents,
-        check=lambda plan: _require(plan["delta_list"] or plan["gamma_list"],
-                                    "[exponents] needs at least one delta or gamma value"),
+        check=_check_exponents,
     ),
     "gdelta-witness": _Kind(
         {
@@ -900,11 +884,9 @@ _KINDS = {
             },
             "witness": {
                 "alpha_exponent": _pos(0.7),
-                "beta_p": _pos(0.1),
+                "beta_p": _real(0.1, "a number in (0, 1)", lambda v: 0.0 < v < 1.0),
                 "beta_poly_degree": _int(0, 0),
-                "horizon": _reals((10.0, 1e12), "two times 0 < t_min < t_max, two decades apart",
-                                  lambda vals: len(vals) == 2 and 0.0 < vals[0]
-                                  and vals[1] / vals[0] >= 1e2),
+                "horizon": _times((10.0, 1e12), decades=True),
                 "n_t": _int(2, 4001),
                 "scale_window": _window(("2^-2048", "2^-1")),
                 "n_scales": _int(2, 240),
@@ -928,7 +910,7 @@ _KINDS = {
                 "n_atoms": _int(1, 20),
                 "position_lo": _real(-10.0),
                 "position_hi": _real(0.0),
-                "t_window": _pair((1e-2, 1e3)),
+                "t_window": _times((1e-2, 1e3)),
                 "n_t": _int(1, 200),
                 "shifts": _reals((0.5, 1.0, 2.0), "shift levels >= 0",
                                  lambda shifts: all(a >= 0.0 for a in shifts)),
@@ -1050,7 +1032,7 @@ def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
                 column=column,
                 reported=float(reported),
                 recomputed=float(recomputed),
-                matches=_format_cell(reported) == _format_cell(recomputed),
+                matches=csv_cell(reported) == csv_cell(recomputed),
             )
         )
     return results

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, read_ascii, read_descriptor
+from .errors import DomainError, InvariantViolation, read_ascii, read_descriptor, write_ascii
 
 __all__ = [
     "AtomicMeasure",
@@ -873,9 +873,7 @@ def measure_from_text(text: str):
 
 
 def save_measure(mu, path) -> None:
-    text = measure_to_text(mu)  # a refused measure leaves the file as it was
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    write_ascii(path, measure_to_text(mu))  # a refused measure leaves the file as it was
 
 
 def load_measure(path):

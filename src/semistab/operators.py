@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +48,8 @@ from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dsysv
 from scipy.sparse.linalg import eigsh, splu
 
-from .errors import DomainError, InvariantViolation, ResourceCapError, read_ascii, read_descriptor
+from .errors import (DomainError, InvariantViolation, ResourceCapError, csv_text, read_ascii,
+                     read_descriptor, write_ascii)
 from .measures import AtomicMeasure
 
 __all__ = [
@@ -241,9 +242,6 @@ class Potential:
             + vv[ix + 1, iy + 1] * (tx * ty)
         )
 
-    def describe(self) -> str:
-        return f"potential kind={self.kind} nu={self.nu} a_bound={self.a_bound!r}"
-
 
 def constant_potential(value: float, nu: int = 1, a_bound: Optional[float] = None) -> Potential:
     """V identically equal to ``value`` (<= 0)."""
@@ -435,12 +433,6 @@ class DiscretizedOperator:
         if u.shape[0] != self.N:
             raise DomainError("vector length does not match the grid")
         return self.H @ u
-
-    def describe(self) -> str:
-        return (
-            f"operator nu={self.nu} L={self.L!r} h={self.h!r} N={self.N} "
-            f"potential={self.potential.kind}"
-        )
 
 
 def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
@@ -872,8 +864,7 @@ def potential_from_text(text: str) -> Potential:
 
 
 def save_potential(V: Potential, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(potential_to_text(V))
+    write_ascii(path, potential_to_text(V))
 
 
 def load_potential(path) -> Potential:
@@ -882,9 +873,4 @@ def load_potential(path) -> Potential:
 
 def spectrum_to_csv(H: DiscretizedOperator, path) -> None:
     """Write the spectrum as CSV with columns (index, eigenvalue)."""
-    # solve (and possibly fail) before the file is opened and truncated
-    vals = H.eigenvalues
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("index,eigenvalue\n")
-        for j, lam in enumerate(vals):
-            fh.write(f"{j},{float(lam)!r}\n")
+    write_ascii(path, csv_text(("index", "eigenvalue"), enumerate(H.eigenvalues.tolist())))

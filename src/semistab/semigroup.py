@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, PreconditionError
+from .errors import DomainError, InvariantViolation, PreconditionError, csv_text, write_ascii
 from .measures import AtomicMeasure, DensityMeasure
 from .operators import DiscretizedOperator
 
@@ -140,12 +140,10 @@ def evolve_norms(mu, t_min: float, t_max: float, n_t: int) -> OrbitTrace:
 
 def orbit_to_csv(trace: OrbitTrace, path) -> None:
     """Write a trace as CSV (t, log_norm_sq, ratio); ratio is 'undefined' at t = 1."""
-    ratios = trace.ratios()
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,log_norm_sq,ratio\n")
-        for t, v, r in zip(trace.t, trace.log_norm_sq, ratios):
-            r_txt = repr(float(r)) if math.log(t) != 0.0 else "undefined"
-            fh.write(f"{float(t)!r},{float(v)!r},{r_txt}\n")
+    rows = [(t, v, r if math.log(t) != 0.0 else "undefined")
+            for t, v, r in zip(trace.t.tolist(), trace.log_norm_sq.tolist(),
+                               trace.ratios().tolist())]
+    write_ascii(path, csv_text(("t", "log_norm_sq", "ratio"), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +179,11 @@ class DecayExponentEstimate:
             raise InvariantViolation("limsup estimate must be <= 0 for a contraction")
 
 
+def _tail_start(n_t: int, tail_fraction: float) -> int:
+    """Index of the first of the ``n_t`` times in a ``tail_fraction`` tail."""
+    return int(math.ceil((1.0 - tail_fraction) * (n_t - 1)))
+
+
 def decay_exponents(trace: OrbitTrace, tail_fraction: float = 0.8,
                     floor: float = RATIO_FLOOR) -> DecayExponentEstimate:
     """Estimate liminf/limsup of ln ||e^{tA}x||^2 / ln t from a trace tail."""
@@ -191,7 +194,7 @@ def decay_exponents(trace: OrbitTrace, tail_fraction: float = 0.8,
     t = trace.t
     if t[-1] / t[0] < 1e2:
         raise DomainError("trace must span at least two decades of time")
-    i0 = int(math.ceil((1.0 - tail_fraction) * (trace.n_t - 1)))
+    i0 = _tail_start(trace.n_t, tail_fraction)
     if trace.n_t - i0 < 2:
         raise DomainError("tail window is degenerate")
     tail_t = t[i0:]
@@ -276,9 +279,11 @@ def classify_stability(subject, gap_tol: float = DEFAULT_GAP_TOL,
                        atom_tol: float = DEFAULT_ATOM_TOL) -> StabilityVerdict:
     """Trichotomy by the spectral gap: an atom at 0 (weight above
     atom_tol) is NotStable; a gap above gap_tol is ExponentiallyStable
-    with rate = gap; anything else is StableNotExponential."""
-    if not (gap_tol > 0.0 and atom_tol > 0.0):
-        raise DomainError("tolerances must be positive")
+    with rate = gap; anything else is StableNotExponential.  An infinite
+    tolerance would rule a class out for every subject, so both are finite."""
+    if not (0.0 < gap_tol < math.inf and 0.0 < atom_tol < math.inf):
+        raise DomainError(f"tolerances must be positive and finite, got gap_tol={gap_tol!r}, "
+                          f"atom_tol={atom_tol!r}")
     lam_top, mass_at_zero = _spectral_top(subject, atom_tol)
     gap = max(0.0, -lam_top)
     if mass_at_zero > atom_tol:

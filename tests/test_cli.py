@@ -5,7 +5,9 @@ path.  Everything runs in-process through main(argv); one subprocess
 test covers the python -m wiring.
 """
 
+import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -86,6 +88,66 @@ class TestClassify:
         assert rc == 0
         assert out.startswith("StableNotExponential ")
         assert "gap_tol=2" in out
+
+
+
+class TestStdoutTables:
+    """Every stdout table is the CSV dialect of the files: a CSV reader finds one
+    header and one row of the same width, even where the path has spaces."""
+
+    @pytest.mark.parametrize("command", ["exponents", "evolve", "spectrum"])
+    def test_stdout_table_reads_as_one_csv_row(self, tmp_path, capsys, profile_file, command):
+        out = tmp_path / "dir with spaces;and (marks)" / "out.csv"
+        pot = tmp_path / "well.potential"
+        save_potential(gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0), pot)
+        argv = {
+            "exponents": ["measure", "exponents", profile_file, "--window", "1e-6,0.1"],
+            "evolve": ["evolve", profile_file, "--tmin", "0.1", "--tmax", "10", "--nt", "3",
+                       "--out", str(out)],
+            "spectrum": ["operator", "spectrum", str(pot), "--L", "2", "--h", "0.25",
+                         "--out", str(out)],
+        }[command]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        header, row = list(csv.reader(io.StringIO(stdout)))
+        assert len(row) == len(header) == {"exponents": 5, "evolve": 4, "spectrum": 3}[command]
+        assert stdout == ",".join(header) + "\n" + ",".join(row) + "\n"
+        if command != "exponents":
+            assert row[0] == str(out) and out.is_file()
+
+
+class TestUnprintableOutPath:
+    """An --out that cannot be a CSV cell exits 2 before any solve, writing nothing."""
+
+    @pytest.mark.parametrize("name", ["x,y.csv", "x\ny.csv", 'x"y.csv', "x\ry.csv"],
+                             ids=["comma", "newline", "quote", "carriage-return"])
+    @pytest.mark.parametrize("command", ["evolve", "spectrum"])
+    def test_out_path_that_breaks_the_row_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                    two_atom_file, command, name):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr("semistab.cli.evolve_norms", no_solve)
+        monkeypatch.setattr("semistab.cli.discretize", no_solve)
+        pot = tmp_path / "well.potential"
+        save_potential(gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0), pot)
+        out_dir = tmp_path / "out"
+        argv = {"evolve": ["evolve", two_atom_file, "--tmin", "0.1", "--tmax", "10", "--nt", "3"],
+                "spectrum": ["operator", "spectrum", str(pot), "--L", "2", "--h", "0.25"]}[command]
+        rc = main(argv + ["--out", str(out_dir / name)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "cannot be a CSV cell" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_unprintable_default_directory_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                     two_atom_file):
+        monkeypatch.setenv("SEMISTAB_OUTDIR", str(tmp_path / "a,b"))
+        rc = main(["evolve", two_atom_file, "--tmin", "0.1", "--tmax", "10", "--nt", "3"])
+        assert rc == 2
+        assert "cannot be a CSV cell" in capsys.readouterr().err
+        assert not (tmp_path / "a,b").exists()
 
 
 class TestMeasureExponents:
@@ -352,6 +414,9 @@ class TestInputErrors:
          "[bounds] t_window must be two times 0 < t_min < t_max, got '1000, 0.01'"),
         ("study", "t-subnormal.cfg", BOUNDS_HEAD + "[bounds]\nt_window = 1e-320, 1e-300\n",
          "[bounds] t_window starts at 1e-320, where the bound ||x|| e^(-ta)/(e t) is not finite"),
+        # an infinite tolerance would call the gapped measure StableNotExponential
+        ("classify --gap-tol inf", "gap.measure", "atomic n=1\n0.0 0.0\n", "positive and finite"),
+        ("classify --atom-tol inf", "gap.measure", "atomic n=1\n0.0 0.0\n", "positive and finite"),
     ], ids=["unknown-key", "unknown-section", "non-ascii-study", "non-numeric-potential-param",
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
@@ -360,7 +425,7 @@ class TestInputErrors:
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
             "stated-mass-mismatch", "stated-atomic-mass-mismatch", "t-window-from-zero",
-            "t-window-reversed", "t-window-subnormal"])
+            "t-window-reversed", "t-window-subnormal", "gap-tol-inf", "atom-tol-inf"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):

@@ -6,6 +6,8 @@ oracles cover the free-potential box spectrum and the analytic
 exponent columns.
 """
 
+import csv
+import io
 import math
 import os
 import re
@@ -43,6 +45,7 @@ from semistab import (
     write_report,
 )
 from semistab import experiments
+from semistab.errors import csv_cell, csv_text, write_ascii
 
 GAUSSIAN = gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
 FREE = constant_potential(0.0, a_bound=1.0)
@@ -468,6 +471,55 @@ class TestReportArtifacts:
         assert "violated" in text
         assert "nan" not in text.lower()
 
+    @pytest.mark.parametrize("cell", [
+        "x,y", 'x"y', "x\ny", "x\ry", float("nan"), np.float32("nan"), True, np.True_, None,
+        1j, b"x",
+    ], ids=["comma", "quote", "newline", "carriage-return", "nan", "nan32", "bool", "np-bool",
+            "none", "complex", "bytes"])
+    def test_cells_outside_the_dialect_rejected(self, cell):
+        with pytest.raises(InvariantViolation, match="cannot be a CSV cell"):
+            csv_cell(cell)
+        with pytest.raises(InvariantViolation, match="cannot be a CSV cell"):
+            csv_text(("a", "b"), [(1.0, 2), (cell, 3)])
+        with pytest.raises(InvariantViolation, match="cannot be a CSV cell"):
+            csv_text(("a", cell), [])
+
+    def test_csv_reader_reads_back_every_cell(self):
+        """Floats by their repr, integers by their digits, strings as they are,
+        whatever the numeric type, and no quoting that a CSV reader would undo."""
+        row = (0.1, -0.0, math.inf, 2.5e-300, np.float64(1 / 3), np.float32(0.1), 7, np.int64(-3),
+               "undefined", "exp(t^0.1)", "0.5;4.0", "")
+        text = csv_text([f"c{i}" for i in range(len(row))], [row, row[::-1]])
+        assert text.endswith("\n") and "\r" not in text
+        header, first, last = list(csv.reader(io.StringIO(text)))
+        assert header == [f"c{i}" for i in range(len(row))]
+        assert first == [repr(0.1), "-0.0", "inf", "2.5e-300", repr(1 / 3),
+                         repr(float(np.float32(0.1))), "7", "-3", "undefined", "exp(t^0.1)",
+                         "0.5;4.0", ""]
+        assert last == first[::-1]
+        assert first == [csv_cell(cell) for cell in row]
+
+    def test_ragged_row_names_its_width(self):
+        with pytest.raises(InvariantViolation, match="row with 1 cells under 2 columns"):
+            csv_text(("a", "b"), [(1.0, 2.0), (1.0,)])
+        assert csv_text(("a", "b"), []) == "a,b\n"
+        with pytest.raises(InvariantViolation, match="table 'gaps': CSV row with 1 cells"):
+            ReportTable("gaps", ("a", "b"), [(1.0,)]).to_csv_text()
+
+    def test_failed_table_leaves_no_report_file(self, tmp_path):
+        rep = study("section3-bounds", n_measures=2, n_shifted=1, n_t=20)
+        rep.tables.append(ReportTable("bad", ("a",), [(float("nan"),)]))
+        with pytest.raises(InvariantViolation):
+            write_report(rep, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
+
+    def test_writer_makes_parents_and_writes_lf_ascii(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c.txt"
+        write_ascii(path, "x\ny\n")
+        assert path.read_bytes() == b"x\ny\n"
+        with pytest.raises(UnicodeEncodeError):
+            write_ascii(tmp_path / "d.txt", "\u00b5")
+
 
 class TestSpotCheck:
     def test_bounds_cells_reproduce_bitwise(self):
@@ -688,12 +740,52 @@ class TestKeyTables:
         ("gap-vs-box", dict(potential=FREE, L_list=None, h=0.25), "[box] L_list must be"),
         ("gdelta-witness", dict(expect_witness=None), "[witness] expect_witness must be a "
                                                       "boolean, got 'None'"),
+        # keys declare the domain the library enforces, so they fail at planning time
+        ("exponent-table", dict(delta_list=[0.75], scale_window=("1e-1", "1e-6")),
+         "[exponents] scale_window must be two scale tokens 0 < eps_min < eps_max < 1, "
+         "got '1e-1, 1e-6'"),
+        ("exponent-table", dict(delta_list=[0.75], scale_window=("1e-6", "1")),
+         "[exponents] scale_window must be two scale tokens"),
+        ("gdelta-witness", dict(scale_window=("2^-1", "2^-2048")),
+         "[witness] scale_window must be two scale tokens"),
+        ("gdelta-witness", dict(scale_window=("2^-2048", "2^1")),
+         "[witness] scale_window must be two scale tokens"),
+        ("exponent-table", dict(delta_list=[0.75], time_window=(10.0, 999.0)),
+         "[exponents] time_window must be two times 0 < t_min < t_max, two decades apart, "
+         "got '10.0, 999.0'"),
+        ("exponent-table", dict(delta_list=[0.75], tail_fraction=1.5),
+         "[exponents] tail_fraction must be a number in (0, 1], got '1.5'"),
+        ("exponent-table", dict(delta_list=[0.75], n_times=2),
+         "[exponents] n_times and tail_fraction must leave the decay fit 2 or more tail "
+         "points, got 1 from n_times = 2, tail_fraction = 0.8"),
+        ("exponent-table", dict(delta_list=[0.75], n_times=11, tail_fraction=0.05),
+         "got 1 from n_times = 11, tail_fraction = 0.05"),
+        ("gdelta-witness", dict(beta_p=1.0), "[witness] beta_p must be a number in (0, 1), "
+                                             "got '1.0'"),
+        ("approximation", dict(potential=GAUSSIAN, seq_kind="truncation", indices="1..2",
+                               L=4.0, h=0.2, metric_J=17),
+         "[approximation] metric_J must be an integer >= 18, got '17'"),
     ], ids=["float-int", "float-seed", "negative-seed", "unparsed-int", "none-int", "none-seed",
-            "none-real", "unparsed-real", "float-index", "none-list", "none-bool"])
+            "none-real", "unparsed-real", "float-index", "none-list", "none-bool",
+            "exponents-window-reversed", "exponents-window-to-1", "witness-window-reversed",
+            "witness-window-above-1", "time-window-short", "tail-fraction-above-1",
+            "tail-window-degenerate", "tail-window-one-step", "beta-p-1", "metric-J-17"])
     def test_wrapper_keyword_meets_the_ini_check(self, kind, keys, message):
         """A keyword is printed unrounded, so it fails exactly as its INI text would."""
         with pytest.raises(DomainError, match=re.escape(message)):
             study(kind, **keys)
+
+    @pytest.mark.parametrize("text, key, value", [
+        ("[study]\nkind = exponent-table\n\n[exponents]\ndelta_list = 0.75\n"
+         "time_window = 10, 1000\nn_times = 6\ntail_fraction = 0.2\n", "time_window", (10.0, 1e3)),
+        ("[study]\nkind = exponent-table\n\n[exponents]\ndelta_list = 0.75\n"
+         "tail_fraction = 1\nscale_window = 2^-2048, 0.999\n", "tail_fraction", 1.0),
+        ("[study]\nkind = gdelta-witness\n\n[witness]\nhorizon = 10, 1000\nbeta_p = 0.999\n",
+         "horizon", (10.0, 1e3)),
+    ], ids=["two-decades-two-tail-points", "whole-trace-tail", "two-decade-horizon"])
+    def test_domain_edges_plan(self, text, key, value):
+        """The edges of each key's domain are inside it, as they are for the library."""
+        assert experiments._plan(parse_study_config(text))[key] == value
 
     def test_wrapper_keyword_text_is_ini_text(self):
         rep = study("approximation", potential=GAUSSIAN, seq_kind="truncation", indices="1..2",

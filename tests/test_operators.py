@@ -302,6 +302,29 @@ class TestOnDemandSolves:
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
             lifted.eigenvectors
 
+    def test_eigenpair_guards_fire_on_perturbed_vectors(self, monkeypatch):
+        op = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
+        vals, vecs = op._eig
+        scale = float(np.max(np.abs(vals)))
+        # a rotation by 1e-3 mixing the top two eigenvectors stays orthonormal, but
+        # leaves a residual of about 1e-3 |lambda_0 - lambda_1| >> 1e-9 scale
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        mixed = np.array(vecs)
+        mixed[:, :2] = vecs[:, :2] @ np.array([[c, -s], [s, c]])
+        with pytest.raises(InvariantViolation, match="eigenpair residual"):
+            operators._check_eigenpairs(op, vals, mixed, scale)
+        # vectors 1e-9 too long are still eigenvectors, but not orthonormal to 1e-10
+        true_eig_banded = operators.eig_banded
+
+        def stretched(*args, **kwargs):
+            w, v = true_eig_banded(*args, **kwargs)
+            return w, v * (1.0 + 1e-9)
+
+        monkeypatch.setattr(operators, "eig_banded", stretched)
+        fresh = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
+        with pytest.raises(InvariantViolation, match="not orthonormal"):
+            fresh.eigenvectors
+
     @pytest.mark.parametrize("case", CASES)
     def test_eigenvalues_match_dense_oracle_without_eigenvectors(self, case):
         V, L, h = self.CASES[case]
@@ -774,6 +797,25 @@ class TestMetric:
             assert b <= a + 1e-15
         assert dists[-1] < 1e-3
         assert dists[-1] < dists[0]
+
+    def test_non_radial_2d_sup_is_taken_over_the_disc(self):
+        """A sampled 2-D V against its truncation: each term's sup runs over the
+        grid points of the closed disc |x| <= j, not the square around it."""
+        axis = np.linspace(-3.0, 3.0, 7)
+        values = -(axis[:, None] ** 2 + axis[None, :] ** 2).ravel() / 18.0
+        V = sampled_potential(values, -3.0, 3.0, nu=2, a_bound=1.0)
+        U = truncate_potential(V, 1)
+        assert not (V.is_radial or U.is_radial)
+        d = metric_d(U, V, J=4, tail_tol=0.125)
+        for j, term in enumerate(d.terms):
+            # brute force: every point of the sampled square, kept by an explicit disc test
+            grid = np.linspace(-j, j, math.ceil(2 * j / (0.01 * j + 0.01)) + 1)
+            pts = np.array([(x, y) for x in grid for y in grid])
+            diff = np.abs(U.eval(pts) - V.eval(pts))
+            sup = max(float(diff[i]) for i, (x, y) in enumerate(pts) if x * x + y * y <= j * j)
+            assert term == min(2.0 ** (-j), sup)
+        # at j = 2 the square's corners reach |V| = 4/9 > 1/4, the disc only about 2/9
+        assert 0.2 < d.terms[2] < 0.25
 
     def test_tail_attributes(self):
         d = metric_d(constant_potential(0.0, a_bound=1.0), constant_potential(-1.0))

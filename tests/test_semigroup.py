@@ -296,6 +296,13 @@ class TestClassifyStability:
             classify_stability(42)
         with pytest.raises(DomainError):
             classify_stability(AtomicMeasure.from_points([-1.0], [1.0]), gap_tol=0.0)
+        # an infinite gap_tol would call every gapped measure StableNotExponential,
+        # an infinite atom_tol would never find NotStable
+        for tols in (dict(gap_tol=math.inf), dict(atom_tol=math.inf), dict(gap_tol=math.nan)):
+            for subject in (AtomicMeasure.from_points([-1.0], [1.0]),
+                            AtomicMeasure.from_points([0.0], [1.0])):
+                with pytest.raises(DomainError, match="positive and finite"):
+                    classify_stability(subject, **tols)
 
     def test_rate_presence_invariants(self):
         with pytest.raises(InvariantViolation):
