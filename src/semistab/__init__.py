@@ -75,6 +75,7 @@ from .semigroup import (
     orbit_to_csv,
     range_bound_check,
     shifted_range_bound_check,
+    shifted_range_bound_checks,
 )
 from .experiments import (
     OUTPUT_DIR_ENV,

@@ -22,9 +22,11 @@ plain-text summary with one PASS/FAIL line per verdict.  From Python,
 runs them through the same INI text.  All random
 inputs are drawn up front in config order, so re-runs produce
 byte-identical CSVs.  Each table is declared once, by its row inputs and
-a row function returning ``{column: cell}``; the CSV header, the
-verdicts and ``spot_check``, which re-derives randomly chosen report
-cells straight from the library operations, all read those columns.
+a rows function returning one ``{column: cell}`` per input; the CSV
+header, the verdicts and ``spot_check``, which re-derives randomly chosen
+report cells straight from the library operations, all read those
+columns.  The section3-bounds sweep computes all its rows in one batched
+pass.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import scipy
 from .errors import (DomainError, InvariantViolation, PreconditionError, csv_cell, csv_text,
                      read_ascii, write_ascii)
 from .measures import (
+    _LOG_S_CAP,
     AtomicMeasure,
     lacunary_measure,
     measure_to_text,
@@ -70,7 +73,7 @@ from .semigroup import (
     evolve_norms,
     gdelta_probe,
     range_bound_check,
-    shifted_range_bound_check,
+    shifted_range_bound_checks,
 )
 
 __all__ = [
@@ -97,6 +100,8 @@ OUTPUT_DIR_ENV = "SEMISTAB_OUTDIR"
 
 _RESOLVENT_SLACK = 1e-9
 _GAP_MONOTONE_SLACK = 1e-12
+# the largest atom modulus a study key may name, as AtomicMeasure caps ln |position|
+_MAX_MODULUS = math.exp(_LOG_S_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +460,20 @@ class _Table:
 
     ``items(plan, seed)`` lists the row inputs in config order; every
     random draw and every operator the rows share is made there.
-    ``row(plan, item)`` returns one row as ``{column: cell}``, so the
-    header is the columns of the first row.
+    ``rows(plan, items)`` returns the rows of those items, each as
+    ``{column: cell}``, so the header is the columns of the first row.
+    A row depends only on its own item, so ``rows(plan, [item])[0]`` is
+    that item's row of the full table.
     """
 
     name: str
     items: Callable
-    row: Callable
+    rows: Callable
+
+
+def _each(row: Callable) -> Callable:
+    """Table rows computed one item at a time by ``row(plan, item)``."""
+    return lambda plan, items: [row(plan, item) for item in items]
 
 
 def _report_table(name: str, rows: list) -> ReportTable:
@@ -731,24 +743,28 @@ def _section3_instances(plan: dict, seed: int) -> list:
     return instances
 
 
-def _section3_row(plan: dict, instance: tuple) -> dict:
-    family, index, a, pos, wts = instance
-    mu = AtomicMeasure.from_points(pos, wts)
+def _section3_rows(plan: dict, instances: list) -> list:
     t_min, t_max = plan["t_window"]
+    mus = AtomicMeasure.stack_from_points([pos for _, _, _, pos, _ in instances],
+                                          [wts for _, _, _, _, wts in instances])
     # plain instances carry a = 0.0, where the shifted bound is the plain one
-    val = shifted_range_bound_check(
-        mu, a, t_min=t_min, t_max=t_max, n_t=plan["n_t"], bound_scale=plan["bound_scale"]
+    vals = shifted_range_bound_checks(
+        mus, [a for _, _, a, _, _ in instances], t_min=t_min, t_max=t_max, n_t=plan["n_t"],
+        bound_scale=plan["bound_scale"],
     )
-    return {
-        "family": family,
-        "index": index,
-        "shift": float(a),
-        "max_violation": float(val),
-        "worst_t": val.worst_t,
-        "norm_x": val.norm_x,
-        "tol": val.tol,
-        "status": "ok" if val.passed else "violated",
-    }
+    return [
+        {
+            "family": family,
+            "index": index,
+            "shift": float(a),
+            "max_violation": float(val),
+            "worst_t": val.worst_t,
+            "norm_x": val.norm_x,
+            "tol": val.tol,
+            "status": "ok" if val.passed else "violated",
+        }
+        for (family, index, a, _, _), val in zip(instances, vals)
+    ]
 
 
 def _equality_row(plan: dict, pos: float) -> dict:
@@ -764,6 +780,11 @@ def _equality_row(plan: dict, pos: float) -> dict:
         "tol": val.tol,
         "status": "ok" if gap <= val.tol else "violated",
     }
+
+
+def _atom_position(v: float) -> bool:
+    """Whether an atom may sit at v: AtomicMeasure takes |position| <= exp(709)."""
+    return abs(v) <= _MAX_MODULUS
 
 
 def _check_section3_bounds(plan: dict) -> None:
@@ -841,7 +862,7 @@ _KINDS = {
             "metric_J": _int(18, 20),  # metric_d's tail_tol of 1e-5 needs 2^(1-J) <= 1e-5
             "metric_tol": _pos(1e-3),
         }},
-        (_Table("approximation", _approximation_items, _approximation_row),),
+        (_Table("approximation", _approximation_items, _each(_approximation_row)),),
         _judge_approximation,
         potential=True,
     ),
@@ -852,7 +873,7 @@ _KINDS = {
                              and all(b > a for a, b in zip(Ls, Ls[1:]))),
             "h": _pos(),
         }},
-        (_Table("gap-vs-box", lambda plan, seed: [*plan["L_list"], math.inf], _box_row),),
+        (_Table("gap-vs-box", lambda plan, seed: [*plan["L_list"], math.inf], _each(_box_row)),),
         _judge_box,
         check=lambda plan: _check_compact_support(plan["potential"], max(plan["L_list"])),
         potential=True,
@@ -871,7 +892,7 @@ _KINDS = {
             "decay_tol": _pos(0.05),
             "tail_fraction": _real(0.8, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0),
         }},
-        (_Table("exponent-table", _exponent_items, _exponent_row),),
+        (_Table("exponent-table", _exponent_items, _each(_exponent_row)),),
         _judge_exponents,
         check=_check_exponents,
     ),
@@ -900,7 +921,7 @@ _KINDS = {
                     True),
             },
         },
-        (_Table("gdelta-witness", lambda plan, seed: [_lacunary(plan)], _gdelta_row),),
+        (_Table("gdelta-witness", lambda plan, seed: [_lacunary(plan)], _each(_gdelta_row)),),
         _judge_witness,
     ),
     "section3-bounds": _Kind(
@@ -908,21 +929,25 @@ _KINDS = {
             "bounds": {
                 "n_measures": _int(1, 100),
                 "n_atoms": _int(1, 20),
-                "position_lo": _real(-10.0),
+                "position_lo": _real(-10.0, "a finite number with |position_lo| <= exp(709)",
+                                     _atom_position),
                 "position_hi": _real(0.0),
                 "t_window": _times((1e-2, 1e3)),
                 "n_t": _int(1, 200),
                 "shifts": _reals((0.5, 1.0, 2.0), "shift levels >= 0",
                                  lambda shifts: all(a >= 0.0 for a in shifts)),
                 "n_shifted": _int(0, 50),
-                "equality_position": _real(-2.7, "a negative number", lambda v: v < 0.0),
+                "equality_position": _real(
+                    -2.7, "a negative number with |equality_position| <= exp(709) and "
+                    "1/|equality_position| finite",
+                    lambda v: v < 0.0 and _atom_position(v) and math.isfinite(1.0 / -v)),
             },
             # test hook: ``study`` writes it only when set away from the default
             "hooks": {"bound_scale": _pos(1.0)},
         },
-        (_Table("section3-bounds", _section3_instances, _section3_row),
+        (_Table("section3-bounds", _section3_instances, _section3_rows),
          _Table("equality-witness", lambda plan, seed: [plan["equality_position"]],
-                _equality_row)),
+                _each(_equality_row))),
         _judge_section3_bounds,
         check=_check_section3_bounds,
     ),
@@ -939,8 +964,7 @@ STUDY_KINDS = tuple(_KINDS)
 def run_study(config: StudyConfig) -> StudyReport:
     """Run a configured study; its rows are computed in config order."""
     kind, plan = _KINDS[config.kind], _plan(config)
-    rows = {tab.name: [tab.row(plan, item) for item in tab.items(plan, config.seed)]
-            for tab in kind.tables}
+    rows = {tab.name: tab.rows(plan, tab.items(plan, config.seed)) for tab in kind.tables}
     tables = [_report_table(name, table_rows) for name, table_rows in rows.items()]
     verdicts, notes, artifacts = kind.judge(plan, rows)
     return StudyReport(
@@ -999,9 +1023,11 @@ class SpotCheck:
 def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
     """Re-derive ``n_cells`` random numeric report cells from the config.
 
-    Each chosen row is rebuilt through its table's ``items`` and ``row``.
-    Every cell must reproduce bit-for-bit; a mismatch means the report
-    and the library operations disagree.
+    Each chosen row is rebuilt through its table's ``items`` and ``rows``,
+    as a table of that one item, so a table computed in one batch is also
+    checked against its batch of one.  Every cell must reproduce
+    bit-for-bit; a mismatch means the report and the library operations
+    disagree.
     """
     cells = [
         (tab.name, ri, column, cell)
@@ -1023,7 +1049,7 @@ def spot_check(report: StudyReport, n_cells: int = 5, seed: int = 0) -> list:
         if name not in items:
             items[name] = tables[name].items(plan, config.seed)
         if (name, ri) not in fresh_rows:
-            fresh_rows[name, ri] = tables[name].row(plan, items[name][ri])
+            fresh_rows[name, ri] = tables[name].rows(plan, [items[name][ri]])[0]
         recomputed = fresh_rows[name, ri][column]
         results.append(
             SpotCheck(

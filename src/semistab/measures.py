@@ -18,11 +18,13 @@ Two concrete representations are provided:
 * :class:`DensityMeasure` -- an absolutely continuous part with a
   pointwise-evaluable density in the distance coordinate ``s = |lambda|``.
 
-Each kind has one Laplace kernel, ``_log_transform``, vectorized over t,
-behind both ``log_laplace`` and ``log_laplace_moment``: one logsumexp row
-per t for atoms, taken in blocks of at most ``_CHUNK_ELEMENTS`` (t, atom)
-terms so any t grid runs in bounded memory, and one quadrature per t for
-densities.
+Atoms have one Laplace kernel, ``_atomic_log_transform``, which works on
+a stack of measures with the same atom count: one logsumexp row per
+(measure, t), taken in cache-sized blocks of at most ``_CHUNK_ELEMENTS``
+(measure, t, atom) terms, so any stack and any t grid run in bounded
+memory.  ``_log_laplace_stack`` groups a list of measures by atom count
+for it, and ``log_laplace`` and ``log_laplace_moment`` are its stack of
+one.  Densities take one quadrature per t.
 
 Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 :func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
@@ -68,8 +70,9 @@ _TAIL_EXPONENT = 745.0
 _LOG_DBL_MIN = math.log(sys.float_info.min)
 _QUAD_RELTOL = 1e-12
 _QUAD_LIMIT = 200
-# (t, atom) terms per logsumexp block of the atomic Laplace kernel
-_CHUNK_ELEMENTS = 262_144
+# (measure, t, atom) terms per logsumexp block of the atomic Laplace kernel: a
+# block of doubles is 128 KiB, so the block and its temporaries stay in cache
+_CHUNK_ELEMENTS = 16_384
 
 
 def _logsumexp(a: np.ndarray):
@@ -85,7 +88,9 @@ def _logsumexp(a: np.ndarray):
         a_max = np.max(a, axis=-1, keepdims=True)
         top = a == a_max
         m = np.sum(top, axis=-1, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        rest = np.where(top, -np.inf, a)
+        rest -= a_max
+        s = np.sum(np.exp(rest, out=rest), axis=-1, keepdims=True)
         out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max)[..., 0]
         bad = ~np.isfinite(out)
         if np.any(bad):
@@ -106,6 +111,34 @@ def _as_scalar_or_array(values: np.ndarray, scalar_input: bool):
 # ---------------------------------------------------------------------------
 # atomic measures
 # ---------------------------------------------------------------------------
+
+
+def _atoms(log_s: np.ndarray, log_w: np.ndarray) -> list:
+    """Per row of (M, n) arrays of ln |position| and ln weight: the checked
+    atoms of one measure as read-only ``(log_s, log_w, prefix)``, ordered by
+    increasing log_s, exact duplicates merged by adding their weights, and
+    ``prefix`` the running ln of the mass.  Rows run together along axis 1;
+    a row with duplicates is merged on its own."""
+    if np.any(np.isnan(log_s)) or np.any(log_s > _LOG_S_CAP):
+        raise DomainError(
+            "atom positions must satisfy |position| <= exp(709) and not be NaN"
+        )
+    if not np.all(np.isfinite(log_w)):
+        raise DomainError("atom log-weights must be finite (weights > 0)")
+    order = np.argsort(log_s, axis=1, kind="stable")
+    log_s = np.take_along_axis(log_s, order, axis=1)
+    log_w = np.take_along_axis(log_w, order, axis=1)
+    prefix = np.logaddexp.accumulate(log_w, axis=1)
+    for arr in (log_s, log_w, prefix):
+        arr.setflags(write=False)
+    rows = list(zip(log_s, log_w, prefix))
+    for m in np.flatnonzero(np.any(log_s[:, 1:] == log_s[:, :-1], axis=1)):
+        starts = np.flatnonzero(np.r_[True, log_s[m, 1:] != log_s[m, :-1]])
+        merged = np.logaddexp.reduceat(log_w[m], starts)
+        rows[m] = (log_s[m, starts], merged, np.logaddexp.accumulate(merged))
+        for arr in rows[m]:
+            arr.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -130,24 +163,9 @@ class AtomicMeasure:
             raise DomainError("an atomic measure needs at least one atom")
         if log_s.shape != log_w.shape:
             raise DomainError("log_s and log_w must have the same length")
-        if np.any(np.isnan(log_s)) or np.any(log_s > _LOG_S_CAP):
-            raise DomainError(
-                "atom positions must satisfy |position| <= exp(709) and not be NaN"
-            )
-        if not np.all(np.isfinite(log_w)):
-            raise DomainError("atom log-weights must be finite (weights > 0)")
-        order = np.argsort(log_s, kind="stable")
-        log_s = log_s[order]
-        log_w = log_w[order]
-        keep = np.ones(log_s.size, dtype=bool)
-        keep[1:] = log_s[1:] != log_s[:-1]
-        if not np.all(keep):
-            starts = np.flatnonzero(keep)
-            log_w = np.logaddexp.reduceat(log_w, starts)
-            log_s = log_s[starts]
-        prefix = np.logaddexp.accumulate(log_w)
-        for arr in (log_s, log_w, prefix):
-            arr.setflags(write=False)
+        self._set_atoms(*_atoms(log_s[None], log_w[None])[0])
+
+    def _set_atoms(self, log_s: np.ndarray, log_w: np.ndarray, prefix: np.ndarray) -> None:
         object.__setattr__(self, "log_s", log_s)
         object.__setattr__(self, "log_w", log_w)
         object.__setattr__(self, "_prefix", prefix)
@@ -159,9 +177,18 @@ class AtomicMeasure:
         """Build from linear-scale atom positions (<= 0) and weights (> 0)."""
         pos = np.asarray(positions, dtype=float).ravel()
         wts = np.asarray(weights, dtype=float).ravel()
-        if pos.size != wts.size:
+        return cls.stack_from_points(pos[None], wts[None])[0]
+
+    @classmethod
+    def stack_from_points(cls, positions, weights) -> list:
+        """One measure per row of (M, n) arrays of linear-scale atom positions
+        (<= 0) and weights (> 0), each checked, sorted and merged as
+        ``from_points`` does; ``from_points`` is the stack of one."""
+        pos = np.asarray(positions, dtype=float)
+        wts = np.asarray(weights, dtype=float)
+        if pos.ndim != 2 or pos.shape != wts.shape:
             raise DomainError("positions and weights must have the same length")
-        if pos.size == 0:
+        if pos.shape[1] == 0:
             raise DomainError("an atomic measure needs at least one atom")
         if np.any(~np.isfinite(pos)) or np.any(pos > 0.0):
             raise DomainError("positions must be finite and <= 0")
@@ -169,7 +196,12 @@ class AtomicMeasure:
             raise DomainError("weights must be finite and > 0")
         with np.errstate(divide="ignore"):
             log_s = np.log(-pos)
-        return cls(log_s=log_s, log_w=np.log(wts))
+        measures = []
+        for atoms in _atoms(log_s, np.log(wts)):
+            mu = object.__new__(cls)
+            mu._set_atoms(*atoms)
+            measures.append(mu)
+        return measures
 
     # -- basic quantities ----------------------------------------------
 
@@ -225,31 +257,13 @@ class AtomicMeasure:
 
     def log_laplace(self, t):
         """ln of integral exp(2 t lambda) dmu(lambda); vectorized over t."""
-        return self._log_transform(t, self.log_w)
+        t_arr, scalar = _as_1d(t)
+        return _as_scalar_or_array(_log_laplace_stack([self], t_arr)[0], scalar)
 
     def log_laplace_moment(self, t, shift: float = 0.0):
         """ln of integral (lambda + shift)^2 exp(2 t lambda) dmu(lambda); vectorized over t."""
-        if shift == 0.0:
-            log_amp = 2.0 * self.log_s
-        else:
-            with np.errstate(divide="ignore"):
-                log_amp = 2.0 * np.log(np.abs(shift - np.exp(self.log_s)))
-        return self._log_transform(t, self.log_w + log_amp)
-
-    def _log_transform(self, t, log_coef: np.ndarray):
-        """ln sum_k exp(log_coef_k - 2 t s_k): one logsumexp row per t.
-
-        Rows run in blocks of at most ``_CHUNK_ELEMENTS`` (t, atom) terms,
-        so memory stays bounded and no value depends on the block size.
-        """
         t_arr, scalar = _as_1d(t)
-        s = np.exp(self.log_s)  # sub-double moduli round to 0.0, which is exact here
-        rows = max(1, _CHUNK_ELEMENTS // self.n_atoms)
-        vals = np.empty(t_arr.size)
-        for i in range(0, t_arr.size, rows):
-            block = t_arr[i : i + rows]
-            vals[i : i + rows] = _logsumexp(log_coef - 2.0 * block[:, None] * s)
-        return _as_scalar_or_array(vals, scalar)
+        return _as_scalar_or_array(_log_laplace_stack([self], t_arr, [shift])[0], scalar)
 
     def describe(self) -> str:
         return f"atomic n={self.n_atoms} mass={self.mass!r}"
@@ -261,6 +275,60 @@ class AtomicMeasure:
         for ls, lw in zip(self.log_s, self.log_w):
             lines.append(f"{float(ls)!r} {float(lw)!r}")
         return "\n".join(lines) + "\n"
+
+
+def _atomic_log_transform(log_s: np.ndarray, log_coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """ln sum_k exp(log_coef[m, k] - 2 t_j s[m, k]) for a stack of M measures
+    of n atoms each, given as (M, n) arrays: an (M, T) array.
+
+    The M T logsumexp rows, in (measure, t) order, run in blocks of at most
+    ``_CHUNK_ELEMENTS`` terms, so memory stays bounded and no value depends
+    on the block size or on the other measures of the stack.  A stack is
+    never padded to a common atom count: padding would change how numpy
+    groups each row's sum, and so its last bits.
+    """
+    n_t = t.size
+    s = np.exp(log_s)  # sub-double moduli round to 0.0, which is exact here
+    rows = max(1, _CHUNK_ELEMENTS // log_s.shape[1])
+    out = np.empty(log_s.shape[0] * n_t)
+    for r in range(0, out.size, rows):
+        m, j = np.divmod(np.arange(r, min(r + rows, out.size)), n_t)
+        terms = s[m]
+        with np.errstate(over="ignore"):  # 2 t s = inf is an exact zero term
+            terms *= 2.0 * t[j][:, None]  # in place, so a block holds two term arrays
+        out[r : r + rows] = _logsumexp(np.subtract(log_coef[m], terms, out=terms))
+    return out.reshape(log_s.shape[0], n_t)
+
+
+def _log_laplace_stack(mus: Sequence, t: np.ndarray, shifts: Optional[Sequence[float]] = None):
+    """Row m: ``mus[m].log_laplace(t)``, or with ``shifts`` its
+    ``log_laplace_moment(t, shifts[m])``; an (M, T) array for a 1-D ``t``.
+
+    The atomic measures run through one ``_atomic_log_transform`` call per
+    atom count; each density takes its own quadratures.
+    """
+    parts, groups = [], {}  # parts: (row indices, their rows)
+    for m, mu in enumerate(mus):
+        if isinstance(mu, AtomicMeasure):
+            groups.setdefault(mu.n_atoms, []).append(m)
+        else:
+            row = mu.log_laplace(t) if shifts is None else mu.log_laplace_moment(t, shifts[m])
+            parts.append(([m], row))
+    for idx in groups.values():
+        log_s = np.stack([mus[m].log_s for m in idx])
+        log_coef = np.stack([mus[m].log_w for m in idx])
+        if shifts is not None:
+            a = np.array([float(shifts[m]) for m in idx])[:, None]
+            with np.errstate(divide="ignore"):
+                log_coef = log_coef + np.where(a == 0.0, 2.0 * log_s,
+                                               2.0 * np.log(np.abs(a - np.exp(log_s))))
+        parts.append((idx, _atomic_log_transform(log_s, log_coef, t)))
+    if len(parts) == 1:  # one stack holds every measure, in order: no copy needed
+        return parts[0][1].reshape(len(mus), t.size)
+    out = np.empty((len(mus), t.size))
+    for idx, rows in parts:
+        out[idx] = rows
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,15 @@ class TestInputErrors:
          "[bounds] t_window must be two times 0 < t_min < t_max, got '1000, 0.01'"),
         ("study", "t-subnormal.cfg", BOUNDS_HEAD + "[bounds]\nt_window = 1e-320, 1e-300\n",
          "[bounds] t_window starts at 1e-320, where the bound ||x|| e^(-ta)/(e t) is not finite"),
+        # keys declare the domain AtomicMeasure and the witness time 1/|position| need
+        ("study", "lo-huge.cfg", BOUNDS_HEAD + "[bounds]\nposition_lo = -1e308\n",
+         "[bounds] position_lo must be a finite number with |position_lo| <= exp(709), "
+         "got '-1e308'"),
+        ("study", "eq-tiny.cfg", BOUNDS_HEAD + "[bounds]\nequality_position = -1e-320\n",
+         "[bounds] equality_position must be a negative number with |equality_position| <= "
+         "exp(709) and 1/|equality_position| finite, got '-1e-320'"),
+        ("study", "eq-huge.cfg", BOUNDS_HEAD + "[bounds]\nequality_position = -1e308\n",
+         "[bounds] equality_position must be"),
         # an infinite tolerance would call the gapped measure StableNotExponential
         ("classify --gap-tol inf", "gap.measure", "atomic n=1\n0.0 0.0\n", "positive and finite"),
         ("classify --atom-tol inf", "gap.measure", "atomic n=1\n0.0 0.0\n", "positive and finite"),
@@ -425,7 +434,9 @@ class TestInputErrors:
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
             "stated-mass-mismatch", "stated-atomic-mass-mismatch", "t-window-from-zero",
-            "t-window-reversed", "t-window-subnormal", "gap-tol-inf", "atom-tol-inf"])
+            "t-window-reversed", "t-window-subnormal", "position-lo-above-exp-709",
+            "equality-position-subnormal", "equality-position-above-exp-709", "gap-tol-inf",
+            "atom-tol-inf"])
     def test_bad_input_exits_two(self, tmp_path, capsys, command, name, content, named):
         path = tmp_path / name
         if isinstance(content, bytes):
@@ -446,6 +457,23 @@ class TestInputErrors:
         assert captured.err.startswith("error: ")
         assert named in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("position_lo", "-8e307"),
+        ("equality_position", "-1e-308"),
+        ("equality_position", "-8e307"),
+    ], ids=["position-lo-below-exp-709", "equality-position-normal",
+            "equality-position-below-exp-709"])
+    def test_bounds_keys_inside_their_domain_run(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bounds.cfg"
+        cfg = f"{BOUNDS_HEAD}[bounds]\nn_measures = 3\nn_shifted = 2\n{key} = {value}\n"
+        path.write_text(cfg, encoding="ascii")
+        rc = main(["study", str(path), "--out", str(tmp_path / "report")])
+        captured = capsys.readouterr()
+        assert "error" not in captured.err and "Warning" not in captured.err
+        # the equality witness's 1e-12 ||x|| tolerance is absolute, and at
+        # |position| = 8e307 the rounding of ||e^(tA)Ax|| ~ 3e307 alone exceeds it
+        assert rc == (1 if value == "-8e307" and key == "equality_position" else 0)
 
     @pytest.mark.parametrize("target, argv", [
         ("evolve_norms", ["evolve", "{measure}", "--tmin", "1", "--tmax", "2", "--nt", "10"]),

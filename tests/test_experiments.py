@@ -11,6 +11,7 @@ import io
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,63 @@ class TestDecayBoundStudy:
         assert "FAIL" in rep.summary_text()
         assert rep.summary_text().rstrip().endswith("overall: FAIL")
 
+    def test_sweep_runs_in_a_few_cache_sized_blocks(self, monkeypatch):
+        # the default sweep is 250 measures x 200 t x 20 atoms = 10^6 terms; the
+        # equality witness adds one block
+        from semistab import measures
+
+        calls = []
+        inner = measures._logsumexp
+
+        def counting(a):
+            calls.append(a.size)
+            return inner(a)
+
+        monkeypatch.setattr(measures, "_logsumexp", counting)
+        assert study("section3-bounds").passed
+        assert len(calls) <= math.ceil(1_000_000 / measures._CHUNK_ELEMENTS) + 1
+        assert max(calls) <= measures._CHUNK_ELEMENTS
+        assert sum(calls) == 1_000_000 + 1
+
+    def test_sweep_peak_memory(self):
+        # 1.31 MB measured (numpy 2.4.6): the 400 kB of moments of all 250 x 200
+        # (measure, t) pairs, plus one 16,384-term block and its temporaries.
+        # Blocks of 262,144 terms took 6.2 MB and of 32,768 terms 1.62 MB; a
+        # second 400 kB copy of the moments or of the bounds also fails
+        study("section3-bounds", n_measures=2, n_shifted=1, n_t=10)
+        tracemalloc.start()
+        try:
+            study("section3-bounds")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_sweep_matches_the_benchmark_reference(self, seed):
+        # the stored outputs of the bounds-sweep workload, variant = seed, at
+        # the workload's tolerance (RTOL 1e-6, ATOL 1e-12); inf and strings exactly
+        ref = os.path.join(os.path.dirname(__file__), "..", "perfbench", "ref",
+                           "bounds-sweep", f"v{seed}")
+        rep = study("section3-bounds", seed=seed)
+        for tab in rep.tables:
+            with open(os.path.join(ref, f"{tab.name}.csv"), newline="", encoding="ascii") as fh:
+                want = list(csv.reader(fh))
+            got = list(csv.reader(io.StringIO(tab.to_csv_text(), newline="")))
+            assert got[0] == want[0] and len(got) == len(want)
+            for grow, wrow in zip(got[1:], want[1:]):
+                assert len(grow) == len(wrow)
+                for g, w in zip(grow, wrow):
+                    try:
+                        a, b = float(g), float(w)
+                    except ValueError:
+                        assert g == w
+                        continue
+                    if math.isfinite(a) and math.isfinite(b):
+                        assert abs(a - b) <= 1e-12 + 1e-6 * max(abs(a), abs(b)), (g, w)
+                    else:
+                        assert g == w
+
     def test_position_window_must_clear_every_shift(self):
         with pytest.raises(DomainError):
             study("section3-bounds", position_lo=-1.0, shifts=(0.5, 2.0))
@@ -526,6 +584,18 @@ class TestSpotCheck:
         rep = study("section3-bounds", n_measures=5, n_shifted=3, n_t=60, seed=4)
         checks = spot_check(rep, n_cells=5, seed=1)
         assert len(checks) == 5
+        assert all(c.matches for c in checks)
+
+    @pytest.mark.parametrize("chunk", [None, 7 * 20 + 3])
+    def test_every_batched_bounds_cell_is_its_batch_of_one(self, monkeypatch, chunk):
+        # a 143-term block cuts the sweep inside measures and inside t rows
+        if chunk is not None:
+            monkeypatch.setattr("semistab.measures._CHUNK_ELEMENTS", chunk)
+        rep = study("section3-bounds", n_measures=20, n_shifted=10, n_t=50, seed=6)
+        n_numeric = sum(isinstance(cell, float)
+                        for tab in rep.tables for row in tab.rows for cell in row)
+        checks = spot_check(rep, n_cells=n_numeric)
+        assert n_numeric == (20 + 3 * 10) * 5 + 5 and len(checks) == n_numeric
         assert all(c.matches for c in checks)
 
     def test_approximation_cells_reproduce_bitwise(self):
@@ -734,7 +804,8 @@ class TestKeyTables:
         ("section3-bounds", dict(bound_scale=None), "[hooks] bound_scale must be a positive "
                                                     "number, got 'None'"),
         ("section3-bounds", dict(position_lo="abc"), "[bounds] position_lo must be a finite "
-                                                     "number, got 'abc'"),
+                                                     "number with |position_lo| <= exp(709), "
+                                                     "got 'abc'"),
         ("approximation", dict(potential=GAUSSIAN, seq_kind="truncation", indices=[1, 2.5],
                                L=4.0, h=0.2), "[approximation] indices must be"),
         ("gap-vs-box", dict(potential=FREE, L_list=None, h=0.25), "[box] L_list must be"),

@@ -454,6 +454,9 @@ def test_lacunary_domain_errors():
         st.lacunary_measure(0.5, [-1.0], 4)
     with pytest.raises(DomainError):
         st.lacunary_measure(0.5, [1.0], 0)
+    with pytest.raises(DomainError, match="n_atoms above 900"):
+        st.lacunary_measure(0.5, [1.0], 901)
+    assert st.lacunary_measure(0.5, [1.0], 900).n_atoms == 900
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +495,69 @@ def test_atomic_construction_errors():
         st.AtomicMeasure.from_points([-1.0], [-2.0])     # negative weight
     with pytest.raises(DomainError):
         st.AtomicMeasure.from_points([-1.0, -2.0], [1.0])
+
+
+@pytest.mark.parametrize("log_s, log_w, message", [
+    ([math.nan], [0.0], "|position| <= exp(709) and not be NaN"),
+    ([709.5], [0.0], "|position| <= exp(709) and not be NaN"),
+    ([-1.0], [math.inf], "atom log-weights must be finite"),
+    ([-1.0], [-math.inf], "atom log-weights must be finite"),
+    ([], [], "at least one atom"),
+    ([-1.0, 0.0], [0.0], "log_s and log_w must have the same length"),
+], ids=["nan-position", "position-above-exp-709", "infinite-weight", "zero-weight", "empty",
+        "length-mismatch"])
+def test_atomic_log_coordinate_guards(log_s, log_w, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        st.AtomicMeasure(log_s=np.array(log_s), log_w=np.array(log_w))
+
+
+def test_atomic_position_cap_is_exp_709():
+    assert st.AtomicMeasure.from_points([-math.exp(709.0)], [1.0]).log_s[0] <= 709.0
+    with pytest.raises(DomainError, match=re.escape("|position| <= exp(709)")):
+        st.AtomicMeasure.from_points([-1e308], [1.0])
+
+
+def _stack(rng, n_measures, n_atoms):
+    pos = rng.uniform(-10.0, 0.0, (n_measures, n_atoms))
+    pos[1, :3] = [-2.5, -2.5, 0.0]  # a merged duplicate and an atom at 0
+    return pos, rng.uniform(0.05, 1.0, (n_measures, n_atoms))
+
+
+def test_stack_from_points_is_from_points_row_by_row():
+    pos, wts = _stack(np.random.default_rng(4), 6, 9)
+    stacked = st.AtomicMeasure.stack_from_points(pos, wts)
+    assert [mu.n_atoms for mu in stacked] == [9, 8, 9, 9, 9, 9]
+    for mu, p, w in zip(stacked, pos, wts):
+        one = st.AtomicMeasure.from_points(p, w)
+        for got, want in ((mu.log_s, one.log_s), (mu.log_w, one.log_w),
+                          (mu._prefix, one._prefix)):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert mu.to_text() == one.to_text()
+
+
+@pytest.mark.parametrize("row, value, message", [
+    ("pos", math.nan, "positions must be finite and <= 0"),
+    ("pos", 0.5, "positions must be finite and <= 0"),
+    ("pos", -1e308, "|position| <= exp(709)"),
+    ("wts", 0.0, "weights must be finite and > 0"),
+    ("wts", math.inf, "weights must be finite and > 0"),
+], ids=["nan-position", "positive-position", "position-above-exp-709", "zero-weight",
+        "infinite-weight"])
+def test_stack_from_points_checks_every_row(row, value, message):
+    pos, wts = _stack(np.random.default_rng(5), 4, 5)
+    (pos if row == "pos" else wts)[3, 2] = value  # only the last measure is bad
+    with pytest.raises(DomainError, match=re.escape(message)):
+        st.AtomicMeasure.stack_from_points(pos, wts)
+
+
+def test_stack_from_points_shape_guards():
+    with pytest.raises(DomainError, match="same length"):
+        st.AtomicMeasure.stack_from_points(np.full((2, 3), -1.0), np.ones((2, 4)))
+    with pytest.raises(DomainError, match="same length"):
+        st.AtomicMeasure.stack_from_points(np.full(3, -1.0), np.ones(3))
+    with pytest.raises(DomainError, match="at least one atom"):
+        st.AtomicMeasure.stack_from_points(np.empty((2, 0)), np.empty((2, 0)))
 
 
 def test_atomic_arrays_immutable():
@@ -549,6 +615,35 @@ def test_density_rejects_bad_support():
         st.DensityMeasure(s_lo=1.0, s_hi=1.0, density=lambda s: np.ones_like(np.asarray(s)))
     with pytest.raises(DomainError):
         st.DensityMeasure(s_lo=-0.5, s_hi=1.0, density=lambda s: np.ones_like(np.asarray(s)))
+
+
+@pytest.mark.parametrize("extra, message", [
+    (dict(alg_power=-1.0, smooth_factor=lambda sig: 1.0), "alg_power must be > -1"),
+    (dict(alg_power=0.5), "a nonzero alg_power requires an explicit smooth_factor"),
+], ids=["alg-power-minus-one", "alg-power-without-smooth-factor"])
+def test_density_edge_guards(extra, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        st.DensityMeasure(s_lo=0.0, s_hi=1.0, density=lambda s: np.ones_like(np.asarray(s)),
+                          **extra)
+
+
+def test_density_rejects_zero_mass():
+    with pytest.raises(InvariantViolation, match="total mass must be finite and positive"):
+        st.DensityMeasure(s_lo=0.0, s_hi=1.0, density=lambda s: np.zeros_like(np.asarray(s)))
+
+
+@pytest.mark.parametrize("grid, values, error, message", [
+    ([0.0, 1.0, 2.0], [1.0, 1.0], DomainError, "matching sample arrays with at least 2 points"),
+    ([0.0], [1.0], DomainError, "matching sample arrays with at least 2 points"),
+    ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], DomainError, "strictly increasing"),
+    ([-0.5, 1.0], [1.0, 1.0], DomainError, "must lie in s >= 0"),
+    ([0.0, 1.0], [1.0, -0.5], InvariantViolation, "finite and nonnegative"),
+    ([0.0, 1.0], [1.0, math.inf], InvariantViolation, "finite and nonnegative"),
+], ids=["length-mismatch", "one-point", "repeated-node", "negative-node", "negative-value",
+        "infinite-value"])
+def test_sampled_density_grid_guards(grid, values, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        st.sampled_density_measure(grid, values)
 
 
 def test_density_rejects_inconsistent_smooth_factor():

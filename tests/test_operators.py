@@ -26,6 +26,7 @@ from semistab import experiments, operators
 from semistab import (
     AtomicMeasure,
     DomainError,
+    Potential,
     InvariantViolation,
     ResourceCapError,
     classify_stability,
@@ -108,6 +109,13 @@ def random_sampled_potential(rng):
 
 
 class TestDiscretize:
+    def test_grid_value_below_minus_a_bound_rejected(self):
+        # the random construction check misses a well of radius 1e-9, the
+        # grid point x = 0 does not
+        V = square_well(depth=5.0, radius=1e-9, a_bound=1.0)
+        with pytest.raises(InvariantViolation, match="violates its bounds on the grid"):
+            discretize(V, L=1.0, h=0.25)
+
     def test_free_laplacian_matches_closed_form(self):
         op = discretize(constant_potential(0.0), L=10.0, h=0.1)
         assert op.N == 199
@@ -698,6 +706,23 @@ class TestPotentialConstruction:
         with pytest.raises(DomainError):
             sampled_potential(np.zeros(10), -1.0, 1.0, nu=2)
 
+    @pytest.mark.parametrize("kind, nu, params, base, message", [
+        ("nope", 1, {}, None, "unknown potential kind: 'nope'"),
+        ("truncated", 1, {"k": 2}, None, "truncated potential needs a base potential"),
+        ("truncated", 2, {"k": 2}, "1-D", "wrapper and base dimensions differ"),
+        ("gaussian-well", 1, {"depth": 1.0, "width": 1.0}, "1-D",
+         "gaussian-well potential takes no base"),
+    ], ids=["unknown-kind", "wrapper-without-base", "wrapper-base-dimension", "base-on-a-leaf"])
+    def test_kind_and_base_guards(self, kind, nu, params, base, message):
+        base = gaussian_well() if base else None
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Potential(kind=kind, nu=nu, a_bound=1.0, params=params, base=base)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_sample_rejected(self, value):
+        with pytest.raises(InvariantViolation, match="non-finite value"):
+            sampled_potential([-0.5, value, 0.0], -1.0, 1.0, a_bound=1.0)
+
     def test_sampled_2d_interpolates_its_samples(self):
         rng = np.random.default_rng(5)
         vals = -rng.uniform(0.0, 1.0, 25)
@@ -744,6 +769,13 @@ class TestSpectralMeasure:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             spectral_measure(self.op, np.zeros(self.op.N))
+
+    def test_mass_mismatch_is_an_invariant_violation(self):
+        # eigenvectors scaled by 2 give the atoms four times the mass of x
+        vals, vecs = self.op._eig
+        self.op.__dict__["_eig"] = (vals, 2.0 * vecs)
+        with pytest.raises(InvariantViolation, match="does not match"):
+            spectral_measure(self.op, self.x)
 
 
 # ---------------------------------------------------------------------------
@@ -918,6 +950,14 @@ class TestResolvent:
         H = oracle_dense_matrix(V, 2.0, 0.5)
         expected = np.linalg.solve(1j * np.eye(op.N) - H, u.astype(complex))
         assert np.linalg.norm(resolvent_apply(op, u) - expected) <= 1e-10 * np.linalg.norm(u)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DomainError, match="vector length does not match"):
+            resolvent_apply(self.op, np.ones(self.op.N + 1))
+
+    def test_zero_vector_maps_to_zero(self):
+        got = resolvent_apply(self.op, np.zeros(self.op.N))
+        assert got.dtype == complex and not np.any(got)
 
     def test_resolvent_is_a_contraction(self):
         rng = np.random.default_rng(555)

@@ -7,6 +7,7 @@ orbits, and direct antiderivatives for the bound examples.
 """
 
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -38,6 +39,7 @@ from semistab import (
     range_bound_check,
     scaling_exponents,
     shifted_range_bound_check,
+    shifted_range_bound_checks,
     uniform_measure,
 )
 
@@ -149,6 +151,19 @@ class TestEvolveNorms:
             OrbitTrace(t=np.array([1.0, 2.0]), log_norm_sq=np.array([-1.0, -2.0]),
                        log_mass=math.inf)
 
+    @pytest.mark.parametrize("t, vals, error, message", [
+        ([1.0], [0.0], DomainError, "matching 1-D grids with at least 2 points"),
+        ([1.0, 2.0], [0.0], DomainError, "matching 1-D grids with at least 2 points"),
+        ([-1.0, 2.0], [0.0, -1.0], DomainError, "times must be finite and positive"),
+        ([1.0, math.inf], [0.0, -1.0], DomainError, "times must be finite and positive"),
+        ([1.0, 2.0], [0.0, math.nan], InvariantViolation, "log orbit norms must be finite"),
+        ([1.0, 2.0], [0.0, -math.inf], InvariantViolation, "log orbit norms must be finite"),
+    ], ids=["one-point", "length-mismatch", "negative-time", "infinite-time", "nan-norm",
+            "zero-norm"])
+    def test_trace_grid_guards(self, t, vals, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            OrbitTrace(t=np.array(t), log_norm_sq=np.array(vals), log_mass=0.0)
+
 
 class TestOrbitCsv:
     def test_csv_round_trip_and_undefined_ratio(self, tmp_path):
@@ -229,6 +244,14 @@ class TestDecayExponents:
         with pytest.raises(InvariantViolation):
             DecayExponentEstimate(
                 liminf_est=-1.0, limsup_est=-2.0, tail_fraction=0.8,
+                t_window=(10.0, 100.0), per_time_ratios=(), slopes=(),
+                below_floor=False, floor=-50.0,
+            )
+
+    def test_positive_limsup_rejected(self):
+        with pytest.raises(InvariantViolation, match="limsup estimate must be <= 0"):
+            DecayExponentEstimate(
+                liminf_est=-1.0, limsup_est=0.5, tail_fraction=0.8,
                 t_window=(10.0, 100.0), per_time_ratios=(), slopes=(),
                 below_floor=False, floor=-50.0,
             )
@@ -583,3 +606,120 @@ class TestChunkedKernel:
         violations = np.array(lhs) - math.sqrt(mu.mass) / (math.e * ts)
         assert float(check) == float(np.max(violations))
         assert check.worst_t == float(ts[np.argmax(violations)])
+
+
+def per_measure_rows(mus, ts, shifts=None):
+    """ln moments one measure and one t at a time, the kernel's semantics
+    before it took stacks: a logsumexp of log_coef - 2 t s per (measure, t)."""
+    from semistab.measures import _logsumexp
+
+    rows = []
+    for m, mu in enumerate(mus):
+        if not isinstance(mu, AtomicMeasure):
+            rows.append(mu.log_laplace(ts) if shifts is None
+                        else mu.log_laplace_moment(ts, shift=shifts[m]))
+            continue
+        s = np.exp(mu.log_s)
+        coef = mu.log_w
+        if shifts is not None:
+            with np.errstate(divide="ignore"):
+                coef = coef + (2.0 * mu.log_s if shifts[m] == 0.0
+                               else 2.0 * np.log(np.abs(shifts[m] - s)))
+        rows.append([_logsumexp(coef - 2.0 * t * s) for t in ts.tolist()])
+    return np.array(rows)
+
+
+def mixed_batch():
+    """Measures of 20, 19 (a merged duplicate), 3 and 1 atoms, one with an
+    atom at 0 and two with an atom exactly at their shift, and the shifts,
+    each at or inside its measure's support gap."""
+    rng = np.random.default_rng(2718)
+    plain = [random_atomic(rng, pos_hi=-2.0) for _ in range(3)]
+    merged = AtomicMeasure.from_points(np.r_[-2.5, -2.5, rng.uniform(-10.0, -0.5, 18)],
+                                       rng.uniform(0.1, 1.0, 20))
+    at_zero = AtomicMeasure.from_points(np.r_[0.0, rng.uniform(-10.0, 0.0, 19)],
+                                        rng.uniform(0.1, 1.0, 20))
+    at_shift = AtomicMeasure.from_points([-1.0, -2.5, -6.0], [0.3, 0.5, 0.2])
+    single = AtomicMeasure.from_points([-3.0], [0.7])
+    mus = [plain[0], merged, at_shift, plain[1], at_zero, single, plain[2]]
+    assert [mu.n_atoms for mu in mus] == [20, 19, 3, 20, 20, 1, 20]
+    assert np.isneginf(at_zero.log_s[0])
+    return mus, [0.0, 0.5, 1.0, 2.0, 0.0, 3.0, 0.0]
+
+
+class TestStackedKernel:
+    """The stacked kernel is bit for bit the per-measure, per-t kernel, for
+    any block size, any mix of atom counts and any order of the measures."""
+
+    TS = np.geomspace(1e-2, 1e3, 23)
+
+    @pytest.mark.parametrize("chunk", ["1", "n-1", "n", "7n+3", "1e9"])
+    def test_stack_matches_per_measure_rows(self, monkeypatch, chunk):
+        import semistab.measures as ms
+
+        n = 20
+        size = {"1": 1, "n-1": n - 1, "n": n, "7n+3": 7 * n + 3, "1e9": 10 ** 9}[chunk]
+        monkeypatch.setattr(ms, "_CHUNK_ELEMENTS", size)
+        mus, shifts = mixed_batch()
+        for stack_shifts in (None, shifts):
+            got = ms._log_laplace_stack(mus, self.TS, stack_shifts)
+            assert got.shape == (len(mus), self.TS.size)
+            assert got.tobytes() == per_measure_rows(mus, self.TS, stack_shifts).tobytes()
+        # an atom exactly at the shift has no moment term, an atom at 0 none at shift 0
+        assert np.all(np.isfinite(got))
+
+    def test_methods_are_the_stack_of_one(self):
+        mus, shifts = mixed_batch()
+        for mu, a in zip(mus, shifts):
+            assert mu.log_laplace(self.TS).tobytes() == per_measure_rows(
+                [mu], self.TS)[0].tobytes()
+            assert mu.log_laplace_moment(self.TS, shift=a).tobytes() == per_measure_rows(
+                [mu], self.TS, [a])[0].tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 19, 10 ** 9])
+    def test_list_check_matches_one_measure_checks(self, monkeypatch, chunk):
+        import semistab.measures as ms
+
+        mus, shifts = mixed_batch()
+        mus.insert(3, uniform_measure(1.0, 3.0))
+        shifts.insert(3, 1.0)
+        monkeypatch.setattr(ms, "_CHUNK_ELEMENTS", chunk)
+        batch = shifted_range_bound_checks(mus, shifts, t_grid=self.TS, bound_scale=0.97)
+        oracle = per_measure_rows(mus, self.TS, shifts)
+        for mu, a, check, row in zip(mus, shifts, batch, oracle):
+            single = shifted_range_bound_check(mu, a, t_grid=self.TS, bound_scale=0.97)
+            norm_x = math.sqrt(mu.mass)
+            lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0 for v in row])
+            violations = lhs - 0.97 * norm_x * np.exp(-self.TS * a) / (math.e * self.TS)
+            i = int(np.argmax(violations))
+            for got in (check, single):
+                assert (float(got), got.worst_t, got.norm_x, got.tol, got.n_t) == (
+                    float(violations[i]), float(self.TS[i]), norm_x, 1e-12 * norm_x,
+                    self.TS.size)
+
+    def test_plain_check_is_the_list_check_at_zero_shift(self):
+        mus, _ = mixed_batch()
+        batch = shifted_range_bound_checks(mus, [0.0] * len(mus), n_t=41)
+        for mu, check in zip(mus, batch):
+            plain = range_bound_check(mu, n_t=41)
+            assert (float(plain), plain.worst_t) == (float(check), check.worst_t)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(shift=-0.5), "shift level a must be finite and >= 0"),
+        (dict(shift=math.inf), "shift level a must be finite and >= 0"),
+        (dict(shift=4.0), "measure must be supported in (-inf, -a]"),
+        (dict(measure="not a measure"), "cannot bound-check a str"),
+        (dict(t_grid=np.array([1e-320, 1.0])), "not finite at t = 1e-320"),
+    ], ids=["negative-shift", "infinite-shift", "support-past-shift", "not-a-measure",
+            "infinite-bound"])
+    def test_every_measure_meets_the_one_measure_checks(self, bad, message):
+        mus, shifts = mixed_batch()
+        shifts[-1] = bad.get("shift", shifts[-1])
+        mus[-1] = bad.get("measure", mus[-1])
+        with pytest.raises(DomainError, match=re.escape(message)):
+            shifted_range_bound_checks(mus, shifts, t_grid=bad.get("t_grid"))
+
+    def test_one_shift_per_measure(self):
+        mus, shifts = mixed_batch()
+        with pytest.raises(DomainError, match="one shift level per measure"):
+            shifted_range_bound_checks(mus, shifts[:-1])
