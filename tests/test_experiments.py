@@ -429,18 +429,27 @@ class TestDecayBoundStudy:
         assert sum(calls) == 1_000_000 + 1
 
     def test_sweep_peak_memory(self):
-        # 1.31 MB measured (numpy 2.4.6): the 400 kB of moments of all 250 x 200
-        # (measure, t) pairs, plus one 16,384-term block and its temporaries.
-        # Blocks of 262,144 terms took 6.2 MB and of 32,768 terms 1.62 MB; a
-        # second 400 kB copy of the moments or of the bounds also fails
+        # the sweep holds the moments of its M x T (measure, t) pairs and one
+        # block of at most _CHUNK_ELEMENTS terms with its temporaries, so over
+        # the same measures on a 2-point grid the peak grows by at most the
+        # moments' M (T - 2) doubles and 3 doubles a block term.  Measured on
+        # numpy 2.4.6: 0.76 MB at T = 2 and 1.31 MB at T = 200, inside
+        # 0.76 + 0.40 + 0.39 MB.  Holding every measure's bound along with the
+        # moments does not fit
+        from semistab import measures
+
+        def peak(**keys):
+            tracemalloc.start()
+            try:
+                study("section3-bounds", **keys)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         study("section3-bounds", n_measures=2, n_shifted=1, n_t=10)
-        tracemalloc.start()
-        try:
-            study("section3-bounds")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.6e6
+        n_pairs = 100 + 3 * 50
+        growth = peak() - peak(n_t=2)
+        assert growth <= 8 * n_pairs * (200 - 2) + 3 * 8 * measures._CHUNK_ELEMENTS
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_sweep_matches_the_benchmark_reference(self, seed):
