@@ -57,11 +57,12 @@ from .measures import (
 )
 from .operators import (
     Potential,
+    _resolvent_gap,
     discretize,
     metric_d,
     potential_from_text,
     potential_to_text,
-    resolvent_gap,
+    resolvent_apply,
     shift_potential,
     truncate_potential,
 )
@@ -495,7 +496,7 @@ def _approximation_items(plan: dict, seed: int) -> list:
     for _ in range(plan["n_probes"]):
         u = rng.uniform(-1.0, 1.0, H.N)
         u /= np.linalg.norm(u)
-        probes.append(u)
+        probes.append((u, resolvent_apply(H, u)))  # R_i(H) u, shared by every row
     return [(index, H, probes) for index in plan["indices"]]
 
 
@@ -508,8 +509,8 @@ def _approximation_row(plan: dict, item: tuple) -> dict:
            "lambda_max": float(Hk.lambda_max)}
     if plan["seq_kind"] == "shift":
         row["shift_cap"] = -float(V.a_bound) / (index + 1.0)
-    for p, u in enumerate(probes, 1):
-        row[f"lhs_{p}"], row[f"rhs_{p}"] = resolvent_gap(Hk, H, u)
+    for p, (u, ru) in enumerate(probes, 1):
+        row[f"lhs_{p}"], row[f"rhs_{p}"] = _resolvent_gap(Hk, H, u, ru)
     return row
 
 

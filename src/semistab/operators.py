@@ -10,7 +10,12 @@ the resolvent factorization, the eigenvalues alone, which the spectrum
 CSV reads, and the full eigendecomposition, which only the spectral
 measure reads.  The last two are banded LAPACK solves (band reduction,
 then a tridiagonal solve) on H in lower band storage, whose half-bandwidth
-is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D.
+is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D.  The first two read
+that storage too in 1-D, where H is tridiagonal: the top eigenpair comes
+from LAPACK Sturm-count bisection and inverse iteration (``?stebz``,
+``?stein``) and the resolvent from a tridiagonal LU (``?gttrf``), both
+O(N).  2-D keeps an ARPACK shift-invert top eigenpair and a SuperLU
+factorization.
 
 A 2-D V that is swap-symmetric on the grid, ``V(x, y) == V(y, x)`` bit for
 bit, makes H commute with the swap (x, y) -> (y, x).  Every radial kind is,
@@ -44,8 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eig_banded
-from scipy.linalg.lapack import dsysv
+from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg.lapack import dsysv, zgttrf, zgttrs
 from scipy.sparse.linalg import eigsh, splu
 
 from .errors import (DomainError, InvariantViolation, ResourceCapError, csv_text, read_ascii,
@@ -327,8 +332,9 @@ class DiscretizedOperator:
     ``apply`` and every solve read it.  Each solve runs on first use and
     is cached on the operator:
 
-    * ``lambda_max``: the top eigenvalue, from an ARPACK shift-invert
-      top-eigenpair solve;
+    * ``lambda_max``: the top eigenvalue, from a top-eigenpair solve: LAPACK
+      bisection and inverse iteration on the tridiagonal H in 1-D, an ARPACK
+      shift-invert in 2-D;
     * ``eigenvalues``: every eigenvalue, sorted descending (closest to 0
       first), from values-only banded solves.  No eigenvector is
       computed; the values are checked on H itself by the trace and
@@ -338,7 +344,8 @@ class DiscretizedOperator:
     * ``eigenvectors``: the full decomposition, from a banded solve with
       vectors, with ``eigenvectors[:, j]`` the orthonormal eigenvector for
       the j-th eigenvalue, in the same order;
-    * the factorization of ``iI - H`` behind ``resolvent_apply``.
+    * the factorization of ``iI - H`` behind ``resolvent_apply``: a
+      tridiagonal LU in 1-D, a sparse LU in 2-D.
 
     Both banded solves (LAPACK ``?sbevd`` through ``scipy.linalg.eig_banded``)
     read H in lower band storage, so neither forms a dense N x N copy of H;
@@ -412,10 +419,17 @@ class DiscretizedOperator:
 
     @cached_property
     def lambda_max(self) -> float:
-        # H + cI is nonnegative and irreducible, so the top eigenvector is
-        # positive and the constant start vector always overlaps it; a fixed
-        # start vector also makes re-runs bit-identical
-        vals, vecs = eigsh(self.H, k=1, sigma=0.0, v0=np.ones(self.N))
+        if self.nu == 1:
+            # the top eigenpair of the tridiagonal H; tol = 2 * tiny is LAPACK
+            # ?stebz's most accurate bisection, at no extra cost
+            vals, vecs = eigh_tridiagonal(self._band[0], self._band[1, :-1], select="i",
+                                          select_range=(self.N - 1, self.N - 1),
+                                          tol=2.0 * np.finfo(float).tiny)
+        else:
+            # H + cI is nonnegative and irreducible, so the top eigenvector is
+            # positive and the constant start vector always overlaps it; a fixed
+            # start vector also makes re-runs bit-identical
+            vals, vecs = eigsh(self.H, k=1, sigma=0.0, v0=np.ones(self.N))
         # bottom of the free Dirichlet spectrum; V <= 0 puts H's bottom below it
         n = self.n_side
         scale = self.nu * (4.0 / (self.h * self.h)) * math.sin(n * math.pi / (2.0 * (n + 1))) ** 2
@@ -424,7 +438,14 @@ class DiscretizedOperator:
 
     @cached_property
     def _resolvent_solver(self) -> Callable[[np.ndarray], np.ndarray]:
-        """r -> (iI - H)^(-1) r from the sparse LU factors of iI - H."""
+        """r -> (iI - H)^(-1) r from the LU factors of iI - H: LAPACK ``zgttrf``
+        of the tridiagonal in 1-D, SuperLU in 2-D."""
+        if self.nu == 1:
+            off = -self._band[1, :-1].astype(complex)
+            *factors, info = zgttrf(off, 1j - self._band[0], off)
+            if info != 0:
+                raise InvariantViolation(f"tridiagonal LU of iI - H failed (zgttrf info {info})")
+            return lambda r: zgttrs(*factors, r)[0]
         return splu((sparse.diags_array(np.full(self.N, 1j)) - self.H).tocsc()).solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -750,10 +771,18 @@ def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5) ->
         raise DomainError("J must be a nonnegative integer")
     if not 2.0 ** (-J + 1) <= tail_tol:
         raise DomainError("J too small for the requested tail_tol")
-    terms = []
-    for j in range(J + 1):
-        sup_j = _sup_abs_diff(V, U, j, _SUP_STEP * j + _SUP_STEP)
-        terms.append(min(2.0 ** (-j), sup_j))
+    if V.is_radial and U.is_radial:
+        # V and U are evaluated once, on every term's radii concatenated; the
+        # evaluation is elementwise, so each term's sup is _sup_abs_diff's
+        radii = [np.linspace(0.0, float(j), int(math.ceil(j / (_SUP_STEP * j + _SUP_STEP))) + 1)
+                 for j in range(J + 1)]
+        r = np.concatenate(radii)
+        pts = r if V.nu == 1 else np.stack([r, np.zeros_like(r)], axis=-1)
+        starts = np.cumsum([0] + [x.size for x in radii[:-1]])
+        sups = np.maximum.reduceat(np.abs(V.eval(pts) - U.eval(pts)), starts).tolist()
+    else:
+        sups = [_sup_abs_diff(V, U, j, _SUP_STEP * j + _SUP_STEP) for j in range(J + 1)]
+    terms = [min(2.0 ** (-j), sup_j) for j, sup_j in enumerate(sups)]
     return MetricValue(float(np.sum(terms)), tail_bound=2.0 ** (-J), terms=terms, J=J)
 
 
@@ -797,9 +826,15 @@ def resolvent_gap(H_approx: DiscretizedOperator, H: DiscretizedOperator, u) -> t
     self-adjoint operator at i has norm <= 1, so lhs <= rhs up to solver
     tolerance.
     """
+    return _resolvent_gap(H_approx, H, u, resolvent_apply(H, u))
+
+
+def _resolvent_gap(H_approx: DiscretizedOperator, H: DiscretizedOperator, u,
+                   ru: np.ndarray) -> tuple:
+    """``resolvent_gap(H_approx, H, u)`` given ``ru = resolvent_apply(H, u)``,
+    so one solve on H serves every H_approx."""
     if (H_approx.nu, H_approx.L, H_approx.h, H_approx.N) != (H.nu, H.L, H.h, H.N):
         raise DomainError("operators are not discretized on the same grid")
-    ru = resolvent_apply(H, u)
     ru_approx = resolvent_apply(H_approx, u)
     lhs = float(np.linalg.norm(ru_approx - ru))
     rhs = float(np.linalg.norm((H_approx.v_diag - H.v_diag) * ru))

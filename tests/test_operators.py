@@ -5,8 +5,9 @@ Oracles used here are independent of the package internals: the cosine
 form of the Dirichlet second-difference spectrum, dense matrices built
 by explicit loops, scipy.linalg.expm for semigroup evolution,
 scipy.linalg.eigh_tridiagonal for the 1-D banded solves, numpy.linalg
-solves for resolvents, and, for the inertia counts, a sparse LU without
-pivoting and dense numpy.linalg.eigvalsh counts.
+solves for resolvents, ARPACK ``eigsh`` and SuperLU for the 1-D
+tridiagonal top eigenpair and resolvent, and, for the inertia counts, a
+sparse LU without pivoting and dense numpy.linalg.eigvalsh counts.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.linalg.lapack import dsytrf
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh, splu
 
 from semistab import experiments, operators
 from semistab import (
@@ -365,6 +366,57 @@ class TestOnDemandSolves:
         assert "_eig" not in op.__dict__ and "lambda_max" in op.__dict__
 
 
+class TestTridiagonalSolves:
+    """The 1-D top eigenpair (LAPACK bisection and inverse iteration) and
+    resolvent (tridiagonal LU) against the ARPACK and SuperLU solves they
+    replaced and against dense solves."""
+
+    CASES = {
+        "nu1": TestOperatorMatrix.CASES["nu1"],
+        "gaussian-3599": (gaussian_well(), 18.0, 0.01),
+        "free-3599": (constant_potential(0.0, a_bound=1.0), 18.0, 0.01),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_lambda_max_matches_arpack_and_dense(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        lam = op.lambda_max
+        tol = 1e-12 * dirichlet_bottom(op)
+        arpack = eigsh(op.H, k=1, sigma=0.0, v0=np.ones(op.N))[0][0]
+        assert abs(lam - arpack) <= tol
+        if case == "free-3599":
+            # the free box has its top eigenvalue in closed form, a better
+            # oracle than a dense solve of this size
+            n = op.n_side
+            exact = -(4.0 / (h * h)) * math.sin(math.pi / (2.0 * (n + 1))) ** 2
+            assert abs(lam - exact) <= tol
+        else:
+            assert abs(lam - np.linalg.eigvalsh(op.H.toarray())[-1]) <= tol
+
+    @pytest.mark.parametrize("case", ["nu1", "gaussian-3599"])
+    def test_resolvent_matches_sparse_lu(self, case):
+        # the dense solve is TestOnDemandSolves.test_resolvent_matches_dense_solve
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        u = np.random.default_rng(34).uniform(-1.0, 1.0, op.N)
+        lu = splu((sparse.diags_array(np.full(op.N, 1j)) - op.H).tocsc())
+        got = resolvent_apply(op, u)
+        assert np.linalg.norm(got - lu.solve(u.astype(complex))) <= 1e-12 * np.linalg.norm(u)
+
+    def test_singular_tridiagonal_factor_is_refused(self, monkeypatch):
+        op = discretize(gaussian_well(), L=5.0, h=0.25)
+        lu = operators.zgttrf
+
+        def singular(dl, d, du):
+            *factors, info = lu(dl, d, du)
+            return (*factors, 3)
+
+        monkeypatch.setattr(operators, "zgttrf", singular)
+        with pytest.raises(InvariantViolation, match="zgttrf info 3"):
+            resolvent_apply(op, np.ones(op.N))
+
+
 class TestBandedSolves:
     """``eigenvalues`` and ``_eig`` solve H from its lower band storage ``_band``."""
 
@@ -673,8 +725,18 @@ class TestInertiaCount:
         V, L, h = TestOperatorMatrix.CASES[case]
         op = discretize(V, L=L, h=h)
         assert op.eigenvalues.size == op.N
-        with pytest.raises(AssertionError, match="sparse LU"):
-            resolvent_apply(op, np.ones(op.N))  # the resolvent keeps its sparse LU
+        if op.nu == 2:
+            with pytest.raises(AssertionError, match="sparse LU"):
+                resolvent_apply(op, np.ones(op.N))  # the 2-D resolvent keeps its sparse LU
+            return
+
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("ARPACK")
+
+        # the 1-D top eigenpair and resolvent are tridiagonal LAPACK solves
+        monkeypatch.setattr(operators, "eigsh", no_eigsh)
+        assert op.lambda_max < 0.0
+        assert np.all(np.isfinite(resolvent_apply(op, np.ones(op.N))))
 
 
 class TestPotentialConstruction:
@@ -848,6 +910,24 @@ class TestMetric:
             assert term == min(2.0 ** (-j), sup)
         # at j = 2 the square's corners reach |V| = 4/9 > 1/4, the disc only about 2/9
         assert 0.2 < d.terms[2] < 0.25
+
+    @pytest.mark.parametrize("J", [0, 1, 20])
+    @pytest.mark.parametrize("pair", ["radial-1d", "radial-2d", "truncated", "shifted",
+                                      "sampled"])
+    def test_terms_equal_the_per_term_sup_loop(self, pair, J):
+        G = gaussian_well(depth=1.0, width=1.5)
+        V, U = {
+            "radial-1d": (G, exp_well(depth=0.7, width=2.0, a_bound=1.0)),
+            "radial-2d": (gaussian_well(nu=2), square_well(depth=0.5, nu=2, a_bound=1.0)),
+            "truncated": (truncate_potential(G, 3), G),
+            "shifted": (shift_potential(G, 2), G),
+            "sampled": (random_sampled_potential(np.random.default_rng(8)), G),
+        }[pair]
+        d = metric_d(V, U, J=J, tail_tol=2.0)
+        loop = [min(2.0 ** (-j), operators._sup_abs_diff(V, U, j, 0.01 * j + 0.01))
+                for j in range(J + 1)]
+        assert d.terms == tuple(loop)
+        assert float(d) == float(np.sum(loop))
 
     def test_tail_attributes(self):
         d = metric_d(constant_potential(0.0, a_bound=1.0), constant_potential(-1.0))
