@@ -28,6 +28,7 @@ environment variable sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -49,6 +50,10 @@ from .semigroup import (
     evolve_norms,
     orbit_to_csv,
 )
+
+# The CLI owns its process: the numpy/scipy graph loaded above lives until exit,
+# so keep it out of every later collection, the ones at interpreter exit included.
+gc.freeze()
 
 __all__ = ["build_parser", "main"]
 

@@ -375,8 +375,9 @@ class DensityMeasure:
             raise DomainError("alg_power must be > -1 for an integrable edge")
         if self.alg_power != 0.0 and self.smooth_factor is None:
             raise DomainError("a nonzero alg_power requires an explicit smooth_factor")
-        sig = (self.s_hi - self.s_lo) * np.linspace(0.07, 0.93, 32)
-        vals = np.asarray(self.density(self.s_lo + sig), dtype=float)
+        s = self.s_lo + (self.s_hi - self.s_lo) * np.linspace(0.07, 0.93, 32)
+        sig = s - self.s_lo  # exactly the offsets of the points density reads
+        vals = np.asarray(self.density(s), dtype=float)
         if np.any(vals < -1e-12):
             raise InvariantViolation("density must be nonnegative on the support")
         if self.smooth_factor is not None:
@@ -415,28 +416,27 @@ class DensityMeasure:
 
     # -- quadrature core ---------------------------------------------------
 
-    def _quad_sigma(self, upper: float, t: float = 0.0, moment_shift: Optional[float] = None) -> float:
-        """integral_0^upper sig^alg h(sig) [(shift-s_lo-sig)^2] exp(-2 t sig) dsig."""
+    def _smooth(self) -> Callable[[float], float]:
+        """h with density(s_lo + sig) = sig^alg h(sig)."""
+        if self.smooth_factor is not None:
+            return self.smooth_factor
+        return lambda sig: self.density(self.s_lo + sig)
+
+    def _points(self, scale: float, upper: float):
+        """The density's breaks as u = (s - s_lo) / scale inside (0, upper), or None."""
+        if self.quad_breaks is None:
+            return None
+        inner = (self.quad_breaks - self.s_lo) / scale
+        inner = inner[(inner > 0.0) & (inner < upper)]
+        return inner if inner.size else None
+
+    def _quad_sigma(self, upper: float) -> float:
+        """integral_0^upper sig^alg h(sig) dsig, the mass of [s_lo, s_lo + upper]."""
         if upper <= 0.0:
             return 0.0
         upper = min(upper, self.s_hi - self.s_lo)
-        if t > 0.0:
-            upper = min(upper, _TAIL_EXPONENT / (2.0 * t))
-        if self.smooth_factor is not None:
-            smooth = self.smooth_factor
-        else:
-            smooth = lambda sig: self.density(self.s_lo + sig)
-        if moment_shift is None:
-            f = lambda sig: float(smooth(sig)) * math.exp(-2.0 * t * sig)
-        else:
-            c = moment_shift - self.s_lo
-            f = lambda sig: float(smooth(sig)) * (c - sig) ** 2 * math.exp(-2.0 * t * sig)
-        pts = None
-        if self.quad_breaks is not None:
-            inner = self.quad_breaks - self.s_lo
-            inner = inner[(inner > 0.0) & (inner < upper)]
-            pts = inner if inner.size else None
-        return self._quad(f, upper, pts)
+        smooth = self._smooth()
+        return self._quad(lambda sig: float(smooth(sig)), upper, self._points(1.0, upper))
 
     def _quad(self, f: Callable[[float], float], upper: float, points=None) -> float:
         """integral_0^upper sig^alg f(sig) dsig, with the endpoint-weighted
@@ -505,7 +505,7 @@ class DensityMeasure:
             # itself underflows, c(eps tau) is the edge value c(0) and this is
             # the exact edge form c eps^(p+1) / (p+1)
             eps = math.exp(le) if le >= _LOG_DBL_MIN else 0.0
-            smooth = self.smooth_factor if self.smooth_factor is not None else self.density
+            smooth = self._smooth()
             upper = 1.0 if eps <= self.s_hi else self.s_hi / eps
             scaled = self._quad(lambda tau: float(smooth(eps * tau)), upper)
             with np.errstate(divide="ignore"):
@@ -522,14 +522,37 @@ class DensityMeasure:
         return self._log_transform(t, shift)
 
     def _log_transform(self, t, moment_shift: Optional[float]):
-        """One quadrature per t; the e^{-2 t s_lo} prefactor is carried
-        analytically so supports far from 0 stay representable."""
+        """One quadrature per t, over u = sig / scale in [0, U], with
+        scale = min(1/(2t), s_hi - s_lo) and U = min((s_hi - s_lo) / scale, 745).
+
+        The integrand u^alg h(scale u) e^{-2 t scale u} then decays at rate at
+        most 1 over a range of at least 1, so it neither underflows nor
+        overflows; e^{-2 t s_lo} and scale^(alg+1) are carried in log.  A
+        moment's factor (c - scale u)^2, c = shift - s_lo, is divided by m^2
+        with m = max(|c|, scale), which keeps it in [0, (1 + U)^2].
+        """
         t_arr, scalar = _as_1d(t)
+        width = self.s_hi - self.s_lo
+        smooth = self._smooth()
         out = np.empty(t_arr.shape)
         for i, ti in enumerate(t_arr.tolist()):
-            val = self._quad_sigma(self.s_hi - self.s_lo, t=ti, moment_shift=moment_shift)
+            if 2.0 * ti * width > 1.0:
+                scale, rate, log_scale = 0.5 / ti, 1.0, -math.log(2.0) - math.log(ti)
+            else:
+                scale, rate, log_scale = width, 2.0 * ti * width, math.log(width)
+            upper = min(width / scale, _TAIL_EXPONENT)
+            log_front = -2.0 * ti * self.s_lo + (self.alg_power + 1.0) * log_scale
+            if moment_shift is None:
+                f = lambda u: float(smooth(scale * u)) * math.exp(-rate * u)
+            else:
+                c = moment_shift - self.s_lo
+                m = max(abs(c), scale)
+                a, b = c / m, scale / m
+                f = lambda u: float(smooth(scale * u)) * (a - b * u) ** 2 * math.exp(-rate * u)
+                log_front += 2.0 * math.log(m)
+            val = self._quad(f, upper, self._points(scale, upper))
             with np.errstate(divide="ignore"):
-                out[i] = -2.0 * ti * self.s_lo + np.log(val)
+                out[i] = log_front + np.log(val)
         return _as_scalar_or_array(out, scalar)
 
     def describe(self) -> str:
@@ -685,6 +708,9 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
                 out = np.where(le < math.log(grid[1]), edge, out)
         return out
 
+    # the quadratures read the density at sig = s - grid[0]: at large t they see
+    # only sig ~ 1/t, which grid[0] + sig would round away
+    offsets = grid - grid[0]
     return DensityMeasure(
         s_lo=float(grid[0]),
         s_hi=float(grid[-1]),
@@ -692,6 +718,7 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
         kind="sampled-density",
         params={"grid": grid, "values": vals},
         log_ball_mass_fn=_log_ball,
+        smooth_factor=lambda sig: np.interp(sig, offsets, vals),
         quad_breaks=grid,
     )
 

@@ -8,6 +8,7 @@ test covers the python -m wiring.
 import csv
 import dataclasses
 import io
+import math
 import os
 import subprocess
 import sys
@@ -29,10 +30,12 @@ from semistab import (
     monomial_profile_measure,
     orbit_to_csv,
     potential_from_text,
+    power_law_measure,
     sampled_potential,
     save_measure,
     save_potential,
     spectrum_to_csv,
+    square_well,
 )
 from semistab.cli import main
 from semistab.errors import DomainError, InvariantViolation, PreconditionError, ResourceCapError
@@ -203,6 +206,22 @@ class TestEvolve:
         capsys.readouterr()
         assert rc == 0
         assert (tmp_path / "envdir" / "orbit.csv").exists()
+
+    def test_density_orbit_far_below_double_range(self, tmp_path, capsys):
+        # power law gamma = 2: ln ||e^{tA}x||^2 = ln 2 + ln Gamma(2) P(2, 2t) / (2t)^2,
+        # -1382.24 at t = 1e300, where the linear-space integral underflows
+        path = tmp_path / "power-law-2.measure"
+        save_measure(power_law_measure(2.0), path)
+        out_csv = tmp_path / "orbit.csv"
+        rc = main(["evolve", str(path), "--tmin", "1", "--tmax", "1e300", "--nt", "31",
+                   "--out", str(out_csv)])
+        capsys.readouterr()
+        assert rc == 0
+        rows = list(csv.reader(out_csv.open(encoding="ascii")))[1:]
+        assert len(rows) == 31
+        t, log_norm_sq = float(rows[-1][0]), float(rows[-1][1])
+        assert t == 1e300
+        assert log_norm_sq == pytest.approx(math.log(2.0) - 2.0 * math.log(2e300), rel=1e-15)
 
     def test_bad_grid_is_a_usage_error(self, two_atom_file, capsys):
         rc = main(["evolve", two_atom_file, "--tmin", "10", "--tmax", "1", "--nt", "5"])
@@ -631,6 +650,55 @@ def _src_env():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _run_python(*args, **kwargs):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_src_env(), **kwargs)
+
+
+class TestFrozenProcess:
+    """The CLI freezes the heap its imports built (gc.freeze), so exit does not
+    collect it; the library import leaves the collector as it found it."""
+
+    def test_library_import_leaves_gc_alone(self):
+        proc = _run_python("-c", "import gc, semistab; "
+                                 "print(gc.isenabled(), gc.get_freeze_count())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True 0\n"
+
+    def test_cli_import_freezes_the_import_heap(self):
+        proc = _run_python("-c", "import gc, semistab.cli; "
+                                 "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True True\n"
+
+    @pytest.mark.parametrize("bound_scale, code, verdict", [
+        (None, 0, "overall: PASS"),
+        (0.5, 1, "overall: FAIL"),
+    ], ids=["default-passes", "false-bound-fails"])
+    def test_study_exit_code_and_piped_stdout(self, tmp_path, bound_scale, code, verdict):
+        # stdout is a pipe, so it is block-buffered: the verdict line arrives only
+        # if the frozen process still flushes its streams at exit
+        text = "[study]\nkind = section3-bounds\n"
+        if bound_scale is not None:
+            text += f"\n[hooks]\nbound_scale = {bound_scale}\n"
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(text, encoding="ascii")
+        proc = _run_python("-m", "semistab", "study", str(cfg), "--out", str(tmp_path / "r"))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == verdict
+
+    def test_spectrum_writes_every_line(self, tmp_path):
+        pot = tmp_path / "well.potential"
+        save_potential(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), pot)
+        out = tmp_path / "spectrum.csv"
+        proc = _run_python("-m", "semistab", "operator", "spectrum", str(pot),
+                           "--L", "2", "--h", "0.25", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        n = 15 ** 2  # 2 L / h - 1 = 15 interior points per side
+        assert proc.stdout.splitlines()[1].split(",")[1] == str(n)
+        assert len(out.read_text(encoding="ascii").splitlines()) == n + 1
 
 
 class TestModuleEntryPoint:

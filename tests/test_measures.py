@@ -368,6 +368,167 @@ def test_logsumexp_is_bit_identical_to_scipy():
 
 
 # ---------------------------------------------------------------------------
+# density transforms in the log domain, to t = 1e300
+# ---------------------------------------------------------------------------
+
+# t from where every family's integral is a normal double to where it is far
+# below double range (the power law's reaches e^-2417 at gamma = 3.5)
+_HUGE_TS = (1e-2, 1.0, 1e3, 1e12, 1e160, 1e170, 1e300)
+
+
+def _log_edge_moment(k, t):
+    """ln integral_0^1 s^(k-1) e^{-2 t s} ds = ln Gamma(k) P(k, 2t) / (2t)^k (DLMF 8.2.1)."""
+    from scipy.special import gammainc, gammaln
+
+    return gammaln(k) - k * math.log(2.0 * t) + math.log(gammainc(k, 2.0 * t))
+
+
+def _log_shifted_edge_moment(k, t, a):
+    """ln integral_0^1 s^(k-1) (s + a)^2 e^{-2 t s} ds for a >= 0, expanded in
+    powers of s so that every term is positive."""
+    terms = [_log_edge_moment(k + 2, t)]
+    if a > 0.0:
+        terms += [math.log(2.0 * a) + _log_edge_moment(k + 1, t),
+                  2.0 * math.log(a) + _log_edge_moment(k, t)]
+    return float(mp.log(mp.fsum(mp.e ** mp.mpf(v) for v in terms)))
+
+
+@pytest.mark.parametrize("family, k, log_c", [
+    ("power-law", 0.5, math.log(0.5)),
+    ("power-law", 1.0, 0.0),
+    ("power-law", 2.0, math.log(2.0)),
+    ("power-law", 3.5, math.log(3.5)),
+    ("monomial-profile", 2.5, 0.0),
+    ("monomial-profile", 2.8, 0.0),
+], ids=["gamma-0.5", "gamma-1", "gamma-2", "gamma-3.5", "delta-0.75", "delta-0.9"])
+@pytest.mark.parametrize("t", _HUGE_TS)
+def test_edge_power_transforms_match_the_closed_form(family, k, log_c, t):
+    # density c s^(k-1) on [0, 1]: gamma s^(gamma-1), or s^(2 delta) with k = 2 delta + 1
+    mu = (st.power_law_measure(k) if family == "power-law"
+          else st.monomial_profile_measure((k - 1.0) / 2.0))
+    close = dict(rel=1e-14, abs=1e-13)
+    assert mu.log_laplace(t) == pytest.approx(log_c + _log_edge_moment(k, t), **close)
+    # shift -a puts every atom of (shift - s)^2 = (s + a)^2 on the same side
+    for a in (0.0, 0.5):
+        assert mu.log_laplace_moment(t, -a) == pytest.approx(
+            log_c + _log_shifted_edge_moment(k, t, a), **close)
+
+
+@pytest.mark.parametrize("t", _HUGE_TS)
+def test_uniform_transform_matches_the_closed_form(t):
+    # integral_0^2 2.5 e^{-2 t s} ds = 2.5 (1 - e^{-4t}) / (2t)
+    mu = st.uniform_measure(0.0, 2.0, height=2.5)
+    exact = math.log(2.5) - math.log(2.0 * t) + math.log(-math.expm1(-4.0 * t))
+    assert mu.log_laplace(t) == pytest.approx(exact, rel=1e-14, abs=1e-13)
+
+
+def oracle_log_transform(density, s_lo, s_hi, t, shift=None, breaks=()):
+    """mpmath ln integral density(s) [(shift - s)^2] e^{-2 t s} ds over [s_lo, s_hi].
+
+    ``density`` takes sig = s - s_lo, so values near the inner edge keep their
+    digits, and e^{-2 t s_lo} is carried in log.  mpmath's quadrature error
+    test is absolute, so the integral runs over u = 2 t sig, cut at the
+    density's breaks and at u = 2^k, of the integrand divided by its larger
+    value at u = min(1, width / 2) and u = width / 3.
+    """
+    t, lo = mp.mpf(t), mp.mpf(s_lo)
+    scale = 1 / (2 * t)
+    width = (mp.mpf(s_hi) - lo) / scale
+    cuts = {(mp.mpf(b) - lo) / scale for b in breaks} | {mp.mpf(2) ** k for k in range(-1, 11)}
+    pts = [mp.mpf(0)] + sorted(c for c in cuts if 0 < c < width) + [width]
+
+    def f(u):
+        sig = u * scale
+        val = density(sig) * mp.exp(-u)
+        return val if shift is None else val * (shift - lo - sig) ** 2
+
+    with mp.workdps(30):
+        norm = max(abs(f(min(mp.mpf(1), width / 2))), abs(f(width / 3)))
+        return -2 * t * lo + mp.log(mp.quad(lambda u: f(u) / norm, pts) * norm * scale)
+
+
+def _mp_interp(grid, vals):
+    """The piecewise-linear interpolant through (grid, vals), in sig = s - grid[0]."""
+    g = [mp.mpf(x) - mp.mpf(grid[0]) for x in grid]
+
+    def f(sig):
+        j = max(i for i in range(len(g) - 1) if g[i] <= sig)
+        return vals[j] + (vals[j + 1] - vals[j]) * (sig - g[j]) / (g[j + 1] - g[j])
+    return f
+
+
+# every shipped family, with the density as a function of sig = s - s_lo
+_DENSITY_ORACLES = {
+    "power-law-0.5": (st.power_law_measure(0.5), lambda sig: mp.mpf(0.5) * sig ** -0.5, ()),
+    "power-law-3.5": (st.power_law_measure(3.5), lambda sig: mp.mpf(3.5) * sig ** 2.5, ()),
+    "monomial-0.6": (st.monomial_profile_measure(0.6), lambda sig: sig ** mp.mpf(1.2), ()),
+    "uniform": (st.uniform_measure(0.0, 2.0, height=2.5), lambda sig: mp.mpf(2.5), ()),
+    "sampled-from-zero": (st.sampled_density_measure([0.0, 1.0], [0.0, 2.0]),
+                          _mp_interp([0.0, 1.0], [0, 2]), ()),
+    "sampled-kinked": (st.sampled_density_measure([0.0, 0.3, 1.0], [1.0, 2.0, 0.5]),
+                       _mp_interp([0.0, 0.3, 1.0], [1, 2, mp.mpf(0.5)]), (0.3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSITY_ORACLES))
+@pytest.mark.parametrize("t", (1e-2, 1e3, 1e12, 1e160, 1e300))
+def test_density_transforms_match_mpmath(name, t):
+    mu, density, breaks = _DENSITY_ORACLES[name]
+    for shift in (None, 0.0, 0.5, -0.5):
+        got = mu.log_laplace(t) if shift is None else mu.log_laplace_moment(t, shift)
+        oracle = oracle_log_transform(density, mu.s_lo, mu.s_hi, t, shift, breaks)
+        assert got == pytest.approx(float(oracle), rel=1e-14, abs=1e-12), shift
+
+
+def test_density_vanishing_at_an_inner_edge_stays_finite():
+    # density 0 at s_lo = 0.5: at large t only sig ~ 1/t matters, which 0.5 + sig
+    # would round away; the result is -2 t s_lo plus what its last bit resolves
+    grid, vals = [0.5, 1.0, 2.0], [0.0, 1.0, 0.0]
+    mu = st.sampled_density_measure(grid, vals)
+    density = _mp_interp(grid, vals)
+    for t in (1e3, 1e12, 1e100, 1e300):
+        for shift in (None, 0.0, 0.7):
+            got = mu.log_laplace(t) if shift is None else mu.log_laplace_moment(t, shift)
+            oracle = oracle_log_transform(density, 0.5, 2.0, t, shift, (1.0,))
+            assert got == pytest.approx(float(oracle), rel=1e-15, abs=1e-12), (t, shift)
+
+
+def test_sampled_density_with_segments_near_rounding_loads():
+    # segments of 1e-9 at s = 1: density(s) and the quadratures' h(sig) round
+    # differently, so the self-check must compare them at the same points
+    mu = st.sampled_density_measure([1.0, 1.0 + 1e-9, 1.0 + 3e-9], [1.0, 2.0, 1.0])
+    assert mu.mass == pytest.approx(4.5e-9, rel=1e-7)
+
+
+def _linear_log_transform(mu, t, shift=None):
+    """The linear-space quadrature the density transform used before it was
+    rescaled (integrand sig^alg h(sig) [(c - sig)^2] e^{-2 t sig}, cut where
+    the exponential underflows); right while the integral is a normal double."""
+    width = mu.s_hi - mu.s_lo
+    upper = min(width, 745.0 / (2.0 * t)) if t > 0.0 else width
+    smooth = mu._smooth()
+    c = 0.0 if shift is None else shift - mu.s_lo
+    power = 0 if shift is None else 2
+    f = lambda sig: float(smooth(sig)) * (c - sig) ** power * math.exp(-2.0 * t * sig)
+    return -2.0 * t * mu.s_lo + math.log(mu._quad(f, upper, mu._points(1.0, upper)))
+
+
+@pytest.mark.parametrize("mu", [
+    st.power_law_measure(0.5), st.power_law_measure(3.5), st.monomial_profile_measure(0.75),
+    st.uniform_measure(1.0, 3.0), st.uniform_measure(0.0, 0.25, height=3.0),
+    st.sampled_density_measure([0.2, 0.5, 1.5], [1.0, 3.0, 0.5]),
+], ids=["gamma-0.5", "gamma-3.5", "delta-0.75", "uniform-far", "uniform-short", "sampled"])
+def test_rescaled_transform_agrees_with_the_linear_one(mu):
+    # where the linear-space integral is a normal double (t <= 1e12), the two
+    # agree to 1e-13 in log, relative to the value where -2 t s_lo dominates it
+    for t in np.geomspace(1e-2, 1e12, 15).tolist():
+        for shift in (None, 0.0, 0.4, -0.4):
+            got = mu.log_laplace(t) if shift is None else mu.log_laplace_moment(t, shift)
+            old = _linear_log_transform(mu, t, shift)
+            assert abs(got - old) <= 1e-13 * max(1.0, abs(old)), (t, shift)
+
+
+# ---------------------------------------------------------------------------
 # lacunary_measure
 # ---------------------------------------------------------------------------
 
