@@ -555,22 +555,12 @@ def _judge_approximation(plan: dict, tables: dict):
 # -- gap-vs-box ----------------------------------------------------------------
 
 
-def _check_compact_support(V: Potential, radius: float) -> None:
-    rng = np.random.default_rng(202020)
-    n = 512
-    with np.errstate(over="ignore"):  # radii past the double range sample as inf
-        r = radius * rng.uniform(1.0, 2.0, n)
-    if V.nu == 1:
-        pts = np.where(rng.uniform(size=n) < 0.5, -r, r)
-    else:
-        theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    worst = float(np.max(np.abs(V.eval(pts))))
-    if worst > 1e-12:
-        raise PreconditionError(
-            "gap-vs-box needs a potential vanishing outside a bounded set; "
-            f"found |V| = {worst!r} beyond |x| = {radius!r}"
-        )
+def _check_compact_support(plan: dict) -> None:
+    radius, L = plan["potential"].support_radius, max(plan["L_list"])
+    if not radius <= L:
+        raise PreconditionError("gap-vs-box needs a potential vanishing outside the largest box; "
+                                f"its declared support radius {radius!r} exceeds "
+                                f"max(L_list) = {L!r}")
 
 
 def _box_row(plan: dict, L: float) -> dict:
@@ -876,7 +866,7 @@ _KINDS = {
         }},
         (_Table("gap-vs-box", lambda plan, seed: [*plan["L_list"], math.inf], _each(_box_row)),),
         _judge_box,
-        check=lambda plan: _check_compact_support(plan["potential"], max(plan["L_list"])),
+        check=_check_compact_support,
         potential=True,
     ),
     "exponent-table": _Kind(

@@ -24,7 +24,10 @@ a stack of measures with the same atom count: one logsumexp row per
 (measure, t, atom) terms, so any stack and any t grid run in bounded
 memory.  ``_log_laplace_stack`` groups a list of measures by atom count
 for it, and ``log_laplace`` and ``log_laplace_moment`` are its stack of
-one.  Densities take one quadrature per t.
+one.  Densities have one log-domain integral, ``_log_integral``: the mass,
+ball masses without a closed form, the closed form's self-check and each t
+of the Laplace transform are one call of it.  The linear-scale accessors
+are the exp of the log quantities, through one overflow-safe helper.
 
 Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 :func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
@@ -33,7 +36,6 @@ Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -66,8 +68,6 @@ __all__ = [
 _LOG_S_CAP = 709.0
 # exp(-x) underflows to 0.0 for x > ~745; quadrature tail cut uses this
 _TAIL_EXPONENT = 745.0
-# ln of the smallest normal double; ball radii below it are subnormal or 0
-_LOG_DBL_MIN = math.log(sys.float_info.min)
 _QUAD_RELTOL = 1e-12
 _QUAD_LIMIT = 200
 # (measure, t, atom) terms per logsumexp block of the atomic Laplace kernel: a
@@ -141,8 +141,33 @@ def _atoms(log_s: np.ndarray, log_w: np.ndarray) -> list:
     return rows
 
 
+def _linear(log_val: float) -> float:
+    """exp(log_val) on linear scale: inf past the double range, and 0.0 at or
+    below -745, where exp would be subnormal or 0."""
+    if not log_val > -_TAIL_EXPONENT:
+        return 0.0
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        return math.inf
+
+
+class _Measure:
+    """The linear-scale accessors both representations read off their logs."""
+
+    @property
+    def mass(self) -> float:
+        return _linear(self.log_mass)
+
+    def ball_mass(self, eps: float) -> float:
+        """mu({|lambda| < eps}) for eps > 0, as exp(log_ball_mass(ln eps))."""
+        if not eps > 0.0:
+            raise DomainError("ball radius must be positive")
+        return _linear(float(self.log_ball_mass(math.log(eps))))
+
+
 @dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(_Measure):
     """Purely atomic finite measure on (-inf, 0] in log coordinates.
 
     Atoms are stored as ``(log_s, log_w)`` with ``s = |position|``, so
@@ -219,13 +244,6 @@ class AtomicMeasure:
         return float(self._prefix[-1])
 
     @property
-    def mass(self) -> float:
-        try:
-            return math.exp(self.log_mass)
-        except OverflowError:  # finite weights can still sum beyond double range
-            return math.inf
-
-    @property
     def positions(self) -> np.ndarray:
         """Atom positions on linear scale (underflow to -0.0 is possible)."""
         return -np.exp(self.log_s)
@@ -249,11 +267,6 @@ class AtomicMeasure:
         idx = np.searchsorted(self.log_s, arr, side="left")
         out = np.where(idx > 0, self._prefix[np.maximum(idx - 1, 0)], -np.inf)
         return _as_scalar_or_array(out, scalar)
-
-    def ball_mass(self, eps: float) -> float:
-        if not eps > 0.0:
-            raise DomainError("ball radius must be positive")
-        return float(math.exp(self.log_ball_mass(math.log(eps))))
 
     def log_laplace(self, t):
         """ln of integral exp(2 t lambda) dmu(lambda); vectorized over t."""
@@ -337,7 +350,7 @@ def _log_laplace_stack(mus: Sequence, t: np.ndarray, shifts: Optional[Sequence[f
 
 
 @dataclass(frozen=True)
-class DensityMeasure:
+class DensityMeasure(_Measure):
     """Absolutely continuous measure in the distance coordinate s = |lambda|.
 
     The support is an interval ``[s_lo, s_hi]`` with ``0 <= s_lo < s_hi``;
@@ -353,9 +366,10 @@ class DensityMeasure:
     ``log_ball_mass_fn`` is the optional closed form of the ball mass, in
     the log domain: it maps ``ln eps`` (an array) to ``ln mu(B(0, eps))``,
     with ``-inf`` for an empty ball.  When given, it is checked against
-    quadrature at 10 radii on construction, and both ``log_ball_mass`` and
+    the integral at 10 radii on construction, and both ``log_ball_mass`` and
     ``ball_mass`` (as ``exp(log_ball_mass(ln eps))``) read it; without it,
-    both integrate the density.
+    both integrate the density.  ``log_mass``, ln of the total mass, is
+    integrated once on construction.
     """
 
     s_lo: float
@@ -389,20 +403,22 @@ class DensityMeasure:
                 raise InvariantViolation(
                     "smooth_factor * sig**alg_power does not reproduce the density"
                 )
-        mass = self._quad_sigma(self.s_hi - self.s_lo)
-        if not (mass > 0.0 and math.isfinite(mass)):
+        width = self.s_hi - self.s_lo
+        log_mass = self._log_integral(width, math.log(width), 1.0)
+        if not math.isfinite(log_mass):
             raise InvariantViolation("total mass must be finite and positive")
-        object.__setattr__(self, "_mass", mass)
+        object.__setattr__(self, "log_mass", log_mass)
         if self.log_ball_mass_fn is not None:
             self._check_closed_form()
 
     def _check_closed_form(self) -> None:
         # the closed form must agree with quadrature at the check radii, to
-        # 1e-8 relative (an empty ball on both sides agrees)
+        # 1e-8 in log (an empty ball on both sides agrees); both sides read
+        # the radius exp(ln eps) that the closed form sees
         for eps in self._check_radii():
-            closed = float(np.atleast_1d(self.log_ball_mass_fn(math.log(eps)))[0])
-            with np.errstate(divide="ignore"):
-                by_quad = float(np.log(self._quad_sigma(eps - self.s_lo)))
+            le = math.log(eps)
+            closed = float(np.atleast_1d(self.log_ball_mass_fn(le))[0])
+            by_quad = self._log_ball_mass_by_quad(le)
             if not (closed == by_quad or abs(closed - by_quad) <= 1e-8):
                 raise InvariantViolation(
                     f"closed-form log ball mass disagrees with quadrature at eps={eps!r}: "
@@ -426,17 +442,23 @@ class DensityMeasure:
         """The density's breaks as u = (s - s_lo) / scale inside (0, upper), or None."""
         if self.quad_breaks is None:
             return None
-        inner = (self.quad_breaks - self.s_lo) / scale
+        with np.errstate(divide="ignore", invalid="ignore"):  # scale 0.0: no break inside
+            inner = (self.quad_breaks - self.s_lo) / scale
         inner = inner[(inner > 0.0) & (inner < upper)]
         return inner if inner.size else None
 
-    def _quad_sigma(self, upper: float) -> float:
-        """integral_0^upper sig^alg h(sig) dsig, the mass of [s_lo, s_lo + upper]."""
-        if upper <= 0.0:
-            return 0.0
-        upper = min(upper, self.s_hi - self.s_lo)
+    def _log_integral(self, scale: float, log_scale: float, upper: float,
+                      weighted: Callable[[float, float], float] = lambda u, h: h) -> float:
+        """(alg + 1) ln scale + ln integral_0^upper u^alg weighted(u, h(scale u)) du,
+        the one integral behind every density quantity (``weighted(u, h)`` is h
+        times a weight in u).  ln scale is passed apart from scale, so a scale
+        below double range (0.0) keeps its log; h(scale u) is then h(0).
+        """
         smooth = self._smooth()
-        return self._quad(lambda sig: float(smooth(sig)), upper, self._points(1.0, upper))
+        f = lambda u: weighted(u, float(smooth(scale * u)))
+        val = self._quad(f, upper, self._points(scale, upper))
+        with np.errstate(divide="ignore"):
+            return (self.alg_power + 1.0) * log_scale + float(np.log(val))
 
     def _quad(self, f: Callable[[float], float], upper: float, points=None) -> float:
         """integral_0^upper sig^alg f(sig) dsig, with the endpoint-weighted
@@ -448,44 +470,19 @@ class DensityMeasure:
 
         # roundoff warnings on extreme-decay integrands are expected; accuracy
         # is policed through the returned error estimate instead
+        rule = (dict(weight="alg", wvar=(self.alg_power, 0.0)) if self.alg_power != 0.0
+                else dict(points=points))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            if self.alg_power != 0.0:
-                val, err = integrate.quad(
-                    f, 0.0, upper, weight="alg", wvar=(self.alg_power, 0.0),
-                    epsabs=0.0, epsrel=_QUAD_RELTOL, limit=_QUAD_LIMIT,
-                )
-            else:
-                val, err = integrate.quad(
-                    f, 0.0, upper, points=points,
-                    epsabs=0.0, epsrel=_QUAD_RELTOL, limit=_QUAD_LIMIT,
-                )
+            val, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_RELTOL,
+                                      limit=_QUAD_LIMIT, **rule)
         if not math.isfinite(val) or (val != 0.0 and err > 1e-6 * abs(val)):
             raise InvariantViolation(
                 f"quadrature did not converge (value {val!r}, error estimate {err!r})"
             )
         return float(val)
 
-    # -- basic quantities ----------------------------------------------
-
-    @property
-    def mass(self) -> float:
-        return float(self._mass)
-
-    @property
-    def log_mass(self) -> float:
-        return math.log(self._mass)
-
     # -- measure operations ---------------------------------------------
-
-    def ball_mass(self, eps: float) -> float:
-        if not eps > 0.0:
-            raise DomainError("ball radius must be positive")
-        if eps <= self.s_lo:
-            return 0.0
-        if self.log_ball_mass_fn is not None:
-            return math.exp(self.log_ball_mass(math.log(eps)))
-        return self._quad_sigma(eps - self.s_lo)
 
     def log_ball_mass(self, log_eps):
         arr, scalar = _as_1d(log_eps)
@@ -498,20 +495,14 @@ class DensityMeasure:
         return _as_scalar_or_array(out, scalar)
 
     def _log_ball_mass_by_quad(self, le: float) -> float:
-        p1 = self.alg_power + 1.0
-        if self.s_lo == 0.0 and min(le, p1 * le) < _LOG_DBL_MIN:
-            # eps or eps^(p+1) leaves double range: integrate over sig = eps tau,
-            # mass = eps^(p+1) integral_0^1 tau^p c(eps tau) dtau.  Where eps
-            # itself underflows, c(eps tau) is the edge value c(0) and this is
-            # the exact edge form c eps^(p+1) / (p+1)
-            eps = math.exp(le) if le >= _LOG_DBL_MIN else 0.0
-            smooth = self._smooth()
-            upper = 1.0 if eps <= self.s_hi else self.s_hi / eps
-            scaled = self._quad(lambda tau: float(smooth(eps * tau)), upper)
-            with np.errstate(divide="ignore"):
-                return p1 * le + float(np.log(scaled))
-        with np.errstate(divide="ignore"):
-            return float(np.log(self._quad_sigma(math.exp(le) - self.s_lo)))
+        """ln of the mass of [s_lo, eps), eps = exp(le): the integral over
+        sig = r u, u in [0, 1], with r = eps - s_lo and ln r = le when s_lo = 0."""
+        r = float(np.exp(le)) - self.s_lo
+        if r >= self.s_hi - self.s_lo:
+            return self.log_mass
+        if self.s_lo == 0.0:
+            return self._log_integral(r, le, 1.0)
+        return self._log_integral(r, math.log(r), 1.0) if r > 0.0 else -math.inf
 
     def log_laplace(self, t):
         """ln integral exp(2 t lambda) dmu; vectorized over t."""
@@ -522,37 +513,34 @@ class DensityMeasure:
         return self._log_transform(t, shift)
 
     def _log_transform(self, t, moment_shift: Optional[float]):
-        """One quadrature per t, over u = sig / scale in [0, U], with
+        """One integral per t, over u = sig / scale in [0, U], with
         scale = min(1/(2t), s_hi - s_lo) and U = min((s_hi - s_lo) / scale, 745).
 
         The integrand u^alg h(scale u) e^{-2 t scale u} then decays at rate at
         most 1 over a range of at least 1, so it neither underflows nor
-        overflows; e^{-2 t s_lo} and scale^(alg+1) are carried in log.  A
-        moment's factor (c - scale u)^2, c = shift - s_lo, is divided by m^2
-        with m = max(|c|, scale), which keeps it in [0, (1 + U)^2].
+        overflows; e^{-2 t s_lo} is carried in log.  A moment's factor
+        (c - scale u)^2, c = shift - s_lo, is divided by m^2 with
+        m = max(|c|, scale), which keeps it in [0, (1 + U)^2].
         """
         t_arr, scalar = _as_1d(t)
         width = self.s_hi - self.s_lo
-        smooth = self._smooth()
         out = np.empty(t_arr.shape)
         for i, ti in enumerate(t_arr.tolist()):
             if 2.0 * ti * width > 1.0:
                 scale, rate, log_scale = 0.5 / ti, 1.0, -math.log(2.0) - math.log(ti)
             else:
                 scale, rate, log_scale = width, 2.0 * ti * width, math.log(width)
-            upper = min(width / scale, _TAIL_EXPONENT)
-            log_front = -2.0 * ti * self.s_lo + (self.alg_power + 1.0) * log_scale
+            log_front = -2.0 * ti * self.s_lo
             if moment_shift is None:
-                f = lambda u: float(smooth(scale * u)) * math.exp(-rate * u)
+                weighted = lambda u, h: h * math.exp(-rate * u)
             else:
                 c = moment_shift - self.s_lo
                 m = max(abs(c), scale)
                 a, b = c / m, scale / m
-                f = lambda u: float(smooth(scale * u)) * (a - b * u) ** 2 * math.exp(-rate * u)
+                weighted = lambda u, h: h * (a - b * u) ** 2 * math.exp(-rate * u)
                 log_front += 2.0 * math.log(m)
-            val = self._quad(f, upper, self._points(scale, upper))
-            with np.errstate(divide="ignore"):
-                out[i] = log_front + np.log(val)
+            upper = min(width / scale, _TAIL_EXPONENT)
+            out[i] = log_front + self._log_integral(scale, log_scale, upper, weighted)
         return _as_scalar_or_array(out, scalar)
 
     def describe(self) -> str:
@@ -863,7 +851,7 @@ def laplace_norm_sq(mu, t: float, log_domain: bool = False) -> float:
     if t < 0.0 or not math.isfinite(t):
         raise DomainError("t must be finite and >= 0")
     log_val = float(mu.log_laplace(float(t)))
-    return log_val if log_domain else float(math.exp(log_val)) if log_val > -745.0 else 0.0
+    return log_val if log_domain else _linear(log_val)
 
 
 def laplace_moment(mu, t: float, shift: float = 0.0, log_domain: bool = False) -> float:
@@ -875,7 +863,7 @@ def laplace_moment(mu, t: float, shift: float = 0.0, log_domain: bool = False) -
     if t < 0.0 or not math.isfinite(t):
         raise DomainError("t must be finite and >= 0")
     log_val = float(mu.log_laplace_moment(float(t), shift=float(shift)))
-    return log_val if log_domain else float(math.exp(log_val)) if log_val > -745.0 else 0.0
+    return log_val if log_domain else _linear(log_val)
 
 
 # ---------------------------------------------------------------------------

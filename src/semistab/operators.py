@@ -105,26 +105,41 @@ class _Kind:
     """One potential kind: ``params`` maps each parameter besides kind, nu and
     a_bound to its text parser; ``positive`` ones must be finite and > 0, checked
     on construction.  A radial kind evaluates as ``profile(|x|, params)``; a
-    ``wraps`` kind transforms a base potential of the same dimension."""
+    ``wraps`` kind transforms a base potential of the same dimension.  ``support``
+    declares the radius outside which V = 0 (inf when there is none)."""
 
     params: dict
     positive: tuple = ()
     profile: Optional[Callable[[np.ndarray, dict], np.ndarray]] = None
     wraps: bool = False
+    support: Callable[["Potential"], float] = lambda V: math.inf
+
+
+def _sampled_support(V: "Potential") -> float:
+    # np.interp and the 2-D clip hold the boundary samples beyond the grid, so
+    # V vanishes outside it only when every boundary sample is 0
+    vals = np.reshape(V.params["values"], (-1,) if V.nu == 1 else (V.params["n"],) * 2)
+    if np.count_nonzero(vals) > np.count_nonzero(vals[(slice(1, -1),) * V.nu]):
+        return math.inf
+    return math.sqrt(V.nu) * max(abs(V.params["grid_lo"]), abs(V.params["grid_hi"]))
 
 
 _KINDS = {
     "constant": _Kind({"value": float},
-                      profile=lambda r, p: np.full(r.shape, p["value"], dtype=float)),
+                      profile=lambda r, p: np.full(r.shape, p["value"], dtype=float),
+                      support=lambda V: 0.0 if V.params["value"] == 0.0 else math.inf),
     "gaussian-well": _Kind({"depth": float, "width": float}, ("depth", "width"),
                            lambda r, p: -p["depth"] * np.exp(-((r / p["width"]) ** 2))),
     "exp-well": _Kind({"depth": float, "width": float}, ("depth", "width"),
                       lambda r, p: -p["depth"] * np.exp(-r / p["width"])),
     "square-well": _Kind({"depth": float, "radius": float}, ("depth", "radius"),
-                         lambda r, p: np.where(r <= p["radius"], -p["depth"], 0.0)),
+                         lambda r, p: np.where(r <= p["radius"], -p["depth"], 0.0),
+                         support=lambda V: V.params["radius"]),
     # n, the side of the square sample grid, is given only when nu = 2
-    "sampled": _Kind({"grid_lo": float, "grid_hi": float, "values": _floats, "n": int}),
-    "truncated": _Kind({"k": int}, ("k",), wraps=True),
+    "sampled": _Kind({"grid_lo": float, "grid_hi": float, "values": _floats, "n": int},
+                     support=_sampled_support),
+    "truncated": _Kind({"k": int}, ("k",), wraps=True,
+                       support=lambda V: min(float(V.params["k"]), V.base.support_radius)),
     "shifted": _Kind({"l": int, "a": float}, ("l",), wraps=True),
 }
 
@@ -191,6 +206,11 @@ class Potential:
             raise InvariantViolation("potential must be >= -a_bound everywhere")
 
     # -- geometry helpers ---------------------------------------------
+
+    @property
+    def support_radius(self) -> float:
+        """V = 0 wherever |x| > support_radius; inf when V vanishes outside no ball."""
+        return _KINDS[self.kind].support(self)
 
     @property
     def is_radial(self) -> bool:

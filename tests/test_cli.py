@@ -725,6 +725,27 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_benchmark_paths_leave_out_scipy_integrate(self, tmp_path):
+        # the section3-bounds, approximation and spectrum workloads, and the
+        # gdelta witness, build no density, so they never load the quadrature
+        script = (
+            "import sys\n"
+            "from semistab import gaussian_well, save_potential, square_well, study\n"
+            "from semistab.cli import main\n"
+            "study('section3-bounds')\n"
+            "study('approximation', potential=gaussian_well(a_bound=1.0), seq_kind='truncation',"
+            " indices=[1, 2], L=4.0, h=0.1, n_probes=1)\n"
+            "study('gdelta-witness')\n"
+            "save_potential(square_well(nu=2), sys.argv[1] + '/well.potential')\n"
+            "assert main(['operator', 'spectrum', sys.argv[1] + '/well.potential', '--L', '2',"
+            " '--h', '0.25', '--out', sys.argv[1] + '/spectrum.csv']) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_cold_import_leaves_out_scipy_special(self):
         # the atomic Laplace kernel's logsumexp is a local numpy copy
         proc = subprocess.run(

@@ -26,6 +26,7 @@ from semistab import (
     StudyConfig,
     constant_potential,
     discretize,
+    exp_well,
     gaussian_well,
     load_measure,
     load_study_config,
@@ -38,6 +39,7 @@ from semistab import (
     resolve_output_dir,
     resolvent_gap,
     run_study,
+    sampled_potential,
     scaling_exponents,
     spot_check,
     square_well,
@@ -301,6 +303,27 @@ class TestGapVsBox:
     def test_unbounded_support_rejected(self):
         with pytest.raises(PreconditionError):
             study("gap-vs-box", potential=GAUSSIAN, L_list=[2.0, 3.0], h=0.25)
+
+    @pytest.mark.parametrize("V, L_list", [
+        (GAUSSIAN, [8.0, 16.0]),
+        (exp_well(1.0, 1.0, nu=1, a_bound=1.0), [20.0, 40.0]),
+        (square_well(radius=3.0), [1.0, 2.0]),
+    ], ids=["gaussian", "exp", "square-past-the-box"])
+    def test_declared_support_beyond_the_largest_box_is_refused(self, V, L_list):
+        # the Gaussian and exponential wells are below 1e-12 at these boxes'
+        # edges, but they vanish outside no ball
+        with pytest.raises(PreconditionError, match="declared support radius"):
+            study("gap-vs-box", potential=V, L_list=L_list, h=0.25)
+
+    @pytest.mark.parametrize("V, L_list", [
+        (sampled_potential(np.pad(-np.ones((3, 3)), 1).ravel(), -1.0, 1.0, nu=2, a_bound=1.0),
+         [1.0, 1.5]),
+        (truncate_potential(GAUSSIAN, 4), [2.0, 4.0]),
+    ], ids=["sampled-2d-zero-edge", "truncated-gaussian"])
+    def test_declared_compact_support_is_accepted(self, V, L_list):
+        rep = study("gap-vs-box", potential=V, L_list=L_list, h=0.25)
+        assert rep.passed
+        assert len(rep.table("gap-vs-box").rows) == len(L_list) + 1
 
     def test_nonincreasing_box_list_rejected(self):
         with pytest.raises(DomainError):

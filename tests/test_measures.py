@@ -876,6 +876,14 @@ def test_user_density_with_edge_power_scaling_exponents():
     assert est.d_plus == pytest.approx(3.0, abs=1e-12)
 
 
+def test_user_density_breaks_leave_the_ball_mass_below_double_range_unchanged():
+    # eps = e^-2000 is 0.0 as a double: no break lies inside the scaled range
+    mu = st.DensityMeasure(0.0, 1.0, density=lambda s: 1.0 + np.asarray(s),
+                           quad_breaks=np.array([0.0, 0.5, 1.0]))
+    assert mu.log_ball_mass(-2000.0) == -2000.0
+    assert mu.log_ball_mass(math.log(0.7)) == pytest.approx(math.log(0.7 + 0.245), rel=1e-14)
+
+
 def test_user_density_ball_mass_keeps_minus_inf_without_edge_value():
     mu = st.DensityMeasure(0.0, 1.0, density=lambda s: s, alg_power=1.0,
                            smooth_factor=lambda sig: 1.0 * (sig > 0.0))
@@ -910,6 +918,58 @@ def test_sampled_density_ball_mass_matches_trapezoid():
         fine = np.linspace(0.0, hi, 20001)
         oracle = np.trapezoid(np.interp(fine, grid, vals), fine)
         assert st.ball_mass(mu, eps) == pytest.approx(float(oracle), rel=1e-7)
+
+
+def test_inner_edge_power_ball_mass_keeps_its_log():
+    # a density (s - 1/2)^30 on [1/2, 3/2]: one ulp above the inner edge the
+    # ball mass (eps - 1/2)^31 / 31 is about exp(-1142), far below double range
+    mu = st.DensityMeasure(0.5, 1.5, density=lambda s: (np.asarray(s) - 0.5) ** 30,
+                           alg_power=30.0, smooth_factor=lambda sig: 1.0)
+    for eps in (math.nextafter(0.5, 1.0), 0.75):
+        want = 31.0 * math.log(eps - 0.5) - math.log(31.0)
+        assert mu.log_ball_mass(math.log(eps)) == pytest.approx(want, rel=1e-14)
+    assert mu.log_ball_mass(math.log(0.5)) == -math.inf
+    assert mu.ball_mass(0.75) == pytest.approx(0.25 ** 31 / 31, rel=1e-13)
+    assert mu.mass == pytest.approx(1.0 / 31.0, rel=1e-15)
+
+
+def test_density_mass_is_one_log_integral_of_a_tiny_support():
+    # mass 1e-16^31 / 31: its log is finite though the mass underflows to 0.0
+    mu = st.DensityMeasure(0.5, 0.5 + 1e-16, density=lambda s: (np.asarray(s) - 0.5) ** 30,
+                           alg_power=30.0, smooth_factor=lambda sig: 1.0)
+    width = mu.s_hi - mu.s_lo
+    assert mu.log_mass == pytest.approx(31.0 * math.log(width) - math.log(31.0), rel=1e-14)
+    assert mu.mass == 0.0
+
+
+def test_sampled_density_with_short_segments_far_from_zero():
+    # segments of 1e-6 at s = 1e6: eps = exp(ln eps) moves by an ulp (1.2e-10),
+    # and the closed form and the integral must be read at the same radius
+    grid, vals = np.array([1e6, 1e6 + 1e-6, 1e6 + 2e-6]), np.array([1.0, 2.0, 1.0])
+    mu = st.sampled_density_measure(grid, vals)
+    trapezoid = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))
+    assert mu.mass == pytest.approx(trapezoid, rel=1e-12)
+
+
+@pytest.mark.parametrize("log_w, linear", [(800.0, math.inf), (-800.0, 0.0)],
+                         ids=["overflow", "underflow"])
+def test_linear_accessors_leave_double_range_without_error(log_w, linear):
+    mu = st.AtomicMeasure([-1.0], [log_w])  # one atom at -e^-1, weight e^log_w
+    assert mu.mass == linear
+    assert mu.ball_mass(1.0) == linear
+    assert st.ball_mass(mu, 1.0) == linear
+    assert st.laplace_norm_sq(mu, 0.0) == linear
+    assert st.laplace_moment(mu, 0.0) == linear
+    assert st.laplace_norm_sq(mu, 0.0, log_domain=True) == log_w
+
+
+def test_density_ball_mass_is_the_exp_of_its_log():
+    mu = _USER_DENSITIES[2]
+    for eps in (1e-3, 0.3, 0.9, 2.0):
+        assert mu.ball_mass(eps) == math.exp(mu.log_ball_mass(math.log(eps)))
+    assert mu.ball_mass(2.0) == mu.mass
+    with pytest.raises(DomainError, match="ball radius must be positive"):
+        mu.ball_mass(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -794,6 +794,40 @@ class TestPotentialConstruction:
         assert np.allclose(V.eval(pts), vals, rtol=0, atol=1e-12)
 
 
+_RING = np.pad(-np.ones((3, 3)), 1).ravel()  # 5 x 5 samples, the boundary ones 0
+
+
+class TestSupportRadius:
+    @pytest.mark.parametrize("V, radius", [
+        (constant_potential(0.0), 0.0),
+        (constant_potential(-0.5), math.inf),
+        (gaussian_well(), math.inf),
+        (exp_well(nu=2), math.inf),
+        (square_well(radius=1.5), 1.5),
+        (square_well(radius=1.5, nu=2), 1.5),
+        (truncate_potential(gaussian_well(), 3), 3.0),
+        (truncate_potential(square_well(radius=1.5), 3), 1.5),
+        (shift_potential(square_well(), 1), math.inf),
+        (sampled_potential([0.0, -1.0, 0.0], -2.0, 3.0), 3.0),
+        (sampled_potential([-0.1, -1.0, 0.0], -2.0, 3.0), math.inf),
+        (sampled_potential(_RING, -1.0, 2.0, nu=2, a_bound=1.0), math.sqrt(2.0) * 2.0),
+        (sampled_potential(_RING - 0.1, -1.0, 2.0, nu=2, a_bound=1.1), math.inf),
+    ], ids=["constant-zero", "constant", "gaussian", "exp-2d", "square", "square-2d",
+            "truncated-gaussian", "truncated-square", "shifted", "sampled", "sampled-edge",
+            "sampled-2d", "sampled-2d-edge"])
+    def test_declared_radius(self, V, radius):
+        assert V.support_radius == radius
+        if radius < math.inf:  # V vanishes beyond it, on both sides and every axis
+            rng = np.random.default_rng(3)
+            r = radius * (1.0 + rng.uniform(1e-9, 2.0, 400)) + 1e-12
+            if V.nu == 1:
+                pts = r * rng.choice([-1.0, 1.0], 400)
+            else:
+                theta = rng.uniform(0.0, 2.0 * math.pi, 400)
+                pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+            assert np.all(V.eval(pts) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # spectral measures of vectors
 # ---------------------------------------------------------------------------
