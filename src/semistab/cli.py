@@ -32,6 +32,12 @@ import gc
 import os
 import sys
 
+# The library imports scipy at its first solve; every operator command needs
+# scipy.linalg and scipy.sparse, so load them here, before the freeze below, and
+# keep that import out of each command's run time.
+import scipy.linalg  # noqa: F401
+import scipy.sparse  # noqa: F401
+
 from .errors import DomainError, InvariantViolation, ResourceCapError, csv_cell, csv_text
 from .experiments import (
     OUTPUT_DIR_ENV,

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .errors import (DomainError, InvariantViolation, PreconditionError, csv_cell, csv_text,
                      read_ascii, write_ascii)
@@ -428,6 +427,9 @@ class StudyReport:
 
 
 def _provenance() -> dict:
+    # the bare package only: it loads none of the submodules the solves use
+    import scipy
+
     from . import __version__
 
     return {

@@ -27,7 +27,9 @@ for it, and ``log_laplace`` and ``log_laplace_moment`` are its stack of
 one.  Densities have one log-domain integral, ``_log_integral``: the mass,
 ball masses without a closed form, the closed form's self-check and each t
 of the Laplace transform are one call of it.  The linear-scale accessors
-are the exp of the log quantities, through one overflow-safe helper.
+are the exp of the log quantities, through one overflow-safe helper; only
+a family that states its exact mass (uniform, monomial profile, power law)
+reports that in place of ``exp(log_mass)``.
 
 Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 :func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
@@ -36,6 +38,7 @@ Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -369,7 +372,9 @@ class DensityMeasure(_Measure):
     the integral at 10 radii on construction, and both ``log_ball_mass`` and
     ``ball_mass`` (as ``exp(log_ball_mass(ln eps))``) read it; without it,
     both integrate the density.  ``log_mass``, ln of the total mass, is
-    integrated once on construction.
+    integrated once on construction.  ``exact_mass`` is the optional exact
+    linear mass, which ``mass`` then returns in place of ``exp(log_mass)``
+    (a few ulp off); it must agree with ``exp(log_mass)`` to 1e-12 relative.
     """
 
     s_lo: float
@@ -381,6 +386,7 @@ class DensityMeasure(_Measure):
     alg_power: float = 0.0
     smooth_factor: Optional[Callable[[float], float]] = None
     quad_breaks: Optional[np.ndarray] = None
+    exact_mass: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.s_lo < self.s_hi < math.inf):
@@ -408,8 +414,17 @@ class DensityMeasure(_Measure):
         if not math.isfinite(log_mass):
             raise InvariantViolation("total mass must be finite and positive")
         object.__setattr__(self, "log_mass", log_mass)
+        # a subnormal mass has fewer digits than the tolerance asks for
+        if self.exact_mass is not None and not math.isclose(
+                self.exact_mass, _linear(log_mass), rel_tol=1e-12, abs_tol=sys.float_info.min):
+            raise InvariantViolation(f"exact mass {self.exact_mass!r} disagrees with the "
+                                     f"integrated mass {_linear(log_mass)!r}")
         if self.log_ball_mass_fn is not None:
             self._check_closed_form()
+
+    @property
+    def mass(self) -> float:
+        return _linear(self.log_mass) if self.exact_mass is None else self.exact_mass
 
     def _check_closed_form(self) -> None:
         # the closed form must agree with quadrature at the check radii, to
@@ -606,6 +621,7 @@ def power_law_measure(gamma: float) -> DensityMeasure:
         log_ball_mass_fn=lambda le: g * np.minimum(np.asarray(le, dtype=float), 0.0),
         alg_power=g - 1.0,
         smooth_factor=(lambda sig: g) if g != 1.0 else None,
+        exact_mass=1.0,
     )
 
 
@@ -631,6 +647,7 @@ def monomial_profile_measure(delta: float) -> DensityMeasure:
         log_ball_mass_fn=lambda le: p * np.minimum(le, 0.0) - math.log(p),
         alg_power=2.0 * d,
         smooth_factor=lambda sig: 1.0,
+        exact_mass=1.0 / p,
     )
 
 
@@ -655,6 +672,7 @@ def uniform_measure(s_lo: float, s_hi: float, height: float = 1.0) -> DensityMea
         kind="uniform",
         params={"height": h},
         log_ball_mass_fn=_log_ball,
+        exact_mass=h * (hi - lo),
     )
 
 

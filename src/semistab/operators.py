@@ -34,6 +34,13 @@ where it equals the half-bandwidth): LAPACK ``dsysv`` factors each Schur
 complement with Bunch-Kaufman pivoting (``dsytrf``), and by Haynsworth's
 inertia additivity the blocks' counts add up to H's, at O(N m^2) per shift.
 
+scipy is imported at the first solve, not with this module, so
+``import semistab`` is numpy-only: ``discretize`` and the banded and
+tridiagonal solves load ``scipy.sparse`` and ``scipy.linalg``, and only the
+2-D top eigenpair and 2-D resolvent load ``scipy.sparse.linalg`` (ARPACK,
+SuperLU).  The module-level names ``eig_banded``, ``splu`` and the rest
+call through to scipy's functions of the same name.
+
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
 support convergence studies; resolvent diagnostics quantify how close two
@@ -42,20 +49,20 @@ discretized operators are in the strong-resolvent sense.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eig_banded, eigh_tridiagonal
-from scipy.linalg.lapack import dsysv, zgttrf, zgttrs
-from scipy.sparse.linalg import eigsh, splu
 
 from .errors import (DomainError, InvariantViolation, ResourceCapError, csv_text, read_ascii,
                      read_descriptor, write_ascii)
 from .measures import AtomicMeasure
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Potential",
@@ -89,6 +96,29 @@ _SUP_STEP = 0.01
 _BOUND_SLACK = 1e-12
 _CHECK_POINTS = 10_000
 _CHECK_RANGE = 100.0
+
+
+def _lazy(module: str, name: str) -> Callable:
+    """``module.name``, imported at the first call: ``import semistab`` loads no
+    scipy, and ARPACK and SuperLU load only for the 2-D solves that call them."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+eig_banded = _lazy("scipy.linalg", "eig_banded")
+eigh_tridiagonal = _lazy("scipy.linalg", "eigh_tridiagonal")
+dsysv = _lazy("scipy.linalg.lapack", "dsysv")
+zgttrf = _lazy("scipy.linalg.lapack", "zgttrf")
+zgttrs = _lazy("scipy.linalg.lapack", "zgttrs")
+eigsh = _lazy("scipy.sparse.linalg", "eigsh")
+splu = _lazy("scipy.sparse.linalg", "splu")
+diags_array = _lazy("scipy.sparse", "diags_array")
+kronsum = _lazy("scipy.sparse", "kronsum")
+csr_array = _lazy("scipy.sparse", "csr_array")
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +421,7 @@ class DiscretizedOperator:
     potential: Potential
     grid: np.ndarray
     v_diag: np.ndarray
-    H: sparse.csr_array
+    H: scipy.sparse.csr_array
 
     def __post_init__(self) -> None:
         for arr in (self.grid, self.v_diag, self.H.data, self.H.indices, self.H.indptr):
@@ -466,7 +496,7 @@ class DiscretizedOperator:
             if info != 0:
                 raise InvariantViolation(f"tridiagonal LU of iI - H failed (zgttrf info {info})")
             return lambda r: zgttrs(*factors, r)[0]
-        return splu((sparse.diags_array(np.full(self.N, 1j)) - self.H).tocsc()).solve
+        return splu((diags_array(np.full(self.N, 1j)) - self.H).tocsc()).solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply H to a vector or a column stack (real or complex)."""
@@ -509,8 +539,8 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
         raise InvariantViolation("potential violates its bounds on the grid")
 
     inv_h2 = 1.0 / (h * h)
-    T = sparse.diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1], shape=(n, n))
-    H = ((T if V.nu == 1 else sparse.kronsum(T, T)) + sparse.diags_array(v_diag)).tocsr()
+    T = diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1], shape=(n, n))
+    H = ((T if V.nu == 1 else kronsum(T, T)) + diags_array(v_diag)).tocsr()
     return DiscretizedOperator(nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
                                grid=grid, v_diag=v_diag, H=H)
 
@@ -547,7 +577,7 @@ def _swap_sectors(n: int) -> tuple:
         cols = np.concatenate([np.arange(i.size), pair])
         data = np.concatenate([np.where(i > j, math.sqrt(0.5), 1.0),
                                np.full(pair.size, sign * math.sqrt(0.5))])
-        maps.append(sparse.csr_array((data, (rows, cols)), shape=(n * n, i.size)))
+        maps.append(csr_array((data, (rows, cols)), shape=(n * n, i.size)))
     return tuple(maps)
 
 

@@ -772,3 +772,52 @@ class TestModuleEntryPoint:
         assert proc.stderr == ("error: [witness] horizon must be two times 0 < t_min < t_max, "
                                "two decades apart, got '10, 500'\n")
         assert proc.stdout == ""
+
+
+_SOLVER_MODULES = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg", "scipy.special",
+                   "scipy.integrate")
+
+
+def _loaded(script):
+    """The _SOLVER_MODULES that a fresh process has loaded after ``script``."""
+    proc = _run_python("-c", script + "\nimport sys\n"
+                       f"print(*[m for m in {_SOLVER_MODULES!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+class TestScipyLoadsAtItsSolve:
+    """``import semistab`` is numpy-only; scipy's solvers load at the first solve
+    that calls them, and the CLI preloads the ones every operator command needs."""
+
+    def test_library_import_loads_no_solver(self):
+        assert _loaded("import semistab") == []
+
+    def test_bounds_study_loads_no_solver(self):
+        assert _loaded("import semistab\nsemistab.study('section3-bounds')") == []
+
+    def test_cli_import_preloads_only_the_banded_solvers(self):
+        assert _loaded("import semistab.cli") == ["scipy.sparse", "scipy.linalg"]
+
+    def test_cli_preload_is_frozen(self):
+        # a module imported after gc.freeze() is torn down by the collector at exit again
+        proc = _run_python("-c", "import gc, semistab.cli, scipy.linalg\n"
+                                 "d = scipy.linalg.__dict__\n"
+                                 "print(gc.is_tracked(d), any(o is d for o in gc.get_objects()))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True False\n"
+
+    def test_2d_solves_load_arpack_and_superlu_at_first_call(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from semistab import discretize, resolvent_apply, square_well\n"
+            "op = discretize(square_well(nu=2), 2.0, 0.25)\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            "dense = op.H.toarray()\n"
+            "assert abs(op.lambda_max - np.linalg.eigvalsh(dense)[-1]) < 1e-10\n"
+            "u = np.linspace(-1.0, 1.0, op.N)\n"
+            "r = resolvent_apply(op, u)\n"
+            "assert np.linalg.norm(1j * r - dense @ r - u) < 1e-10 * np.linalg.norm(u)\n"
+        )
+        assert _loaded(script) == ["scipy.sparse", "scipy.linalg", "scipy.sparse.linalg"]

@@ -125,6 +125,34 @@ def test_monomial_profile_ball_mass_below_one():
         assert mu.ball_mass(eps) == pytest.approx(eps ** p / p, rel=1e-12)
 
 
+def test_family_masses_are_exact():
+    # exp(log_mass) is a few ulp off the exact mass: uniform(0, 2, 2.5) read
+    # 5.000000000000001, and a saved file held that digit
+    rng = np.random.default_rng(20191)
+    for _ in range(100):
+        lo = float(rng.choice([0.0, rng.uniform(0.0, 10.0)]))
+        hi, h = lo + float(rng.uniform(1e-3, 10.0)), float(rng.uniform(1e-3, 10.0))
+        mu = st.uniform_measure(lo, hi, h)
+        assert mu.mass == h * (hi - lo)
+        assert mu.mass == pytest.approx(math.exp(mu.log_mass), rel=1e-12)
+        d = float(rng.uniform(1e-3, 20.0))
+        mu = st.monomial_profile_measure(d)
+        assert mu.mass == 1.0 / (2.0 * d + 1.0)
+        assert mu.mass == pytest.approx(math.exp(mu.log_mass), rel=1e-12)
+    for gamma in (0.3, 1.0, 2.0, 7.5):
+        assert st.power_law_measure(gamma).mass == 1.0
+    mu = st.uniform_measure(0.0, 2.0, 2.5)
+    assert mu.mass == 5.0
+    assert st.measure_to_text(mu).splitlines()[0].endswith(" mass=5.0")
+
+
+def test_exact_mass_must_match_the_integral():
+    with pytest.raises(InvariantViolation, match="exact mass 1.000000000001 disagrees"):
+        st.DensityMeasure(0.0, 1.0, density=np.ones_like, exact_mass=1.000000000001)
+    # a subnormal mass carries fewer digits than 1e-12 asks for
+    assert st.uniform_measure(0.0, 1e-160, 1e-160).mass == 1e-160 * 1e-160
+
+
 @pytest.mark.parametrize("build", [
     lambda: st.monomial_profile_measure(0.0),
     lambda: st.uniform_measure(3.0, 1.0),
