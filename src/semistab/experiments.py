@@ -521,37 +521,24 @@ def _judge_approximation(plan: dict, tables: dict):
     metric = [row["metric_d"] for row in rows]
     worst_gap = max(row[f"lhs_{p}"] - row[f"rhs_{p}"]
                     for row in rows for p in range(1, plan["n_probes"] + 1))
-    verdicts = [
-        VerdictLine(
-            "resolvent-domination",
-            worst_gap <= _RESOLVENT_SLACK,
-            f"max lhs-rhs {csv_cell(worst_gap)}",
-        ),
-        VerdictLine(
-            "metric-nonincreasing",
-            all(b <= a for a, b in zip(metric, metric[1:])),
-            f"first {csv_cell(metric[0])} last {csv_cell(metric[-1])}",
-        ),
-    ]
+    verdicts = [VerdictLine("resolvent-domination", worst_gap <= _RESOLVENT_SLACK,
+                            f"max lhs-rhs {csv_cell(worst_gap)}")]
+    notes = []
+    if len(metric) > 1:
+        verdicts.append(VerdictLine("metric-nonincreasing",
+                                    all(b <= a for a, b in zip(metric, metric[1:])),
+                                    f"first {csv_cell(metric[0])} last {csv_cell(metric[-1])}"))
+    else:
+        notes.append("metric-nonincreasing: one index, so no verdict")
     if plan["seq_kind"] == "truncation":
-        verdicts.append(
-            VerdictLine(
-                "metric-threshold",
-                metric[-1] < plan["metric_tol"],
-                f"metric {csv_cell(metric[-1])} at index {plan['indices'][-1]} "
-                f"(tol {csv_cell(plan['metric_tol'])})",
-            )
-        )
+        verdicts.append(VerdictLine("metric-threshold", metric[-1] < plan["metric_tol"],
+                                    f"metric {csv_cell(metric[-1])} at index {plan['indices'][-1]} "
+                                    f"(tol {csv_cell(plan['metric_tol'])})"))
     else:
         worst = max(row["lambda_max"] - row["shift_cap"] for row in rows)
-        verdicts.append(
-            VerdictLine(
-                "shift-gap-bound",
-                worst <= 0.0,
-                f"max lambda_max excess over -a/(l+1) {csv_cell(worst)}",
-            )
-        )
-    return verdicts, [], {}
+        verdicts.append(VerdictLine("shift-gap-bound", worst <= 0.0,
+                                    f"max lambda_max excess over -a/(l+1) {csv_cell(worst)}"))
+    return verdicts, notes, {}
 
 
 # -- gap-vs-box ----------------------------------------------------------------
@@ -574,14 +561,10 @@ def _box_row(plan: dict, L: float) -> dict:
 
 def _judge_box(plan: dict, tables: dict):
     abs_lam = [abs(row["lambda_max"]) for row in tables["gap-vs-box"][:-1]]
-    verdicts = [
-        VerdictLine(
-            "gap-nonincreasing",
-            all(b <= a + _GAP_MONOTONE_SLACK for a, b in zip(abs_lam, abs_lam[1:])),
-            f"|lambda_max| from {csv_cell(abs_lam[0])} to {csv_cell(abs_lam[-1])}",
-        )
-    ]
-    return verdicts, ["the final row is extrapolated, never computed"], {}
+    monotone = all(b <= a + _GAP_MONOTONE_SLACK for a, b in zip(abs_lam, abs_lam[1:]))
+    verdict = VerdictLine("gap-nonincreasing", monotone,
+                          f"|lambda_max| from {csv_cell(abs_lam[0])} to {csv_cell(abs_lam[-1])}")
+    return [verdict], ["the final row is extrapolated, never computed"], {}
 
 
 # -- exponent-table ------------------------------------------------------------
@@ -631,20 +614,12 @@ def _judge_exponents(plan: dict, tables: dict):
     rows = tables["exponent-table"]
     worst_scaling = max(max(row["err_d_minus"], row["err_d_plus"]) for row in rows)
     worst_decay = max(max(row["err_decay_liminf"], row["err_decay_limsup"]) for row in rows)
-    verdicts = [
-        VerdictLine(
-            "scaling-accuracy",
-            worst_scaling <= plan["scaling_tol"],
-            f"max |d - analytic| {csv_cell(worst_scaling)} "
-            f"(tol {csv_cell(plan['scaling_tol'])})",
-        ),
-        VerdictLine(
-            "decay-accuracy",
-            worst_decay <= plan["decay_tol"],
-            f"max |decay + analytic| {csv_cell(worst_decay)} "
-            f"(tol {csv_cell(plan['decay_tol'])})",
-        ),
-    ]
+    verdicts = [VerdictLine("scaling-accuracy", worst_scaling <= plan["scaling_tol"],
+                            f"max |d - analytic| {csv_cell(worst_scaling)} "
+                            f"(tol {csv_cell(plan['scaling_tol'])})"),
+                VerdictLine("decay-accuracy", worst_decay <= plan["decay_tol"],
+                            f"max |decay + analytic| {csv_cell(worst_decay)} "
+                            f"(tol {csv_cell(plan['decay_tol'])})")]
     return verdicts, [], {}
 
 
@@ -698,23 +673,12 @@ def _gdelta_row(plan: dict, mu: AtomicMeasure) -> dict:
 def _judge_witness(plan: dict, tables: dict):
     (row,) = tables["gdelta-witness"]
     established = row["witness"] == "established"
-    verdicts = [
-        VerdictLine(
-            "classification",
-            row["classification"] == "StableNotExponential",
-            row["classification"],
-        ),
-        VerdictLine(
-            "witness-expectation",
-            established == plan["expect_witness"],
-            f"established={established} expected={plan['expect_witness']}",
-        ),
-    ]
-    notes = [
-        "witness: oscillation witness established"
-        if established
-        else "witness: no oscillation witness"
-    ]
+    verdicts = [VerdictLine("classification", row["classification"] == "StableNotExponential",
+                            row["classification"]),
+                VerdictLine("witness-expectation", established == plan["expect_witness"],
+                            f"established={established} expected={plan['expect_witness']}")]
+    notes = ["witness: oscillation witness established" if established
+             else "witness: no oscillation witness"]
     return verdicts, notes, {"witness.measure": measure_to_text(_lacunary(plan))}
 
 

@@ -26,10 +26,12 @@ memory.  ``_log_laplace_stack`` groups a list of measures by atom count
 for it, and ``log_laplace`` and ``log_laplace_moment`` are its stack of
 one.  Densities have one log-domain integral, ``_log_integral``: the mass,
 ball masses without a closed form, the closed form's self-check and each t
-of the Laplace transform are one call of it.  The linear-scale accessors
-are the exp of the log quantities, through one overflow-safe helper; only
-a family that states its exact mass (uniform, monomial profile, power law)
-reports that in place of ``exp(log_mass)``.
+of the Laplace transform are one call of it.  Its quadrature takes the
+endpoint-weighted rule only at a singular edge and the plain adaptive rule
+otherwise.  Every transform refuses a NaN or infinite t.  The linear-scale
+accessors are the exp of the log quantities, through one overflow-safe
+helper; only a family that states its exact mass (uniform, monomial
+profile, power law) reports that in place of ``exp(log_mass)``.
 
 Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 :func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
@@ -105,6 +107,14 @@ def _as_1d(values) -> tuple:
     """(values as a 1-D float array, whether the input was a scalar)."""
     arr = np.asarray(values, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _times(t) -> tuple:
+    """``_as_1d(t)`` for a Laplace transform, which refuses a NaN or infinite t."""
+    t_arr, scalar = _as_1d(t)
+    if not np.all(np.isfinite(t_arr)):
+        raise DomainError("Laplace transform times t must be finite")
+    return t_arr, scalar
 
 
 def _as_scalar_or_array(values: np.ndarray, scalar_input: bool):
@@ -273,12 +283,12 @@ class AtomicMeasure(_Measure):
 
     def log_laplace(self, t):
         """ln of integral exp(2 t lambda) dmu(lambda); vectorized over t."""
-        t_arr, scalar = _as_1d(t)
+        t_arr, scalar = _times(t)
         return _as_scalar_or_array(_log_laplace_stack([self], t_arr)[0], scalar)
 
     def log_laplace_moment(self, t, shift: float = 0.0):
         """ln of integral (lambda + shift)^2 exp(2 t lambda) dmu(lambda); vectorized over t."""
-        t_arr, scalar = _as_1d(t)
+        t_arr, scalar = _times(t)
         return _as_scalar_or_array(_log_laplace_stack([self], t_arr, [shift])[0], scalar)
 
     def describe(self) -> str:
@@ -361,10 +371,9 @@ class DensityMeasure(_Measure):
 
     Near the inner edge the density may carry an algebraic factor:
     ``density(s_lo + sig) = sig**alg_power * smooth_factor(sig)``.
-    Supplying ``alg_power`` and ``smooth_factor`` routes all quadrature
-    through an endpoint-weighted rule, which keeps relative accuracy
-    even when the algebraic factor is singular or vanishes to high
-    order.
+    A singular factor (``alg_power < 0``) routes all quadrature through
+    the endpoint-weighted rule; a vanishing one is a factor of the
+    integrand of the plain adaptive rule.
 
     ``log_ball_mass_fn`` is the optional closed form of the ball mass, in
     the log domain: it maps ``ln eps`` (an array) to ``ln mu(B(0, eps))``,
@@ -398,8 +407,8 @@ class DensityMeasure(_Measure):
         s = self.s_lo + (self.s_hi - self.s_lo) * np.linspace(0.07, 0.93, 32)
         sig = s - self.s_lo  # exactly the offsets of the points density reads
         vals = np.asarray(self.density(s), dtype=float)
-        if np.any(vals < -1e-12):
-            raise InvariantViolation("density must be nonnegative on the support")
+        if not np.all((vals >= -1e-12) & (vals < math.inf)):  # NaN fails both
+            raise InvariantViolation("density must be finite and nonnegative on the support")
         if self.smooth_factor is not None:
             recon = sig ** self.alg_power * np.asarray(
                 [float(self.smooth_factor(x)) for x in sig]
@@ -476,22 +485,27 @@ class DensityMeasure(_Measure):
             return (self.alg_power + 1.0) * log_scale + float(np.log(val))
 
     def _quad(self, f: Callable[[float], float], upper: float, points=None) -> float:
-        """integral_0^upper sig^alg f(sig) dsig, with the endpoint-weighted
-        rule when alg_power != 0 (``points`` are used only without it)."""
+        """integral_0^upper sig^alg f(sig) dsig.  A singular edge (alg_power < 0)
+        takes the endpoint-weighted rule; otherwise sig^alg is a factor of the
+        integrand, which the plain rule integrates with ``points`` as breaks."""
         # imported at its only use: scipy.integrate (with scipy.optimize,
         # scipy.spatial and scipy.fft behind it) would otherwise slow every
         # start, and runs without a density never need it
         from scipy import integrate
 
+        alg = self.alg_power
+        rule = dict(weight="alg", wvar=(alg, 0.0)) if alg < 0.0 else dict(points=points)
+        g = f if alg <= 0.0 else lambda u: u ** alg * f(u)
         # roundoff warnings on extreme-decay integrands are expected; accuracy
         # is policed through the returned error estimate instead
-        rule = (dict(weight="alg", wvar=(self.alg_power, 0.0)) if self.alg_power != 0.0
-                else dict(points=points))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(f, 0.0, upper, epsabs=0.0, epsrel=_QUAD_RELTOL,
-                                      limit=_QUAD_LIMIT, **rule)
-        if not math.isfinite(val) or (val != 0.0 and err > 1e-6 * abs(val)):
+            try:
+                val, err = integrate.quad(g, 0.0, upper, epsabs=0.0, epsrel=_QUAD_RELTOL,
+                                          limit=_QUAD_LIMIT, **rule)
+            except OverflowError:  # u^alg past the double range, refused below
+                val = err = math.inf
+        if not math.isfinite(val) or (val != 0.0 and abs(err) > 1e-6 * abs(val)):
             raise InvariantViolation(
                 f"quadrature did not converge (value {val!r}, error estimate {err!r})"
             )
@@ -537,7 +551,7 @@ class DensityMeasure(_Measure):
         (c - scale u)^2, c = shift - s_lo, is divided by m^2 with
         m = max(|c|, scale), which keeps it in [0, (1 + U)^2].
         """
-        t_arr, scalar = _as_1d(t)
+        t_arr, scalar = _times(t)
         width = self.s_hi - self.s_lo
         out = np.empty(t_arr.shape)
         for i, ti in enumerate(t_arr.tolist()):
@@ -689,7 +703,10 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
     if np.any(vals < 0.0) or np.any(~np.isfinite(vals)):
         raise InvariantViolation("density samples must be finite and nonnegative")
     # cumulative trapezoid at the nodes = exact integral of the interpolant
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+    with np.errstate(over="ignore"):
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+    if not math.isfinite(cum[-1]):
+        raise InvariantViolation("density samples must have a finite total mass")
 
     def _ball(eps: float) -> float:
         if eps <= grid[0]:
@@ -963,7 +980,10 @@ def measure_from_text(text: str):
         raise DomainError(f"malformed {family} measure line: {rows[0]!r}")
     if entries.get("coords", "log") != "log":
         raise DomainError("unsupported atomic coordinate encoding")
-    mu = build(entries, rows)
+    try:
+        mu = build(entries, rows)
+    except InvariantViolation as exc:  # parsed values are input, so a refused build is bad input
+        raise DomainError(f"{family} measure: {exc}") from None
     if "support" in entries and _support(entries["support"]) != (mu.s_lo, mu.s_hi):
         raise DomainError(f"support={entries['support']} disagrees with the loaded "
                           f"support [{mu.s_lo!r}, {mu.s_hi!r}]")

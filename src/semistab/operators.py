@@ -94,8 +94,6 @@ _INERTIA_SHIFTS = 6
 #: the sup in ``metric_d``'s term j is sampled with spacing _SUP_STEP * j + _SUP_STEP
 _SUP_STEP = 0.01
 _BOUND_SLACK = 1e-12
-_CHECK_POINTS = 10_000
-_CHECK_RANGE = 100.0
 
 
 def _lazy(module: str, name: str) -> Callable:
@@ -134,11 +132,14 @@ def _floats(text: str) -> tuple:
 class _Kind:
     """One potential kind: ``params`` maps each parameter besides kind, nu and
     a_bound to its text parser; ``positive`` ones must be finite and > 0, checked
-    on construction.  A radial kind evaluates as ``profile(|x|, params)``; a
-    ``wraps`` kind transforms a base potential of the same dimension.  ``support``
-    declares the radius outside which V = 0 (inf when there is none)."""
+    on construction.  ``value_range`` declares the exact range ``(inf V, sup V)``
+    from the parameters, which construction checks against ``-a_bound <= V <= 0``.
+    A radial kind evaluates as ``profile(|x|, params)``; a ``wraps`` kind
+    transforms a base potential of the same dimension.  ``support`` declares the
+    radius outside which V = 0 (inf when there is none)."""
 
     params: dict
+    value_range: Callable[["Potential"], tuple]
     positive: tuple = ()
     profile: Optional[Callable[[np.ndarray, dict], np.ndarray]] = None
     wraps: bool = False
@@ -154,23 +155,40 @@ def _sampled_support(V: "Potential") -> float:
     return math.sqrt(V.nu) * max(abs(V.params["grid_lo"]), abs(V.params["grid_hi"]))
 
 
+def _shifted(params: dict, v):
+    """The downward shift of base values v, for eval and the range alike."""
+    l, a = params["l"], params["a"]
+    return (l / (l + 1.0)) * v - a / (l + 1.0)
+
+
+def _well_range(V: "Potential") -> tuple:
+    return -V.params["depth"], 0.0
+
+
 _KINDS = {
-    "constant": _Kind({"value": float},
+    "constant": _Kind({"value": float}, lambda V: (V.params["value"],) * 2,
                       profile=lambda r, p: np.full(r.shape, p["value"], dtype=float),
                       support=lambda V: 0.0 if V.params["value"] == 0.0 else math.inf),
-    "gaussian-well": _Kind({"depth": float, "width": float}, ("depth", "width"),
+    "gaussian-well": _Kind({"depth": float, "width": float}, _well_range, ("depth", "width"),
                            lambda r, p: -p["depth"] * np.exp(-((r / p["width"]) ** 2))),
-    "exp-well": _Kind({"depth": float, "width": float}, ("depth", "width"),
+    "exp-well": _Kind({"depth": float, "width": float}, _well_range, ("depth", "width"),
                       lambda r, p: -p["depth"] * np.exp(-r / p["width"])),
-    "square-well": _Kind({"depth": float, "radius": float}, ("depth", "radius"),
+    "square-well": _Kind({"depth": float, "radius": float}, _well_range, ("depth", "radius"),
                          lambda r, p: np.where(r <= p["radius"], -p["depth"], 0.0),
                          support=lambda V: V.params["radius"]),
-    # n, the side of the square sample grid, is given only when nu = 2
+    # n, the side of the square sample grid, is given only when nu = 2; linear and
+    # bilinear interpolation and the edge clamp stay inside the samples (up to the
+    # rounding of the 2-D weights), and np.min and np.max propagate a NaN sample
     "sampled": _Kind({"grid_lo": float, "grid_hi": float, "values": _floats, "n": int},
+                     lambda V: tuple(float(f(V.params["values"])) for f in (np.min, np.max)),
                      support=_sampled_support),
-    "truncated": _Kind({"k": int}, ("k",), wraps=True,
+    "truncated": _Kind({"k": int},
+                       lambda V: (min(V.base.value_range[0], 0.0), max(V.base.value_range[1], 0.0)),
+                       ("k",), wraps=True,
                        support=lambda V: min(float(V.params["k"]), V.base.support_radius)),
-    "shifted": _Kind({"l": int, "a": float}, ("l",), wraps=True),
+    "shifted": _Kind({"l": int, "a": float},
+                     lambda V: tuple(_shifted(V.params, v) for v in V.base.value_range),
+                     ("l",), wraps=True),
 }
 
 
@@ -178,8 +196,9 @@ _KINDS = {
 class Potential:
     """Bounded potential with -a_bound <= V(x) <= 0 on R^nu, nu in {1, 2}.
 
-    Closed-form kinds are validated on 10^4 fixed pseudo-random points
-    at construction; sampled kinds are validated on their samples.
+    Construction checks the value range its kind declares from the
+    parameters (``value_range``) against that bound; V is evaluated at no
+    point.
     """
 
     kind: str
@@ -210,30 +229,26 @@ class Potential:
         if self.kind == "shifted" and self.params["a"] != self.base.a_bound:
             raise DomainError("shift level a must equal the a_bound of the base potential")
         if self.kind == "sampled":
-            vals = np.asarray(self.params["values"], dtype=float)
-            if not self.params["grid_hi"] > self.params["grid_lo"]:
-                raise DomainError("grid_hi must exceed grid_lo")
-            side = self.params["n"] if self.nu == 2 else vals.size
-            if side < 2 or vals.size != side ** self.nu:
+            # a finite width keeps the interpolation grid, and so V, finite
+            if not 0.0 < self.params["grid_hi"] - self.params["grid_lo"] < math.inf:
+                raise DomainError("grid_hi must exceed grid_lo by a finite width")
+            size = np.size(self.params["values"])
+            side = self.params["n"] if self.nu == 2 else size
+            if side < 2 or size != side ** self.nu:
                 raise DomainError(f"a nu={self.nu} sampled potential needs n^{self.nu} values "
-                                  f"with n >= 2, got {vals.size}")
-            self._check_values(vals)
-        else:
-            rng = np.random.default_rng(987654321)
-            if self.nu == 1:
-                pts = rng.uniform(-_CHECK_RANGE, _CHECK_RANGE, _CHECK_POINTS)
-            else:
-                pts = rng.uniform(-_CHECK_RANGE, _CHECK_RANGE, (_CHECK_POINTS, 2))
-            self._check_values(self.eval(pts))
-
-    def _check_values(self, vals: np.ndarray) -> None:
-        vals = np.asarray(vals, dtype=float)
-        if np.any(~np.isfinite(vals)):
+                                  f"with n >= 2, got {size}")
+        lo, hi = self.value_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvariantViolation("potential evaluates to a non-finite value")
-        if np.any(vals > _BOUND_SLACK):
+        if hi > _BOUND_SLACK:
             raise InvariantViolation("potential must be <= 0 everywhere")
-        if np.any(vals < -self.a_bound - _BOUND_SLACK):
+        if lo < -self.a_bound - _BOUND_SLACK:
             raise InvariantViolation("potential must be >= -a_bound everywhere")
+
+    @property
+    def value_range(self) -> tuple:
+        """(inf V, sup V) as the kind declares it from the parameters."""
+        return _KINDS[self.kind].value_range(self)
 
     # -- geometry helpers ---------------------------------------------
 
@@ -267,8 +282,7 @@ class Potential:
             return self._eval_sampled(arr)
         if self.kind == "truncated":
             return np.where(self._radius(arr) < self.params["k"], self.base.eval(arr), 0.0)
-        l, a = self.params["l"], self.params["a"]  # shifted
-        return (l / (l + 1.0)) * self.base.eval(arr) - a / (l + 1.0)
+        return _shifted(self.params, self.base.eval(arr))
 
     def _eval_sampled(self, arr: np.ndarray) -> np.ndarray:
         lo = self.params["grid_lo"]
@@ -300,8 +314,6 @@ class Potential:
 
 def constant_potential(value: float, nu: int = 1, a_bound: Optional[float] = None) -> Potential:
     """V identically equal to ``value`` (<= 0)."""
-    if value > 0.0:
-        raise InvariantViolation("constant potential must be <= 0")
     if a_bound is None:
         a_bound = -value if value < 0.0 else 1.0
     return Potential(kind="constant", nu=nu, a_bound=float(a_bound), params={"value": float(value)})

@@ -368,6 +368,16 @@ class TestStudy:
         assert rc == 0
         assert (tmp_path / "envreport" / "summary.txt").exists()
 
+    def test_exponent_table_at_a_high_edge_power_passes(self, tmp_path, capsys):
+        # gamma = 9 puts u^8 in the transform's integrand, which the
+        # endpoint-weighted rule refused (exit 1)
+        cfg = tmp_path / "gamma9.cfg"
+        cfg.write_text("[study]\nkind = exponent-table\n\n[exponents]\ngamma_list = 9\n",
+                       encoding="ascii")
+        rc = main(["study", str(cfg), "--out", str(tmp_path / "report")])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+
     def test_unknown_study_kind_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[study]\nkind = frobnicate\n", encoding="ascii")
@@ -412,6 +422,10 @@ class TestInputErrors:
         ("operator --h 1e-320", "well.potential", WELL, "h=1e-320"),
         ("study", "huge-box.cfg", WELL_STUDY.replace("2, 4", "2, 1e308") + "depth = 1\n",
          "L=1e+308"),
+        # no sampling could find this well; its declared range breaks a_bound
+        ("study", "narrow-well.cfg", WELL_STUDY.replace("radius = 1", "radius = 1e-20")
+         .replace("2, 4\nh = 0.25", "3, 9\nh = 0.4") + "depth = 5\n",
+         "square-well potential: potential must be >= -a_bound everywhere"),
         ("study --jobs 0", "bounds.cfg", BOUNDS_HEAD, "--jobs"),
         ("operator", "nu-twice.potential",
          "potential kind=gaussian-well nu=1 a_bound=1.0 nu=2\ndepth=1.0\nwidth=1.0\n", "nu="),
@@ -450,6 +464,7 @@ class TestInputErrors:
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
             "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support",
             "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "study-L-overflow",
+            "study-narrow-well",
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
             "stated-mass-mismatch", "stated-atomic-mass-mismatch", "t-window-from-zero",
@@ -475,6 +490,30 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ")
         assert named in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("content, named", [
+        ("density kind=power-law\ngamma=1e308\n", "total mass must be finite"),
+        ("density kind=uniform support=0,1e308\nheight=1e308\n", "did not converge"),
+        ("density kind=sampled-density\nn=2\n0.0 1e308\n1.0 1e308\n", "finite total mass"),
+        ("density kind=sampled-density\nn=2\n0.0 1.0\n1e-320 2.0\n", "finite and nonnegative"),
+    ], ids=["power-law-huge-gamma", "uniform-huge-mass", "sampled-huge-values",
+            "sampled-subnormal-grid"])
+    @pytest.mark.parametrize("command", ["classify", "evolve", "exponents"])
+    def test_measure_the_family_refuses_exits_two(self, tmp_path, capsys, content, named,
+                                                   command):
+        # the family's build refuses these parameters (it exited 1 as a contract
+        # violation); read from a file they are bad input
+        path = tmp_path / "bad.measure"
+        path.write_text(content, encoding="ascii")
+        argv = {"classify": ["classify", str(path)],
+                "evolve": ["evolve", str(path), "--tmin", "0.1", "--tmax", "10", "--nt", "5",
+                           "--out", str(tmp_path / "orbit.csv")],
+                "exponents": ["measure", "exponents", str(path), "--window", "1e-6,0.1"]}[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and named in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("key, value", [

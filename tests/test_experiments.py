@@ -245,6 +245,19 @@ class TestApproximationStudy:
             assert row[3] == -1.0 / (l + 1.0)
             assert row[2] <= row[3]
 
+    @pytest.mark.parametrize("seq_kind", ["truncation", "shift"])
+    def test_single_index_notes_instead_of_a_vacuous_monotonicity(self, seq_kind):
+        rep = study("approximation", potential=GAUSSIAN, seq_kind=seq_kind, indices=[12],
+                    n_probes=1, L=4.0, h=0.2)
+        summary = rep.summary_text()
+        assert "note: metric-nonincreasing: one index, so no verdict" in summary
+        assert [v.name for v in rep.verdicts] == [
+            "resolvent-domination",
+            "metric-threshold" if seq_kind == "truncation" else "shift-gap-bound"]
+        two = study("approximation", potential=GAUSSIAN, seq_kind=seq_kind, indices=[11, 12],
+                    n_probes=1, L=4.0, h=0.2)
+        assert "metric-nonincreasing" in [v.name for v in two.verdicts] and not two.notes
+
     def test_header_matches_probe_count(self):
         rep = small_truncation_report()
         assert rep.table("approximation").header == (

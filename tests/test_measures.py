@@ -426,9 +426,12 @@ def _log_shifted_edge_moment(k, t, a):
     ("power-law", 1.0, 0.0),
     ("power-law", 2.0, math.log(2.0)),
     ("power-law", 3.5, math.log(3.5)),
+    ("power-law", 9.0, math.log(9.0)),
+    ("power-law", 12.0, math.log(12.0)),
     ("monomial-profile", 2.5, 0.0),
     ("monomial-profile", 2.8, 0.0),
-], ids=["gamma-0.5", "gamma-1", "gamma-2", "gamma-3.5", "delta-0.75", "delta-0.9"])
+], ids=["gamma-0.5", "gamma-1", "gamma-2", "gamma-3.5", "gamma-9", "gamma-12", "delta-0.75",
+        "delta-0.9"])
 @pytest.mark.parametrize("t", _HUGE_TS)
 def test_edge_power_transforms_match_the_closed_form(family, k, log_c, t):
     # density c s^(k-1) on [0, 1]: gamma s^(gamma-1), or s^(2 delta) with k = 2 delta + 1
@@ -440,6 +443,40 @@ def test_edge_power_transforms_match_the_closed_form(family, k, log_c, t):
     for a in (0.0, 0.5):
         assert mu.log_laplace_moment(t, -a) == pytest.approx(
             log_c + _log_shifted_edge_moment(k, t, a), **close)
+
+
+def test_high_edge_powers_integrate_on_the_plain_rule():
+    # u^alg is a factor of the integrand for alg > 0: the endpoint-weighted rule
+    # refused gamma = 9 at t = 1314.15 (error estimate 60) and returned ln values
+    # 150 too high at gamma = 105, and the monomial profile's mass was NaN past
+    # delta = 509.85
+    assert st.power_law_measure(9.0).log_laplace(1314.15) == pytest.approx(
+        math.log(9.0) + _log_edge_moment(9.0, 1314.15), rel=1e-14)
+    for t in (1e3, 1e10):
+        assert st.power_law_measure(105.0).log_laplace(t) == pytest.approx(
+            math.log(105.0) + _log_edge_moment(105.0, t), rel=1e-13)
+    for delta in (534.0, 1000.0):
+        mu = st.monomial_profile_measure(delta)
+        assert mu.log_mass == pytest.approx(-math.log(2.0 * delta + 1.0), rel=1e-12)
+    # u^alg overflows past u = e^(709 / alg), inside the transform's [0, 745]
+    # once alg exceeds about 107: refused, never a bare OverflowError
+    with pytest.raises(InvariantViolation, match="did not converge"):
+        st.power_law_measure(171.0).log_laplace(1e3)
+
+
+@pytest.mark.parametrize("mu", [
+    st.AtomicMeasure.from_points([-0.5, -2.0], [0.3, 0.7]),
+    st.AtomicMeasure.from_points([0.0], [1.0]),
+    st.power_law_measure(2.0),
+    st.uniform_measure(0.5, 2.0),
+], ids=["atomic", "atom-at-zero", "power-law", "uniform"])
+@pytest.mark.parametrize("moment", [False, True], ids=["laplace", "moment"])
+def test_laplace_transforms_refuse_non_finite_times(mu, moment):
+    transform = mu.log_laplace_moment if moment else mu.log_laplace
+    for t in (math.nan, math.inf, -math.inf, [1.0, math.nan]):
+        with pytest.raises(DomainError, match="times t must be finite"):
+            transform(t)
+    assert not math.isnan(transform(-0.5))  # negative t is a growing orbit, still defined
 
 
 @pytest.mark.parametrize("t", _HUGE_TS)
@@ -1072,6 +1109,19 @@ def test_atomic_roundtrip_mass_beyond_double_range():
 ], ids=["nan-mass", "uniform-mass", "stray-row", "atomic-as-density", "atomic-support"])
 def test_measure_from_text_checks_every_entry(text, named):
     with pytest.raises(DomainError, match=re.escape(named)):
+        st.measure_from_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    "density kind=power-law\ngamma=1e308\n",
+    "density kind=uniform support=0,1e308\nheight=1e308\n",
+    "density kind=sampled-density\nn=2\n0.0 1e308\n1.0 1e308\n",
+    "density kind=sampled-density\nn=2\n0.0 1.0\n1e-320 2.0\n",
+], ids=["power-law-huge-gamma", "uniform-huge-mass", "sampled-huge-values", "sampled-subnormal"])
+def test_measure_file_the_family_refuses_is_bad_input(text):
+    # the family's own checks refuse these parameters; read from a file they
+    # are bad input, as for potentials
+    with pytest.raises(DomainError, match="measure: "):
         st.measure_from_text(text)
 
 

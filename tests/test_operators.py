@@ -110,10 +110,14 @@ def random_sampled_potential(rng):
 
 
 class TestDiscretize:
-    def test_grid_value_below_minus_a_bound_rejected(self):
-        # the random construction check misses a well of radius 1e-9, the
-        # grid point x = 0 does not
-        V = square_well(depth=5.0, radius=1e-9, a_bound=1.0)
+    @pytest.mark.parametrize("fault", [-5.0, 1e-6], ids=["below-minus-a", "above-zero"])
+    def test_grid_value_outside_the_bounds_rejected(self, monkeypatch, fault):
+        # construction reads only the declared range, so an eval that breaks it
+        # (a fault injected at the grid point x = 0) is caught on the grid
+        V = square_well(depth=1.0, radius=0.1, a_bound=1.0)
+        sound = Potential.eval
+        monkeypatch.setattr(Potential, "eval",
+                            lambda self, pts: np.where(pts == 0.0, fault, sound(self, pts)))
         with pytest.raises(InvariantViolation, match="violates its bounds on the grid"):
             discretize(V, L=1.0, h=0.25)
 
@@ -780,6 +784,32 @@ class TestPotentialConstruction:
         with pytest.raises(DomainError, match=re.escape(message)):
             Potential(kind=kind, nu=nu, a_bound=1.0, params=params, base=base)
 
+    @pytest.mark.parametrize("make, message", [
+        # wells narrower than any sampling could find: only the declared range sees them
+        (lambda: square_well(depth=5.0, radius=1e-20, a_bound=1.0), ">= -a_bound"),
+        (lambda: square_well(depth=5.0, radius=1e-9, a_bound=1.0), ">= -a_bound"),
+        (lambda: exp_well(depth=5.0, width=1e-6, a_bound=1.0), ">= -a_bound"),
+        (lambda: gaussian_well(depth=5.0, width=1e-6, nu=2, a_bound=1.0), ">= -a_bound"),
+        (lambda: constant_potential(1e-9), "<= 0"),
+        (lambda: constant_potential(math.nan), "non-finite"),
+        (lambda: Potential("truncated", 1, 1.0, {"k": 2}, square_well(5.0, 1e-20, a_bound=5.0)),
+         ">= -a_bound"),
+        (lambda: Potential("shifted", 1, 0.5, {"l": 1, "a": 5.0}, square_well(5.0, a_bound=5.0)),
+         ">= -a_bound"),
+    ], ids=["square-1e-20", "square-1e-9", "exp-1e-6", "gaussian-2d-1e-6", "constant-positive",
+            "constant-nan", "truncated-below-its-a", "shifted-below-its-a"])
+    def test_declared_range_outside_the_bound_rejected(self, make, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            make()
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0),
+                                        (-1e308, 1e308), (1.0, 1.0)])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_sampled_grid_needs_a_finite_width(self, lo, hi, nu):
+        # an infinite or overflowing width makes the interpolation grid NaN
+        with pytest.raises(DomainError, match="by a finite width"):
+            sampled_potential(np.full(4 if nu == 2 else 3, -0.5), lo, hi, nu=nu, a_bound=1.0)
+
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_non_finite_sample_rejected(self, value):
         with pytest.raises(InvariantViolation, match="non-finite value"):
@@ -826,6 +856,64 @@ class TestSupportRadius:
                 theta = rng.uniform(0.0, 2.0 * math.pi, 400)
                 pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
             assert np.all(V.eval(pts) == 0.0)
+
+
+_SAMPLES_2D = np.array([[-0.3, -0.9, 0.0], [-0.2, -0.6, -0.1], [0.0, -0.4, -0.8]]).ravel()
+_BASES = {
+    "constant": (lambda nu: constant_potential(-0.4, nu=nu), (-0.4, -0.4)),
+    "gaussian": (lambda nu: gaussian_well(0.8, 1.3, nu=nu), (-0.8, 0.0)),
+    "exp": (lambda nu: exp_well(0.7, 0.9, nu=nu), (-0.7, 0.0)),
+    "square": (lambda nu: square_well(0.6, 1.5, nu=nu), (-0.6, 0.0)),
+    "sampled": (lambda nu: sampled_potential([-0.3, -0.9, 0.0, -0.2, -0.6] if nu == 1
+                                             else _SAMPLES_2D, -2.0, 3.0, nu=nu, a_bound=1.0),
+                (-0.9, 0.0)),
+}
+_WRAPS = {
+    "": lambda V: V,
+    "truncated": lambda V: truncate_potential(V, 2),
+    "shifted": lambda V: shift_potential(V, 3),
+    "truncated-shifted": lambda V: truncate_potential(shift_potential(V, 2), 1),
+    "shifted-truncated": lambda V: shift_potential(truncate_potential(V, 2), 4),
+}
+
+
+class TestValueRange:
+    @pytest.mark.parametrize("wrap", list(_WRAPS), ids=lambda w: w or "bare")
+    @pytest.mark.parametrize("base", list(_BASES))
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_eval_stays_inside_the_declared_range(self, nu, base, wrap):
+        # random points, the origin and far points against the declared
+        # (inf V, sup V); interpolation weights may round a few ulp past it
+        make, bare = _BASES[base]
+        V = _WRAPS[wrap](make(nu))
+        lo, hi = V.value_range
+        assert -V.a_bound - 1e-12 <= lo <= hi <= 0.0  # a shift may round past -a
+        if not wrap:
+            assert (lo, hi) == bare
+        rng = np.random.default_rng(11)
+        pts = np.concatenate([rng.uniform(-6.0, 6.0, (4000, nu)), np.zeros((1, nu)),
+                              np.full((1, nu), 1e6)])
+        vals = V.eval(pts[:, 0] if nu == 1 else pts)
+        slack = 4.0 * np.finfo(float).eps * V.a_bound
+        assert np.all(vals >= lo - slack) and np.all(vals <= hi + slack)
+
+    def test_wrapped_ranges(self):
+        V = gaussian_well(0.8, 1.0)
+        l, a = 3, 0.8
+        shifted = ((l / (l + 1.0)) * -0.8 - a / (l + 1.0), (l / (l + 1.0)) * 0.0 - a / (l + 1.0))
+        assert shift_potential(V, 3).value_range == shifted
+        assert truncate_potential(shift_potential(V, 3), 2).value_range == (shifted[0], 0.0)
+        assert truncate_potential(constant_potential(-0.4), 2).value_range == (-0.4, 0.0)
+
+    def test_construction_evaluates_no_point(self, monkeypatch):
+        def no_eval(self, pts):
+            raise AssertionError("V evaluated at construction")
+
+        monkeypatch.setattr(Potential, "eval", no_eval)
+        for nu in (1, 2):
+            for make, _ in _BASES.values():
+                for wrap in _WRAPS.values():
+                    wrap(make(nu))
 
 
 # ---------------------------------------------------------------------------
