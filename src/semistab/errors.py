@@ -1,7 +1,12 @@
 """Exception types shared across the package, and its plain-text readers and writers."""
 
+import itertools
 import numbers
 import os
+import stat
+
+#: rows that ``write_csv`` formats and writes at a time
+_CSV_BLOCK_ROWS = 256
 
 
 class DomainError(ValueError):
@@ -29,13 +34,18 @@ def read_ascii(path) -> str:
         raise DomainError(f"{path}: byte {exc.start} is not ASCII") from None
 
 
-def write_ascii(path, text: str) -> None:
-    """Write ``text`` to ``path`` as ASCII with LF line ends, creating the parent
-    directory; the text is built first, so a failure leaves the file as it was."""
+def _open_ascii(path):
+    """``path`` opened to write ASCII with LF line ends, its parent directory created."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    return open(path, "w", encoding="ascii", newline="\n")
+
+
+def write_ascii(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII with LF line ends, creating the parent
+    directory; the text is built first, so a failure leaves the file as it was."""
+    with _open_ascii(path) as fh:
         fh.write(text)
 
 
@@ -56,14 +66,38 @@ def csv_cell(cell) -> str:
                              f"comma, double quote or line break, integers, or non-NaN reals")
 
 
-def csv_text(header, rows) -> str:
-    """CSV text of a header line and rows of ``csv_cell`` cells, each row as
-    wide as the header; LF line ends, no quoting."""
-    rows, width = list(rows), len(header)
+def _csv_lines(rows, width: int) -> str:
+    """Lines of ``csv_cell`` cells, one per row, each row ``width`` cells wide."""
+    rows = list(rows)
     ragged = set(map(len, rows)) - {width}
     if ragged:
         raise InvariantViolation(f"CSV row with {min(ragged)} cells under {width} columns")
-    return "\n".join(",".join(map(csv_cell, row)) for row in (header, *rows)) + "\n"
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header line and rows of ``csv_cell`` cells, each row as
+    wide as the header; LF line ends, no quoting."""
+    return _csv_lines((header, *rows), len(header))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``csv_text(header, rows)`` to ``path`` as ``write_ascii`` would, but
+    format and write the rows _CSV_BLOCK_ROWS at a time, so only one block's text
+    is held.  A refused cell, or any other failure, removes the file, so no
+    partial table is left behind; a path that is not a regular file, such as
+    ``/dev/null`` or a link, is never removed."""
+    rows, width = iter(rows), len(header)
+    with _open_ascii(path) as fh:
+        try:
+            fh.write(_csv_lines([header], width))
+            while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+                fh.write(_csv_lines(block, width))
+        except BaseException:
+            fh.close()
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise
 
 
 def read_descriptor(text: str, what: str) -> tuple:

@@ -33,6 +33,8 @@ LDL^T over consecutive blocks of ``m = ceil(sqrt(N))`` rows (n_side in 2-D,
 where it equals the half-bandwidth): LAPACK ``dsysv`` factors each Schur
 complement with Bunch-Kaufman pivoting (``dsytrf``), and by Haynsworth's
 inertia additivity the blocks' counts add up to H's, at O(N m^2) per shift.
+Each block is scattered from H's lower triplets when the count reaches it, so
+the check holds O(nnz(H)) memory and one block, not all blocks dense.
 
 scipy is imported at the first solve, not with this module, so
 ``import semistab`` is numpy-only: ``discretize`` and the banded and
@@ -57,8 +59,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import (DomainError, InvariantViolation, ResourceCapError, csv_text, read_ascii,
-                     read_descriptor, write_ascii)
+from .errors import (DomainError, InvariantViolation, ResourceCapError, read_ascii,
+                     read_descriptor, write_ascii, write_csv)
 from .measures import AtomicMeasure
 
 if TYPE_CHECKING:
@@ -94,6 +96,9 @@ _INERTIA_SHIFTS = 6
 #: the sup in ``metric_d``'s term j is sampled with spacing _SUP_STEP * j + _SUP_STEP
 _SUP_STEP = 0.01
 _BOUND_SLACK = 1e-12
+#: ulps of a_bound by which a grid value may round below -a_bound, as the
+#: interpolation weights of a sampled potential can
+_GRID_ULPS = 4
 
 
 def _lazy(module: str, name: str) -> Callable:
@@ -547,7 +552,8 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
         gx, gy = np.meshgrid(coords, coords, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         v_diag = np.asarray(V.eval(grid), dtype=float)
-    if np.any(v_diag > _BOUND_SLACK) or np.any(v_diag < -V.a_bound - _BOUND_SLACK):
+    floor = -V.a_bound - _GRID_ULPS * np.finfo(float).eps * V.a_bound
+    if np.any(v_diag > _BOUND_SLACK) or np.any(v_diag < floor):
         raise InvariantViolation("potential violates its bounds on the grid")
 
     inv_h2 = 1.0 / (h * h)
@@ -634,8 +640,10 @@ def _check_inertia(op: DiscretizedOperator, vals: np.ndarray, scale: float) -> N
     1e-6 * scale, where the number of eigenvalues of H above sigma must be
     k + 1: a sigma inside an exactly degenerate pair (the square well's
     x <-> y symmetry) would miscount.  The count is ``_count_above``, a
-    block LDL^T of H - sigma I over the blocks that ``_band_blocks`` cuts
-    from H once for every shift.  It reads all of H, never the swap sectors
+    block LDL^T of H - sigma I over the blocks of H's lower triplets, which
+    ``_band_blocks`` sorts once for every shift.  Each count scatters one
+    block at a time, so the check holds O(nnz(H)) memory beyond one m x m
+    block, never all blocks dense.  It reads all of H, never the swap sectors
     that ``eigenvalues`` may have solved, so it also checks the fold.  A
     shift whose count meets a singular or non-finite block moves on to the
     next gap not yet tried (``_spread_gaps``).
@@ -674,37 +682,55 @@ def _spread_gaps(gaps: np.ndarray, count: Callable[[int], Optional[int]]):
         yield int(gaps[pos]), above
 
 
-def _band_blocks(M) -> tuple:
-    """Symmetric sparse M of half-bandwidth b, cut into consecutive blocks of
-    ``m = max(ceil(sqrt(N)), b)`` rows.
+@dataclass(frozen=True)
+class _BandBlocks:
+    """The lower triangle of a symmetric sparse M of half-bandwidth b, cut into
+    consecutive blocks of ``m = max(ceil(sqrt(N)), b)`` rows and kept as
+    triplets sorted by block: key 2q holds diagonal block q, key 2q + 1 the
+    b x b coupling of block q to block q + 1 (rows 0..b-1 of block q + 1,
+    columns m-b..m-1 of block q).  ``index`` is each entry's row-major
+    position in its block, and key k's triplets are ``starts[k]:starts[k + 1]``.
+    As m >= b, no other entries of M lie off the diagonal blocks.  The
+    triplets take O(nnz(M)) memory; no block is held dense until ``block``
+    scatters it."""
 
-    Returns ``(diag, corners, last)``: ``diag[q]`` holds the lower triangle
-    of the q-th diagonal block (the last one padded to m rows), ``corners[q]``
-    the b x b block that couples block q to block q + 1 (rows 0..b-1 of
-    block q + 1, columns m-b..m-1 of block q), and ``last`` the row count of
-    the last block.  As m >= b, no other entries of M lie off the diagonal
-    blocks.  In 2-D m = b = n_side; at the 1-D cap m = 60 and b = 1.
-    """
+    N: int
+    m: int
+    b: int
+    index: np.ndarray
+    data: np.ndarray
+    starts: np.ndarray
+
+    def block(self, key: int, out: np.ndarray) -> np.ndarray:
+        """Block ``key`` scattered into the C-ordered ``out`` (m x m for a
+        diagonal block, b x b for a coupling), every other entry set to 0."""
+        part = slice(self.starts[key], self.starts[key + 1])
+        out.fill(0.0)
+        out.reshape(-1)[self.index[part]] = self.data[part]  # a view, as out is C-ordered
+        return out
+
+
+def _band_blocks(M) -> _BandBlocks:
+    """M's lower triplets as ``_BandBlocks``, in O(nnz(M)) memory.  In 2-D
+    m = b = n_side; at the 1-D cap m = 60 and b = 1."""
     coo = M.tocoo()
     lower = coo.row >= coo.col
     row, col, data = coo.row[lower], coo.col[lower], coo.data[lower]
     N = M.shape[0]
     b = int(np.max(row - col))
     m = max(math.isqrt(N - 1) + 1, b)
-    n_blocks = -(-N // m)
     q, i = np.divmod(row, m)
     p, j = np.divmod(col, m)
-    same = q == p
-    diag = np.zeros((n_blocks, m, m))
-    diag[q[same], i[same], j[same]] = data[same]
-    corners = np.zeros((n_blocks - 1, b, b))
-    corners[p[~same], i[~same], j[~same] - (m - b)] = data[~same]
-    return diag, corners, N - (n_blocks - 1) * m
+    key = q + p  # 2q on diagonal block q, 2p + 1 on the coupling of block p to p + 1
+    order = np.argsort(key, kind="stable")
+    index = np.where(q == p, i * m + j, i * b + j - (m - b)).astype(np.intp)
+    starts = np.searchsorted(key[order], np.arange(2 * -(-N // m)))
+    return _BandBlocks(N=N, m=m, b=b, index=index[order], data=data[order], starts=starts)
 
 
-def _count_above(blocks: tuple, sigma: float) -> Optional[int]:
-    """Number of eigenvalues above sigma of the matrix cut into ``blocks`` by
-    ``_band_blocks``, or None where a block is singular or non-finite.
+def _count_above(blocks: _BandBlocks, sigma: float) -> Optional[int]:
+    """Number of eigenvalues above sigma of the matrix held by ``blocks``
+    (``_band_blocks``), or None where a block is singular or non-finite.
 
     Haynsworth's inertia additivity over the block LDL^T of M - sigma I
     gives ``In(M - sigma I) = sum_q In(S_q)`` for the Schur complements
@@ -716,23 +742,25 @@ def _count_above(blocks: tuple, sigma: float) -> Optional[int]:
     ``P S_q P^T = L D L^T``, which keeps its inertia, and solves for that
     product in the same call; D's 1 x 1 pivots count by sign, its 2 x 2
     pivots by their own determinant and trace.  The cost is O(N m^2) for
-    blocks of m rows.
+    blocks of m rows.  Each block is scattered from the triplets when the
+    count reaches it, into one m x m and one b x b array, so the memory
+    beyond the triplets' O(nnz(M)) is O(m^2 + N).
     """
-    diag, corners, last = blocks
-    n_blocks, m = diag.shape[:2]
-    b = corners.shape[1]
-    N = (n_blocks - 1) * m + last
+    N, m, b = blocks.N, blocks.m, blocks.b
+    n_blocks = -(-N // m)
     pivot, sub, ipiv = np.empty(N), np.zeros(N), np.empty(N, dtype=int)
     shift = sigma * np.eye(m)
+    A, C = np.empty((m, m)), np.empty((b, b))
     rhs = np.zeros((m, b), order="F")
     for q in range(n_blocks):
-        S = diag[q] - shift
+        S = blocks.block(2 * q, A)
+        S -= shift
         if q:
-            S[:b, :b] -= corners[q - 1] @ x[m - b:]
+            S[:b, :b] -= C @ x[m - b:]
         if q < n_blocks - 1:
-            rhs[m - b:] = corners[q].T
+            rhs[m - b:] = blocks.block(2 * q + 1, C).T
         else:
-            S = S[:last, :last]  # and its solve is not used
+            S = S[:N - q * m, :N - q * m]  # and its solve is not used
         ldu, piv, x, info = dsysv(S, rhs[:len(S)], lower=1, overwrite_a=1)
         if info != 0:
             return None
@@ -969,5 +997,6 @@ def load_potential(path) -> Potential:
 
 
 def spectrum_to_csv(H: DiscretizedOperator, path) -> None:
-    """Write the spectrum as CSV with columns (index, eigenvalue)."""
-    write_ascii(path, csv_text(("index", "eigenvalue"), enumerate(H.eigenvalues.tolist())))
+    """Write the spectrum as CSV with columns (index, eigenvalue), streamed in
+    blocks of rows by ``write_csv``; no list of all N values or rows is held."""
+    write_csv(path, ("index", "eigenvalue"), enumerate(map(float, H.eigenvalues)))

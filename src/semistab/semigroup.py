@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, PreconditionError, csv_text, write_ascii
+from .errors import DomainError, InvariantViolation, PreconditionError, write_csv
 from .measures import AtomicMeasure, DensityMeasure, _log_laplace_stack
 from .operators import DiscretizedOperator
 
@@ -142,11 +142,12 @@ def evolve_norms(mu, t_min: float, t_max: float, n_t: int) -> OrbitTrace:
 
 
 def orbit_to_csv(trace: OrbitTrace, path) -> None:
-    """Write a trace as CSV (t, log_norm_sq, ratio); ratio is 'undefined' at t = 1."""
-    rows = [(t, v, r if math.log(t) != 0.0 else "undefined")
+    """Write a trace as CSV (t, log_norm_sq, ratio), streamed in blocks of rows
+    by ``write_csv``; ratio is 'undefined' at t = 1."""
+    rows = ((t, v, r if math.log(t) != 0.0 else "undefined")
             for t, v, r in zip(trace.t.tolist(), trace.log_norm_sq.tolist(),
-                               trace.ratios().tolist())]
-    write_ascii(path, csv_text(("t", "log_norm_sq", "ratio"), rows))
+                               trace.ratios().tolist()))
+    write_csv(path, ("t", "log_norm_sq", "ratio"), rows)
 
 
 # ---------------------------------------------------------------------------

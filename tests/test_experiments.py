@@ -47,8 +47,8 @@ from semistab import (
     truncate_potential,
     write_report,
 )
-from semistab import experiments
-from semistab.errors import csv_cell, csv_text, write_ascii
+from semistab import errors, experiments
+from semistab.errors import csv_cell, csv_text, write_ascii, write_csv
 
 GAUSSIAN = gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
 FREE = constant_potential(0.0, a_bound=1.0)
@@ -648,6 +648,32 @@ class TestReportArtifacts:
         with pytest.raises(InvariantViolation):
             write_report(rep, tmp_path / "r")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("bad_row", [0, 5, 13], ids=["first-block", "second-block",
+                                                         "last-block"])
+    def test_streamed_writer_leaves_no_file_after_a_refused_cell(self, tmp_path,
+                                                                 monkeypatch, bad_row):
+        monkeypatch.setattr(errors, "_CSV_BLOCK_ROWS", 5)
+        rows = [(i, float(i)) for i in range(14)]
+        path = tmp_path / "a" / "t.csv"
+        write_csv(path, ("i", "x"), iter(rows))
+        assert path.read_text() == csv_text(("i", "x"), rows)
+        rows[bad_row] = (bad_row, math.nan)
+        with pytest.raises(InvariantViolation, match="cannot be a CSV cell"):
+            write_csv(path, ("i", "x"), iter(rows))
+        assert not path.exists()
+        with pytest.raises(InvariantViolation, match="row with 1 cells under 2 columns"):
+            write_csv(path, ("i", "x"), [(0, 1.0)] * 7 + [(1.0,)])
+        assert not path.exists()
+
+    def test_streamed_writer_removes_no_link(self, tmp_path):
+        # a link, like /dev/stdout, or a device, like /dev/null, is not the
+        # writer's to remove
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        with pytest.raises(InvariantViolation, match="cannot be a CSV cell"):
+            write_csv(link, ("x",), [(1.0,), (math.nan,)])
+        assert link.is_symlink()
 
     def test_writer_makes_parents_and_writes_lf_ascii(self, tmp_path):
         path = tmp_path / "a" / "b" / "c.txt"

@@ -23,7 +23,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import eigsh, splu
 
-from semistab import experiments, operators
+from semistab import errors, experiments, operators
 from semistab import (
     AtomicMeasure,
     DomainError,
@@ -52,6 +52,7 @@ from semistab import (
     square_well,
     truncate_potential,
 )
+from semistab.errors import csv_text, write_ascii
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,30 @@ class TestDiscretize:
                             lambda self, pts: np.where(pts == 0.0, fault, sound(self, pts)))
         with pytest.raises(InvariantViolation, match="violates its bounds on the grid"):
             discretize(V, L=1.0, h=0.25)
+
+    @pytest.mark.parametrize("L, h", [(2.0, 0.25), (3.0, 0.2), (2.5, 0.1)])
+    def test_large_a_bound_allows_a_few_ulp_of_rounding(self, L, h):
+        # bilinear weights round the constant samples -1e6 two ulp below
+        # themselves, 2.3e-10 past -a_bound, where an absolute 1e-12 refused them
+        V = sampled_potential(np.full(9, -1e6), -2.0, 3.0, nu=2, a_bound=1e6)
+        op = discretize(V, L=L, h=h)
+        assert np.min(op.v_diag) < -1e6
+
+    @pytest.mark.parametrize("a_bound", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("ulps, passes", [(2, True), (16, False)])
+    def test_grid_allowance_is_a_few_ulp_of_a_bound(self, monkeypatch, a_bound, ulps, passes):
+        V = square_well(depth=a_bound, radius=0.1, a_bound=a_bound)
+        fault = -a_bound
+        for _ in range(ulps):
+            fault = np.nextafter(fault, -np.inf)
+        sound = Potential.eval
+        monkeypatch.setattr(Potential, "eval",
+                            lambda self, pts: np.where(pts == 0.0, fault, sound(self, pts)))
+        if passes:
+            assert np.min(discretize(V, L=1.0, h=0.25).v_diag) == fault
+        else:
+            with pytest.raises(InvariantViolation, match="violates its bounds on the grid"):
+                discretize(V, L=1.0, h=0.25)
 
     def test_free_laplacian_matches_closed_form(self):
         op = discretize(constant_potential(0.0), L=10.0, h=0.1)
@@ -634,10 +659,10 @@ class TestInertiaCount:
     def test_random_band_counts_match_both_oracles(self, N, b, zero_diagonal):
         rng = np.random.default_rng(N * 10 + b)
         M = random_band_matrix(rng, N, b, zero_diagonal)
-        diag, corners, last = blocks = operators._band_blocks(M)
+        blocks = operators._band_blocks(M)
         m = max(math.ceil(math.sqrt(N)), b)
-        assert diag.shape == (-(-N // m), m, m) and corners.shape[1:] == (b, b)
-        assert 0 < last < m  # N is not a multiple of m
+        assert (blocks.N, blocks.m, blocks.b) == (N, m, b)
+        assert blocks.starts.size == 2 * -(-N // m) and N % m  # N is not a multiple of m
         vals = np.linalg.eigvalsh(M.toarray())
         sigmas = [0.0, *rng.uniform(vals[0], vals[-1], 8)]
         for sigma in sigmas:
@@ -647,8 +672,43 @@ class TestInertiaCount:
         if zero_diagonal:
             # at sigma = 0 every diagonal pivot is 0: Bunch-Kaufman takes 2 x 2
             # pivots, and the count without pivoting fails at once
-            assert np.any(dsytrf(diag[0], lower=1)[1] < 0)
+            assert np.any(dsytrf(blocks.block(0, np.empty((m, m))), lower=1)[1] < 0)
             assert splu_count_above(M, 0.0) is None
+
+    @pytest.mark.parametrize("N, b", [(10, 1), (49, 7), (50, 3), (20, 6)])
+    def test_blocks_scatter_back_to_the_lower_triangle(self, N, b):
+        M = random_band_matrix(np.random.default_rng(N + b), N, b)
+        blocks = operators._band_blocks(M)
+        m = blocks.m
+        dense = np.zeros((-(-N // m) * m,) * 2)
+        for q in range(-(-N // m)):
+            rows = slice(q * m, (q + 1) * m)
+            dense[rows, rows] = blocks.block(2 * q, np.full((m, m), np.nan))
+            if q:
+                dense[rows.start:rows.start + b, rows.start - b:rows.start] = \
+                    blocks.block(2 * q - 1, np.full((b, b), np.nan))
+        assert np.array_equal(dense[:N, :N], np.tril(M.toarray()))
+
+    def test_inertia_check_peak_memory(self):
+        # the check holds H's lower triplets with their sort temporaries and the
+        # O(N) pivot arrays, under 8 doubles per stored entry of H, and a few
+        # m x m blocks at a time.  Measured on numpy 2.4.6: 0.81 MB at N = 3481,
+        # inside 1.21 MB.  Holding the n_side diagonal blocks dense, n_side^3
+        # doubles or 1.64 MB, does not fit
+        op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=3.0, h=0.1)
+        m = op.n_side
+        assert op.N <= operators._N_CAP < (m + 2) ** 2  # the largest 2-D grid on this box
+        vals = op.eigenvalues  # its checks ran once, so every import is done
+        scale = float(np.max(np.abs(vals)))
+        bound = 8 * (8 * op.H.nnz + 4 * m * m)
+        assert bound < 8 * m ** 3
+        tracemalloc.start()
+        try:
+            operators._check_inertia(op, vals, scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     @pytest.mark.parametrize("a, c, d, positive", [
         (1.0, 0.5, 2.0, 2),  # positive definite: det > 0, trace > 0
@@ -1335,6 +1395,17 @@ class TestPotentialSerialization:
     def test_parsed_parameters_are_checked(self, text, named):
         with pytest.raises(DomainError, match=re.escape(named)):
             potential_from_text(text)
+
+    @pytest.mark.parametrize("block", [64, 39, 16], ids=["one-short-block", "one-full-block",
+                                                          "ragged-last-block"])
+    def test_streamed_spectrum_csv_matches_the_whole_text(self, tmp_path, monkeypatch, block):
+        op = discretize(gaussian_well(), L=2.0, h=0.1)
+        assert op.N == 39
+        monkeypatch.setattr(errors, "_CSV_BLOCK_ROWS", block)
+        spectrum_to_csv(op, tmp_path / "streamed.csv")
+        write_ascii(tmp_path / "whole.csv",
+                    csv_text(("index", "eigenvalue"), enumerate(op.eigenvalues.tolist())))
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_spectrum_csv_round_trips_eigenvalues(self, tmp_path):
         op = discretize(gaussian_well(), L=2.0, h=0.25)

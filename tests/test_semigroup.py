@@ -42,6 +42,8 @@ from semistab import (
     shifted_range_bound_checks,
     uniform_measure,
 )
+from semistab import errors
+from semistab.errors import csv_text, write_ascii
 
 LACUNARY = dict(scale_base=0.5, exponents=(0.5, 4.0), n_atoms=12)
 
@@ -166,6 +168,19 @@ class TestEvolveNorms:
 
 
 class TestOrbitCsv:
+    @pytest.mark.parametrize("blocks, extra_rows", [(1, -1), (1, 0), (2, 3)],
+                             ids=["one-short-block", "one-full-block", "ragged-last-block"])
+    def test_streamed_csv_matches_the_whole_text(self, tmp_path, blocks, extra_rows):
+        # the header and n_t rows, written _CSV_BLOCK_ROWS rows at a time
+        n_t = blocks * errors._CSV_BLOCK_ROWS + extra_rows
+        trace = evolve_norms(AtomicMeasure.from_points([-1.0, -0.1], [1.0, 2.0]), 0.5, 2e3, n_t)
+        orbit_to_csv(trace, tmp_path / "streamed.csv")
+        rows = [(t, v, r if math.log(t) != 0.0 else "undefined")
+                for t, v, r in zip(trace.t.tolist(), trace.log_norm_sq.tolist(),
+                                   trace.ratios().tolist())]
+        write_ascii(tmp_path / "whole.csv", csv_text(("t", "log_norm_sq", "ratio"), rows))
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_csv_round_trip_and_undefined_ratio(self, tmp_path):
         mu = AtomicMeasure.from_points([-1.0], [1.0])
         trace = evolve_norms(mu, 1.0, 100.0, 5)
