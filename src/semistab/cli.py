@@ -33,10 +33,10 @@ import os
 import sys
 
 # The library imports scipy at its first solve; every operator command needs
-# scipy.linalg and scipy.sparse, so load them here, before the freeze below, and
-# keep that import out of each command's run time.
+# scipy.linalg, so load it here, before the freeze below, and keep that import
+# out of each command's run time.  scipy.sparse loads only at a 2-D lambda_max
+# or resolvent, which build H's CSR copy.
 import scipy.linalg  # noqa: F401
-import scipy.sparse  # noqa: F401
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, csv_cell, csv_text
 from .experiments import (

@@ -99,6 +99,7 @@ __all__ = [
 OUTPUT_DIR_ENV = "SEMISTAB_OUTDIR"
 
 _RESOLVENT_SLACK = 1e-9
+#: rounding allowed in a rise of |lambda_max|, relative to the spectral scale 4 nu / h^2
 _GAP_MONOTONE_SLACK = 1e-12
 # the largest atom modulus a study key may name, as AtomicMeasure caps ln |position|
 _MAX_MODULUS = math.exp(_LOG_S_CAP)
@@ -561,7 +562,8 @@ def _box_row(plan: dict, L: float) -> dict:
 
 def _judge_box(plan: dict, tables: dict):
     abs_lam = [abs(row["lambda_max"]) for row in tables["gap-vs-box"][:-1]]
-    monotone = all(b <= a + _GAP_MONOTONE_SLACK for a, b in zip(abs_lam, abs_lam[1:]))
+    slack = _GAP_MONOTONE_SLACK * plan["potential"].nu * 4.0 / plan["h"] ** 2
+    monotone = all(b <= a + slack for a, b in zip(abs_lam, abs_lam[1:]))
     verdict = VerdictLine("gap-nonincreasing", monotone,
                           f"|lambda_max| from {csv_cell(abs_lam[0])} to {csv_cell(abs_lam[-1])}")
     return [verdict], ["the final row is extrapolated, never computed"], {}

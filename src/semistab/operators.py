@@ -2,20 +2,23 @@
 
 The operators built here are ``H = Lap_h + diag(V)`` on the box
 ``[-L, L]^nu`` (nu in {1, 2}) with Dirichlet boundary conditions and a
-bounded potential ``-a <= V <= 0``.  ``discretize`` builds H once, for
-both dimensions, as one sparse matrix: the 1-D second-difference matrix
-T, or the Kronecker sum of T with itself in 2-D, plus ``diag(V)``.  Every solve
-on H runs on demand and is cached on the operator: the top eigenpair,
-the resolvent factorization, the eigenvalues alone, which the spectrum
-CSV reads, and the full eigendecomposition, which only the spectral
-measure reads.  The last two are banded LAPACK solves (band reduction,
+bounded potential ``-a <= V <= 0``.  The matrix is H's 3-point (1-D) or
+5-point (2-D) stencil, held as numpy diagonals: ``-2 nu / h^2 + V`` on the
+main one, ``1/h^2`` at offset 1 (0 across the end of a grid row in 2-D) and,
+in 2-D, ``1/h^2`` at offset n_side.  ``discretize`` builds only the grid and
+V on it.  Every solve on H runs on demand and is cached on the operator: the
+top eigenpair, the resolvent factorization, the eigenvalues alone, which the
+spectrum CSV reads, and the full eigendecomposition, which only the spectral
+measure reads.  The eigenvalues are banded LAPACK solves (band reduction,
 then a tridiagonal solve) on H in lower band storage, whose half-bandwidth
-is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D.  The first two read
-that storage too in 1-D, where H is tridiagonal: the top eigenpair comes
-from LAPACK Sturm-count bisection and inverse iteration (``?stebz``,
-``?stein``) and the resolvent from a tridiagonal LU (``?gttrf``), both
-O(N).  2-D keeps an ARPACK shift-invert top eigenpair and a SuperLU
-factorization.
+is ``n_side ** (nu - 1)``: 1 in 1-D, n_side in 2-D; so is the 2-D
+eigendecomposition.  In 1-D, where H is tridiagonal, the other three read
+the two diagonals: the eigendecomposition is ``eigh_tridiagonal``
+(``?stevd`` in current scipy), the top eigenpair LAPACK Sturm-count
+bisection and inverse iteration (``?stebz``, ``?stein``) and the resolvent a
+tridiagonal LU (``?gttrf``).  2-D keeps an ARPACK shift-invert top
+eigenpair and a SuperLU factorization, which read a scipy CSR copy of H
+built at their first call.
 
 A 2-D V that is swap-symmetric on the grid, ``V(x, y) == V(y, x)`` bit for
 bit, makes H commute with the swap (x, y) -> (y, x).  Every radial kind is,
@@ -37,11 +40,11 @@ Each block is scattered from H's lower triplets when the count reaches it, so
 the check holds O(nnz(H)) memory and one block, not all blocks dense.
 
 scipy is imported at the first solve, not with this module, so
-``import semistab`` is numpy-only: ``discretize`` and the banded and
-tridiagonal solves load ``scipy.sparse`` and ``scipy.linalg``, and only the
-2-D top eigenpair and 2-D resolvent load ``scipy.sparse.linalg`` (ARPACK,
-SuperLU).  The module-level names ``eig_banded``, ``splu`` and the rest
-call through to scipy's functions of the same name.
+``import semistab`` is numpy-only: the tridiagonal, banded and inertia solves
+load ``scipy.linalg``, and only the 2-D top eigenpair and 2-D resolvent load
+``scipy.sparse`` and ``scipy.sparse.linalg`` (the CSR copy of H, ARPACK,
+SuperLU).  The module-level names ``eig_banded``, ``splu`` and the rest call
+through to scipy's functions of the same name.
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -121,7 +124,6 @@ eigsh = _lazy("scipy.sparse.linalg", "eigsh")
 splu = _lazy("scipy.sparse.linalg", "splu")
 diags_array = _lazy("scipy.sparse", "diags_array")
 kronsum = _lazy("scipy.sparse", "kronsum")
-csr_array = _lazy("scipy.sparse", "csr_array")
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +397,11 @@ def shift_potential(V: Potential, l: int, a: Optional[float] = None) -> Potentia
 class DiscretizedOperator:
     """H = Lap_h + diag(V) on a Dirichlet box, with its solves cached.
 
-    ``H`` is the one read-only sparse (CSR) matrix of the operator;
-    ``apply`` and every solve read it.  Each solve runs on first use and
-    is cached on the operator:
+    The matrix is H's stencil, ``_diagonals``, computed from ``v_diag`` and
+    h at the first read; ``apply`` and every solve read it, but for the 2-D
+    ARPACK and SuperLU ones, which read ``H``, a read-only scipy CSR copy
+    built at their first call.  Each solve runs on first use and is cached
+    on the operator:
 
     * ``lambda_max``: the top eigenvalue, from a top-eigenpair solve: LAPACK
       bisection and inverse iteration on the tridiagonal H in 1-D, an ARPACK
@@ -408,26 +412,27 @@ class DiscretizedOperator:
       Frobenius identities and by Sylvester inertia counts of
       ``H - sigma I`` at a few shifts in spectral gaps, each a block LDL^T
       of H in blocks of about sqrt(N) rows (``_check_inertia``);
-    * ``eigenvectors``: the full decomposition, from a banded solve with
-      vectors, with ``eigenvectors[:, j]`` the orthonormal eigenvector for
-      the j-th eigenvalue, in the same order;
+    * ``eigenvectors``: the full decomposition, from a tridiagonal (1-D) or
+      banded (2-D) solve with vectors, with ``eigenvectors[:, j]`` the
+      orthonormal eigenvector for the j-th eigenvalue, in the same order;
     * the factorization of ``iI - H`` behind ``resolvent_apply``: a
       tridiagonal LU in 1-D, a sparse LU in 2-D.
 
-    Both banded solves (LAPACK ``?sbevd`` through ``scipy.linalg.eig_banded``)
+    The banded solves (LAPACK ``?sbevd`` through ``scipy.linalg.eig_banded``)
     read H in lower band storage, so neither forms a dense N x N copy of H;
     without vectors the band reduction costs O(N^2 b) at half-bandwidth b
-    where a dense one costs O(N^3).  The full decomposition reads ``_band``,
-    all of H with ``b = n_side ** (nu - 1)``.  ``eigenvalues`` reads it too
-    in 1-D and for a 2-D V that is not swap-symmetric on the grid; for a
-    swap-symmetric one it solves the swap's two sectors ``P+-^T H P+-``
-    (``_swap_sectors``), of about N/2 points and ``b`` about n_side/2 each,
-    for about a third of the time.  The solves are independent, so ``lambda_max``,
-    ``eigenvalues`` and the values paired with ``eigenvectors`` agree only
-    to about 1e-12 times the Dirichlet spectral scale, not bit for bit.
-    Every computed eigenvalue and eigenpair is validated before it is
-    cached.  The grid is the interior of [-L, L]^nu with spacing h; for
-    nu=2 the flat index is ``i * n_side + j`` for the point ``(x_i, y_j)``.
+    where a dense one costs O(N^3).  The 2-D full decomposition reads
+    ``_band``, all of H with ``b = n_side``.  ``eigenvalues`` reads it too in
+    1-D and for a 2-D V that is not swap-symmetric on the grid; for a
+    swap-symmetric one it solves the swap's two sectors
+    ``P+-^T H P+-`` (``_swap_sectors``, ``_sector_band``), of about N/2
+    points and ``b`` about n_side/2 each, for about a third of the time.
+    The solves are independent, so ``lambda_max``, ``eigenvalues`` and the
+    values paired with ``eigenvectors`` agree only to about 1e-12 times the
+    Dirichlet spectral scale, not bit for bit.  Every computed eigenvalue
+    and eigenpair is validated before it is cached.  The grid is the
+    interior of [-L, L]^nu with spacing h; for nu=2 the flat index is
+    ``i * n_side + j`` for the point ``(x_i, y_j)``.
     """
 
     nu: int
@@ -438,16 +443,48 @@ class DiscretizedOperator:
     potential: Potential
     grid: np.ndarray
     v_diag: np.ndarray
-    H: scipy.sparse.csr_array
 
     def __post_init__(self) -> None:
-        for arr in (self.grid, self.v_diag, self.H.data, self.H.indices, self.H.indptr):
+        for arr in (self.grid, self.v_diag):
             np.asarray(arr).setflags(write=False)
 
     @cached_property
+    def _diagonals(self) -> tuple:
+        """H's nonzero lower diagonals as read-only ``(k, d_k)`` pairs, k ascending,
+        with ``H[p + k, p] = H[p, p + k] = d_k[p]``: the main diagonal
+        ``-2 nu / h^2 + v_diag``, ``1/h^2`` at k = 1, 0 where p ends a grid row in
+        2-D, and in 2-D ``1/h^2`` at k = n_side."""
+        inv_h2 = 1.0 / (self.h * self.h)
+        off = np.full(self.N - 1, inv_h2)
+        diagonals = [(0, -2.0 * self.nu * inv_h2 + self.v_diag), (1, off)]
+        if self.nu == 2:
+            off[self.n_side - 1::self.n_side] = 0.0  # no coupling across a grid row's end
+            diagonals.append((self.n_side, np.full(self.N - self.n_side, inv_h2)))
+        for _, d in diagonals:
+            d.setflags(write=False)
+        return tuple(diagonals)
+
+    @cached_property
+    def H(self) -> scipy.sparse.csr_array:
+        """H as a read-only scipy CSR matrix, built (and scipy.sparse loaded) at
+        the first read: the 2-D ``lambda_max`` and resolvent read it."""
+        inv_h2 = 1.0 / (self.h * self.h)
+        T = diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1],
+                        shape=(self.n_side, self.n_side))
+        H = ((T if self.nu == 1 else kronsum(T, T)) + diags_array(self.v_diag)).tocsr()
+        for arr in (H.data, H.indices, H.indptr):
+            arr.setflags(write=False)
+        return H
+
+    @cached_property
     def _band(self) -> np.ndarray:
-        """H in LAPACK lower band storage, half-bandwidth ``n_side ** (nu - 1)``."""
-        return _lower_band(self.H)
+        """H in LAPACK lower band storage, half-bandwidth ``n_side ** (nu - 1)``:
+        row k holds ``d_k``, zero-padded."""
+        band = np.zeros((self._diagonals[-1][0] + 1, self.N))
+        for k, d in self._diagonals:
+            band[k, :d.size] = d
+        band.setflags(write=False)
+        return band
 
     @property
     def _swap_symmetric(self) -> bool:
@@ -460,7 +497,13 @@ class DiscretizedOperator:
 
     @cached_property
     def _eig(self) -> tuple:
-        vals, vecs = eig_banded(self._band, lower=True)
+        if self.nu == 1:
+            # eig_banded's ?sbevd would multiply the tridiagonal's eigenvectors by
+            # its band reduction's Q, the identity here, in an N^3 DGEMM
+            (_, d), (_, e) = self._diagonals
+            vals, vecs = eigh_tridiagonal(d, e)
+        else:
+            vals, vecs = eig_banded(self._band, lower=True)
         order = np.argsort(vals)[::-1]
         vals = vals[order]
         vecs = vecs[:, order]
@@ -472,7 +515,7 @@ class DiscretizedOperator:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         # the swap sectors P+^T H P+ and P-^T H P- hold H's spectrum between them
-        bands = ([_lower_band(P.T @ self.H @ P) for P in _swap_sectors(self.n_side)]
+        bands = ([_sector_band(self._diagonals, *sector) for sector in _swap_sectors(self.n_side)]
                  if self._swap_symmetric else [self._band])
         vals = np.concatenate([eig_banded(band, lower=True, eigvals_only=True) for band in bands])
         vals = np.sort(vals)[::-1]
@@ -489,8 +532,8 @@ class DiscretizedOperator:
         if self.nu == 1:
             # the top eigenpair of the tridiagonal H; tol = 2 * tiny is LAPACK
             # ?stebz's most accurate bisection, at no extra cost
-            vals, vecs = eigh_tridiagonal(self._band[0], self._band[1, :-1], select="i",
-                                          select_range=(self.N - 1, self.N - 1),
+            (_, d), (_, e) = self._diagonals
+            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(self.N - 1, self.N - 1),
                                           tol=2.0 * np.finfo(float).tiny)
         else:
             # H + cI is nonnegative and irreducible, so the top eigenvector is
@@ -508,19 +551,30 @@ class DiscretizedOperator:
         """r -> (iI - H)^(-1) r from the LU factors of iI - H: LAPACK ``zgttrf``
         of the tridiagonal in 1-D, SuperLU in 2-D."""
         if self.nu == 1:
-            off = -self._band[1, :-1].astype(complex)
-            *factors, info = zgttrf(off, 1j - self._band[0], off)
+            (_, d), (_, e) = self._diagonals
+            off = -e.astype(complex)
+            *factors, info = zgttrf(off, 1j - d, off)
             if info != 0:
                 raise InvariantViolation(f"tridiagonal LU of iI - H failed (zgttrf info {info})")
             return lambda r: zgttrs(*factors, r)[0]
         return splu((diags_array(np.full(self.N, 1j)) - self.H).tocsc()).solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply H to a vector or a column stack (real or complex)."""
+        """Apply H to a vector or a column stack (real or complex), for finite u
+        bit for bit as the CSR product ``H @ u``: each row sums its terms in
+        column order, offsets -n_side, -1, 0, 1, n_side."""
         u = np.asarray(u)
         if u.shape[0] != self.N:
             raise DomainError("vector length does not match the grid")
-        return self.H @ u
+        out = np.zeros(u.shape, np.result_type(np.float64, u.dtype))
+        column = (slice(None),) + (None,) * (u.ndim - 1)  # a diagonal down a column stack
+        (_, main), *off = self._diagonals
+        for k, d in reversed(off):  # row p + k reads u[p]
+            out[k:] += d[column] * u[:-k]
+        out += main[column] * u
+        for k, d in off:  # row p reads u[p + k]
+            out[:-k] += d[column] * u[k:]
+        return out
 
 
 def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
@@ -528,8 +582,9 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
 
     ``L`` and ``h`` must be positive with 2L/h finite, and ``h`` must
     divide 2L into at least 8 cells; the interior point count
-    N = (2L/h - 1)^nu must not exceed 3600.  Only the grid, the
-    potential values and H are built here; the solves run on demand.
+    N = (2L/h - 1)^nu must not exceed 3600.  Only the grid and the
+    potential values are built here; H's diagonals and the solves are
+    built on demand.
     """
     cells_f = 2.0 * L / h if L > 0.0 and h > 0.0 else math.nan
     if not math.isfinite(cells_f):
@@ -556,28 +611,29 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
     if np.any(v_diag > _BOUND_SLACK) or np.any(v_diag < floor):
         raise InvariantViolation("potential violates its bounds on the grid")
 
-    inv_h2 = 1.0 / (h * h)
-    T = diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1], shape=(n, n))
-    H = ((T if V.nu == 1 else kronsum(T, T)) + diags_array(v_diag)).tocsr()
     return DiscretizedOperator(nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
-                               grid=grid, v_diag=v_diag, H=H)
+                               grid=grid, v_diag=v_diag)
 
 
-def _lower_band(M) -> np.ndarray:
-    """Symmetric sparse M in LAPACK lower band storage: row k is
-    ``M.diagonal(-k)``, zero-padded, for k up to M's half-bandwidth."""
-    coo = M.tocoo()
-    b = int(np.max(coo.row - coo.col))
-    band = np.zeros((b + 1, M.shape[0]))
-    for k in range(b + 1):
-        band[k, :M.shape[0] - k] = M.diagonal(-k)
-    band.setflags(write=False)
-    return band
+def _triplets(diagonals: tuple, upper: bool = False) -> tuple:
+    """(row, col, value) arrays of the nonzero entries on the lower diagonals
+    ``diagonals`` (``DiscretizedOperator._diagonals``), and with ``upper`` of
+    their mirrors above the main diagonal too: the stored entries of H's CSR
+    copy."""
+    parts = []
+    for k, d in diagonals:
+        p = np.flatnonzero(d)
+        parts.append((p + k, p, d[p]))
+        if upper and k:
+            parts.append((p, p + k, d[p]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _swap_sectors(n: int) -> tuple:
-    """(P+, P-): orthonormal sparse maps onto the vectors of an n x n grid that
-    are even and odd under the swap (i, j) -> (j, i).
+    """((col+, w+), (col-, w-)): the orthonormal maps P+ and P- onto the vectors
+    of an n x n grid that are even and odd under the swap (i, j) -> (j, i), as
+    index maps: grid point p is entry ``w[p]`` of column ``col[p]`` of P, and
+    ``col[p] = -1`` where p lies in no column (the points i == j, for P-).
 
     P+ has a column ``(e_ij + e_ji) / sqrt(2)`` for each i > j and ``e_ii``
     for each i; P- has ``(e_ij - e_ji) / sqrt(2)`` for each i > j.  Columns
@@ -590,13 +646,42 @@ def _swap_sectors(n: int) -> tuple:
     for sign, (i, j) in ((1.0, np.tril_indices(n)), (-1.0, np.tril_indices(n, -1))):
         order = np.lexsort((i - j, i + j))
         i, j = i[order], j[order]
-        pair = np.flatnonzero(i > j)
-        rows = np.concatenate([i * n + j, j[pair] * n + i[pair]])
-        cols = np.concatenate([np.arange(i.size), pair])
-        data = np.concatenate([np.where(i > j, math.sqrt(0.5), 1.0),
-                               np.full(pair.size, sign * math.sqrt(0.5))])
-        maps.append(csr_array((data, (rows, cols)), shape=(n * n, i.size)))
+        col, weight = np.full(n * n, -1), np.zeros(n * n)
+        col[i * n + j] = col[j * n + i] = np.arange(i.size)
+        weight[j * n + i] = np.where(i > j, sign * math.sqrt(0.5), 1.0)
+        weight[i * n + j] = np.where(i > j, math.sqrt(0.5), 1.0)
+        maps.append((col, weight))
     return tuple(maps)
+
+
+def _sector_band(diagonals: tuple, col: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``P^T H P`` in LAPACK lower band storage, for H's ``diagonals`` and a
+    sector map ``(col, weight)`` of ``_swap_sectors``.
+
+    It is bit for bit the sparse product ``(P^T H) P``: entry (c, p) of
+    ``P^T H`` sums ``w[q] H[q, p]`` over the points q of column c, and entry
+    (c, c') sums ``(P^T H)[c, p] w[p]`` over the points p of column c'.  A
+    column has at most two points, so each sum has at most two terms and
+    rounds the same in any order.  ``P^T H`` is held in band form too, with
+    an axis for the two points of a column (``(i, j)`` with i >= j, then its
+    mirror).  Rows past the last nonzero one are cut, as a sparse product
+    stores no zero."""
+    q, p, h = _triplets(diagonals, upper=True)
+    keep = (col[q] >= col[p]) & (col[p] >= 0)  # the lower triangle of P^T H P
+    q, p, h = q[keep], p[keep], h[keep]
+    n, n_cols = math.isqrt(col.size), int(col.max()) + 1
+    point = np.arange(col.size)
+    mirror = (point // n < point % n).astype(np.intp)  # 1 at (j, i) with j < i
+    slots = np.zeros((2, n_cols))  # the weights of each column's two points
+    slots[mirror[col >= 0], col[col >= 0]] = weight[col >= 0]
+    offset = col[q] - col[p]
+    lhs = np.bincount((offset * 2 + mirror[p]) * n_cols + col[p], weights=weight[q] * h,
+                      minlength=(int(offset.max()) + 1) * 2 * n_cols).reshape(-1, 2, n_cols)
+    band = lhs[:, 0] * slots[0]
+    band += lhs[:, 1] * slots[1]
+    band = band[:np.flatnonzero(band.any(axis=1))[-1] + 1]
+    band.setflags(write=False)
+    return band
 
 
 def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarray,
@@ -625,10 +710,12 @@ def _check_eigenvalues(op: DiscretizedOperator, vals: np.ndarray) -> None:
     if np.any(vals > 1e-10 * scale):
         raise InvariantViolation("positive eigenvalue in a Dirichlet discretization")
     _check_inertia(op, vals, scale)
-    if abs(float(np.sum(vals)) - float(np.sum(op.H.diagonal()))) > 1e-12 * op.N * scale:
+    (_, main), *off = op._diagonals
+    if abs(float(np.sum(vals)) - float(np.sum(main))) > 1e-12 * op.N * scale:
         raise InvariantViolation("eigenvalue sum misses the trace of H by more than "
                                  "1e-12 N scale")
-    if abs(float(vals @ vals) - float(op.H.data @ op.H.data)) > 1e-12 * op.N * scale * scale:
+    frobenius = float(main @ main) + sum(2.0 * float(d @ d) for _, d in off)
+    if abs(float(vals @ vals) - frobenius) > 1e-12 * op.N * scale * scale:
         raise InvariantViolation("eigenvalue sum of squares misses the squared Frobenius "
                                  "norm of H by more than 1e-12 N scale^2")
 
@@ -641,15 +728,15 @@ def _check_inertia(op: DiscretizedOperator, vals: np.ndarray, scale: float) -> N
     k + 1: a sigma inside an exactly degenerate pair (the square well's
     x <-> y symmetry) would miscount.  The count is ``_count_above``, a
     block LDL^T of H - sigma I over the blocks of H's lower triplets, which
-    ``_band_blocks`` sorts once for every shift.  Each count scatters one
-    block at a time, so the check holds O(nnz(H)) memory beyond one m x m
+    ``_band_blocks`` reads off H's diagonals once for every shift.  Each count
+    scatters one block at a time, so the check holds O(nnz(H)) memory beyond one m x m
     block, never all blocks dense.  It reads all of H, never the swap sectors
     that ``eigenvalues`` may have solved, so it also checks the fold.  A
     shift whose count meets a singular or non-finite block moves on to the
     next gap not yet tried (``_spread_gaps``).
     """
     gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
-    blocks = _band_blocks(op.H)
+    blocks = _band_blocks(op._diagonals)
 
     def midpoint(k: int) -> float:
         return 0.5 * float(vals[k] + vals[k + 1])
@@ -684,7 +771,7 @@ def _spread_gaps(gaps: np.ndarray, count: Callable[[int], Optional[int]]):
 
 @dataclass(frozen=True)
 class _BandBlocks:
-    """The lower triangle of a symmetric sparse M of half-bandwidth b, cut into
+    """The lower triangle of a symmetric band matrix M of half-bandwidth b, cut into
     consecutive blocks of ``m = max(ceil(sqrt(N)), b)`` rows and kept as
     triplets sorted by block: key 2q holds diagonal block q, key 2q + 1 the
     b x b coupling of block q to block q + 1 (rows 0..b-1 of block q + 1,
@@ -710,14 +797,13 @@ class _BandBlocks:
         return out
 
 
-def _band_blocks(M) -> _BandBlocks:
-    """M's lower triplets as ``_BandBlocks``, in O(nnz(M)) memory.  In 2-D
-    m = b = n_side; at the 1-D cap m = 60 and b = 1."""
-    coo = M.tocoo()
-    lower = coo.row >= coo.col
-    row, col, data = coo.row[lower], coo.col[lower], coo.data[lower]
-    N = M.shape[0]
-    b = int(np.max(row - col))
+def _band_blocks(diagonals: tuple) -> _BandBlocks:
+    """The lower triplets of the symmetric matrix with lower diagonals
+    ``diagonals`` (``DiscretizedOperator._diagonals``) as ``_BandBlocks``, in
+    O(nnz) memory.  In 2-D m = b = n_side; at the 1-D cap m = 60 and b = 1."""
+    row, col, data = _triplets(diagonals)
+    N = diagonals[0][1].size
+    b = diagonals[-1][0]
     m = max(math.isqrt(N - 1) + 1, b)
     q, i = np.divmod(row, m)
     p, j = np.divmod(col, m)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy import sparse
 
 from semistab import (
     AtomicMeasure,
@@ -295,8 +294,7 @@ class TestOperatorSpectrum:
         def lifted_discretize(*args, **kwargs):
             # H + 100 I has positive eigenvalues, so the eigenpair check raises
             op = discretize(*args, **kwargs)
-            lift = sparse.diags_array(np.full(op.N, 100.0))
-            return dataclasses.replace(op, H=(op.H + lift).tocsr())
+            return dataclasses.replace(op, v_diag=op.v_diag + 100.0)
 
         monkeypatch.setattr("semistab.cli.discretize", lifted_discretize)
         pot = tmp_path / "well.potential"
@@ -836,7 +834,22 @@ class TestScipyLoadsAtItsSolve:
         assert _loaded("import semistab\nsemistab.study('section3-bounds')") == []
 
     def test_cli_import_preloads_only_the_banded_solvers(self):
-        assert _loaded("import semistab.cli") == ["scipy.sparse", "scipy.linalg"]
+        assert _loaded("import semistab.cli") == ["scipy.linalg"]
+
+    def test_1d_study_and_2d_spectrum_load_no_sparse_module(self, tmp_path):
+        # the approx-1d and spectrum-2d benchmark paths: every solve reads H's
+        # stencil, the tridiagonal or the band storage, never its CSR copy
+        script = (
+            "from semistab import gaussian_well, save_potential, square_well, study\n"
+            "from semistab.cli import main\n"
+            "rep = study('approximation', potential=gaussian_well(a_bound=1.0),"
+            " seq_kind='truncation', indices=[1, 2], L=4.0, h=0.1, n_probes=2)\n"
+            "assert len(rep.table('approximation').rows) == 2\n"
+            f"save_potential(square_well(nu=2), {str(tmp_path / 'well.potential')!r})\n"
+            f"assert main(['operator', 'spectrum', {str(tmp_path / 'well.potential')!r},"
+            f" '--L', '2', '--h', '0.25', '--out', {str(tmp_path / 'spectrum.csv')!r}]) == 0\n"
+        )
+        assert _loaded(script) == ["scipy.linalg"]
 
     def test_cli_preload_is_frozen(self):
         # a module imported after gc.freeze() is torn down by the collector at exit again
@@ -846,17 +859,22 @@ class TestScipyLoadsAtItsSolve:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True False\n"
 
-    def test_2d_solves_load_arpack_and_superlu_at_first_call(self):
+    @pytest.mark.parametrize("solve", [
+        "assert abs(op.lambda_max - np.linalg.eigvalsh(dense)[-1]) < 1e-10",
+        "r = resolvent_apply(op, u)\n"
+        "assert np.linalg.norm(1j * r - dense @ r - u) < 1e-10 * np.linalg.norm(u)",
+    ], ids=["lambda_max", "resolvent"])
+    def test_2d_solves_load_arpack_and_superlu_at_first_call(self, solve):
+        # the 2-D top eigenpair and resolvent read H's CSR copy, built at that call
         script = (
             "import sys\n"
             "import numpy as np\n"
             "from semistab import discretize, resolvent_apply, square_well\n"
             "op = discretize(square_well(nu=2), 2.0, 0.25)\n"
-            "assert 'scipy.sparse.linalg' not in sys.modules\n"
-            "dense = op.H.toarray()\n"
-            "assert abs(op.lambda_max - np.linalg.eigvalsh(dense)[-1]) < 1e-10\n"
+            "dense = op.apply(np.eye(op.N))\n"
             "u = np.linspace(-1.0, 1.0, op.N)\n"
-            "r = resolvent_apply(op, u)\n"
-            "assert np.linalg.norm(1j * r - dense @ r - u) < 1e-10 * np.linalg.norm(u)\n"
+            "assert 'scipy.sparse' not in sys.modules and 'H' not in op.__dict__\n"
+            f"{solve}\n"
+            "assert 'H' in op.__dict__\n"
         )
         assert _loaded(script) == ["scipy.sparse", "scipy.linalg", "scipy.sparse.linalg"]

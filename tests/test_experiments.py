@@ -338,6 +338,33 @@ class TestGapVsBox:
         assert rep.passed
         assert len(rep.table("gap-vs-box").rows) == len(L_list) + 1
 
+    @pytest.mark.parametrize("c", [1.0, 2.0 ** 30], ids=["unit", "scaled-2^30"])
+    def test_monotone_verdict_is_invariant_under_scaling(self, monkeypatch, c):
+        # x -> c x, V -> V / c^2, a_bound -> a / c^2 and (L, h) -> (c L, c h) take H
+        # to H / c^2, so every lambda_max scales by 1 / c^2 and no verdict may move
+        keys = dict(potential=constant_potential(0.0, a_bound=1.0 / c ** 2),
+                    L_list=[2.0 * c, 4.0 * c, 8.0 * c], h=0.25 * c)
+        rep = study("gap-vs-box", **keys)
+        base = study("gap-vs-box", potential=FREE, L_list=[2.0, 4.0, 8.0], h=0.25)
+        assert rep.passed and base.passed
+        for row, base_row in zip(rep.table("gap-vs-box").rows[:-1],
+                                 base.table("gap-vs-box").rows[:-1]):
+            assert row[1] * c ** 2 == pytest.approx(base_row[1], rel=1e-12)
+        # a |lambda_max| that rises by 1e-9 of itself from box to box: far above
+        # rounding at either scale, but below an absolute 1e-12 at c = 2^30
+        first = discretize(keys["potential"], keys["L_list"][0], keys["h"]).lambda_max
+        sound = experiments.discretize
+
+        def rising(V, L, h):
+            op = sound(V, L, h)
+            op.__dict__["lambda_max"] = first * (1.0 + 1e-9 * L / keys["L_list"][0])
+            return op
+
+        monkeypatch.setattr(experiments, "discretize", rising)
+        rep = study("gap-vs-box", **keys)
+        assert not rep.passed
+        assert "FAIL gap-nonincreasing |lambda_max| from " in rep.summary_text()
+
     def test_nonincreasing_box_list_rejected(self):
         with pytest.raises(DomainError):
             study("gap-vs-box", potential=FREE, L_list=[10.0, 10.0], h=0.25)

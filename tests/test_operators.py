@@ -4,10 +4,13 @@ and resolvent diagnostics.
 Oracles used here are independent of the package internals: the cosine
 form of the Dirichlet second-difference spectrum, dense matrices built
 by explicit loops, scipy.linalg.expm for semigroup evolution,
-scipy.linalg.eigh_tridiagonal for the 1-D banded solves, numpy.linalg
+scipy.linalg.eigh_tridiagonal and eig_banded for the 1-D solves, numpy.linalg
 solves for resolvents, ARPACK ``eigsh`` and SuperLU for the 1-D
 tridiagonal top eigenpair and resolvent, and, for the inertia counts, a
-sparse LU without pivoting and dense numpy.linalg.eigvalsh counts.
+sparse LU without pivoting and dense numpy.linalg.eigvalsh counts.  The
+operator's stencil is pinned bit for bit to its scipy CSR copy ``H``, and
+the swap sectors to the sparse products ``P^T H P`` of the sparse maps they
+replaced (``sparse_swap_sectors``, ``lower_band``).
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import eigsh, splu
 
@@ -98,6 +101,40 @@ def oracle_dense_matrix(V, L, h):
                 H[p, p + 1] = inv_h2
                 H[p + 1, p] = inv_h2
     return H
+
+
+def lower_band(M):
+    """Symmetric sparse M in LAPACK lower band storage: row k is
+    ``M.diagonal(-k)``, zero-padded, for k up to M's half-bandwidth."""
+    coo = M.tocoo()
+    b = int(np.max(coo.row - coo.col))
+    band = np.zeros((b + 1, M.shape[0]))
+    for k in range(b + 1):
+        band[k, :M.shape[0] - k] = M.diagonal(-k)
+    return band
+
+
+def lower_diagonals(M):
+    """Symmetric sparse M as the ``(k, d_k)`` lower diagonals that
+    ``operators._band_blocks`` reads, k up to M's half-bandwidth."""
+    return tuple((k, row[:M.shape[0] - k]) for k, row in enumerate(lower_band(M)))
+
+
+def sparse_swap_sectors(n):
+    """(P+, P-) as sparse matrices: P+ has a column (e_ij + e_ji) / sqrt(2) for
+    each i > j and e_ii for each i, P- (e_ij - e_ji) / sqrt(2) for each i > j,
+    with the columns ordered by (i + j, i - j)."""
+    maps = []
+    for sign, (i, j) in ((1.0, np.tril_indices(n)), (-1.0, np.tril_indices(n, -1))):
+        order = np.lexsort((i - j, i + j))
+        i, j = i[order], j[order]
+        pair = np.flatnonzero(i > j)
+        rows = np.concatenate([i * n + j, j[pair] * n + i[pair]])
+        cols = np.concatenate([np.arange(i.size), pair])
+        data = np.concatenate([np.where(i > j, math.sqrt(0.5), 1.0),
+                               np.full(pair.size, sign * math.sqrt(0.5))])
+        maps.append(sparse.csr_array((data, (rows, cols)), shape=(n * n, i.size)))
+    return tuple(maps)
 
 
 def random_sampled_potential(rng):
@@ -274,14 +311,30 @@ class TestOperatorMatrix:
             assert got.shape == u.shape and got.dtype == u.dtype
             assert np.linalg.norm(got - H @ u) <= 1e-12 * np.linalg.norm(H @ u)
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_apply_is_bit_for_bit_the_csr_product(self, case):
+        V, L, h = self.CASES[case]
+        op = discretize(V, L=L, h=h)
+        rng = np.random.default_rng(35)
+        vec = rng.standard_normal(op.N)
+        for u in (vec, vec + 1j * rng.standard_normal(op.N), rng.standard_normal((op.N, 3)),
+                  rng.standard_normal((op.N, 2)) + 1j * rng.standard_normal((op.N, 2))):
+            got, expected = op.apply(u), op.H @ u
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
     def test_apply_rejects_wrong_length(self):
         op = discretize(constant_potential(0.0), L=2.0, h=0.25)
         with pytest.raises(DomainError):
             op.apply(np.ones(op.N + 1))
 
-    def test_matrix_is_read_only(self):
-        op = discretize(gaussian_well(nu=2), L=2.0, h=0.5)
-        for arr in (op.H.data, op.H.indices, op.H.indptr):
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_matrix_is_read_only(self, nu):
+        op = discretize(gaussian_well(nu=nu), L=2.0, h=0.5)
+        stencil = [d for _, d in op._diagonals]
+        assert len(stencil) == nu + 1
+        for arr in (op.grid, op.v_diag, *stencil, op._band, op.H.data, op.H.indices,
+                    op.H.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
@@ -331,8 +384,7 @@ class TestOnDemandSolves:
     @pytest.mark.parametrize("nu", [1, 2])
     def test_eigenpair_checks_run_on_demand(self, nu):
         op = discretize(constant_potential(0.0, nu=nu), L=2.0, h=0.5)
-        lift = sparse.diags_array(np.full(op.N, 100.0))
-        lifted = dataclasses.replace(op, H=(op.H + lift).tocsr())
+        lifted = dataclasses.replace(op, v_diag=op.v_diag + 100.0)  # H + 100 I
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
             lifted.lambda_max
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
@@ -340,8 +392,10 @@ class TestOnDemandSolves:
         with pytest.raises(InvariantViolation, match="positive eigenvalue"):
             lifted.eigenvectors
 
-    def test_eigenpair_guards_fire_on_perturbed_vectors(self, monkeypatch):
-        op = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
+    @pytest.mark.parametrize("nu, solver", [(1, "eigh_tridiagonal"), (2, "eig_banded")])
+    def test_eigenpair_guards_fire_on_perturbed_vectors(self, monkeypatch, nu, solver):
+        box = {1: (5.0, 0.25), 2: (1.8, 0.4)}[nu]
+        op = discretize(exp_well(depth=0.5, width=2.0, nu=nu), *box)
         vals, vecs = op._eig
         scale = float(np.max(np.abs(vals)))
         # a rotation by 1e-3 mixing the top two eigenvectors stays orthonormal, but
@@ -352,14 +406,14 @@ class TestOnDemandSolves:
         with pytest.raises(InvariantViolation, match="eigenpair residual"):
             operators._check_eigenpairs(op, vals, mixed, scale)
         # vectors 1e-9 too long are still eigenvectors, but not orthonormal to 1e-10
-        true_eig_banded = operators.eig_banded
+        true_solver = getattr(operators, solver)
 
         def stretched(*args, **kwargs):
-            w, v = true_eig_banded(*args, **kwargs)
+            w, v = true_solver(*args, **kwargs)
             return w, v * (1.0 + 1e-9)
 
-        monkeypatch.setattr(operators, "eig_banded", stretched)
-        fresh = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
+        monkeypatch.setattr(operators, solver, stretched)
+        fresh = discretize(exp_well(depth=0.5, width=2.0, nu=nu), *box)
         with pytest.raises(InvariantViolation, match="not orthonormal"):
             fresh.eigenvectors
 
@@ -370,9 +424,11 @@ class TestOnDemandSolves:
         expected = np.sort(np.linalg.eigvalsh(oracle_dense_matrix(V, L, h)))[::-1]
         assert np.max(np.abs(op.eigenvalues - expected)) <= 1e-12 * dirichlet_bottom(op)
         assert "_eig" not in op.__dict__
-        # a swap-symmetric 2-D V is solved on the two swap sectors, never on _band
+        # a swap-symmetric 2-D V is solved on the two swap sectors, never on _band,
+        # and no solve of the values reads the CSR copy
         assert op._swap_symmetric == (case not in TestOperatorMatrix.UNFOLDED)
         assert ("_band" in op.__dict__) == (case in TestOperatorMatrix.UNFOLDED)
+        assert "H" not in op.__dict__
 
     def test_study_rows_and_verdicts_skip_the_full_decomposition(self, monkeypatch):
         built = []
@@ -479,6 +535,30 @@ class TestBandedSolves:
         assert np.array_equal(op._eig[0], vals[::-1])
         assert np.array_equal(op._eig[1], vecs[:, ::-1])
 
+    @pytest.mark.parametrize("V, L, h", [
+        TestOperatorMatrix.CASES["nu1"],
+        (gaussian_well(depth=1.0, width=1.0, a_bound=1.0), 20.0, 0.05),  # N = 799
+    ], ids=["nu1", "gaussian-799"])
+    def test_1d_eigenpairs_match_the_banded_solver(self, V, L, h):
+        # eig_banded's ?sbevd on the 1-D band storage, the solver that ?stevd
+        # replaced for the eigendecomposition: ?stedc, then an N^3 product with
+        # the band reduction's Q, here the identity
+        op = discretize(V, L=L, h=h)
+        vals, vecs = eig_banded(op._band, lower=True)
+        got_vals, got_vecs = op._eig
+        try:
+            eigh_tridiagonal(op._band[0], op._band[1, :-1], lapack_driver="stevd")
+        except ValueError:
+            # this scipy's eigh_tridiagonal has no ?stevd, so its default driver is
+            # another one: the pairs agree to rounding, each vector up to its sign
+            scale = dirichlet_bottom(op)
+            assert np.max(np.abs(got_vals - vals[::-1])) <= 1e-12 * scale
+            overlap = np.abs(np.sum(got_vecs * vecs[:, ::-1], axis=0))
+            assert np.max(np.abs(overlap - 1.0)) <= 1e-9
+        else:
+            assert np.array_equal(got_vals, vals[::-1])
+            assert np.array_equal(got_vecs, vecs[:, ::-1])
+
     @pytest.mark.parametrize("case", [case for case in CASES if case != "nu1"])
     def test_2d_eigenpair_values_agree_with_eigenvalues(self, case):
         V, L, h = self.CASES[case]
@@ -500,25 +580,51 @@ class TestBandedSolves:
         assert "_band" not in op.__dict__  # the square well took the swap fold
 
 
+def sector_matrix(col, weight):
+    """A sector map of ``operators._swap_sectors`` as a dense matrix."""
+    points = np.flatnonzero(col >= 0)
+    P = np.zeros((col.size, col.max() + 1))
+    P[points, col[points]] = weight[points]
+    return P
+
+
 class TestSwapFold:
     """The swap sectors behind ``eigenvalues`` for a swap-symmetric 2-D V;
     ``TestOnDemandSolves`` checks the folded values against dense solves."""
 
     @pytest.mark.parametrize("n", [8, 15, 49])
     def test_sectors_are_orthonormal_swap_eigenspaces(self, n):
-        plus, minus = operators._swap_sectors(n)
+        # the index maps, scattered into dense matrices, are the sparse maps
+        plus, minus = (sector_matrix(*sector) for sector in operators._swap_sectors(n))
+        oracle = sparse_swap_sectors(n)
+        assert np.array_equal(plus, oracle[0].toarray())
+        assert np.array_equal(minus, oracle[1].toarray())
         assert plus.shape == (n * n, n * (n + 1) // 2)
         assert minus.shape == (n * n, n * (n - 1) // 2)
-        both = sparse.hstack([plus, minus])
-        assert abs(both.T @ both - sparse.diags_array(np.ones(n * n))).max() <= 1e-15
+        both = np.hstack([plus, minus])
+        assert np.max(np.abs(both.T @ both - np.eye(n * n))) <= 1e-15
         swap = np.arange(n * n).reshape(n, n).T.ravel()  # (i, j) -> (j, i)
-        assert abs(plus[swap] - plus).max() == 0.0
-        assert abs(minus[swap] + minus).max() == 0.0
+        assert np.array_equal(plus[swap], plus)
+        assert np.array_equal(minus[swap], -minus)
+
+    # the swap-symmetric cases, and the spectrum-2d benchmark operator
+    SYMMETRIC = {**{case: value for case, value in TestOperatorMatrix.CASES.items()
+                    if case not in TestOperatorMatrix.UNFOLDED},
+                 "spectrum-2d": (square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), 5.0, 0.2)}
+
+    @pytest.mark.parametrize("case", SYMMETRIC)
+    def test_sector_bands_are_bit_for_bit_the_sparse_products(self, case):
+        V, L, h = self.SYMMETRIC[case]
+        op = discretize(V, L=L, h=h)
+        for sector, P in zip(operators._swap_sectors(op.n_side), sparse_swap_sectors(op.n_side)):
+            band = operators._sector_band(op._diagonals, *sector)
+            assert np.array_equal(band, lower_band(P.T @ op.H @ P))
+            assert not band.flags.writeable
 
     def test_spectrum_2d_sectors_halve_size_and_bandwidth(self):
         op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=5.0, h=0.2)
-        bands = [operators._lower_band(P.T @ op.H @ P)
-                 for P in operators._swap_sectors(op.n_side)]
+        bands = [operators._sector_band(op._diagonals, *sector)
+                 for sector in operators._swap_sectors(op.n_side)]
         assert [band.shape for band in bands] == [(26, 1225), (26, 1176)]
         assert op._band.shape == (50, 2401)
 
@@ -541,10 +647,8 @@ class TestSwapFoldFaults:
         sectors = operators._swap_sectors
 
         def unit_weights(n):
-            maps = tuple(P.copy() for P in sectors(n))
-            for P in maps:
-                P.data = np.sign(P.data)  # 1 where 1/sqrt(2) belongs: P is not orthogonal
-            return maps
+            # 1 where 1/sqrt(2) belongs: P is not orthogonal
+            return tuple((col, np.sign(weight)) for col, weight in sectors(n))
 
         monkeypatch.setattr(operators, "_swap_sectors", unit_weights)
         with pytest.raises(InvariantViolation):
@@ -554,8 +658,7 @@ class TestSwapFoldFaults:
         op, n = self.op, self.op.n_side
         v = op.v_diag.copy()
         v[(n // 2) * n + n // 2 - 1] = -0.9  # inside the well, off the diagonal i == j
-        asym = dataclasses.replace(op, v_diag=v,
-                                   H=(op.H + sparse.diags_array(v - op.v_diag)).tocsr())
+        asym = dataclasses.replace(op, v_diag=v)
         assert not asym._swap_symmetric
         expected = np.sort(np.linalg.eigvalsh(asym.H.toarray()))[::-1]
         assert np.max(np.abs(asym.eigenvalues - expected)) <= 1e-12 * dirichlet_bottom(op)
@@ -628,6 +731,20 @@ def random_band_matrix(rng, N, b, zero_diagonal=False):
     return sparse.diags_array([diagonals[abs(k)] for k in offsets], offsets=offsets).tocsr()
 
 
+def scattered_blocks(blocks):
+    """The lower triangle that ``operators._BandBlocks`` holds, scattered block
+    by block into a dense N x N array."""
+    N, m, b = blocks.N, blocks.m, blocks.b
+    dense = np.zeros((-(-N // m) * m,) * 2)
+    for q in range(-(-N // m)):
+        rows = slice(q * m, (q + 1) * m)
+        dense[rows, rows] = blocks.block(2 * q, np.full((m, m), np.nan))
+        if q:
+            dense[rows.start:rows.start + b, rows.start - b:rows.start] = \
+                blocks.block(2 * q - 1, np.full((b, b), np.nan))
+    return dense[:N, :N]
+
+
 class TestInertiaCount:
     """The block LDL^T count behind ``_check_inertia`` against two oracles:
     the sparse LU count without pivoting and a dense ``eigvalsh`` count."""
@@ -648,7 +765,7 @@ class TestInertiaCount:
         scale = float(np.max(np.abs(vals)))
         gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
         assert case != "nu2-square" or gaps.size < op.N - 1  # the degenerate x <-> y pairs
-        blocks = operators._band_blocks(op.H)
+        blocks = operators._band_blocks(op._diagonals)
         for k in gaps[np.unique(np.linspace(0, gaps.size - 1, 40).round().astype(int))]:
             sigma = 0.5 * float(vals[k] + vals[k + 1])
             assert operators._count_above(blocks, sigma) == k + 1
@@ -659,7 +776,7 @@ class TestInertiaCount:
     def test_random_band_counts_match_both_oracles(self, N, b, zero_diagonal):
         rng = np.random.default_rng(N * 10 + b)
         M = random_band_matrix(rng, N, b, zero_diagonal)
-        blocks = operators._band_blocks(M)
+        blocks = operators._band_blocks(lower_diagonals(M))
         m = max(math.ceil(math.sqrt(N)), b)
         assert (blocks.N, blocks.m, blocks.b) == (N, m, b)
         assert blocks.starts.size == 2 * -(-N // m) and N % m  # N is not a multiple of m
@@ -678,16 +795,18 @@ class TestInertiaCount:
     @pytest.mark.parametrize("N, b", [(10, 1), (49, 7), (50, 3), (20, 6)])
     def test_blocks_scatter_back_to_the_lower_triangle(self, N, b):
         M = random_band_matrix(np.random.default_rng(N + b), N, b)
-        blocks = operators._band_blocks(M)
-        m = blocks.m
-        dense = np.zeros((-(-N // m) * m,) * 2)
-        for q in range(-(-N // m)):
-            rows = slice(q * m, (q + 1) * m)
-            dense[rows, rows] = blocks.block(2 * q, np.full((m, m), np.nan))
-            if q:
-                dense[rows.start:rows.start + b, rows.start - b:rows.start] = \
-                    blocks.block(2 * q - 1, np.full((b, b), np.nan))
-        assert np.array_equal(dense[:N, :N], np.tril(M.toarray()))
+        blocks = operators._band_blocks(lower_diagonals(M))
+        assert np.array_equal(scattered_blocks(blocks), np.tril(M.toarray()))
+
+    @pytest.mark.parametrize("case", TestOperatorMatrix.CASES)
+    def test_operator_blocks_scatter_back_to_the_csr_lower_triangle(self, case):
+        V, L, h = TestOperatorMatrix.CASES[case]
+        op = discretize(V, L=L, h=h)
+        blocks = operators._band_blocks(op._diagonals)
+        assert blocks.b == op.n_side ** (op.nu - 1)
+        assert np.array_equal(scattered_blocks(blocks), np.tril(op.H.toarray()))
+        # the triplets are the stored lower entries of the CSR copy, no more
+        assert blocks.data.size == np.count_nonzero(np.tril(op.H.toarray()))
 
     def test_inertia_check_peak_memory(self):
         # the check holds H's lower triplets with their sort temporaries and the
@@ -700,7 +819,8 @@ class TestInertiaCount:
         assert op.N <= operators._N_CAP < (m + 2) ** 2  # the largest 2-D grid on this box
         vals = op.eigenvalues  # its checks ran once, so every import is done
         scale = float(np.max(np.abs(vals)))
-        bound = 8 * (8 * op.H.nnz + 4 * m * m)
+        nnz = sum((2 if k else 1) * np.count_nonzero(d) for k, d in op._diagonals)
+        bound = 8 * (8 * nnz + 4 * m * m)
         assert bound < 8 * m ** 3
         tracemalloc.start()
         try:
@@ -738,7 +858,7 @@ class TestInertiaCount:
         M[r, :] = 0.0
         M[:, r] = 0.0
         M[r, r] = 0.75  # the Schur complement at sigma = 0.75 has a zero row
-        blocks = operators._band_blocks(M.tocsr())
+        blocks = operators._band_blocks(lower_diagonals(M.tocsr()))
         assert operators._count_above(blocks, 0.75) is None
         assert operators._count_above(blocks, 0.7) is not None
 
