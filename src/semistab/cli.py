@@ -35,7 +35,7 @@ import sys
 # The library imports scipy at its first solve; every operator command needs
 # scipy.linalg, so load it here, before the freeze below, and keep that import
 # out of each command's run time.  scipy.sparse loads only at a 2-D lambda_max
-# or resolvent, which build H's CSR copy.
+# or resolvent, which build a sparse copy of H or of iI - H.
 import scipy.linalg  # noqa: F401
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, csv_cell, csv_text

@@ -731,13 +731,15 @@ def _equality_row(plan: dict, pos: float) -> dict:
     t_star = 1.0 / abs(pos)
     val = range_bound_check(mu, t_grid=np.array([t_star]), bound_scale=plan["bound_scale"])
     gap = abs(float(val))
+    # both sides are about ||x|| / (e t*) = ||x|| |pos| / e, and round at 1e-12 of it
+    tol = 1e-12 * max(val.norm_x, val.norm_x / (math.e * t_star))
     return {
         "position": float(pos),
         "t_star": float(t_star),
         "gap": gap,
         "norm_x": val.norm_x,
-        "tol": val.tol,
-        "status": "ok" if gap <= val.tol else "violated",
+        "tol": tol,
+        "status": "ok" if gap <= tol else "violated",
     }
 
 

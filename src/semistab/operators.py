@@ -17,8 +17,8 @@ the two diagonals: the eigendecomposition is ``eigh_tridiagonal``
 (``?stevd`` in current scipy), the top eigenpair LAPACK Sturm-count
 bisection and inverse iteration (``?stebz``, ``?stein``) and the resolvent a
 tridiagonal LU (``?gttrf``).  2-D keeps an ARPACK shift-invert top
-eigenpair and a SuperLU factorization, which read a scipy CSR copy of H
-built at their first call.
+eigenpair, on a scipy CSR copy of H, and a SuperLU factorization of a CSC
+copy of ``iI - H``; each copy is built from the diagonals at its first call.
 
 A 2-D V that is swap-symmetric on the grid, ``V(x, y) == V(y, x)`` bit for
 bit, makes H commute with the swap (x, y) -> (y, x).  Every radial kind is,
@@ -36,13 +36,13 @@ LDL^T over consecutive blocks of ``m = ceil(sqrt(N))`` rows (n_side in 2-D,
 where it equals the half-bandwidth): LAPACK ``dsysv`` factors each Schur
 complement with Bunch-Kaufman pivoting (``dsytrf``), and by Haynsworth's
 inertia additivity the blocks' counts add up to H's, at O(N m^2) per shift.
-Each block is scattered from H's lower triplets when the count reaches it, so
-the check holds O(nnz(H)) memory and one block, not all blocks dense.
+Each block is copied from H's diagonals when the count reaches it, so the
+check holds one m x m block beyond the diagonals, never all blocks dense.
 
 scipy is imported at the first solve, not with this module, so
 ``import semistab`` is numpy-only: the tridiagonal, banded and inertia solves
 load ``scipy.linalg``, and only the 2-D top eigenpair and 2-D resolvent load
-``scipy.sparse`` and ``scipy.sparse.linalg`` (the CSR copy of H, ARPACK,
+``scipy.sparse`` and ``scipy.sparse.linalg`` (the sparse copies, ARPACK,
 SuperLU).  The module-level names ``eig_banded``, ``splu`` and the rest call
 through to scipy's functions of the same name.
 
@@ -122,8 +122,7 @@ zgttrf = _lazy("scipy.linalg.lapack", "zgttrf")
 zgttrs = _lazy("scipy.linalg.lapack", "zgttrs")
 eigsh = _lazy("scipy.sparse.linalg", "eigsh")
 splu = _lazy("scipy.sparse.linalg", "splu")
-diags_array = _lazy("scipy.sparse", "diags_array")
-kronsum = _lazy("scipy.sparse", "kronsum")
+coo_array = _lazy("scipy.sparse", "coo_array")
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +397,11 @@ class DiscretizedOperator:
     """H = Lap_h + diag(V) on a Dirichlet box, with its solves cached.
 
     The matrix is H's stencil, ``_diagonals``, computed from ``v_diag`` and
-    h at the first read; ``apply`` and every solve read it, but for the 2-D
-    ARPACK and SuperLU ones, which read ``H``, a read-only scipy CSR copy
-    built at their first call.  Each solve runs on first use and is cached
-    on the operator:
+    h at the first read; ``apply`` and every solve read it.  The 2-D ARPACK
+    solve reads it as ``H``, a read-only scipy CSR copy, and the 2-D SuperLU
+    one as a CSC copy of ``iI - H``, each filled from the stencil's nonzero
+    entries (``_triplets``) at its first call.  Each solve runs on first use
+    and is cached on the operator:
 
     * ``lambda_max``: the top eigenvalue, from a top-eigenpair solve: LAPACK
       bisection and inverse iteration on the tridiagonal H in 1-D, an ARPACK
@@ -466,12 +466,11 @@ class DiscretizedOperator:
 
     @cached_property
     def H(self) -> scipy.sparse.csr_array:
-        """H as a read-only scipy CSR matrix, built (and scipy.sparse loaded) at
-        the first read: the 2-D ``lambda_max`` and resolvent read it."""
-        inv_h2 = 1.0 / (self.h * self.h)
-        T = diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1],
-                        shape=(self.n_side, self.n_side))
-        H = ((T if self.nu == 1 else kronsum(T, T)) + diags_array(self.v_diag)).tocsr()
+        """H as a read-only scipy CSR matrix of the stencil's nonzero entries
+        (``_triplets``), built (and scipy.sparse loaded) at the first read: the
+        2-D ``lambda_max`` reads it."""
+        row, col, data = _triplets(self._diagonals)
+        H = coo_array((data, (row, col)), shape=(self.N, self.N)).tocsr()
         for arr in (H.data, H.indices, H.indptr):
             arr.setflags(write=False)
         return H
@@ -549,7 +548,7 @@ class DiscretizedOperator:
     @cached_property
     def _resolvent_solver(self) -> Callable[[np.ndarray], np.ndarray]:
         """r -> (iI - H)^(-1) r from the LU factors of iI - H: LAPACK ``zgttrf``
-        of the tridiagonal in 1-D, SuperLU in 2-D."""
+        of the tridiagonal in 1-D, SuperLU of a CSC copy in 2-D."""
         if self.nu == 1:
             (_, d), (_, e) = self._diagonals
             off = -e.astype(complex)
@@ -557,7 +556,10 @@ class DiscretizedOperator:
             if info != 0:
                 raise InvariantViolation(f"tridiagonal LU of iI - H failed (zgttrf info {info})")
             return lambda r: zgttrs(*factors, r)[0]
-        return splu((diags_array(np.full(self.N, 1j)) - self.H).tocsc()).solve
+        # 1j - d is never 0, so every diagonal entry is stored, also where d == 0
+        (_, d), *off = self._diagonals
+        row, col, data = _triplets(((0, 1j - d), *((k, -e) for k, e in off)))
+        return splu(coo_array((data, (row, col)), shape=(self.N, self.N)).tocsc()).solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply H to a vector or a column stack (real or complex), for finite u
@@ -615,16 +617,15 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
                                grid=grid, v_diag=v_diag)
 
 
-def _triplets(diagonals: tuple, upper: bool = False) -> tuple:
-    """(row, col, value) arrays of the nonzero entries on the lower diagonals
-    ``diagonals`` (``DiscretizedOperator._diagonals``), and with ``upper`` of
-    their mirrors above the main diagonal too: the stored entries of H's CSR
-    copy."""
+def _triplets(diagonals: tuple) -> tuple:
+    """(row, col, value) arrays of the nonzero entries of the symmetric matrix
+    with lower diagonals ``diagonals`` (``DiscretizedOperator._diagonals``):
+    each nonzero ``d_k[p]`` at (p + k, p) and, for k > 0, at (p, p + k)."""
     parts = []
     for k, d in diagonals:
         p = np.flatnonzero(d)
         parts.append((p + k, p, d[p]))
-        if upper and k:
+        if k:
             parts.append((p, p + k, d[p]))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -666,7 +667,7 @@ def _sector_band(diagonals: tuple, col: np.ndarray, weight: np.ndarray) -> np.nd
     an axis for the two points of a column (``(i, j)`` with i >= j, then its
     mirror).  Rows past the last nonzero one are cut, as a sparse product
     stores no zero."""
-    q, p, h = _triplets(diagonals, upper=True)
+    q, p, h = _triplets(diagonals)
     keep = (col[q] >= col[p]) & (col[p] >= 0)  # the lower triangle of P^T H P
     q, p, h = q[keep], p[keep], h[keep]
     n, n_cols = math.isqrt(col.size), int(col.max()) + 1
@@ -727,22 +728,20 @@ def _check_inertia(op: DiscretizedOperator, vals: np.ndarray, scale: float) -> N
     1e-6 * scale, where the number of eigenvalues of H above sigma must be
     k + 1: a sigma inside an exactly degenerate pair (the square well's
     x <-> y symmetry) would miscount.  The count is ``_count_above``, a
-    block LDL^T of H - sigma I over the blocks of H's lower triplets, which
-    ``_band_blocks`` reads off H's diagonals once for every shift.  Each count
-    scatters one block at a time, so the check holds O(nnz(H)) memory beyond one m x m
-    block, never all blocks dense.  It reads all of H, never the swap sectors
-    that ``eigenvalues`` may have solved, so it also checks the fold.  A
-    shift whose count meets a singular or non-finite block moves on to the
-    next gap not yet tried (``_spread_gaps``).
+    block LDL^T of H - sigma I that copies each block from H's diagonals when
+    it reaches it, so the check holds one m x m block and O(N) pivots beyond
+    the diagonals, never all blocks dense.  It reads all of H, never the
+    swap sectors that ``eigenvalues`` may have solved, so it also checks the
+    fold.  A shift whose count meets a singular or non-finite block moves on
+    to the next gap not yet tried (``_spread_gaps``).
     """
     gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
-    blocks = _band_blocks(op._diagonals)
 
     def midpoint(k: int) -> float:
         return 0.5 * float(vals[k] + vals[k + 1])
 
     checked = 0
-    for k, above in _spread_gaps(gaps, lambda k: _count_above(blocks, midpoint(k))):
+    for k, above in _spread_gaps(gaps, lambda k: _count_above(op._diagonals, midpoint(k))):
         if above != k + 1:
             raise InvariantViolation(f"Sylvester inertia of H - sigma I at sigma={midpoint(k)!r} "
                                      f"counts {above} eigenvalues above sigma, the spectrum "
@@ -769,82 +768,42 @@ def _spread_gaps(gaps: np.ndarray, count: Callable[[int], Optional[int]]):
         yield int(gaps[pos]), above
 
 
-@dataclass(frozen=True)
-class _BandBlocks:
-    """The lower triangle of a symmetric band matrix M of half-bandwidth b, cut into
-    consecutive blocks of ``m = max(ceil(sqrt(N)), b)`` rows and kept as
-    triplets sorted by block: key 2q holds diagonal block q, key 2q + 1 the
-    b x b coupling of block q to block q + 1 (rows 0..b-1 of block q + 1,
-    columns m-b..m-1 of block q).  ``index`` is each entry's row-major
-    position in its block, and key k's triplets are ``starts[k]:starts[k + 1]``.
-    As m >= b, no other entries of M lie off the diagonal blocks.  The
-    triplets take O(nnz(M)) memory; no block is held dense until ``block``
-    scatters it."""
+def _count_above(diagonals: tuple, sigma: float) -> Optional[int]:
+    """Number of eigenvalues above sigma of the symmetric matrix M with lower
+    diagonals ``diagonals`` (``DiscretizedOperator._diagonals``), or None
+    where a block is singular or non-finite.
 
-    N: int
-    m: int
-    b: int
-    index: np.ndarray
-    data: np.ndarray
-    starts: np.ndarray
-
-    def block(self, key: int, out: np.ndarray) -> np.ndarray:
-        """Block ``key`` scattered into the C-ordered ``out`` (m x m for a
-        diagonal block, b x b for a coupling), every other entry set to 0."""
-        part = slice(self.starts[key], self.starts[key + 1])
-        out.fill(0.0)
-        out.reshape(-1)[self.index[part]] = self.data[part]  # a view, as out is C-ordered
-        return out
-
-
-def _band_blocks(diagonals: tuple) -> _BandBlocks:
-    """The lower triplets of the symmetric matrix with lower diagonals
-    ``diagonals`` (``DiscretizedOperator._diagonals``) as ``_BandBlocks``, in
-    O(nnz) memory.  In 2-D m = b = n_side; at the 1-D cap m = 60 and b = 1."""
-    row, col, data = _triplets(diagonals)
-    N = diagonals[0][1].size
-    b = diagonals[-1][0]
-    m = max(math.isqrt(N - 1) + 1, b)
-    q, i = np.divmod(row, m)
-    p, j = np.divmod(col, m)
-    key = q + p  # 2q on diagonal block q, 2p + 1 on the coupling of block p to p + 1
-    order = np.argsort(key, kind="stable")
-    index = np.where(q == p, i * m + j, i * b + j - (m - b)).astype(np.intp)
-    starts = np.searchsorted(key[order], np.arange(2 * -(-N // m)))
-    return _BandBlocks(N=N, m=m, b=b, index=index[order], data=data[order], starts=starts)
-
-
-def _count_above(blocks: _BandBlocks, sigma: float) -> Optional[int]:
-    """Number of eigenvalues above sigma of the matrix held by ``blocks``
-    (``_band_blocks``), or None where a block is singular or non-finite.
-
-    Haynsworth's inertia additivity over the block LDL^T of M - sigma I
-    gives ``In(M - sigma I) = sum_q In(S_q)`` for the Schur complements
-    ``S_0 = A_0 - sigma I``, ``S_(q+1) = A_(q+1) - sigma I - C_q S_q^-1 C_q^T``
-    with diagonal blocks A_q and couplings C_q.  C_q reaches only the
+    M is cut into consecutive blocks of ``m = max(ceil(sqrt(N)), b)`` rows at
+    half-bandwidth b (in 2-D m = b = n_side; at the 1-D cap m = 60 and b = 1),
+    so no entry of M lies off the diagonal blocks A_q and the b x b couplings
+    C_q of block q to q + 1 (rows 0..b-1 of block q + 1, columns m-b..m-1 of
+    block q).  Haynsworth's inertia additivity over the block LDL^T of
+    M - sigma I gives ``In(M - sigma I) = sum_q In(S_q)`` for the Schur
+    complements ``S_0 = A_0 - sigma I``,
+    ``S_(q+1) = A_(q+1) - sigma I - C_q S_q^-1 C_q^T``.  C_q reaches only the
     trailing b columns of block q, so only ``S_q^-1`` times those b columns
     of C_q^T carries over, into the leading b x b corner of S_(q+1).  LAPACK
     ``dsysv`` factors each S_q with Bunch-Kaufman pivoting (``dsytrf``),
     ``P S_q P^T = L D L^T``, which keeps its inertia, and solves for that
     product in the same call; D's 1 x 1 pivots count by sign, its 2 x 2
     pivots by their own determinant and trace.  The cost is O(N m^2) for
-    blocks of m rows.  Each block is scattered from the triplets when the
-    count reaches it, into one m x m and one b x b array, so the memory
-    beyond the triplets' O(nnz(M)) is O(m^2 + N).
+    blocks of m rows.  Each block's lower triangle is copied from the
+    diagonals when the count reaches it, into one m x m and one b x b array,
+    so the memory beyond M's diagonals is O(m^2 + N).
     """
-    N, m, b = blocks.N, blocks.m, blocks.b
+    N, b = diagonals[0][1].size, diagonals[-1][0]
+    m = max(math.isqrt(N - 1) + 1, b)
     n_blocks = -(-N // m)
     pivot, sub, ipiv = np.empty(N), np.zeros(N), np.empty(N, dtype=int)
-    shift = sigma * np.eye(m)
     A, C = np.empty((m, m)), np.empty((b, b))
     rhs = np.zeros((m, b), order="F")
     for q in range(n_blocks):
-        S = blocks.block(2 * q, A)
-        S -= shift
+        S = _lower_block(diagonals, q * m, q * m, A)
+        S.reshape(-1)[::m + 1] -= sigma  # S's diagonal
         if q:
             S[:b, :b] -= C @ x[m - b:]
         if q < n_blocks - 1:
-            rhs[m - b:] = blocks.block(2 * q + 1, C).T
+            rhs[m - b:] = _lower_block(diagonals, (q + 1) * m, (q + 1) * m - b, C).T
         else:
             S = S[:N - q * m, :N - q * m]  # and its solve is not used
         ldu, piv, x, info = dsysv(S, rhs[:len(S)], lower=1, overwrite_a=1)
@@ -855,6 +814,21 @@ def _count_above(blocks: _BandBlocks, sigma: float) -> Optional[int]:
         sub[rows][:-1] = np.diagonal(ldu, -1)
         ipiv[rows] = piv
     return _positive_pivots(pivot, sub, ipiv)
+
+
+def _lower_block(diagonals: tuple, row: int, col: int, out: np.ndarray) -> np.ndarray:
+    """``out[i, j] = M[row + i, col + j]`` on and below the diagonal of the
+    symmetric M with lower diagonals ``diagonals``, 0 elsewhere and past M's
+    last row, for a C-ordered ``out``: diagonal k of M is copied down a
+    strided view of it, ``out.reshape(-1)[i * cols + j::cols + 1]``."""
+    rows, cols = out.shape
+    flat = out.reshape(-1)  # a view, as out is C-ordered
+    flat.fill(0.0)
+    for k, d in diagonals:
+        i, j = max(k - row + col, 0), max(row - col - k, 0)  # where diagonal k enters out
+        part = d[col + j:col + j + min(rows - i, cols - j)]
+        flat[i * cols + j::cols + 1][:part.size] = part
+    return out
 
 
 def _positive_pivots(pivot: np.ndarray, sub: np.ndarray, ipiv: np.ndarray) -> Optional[int]:

@@ -518,6 +518,22 @@ class TestDecayBoundStudy:
         assert row[2] <= row[4]
         assert row[5] == "ok"
 
+    @pytest.mark.parametrize("pos", [-2.7, -1e4, -1e6, -8e307])
+    def test_equality_witness_tolerance_scales_with_the_bound(self, pos):
+        # the gap rounds at 1e-12 of ||x|| |pos| / e, above an absolute 1e-12 ||x||
+        # from |pos| = 1e4 on; a false bound still fails at every scale
+        rows = {}
+        for scale in (1.0, 0.5):
+            rep = study("section3-bounds", n_measures=1, n_shifted=0, n_t=20,
+                        equality_position=pos, bound_scale=scale)
+            rows[scale] = rep.table("equality-witness").rows[0]
+            equality = [v for v in rep.verdicts if v.name == "equality-witness"][0]
+            assert equality.passed == (scale == 1.0)
+        assert rows[1.0][5] == "ok" and rows[0.5][5] == "violated"
+        assert rows[1.0][4] == pytest.approx(1e-12 * max(1.0, abs(pos) / math.e), rel=1e-12)
+        if pos == -2.7:
+            assert rows[1.0][4] == 1e-12  # the default's cells stay as they were
+
     def test_tightened_bound_hook_is_detected(self):
         rep = study("section3-bounds", n_measures=6, n_shifted=3, n_t=80, bound_scale=0.9)
         assert not rep.passed

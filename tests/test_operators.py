@@ -8,8 +8,9 @@ scipy.linalg.eigh_tridiagonal and eig_banded for the 1-D solves, numpy.linalg
 solves for resolvents, ARPACK ``eigsh`` and SuperLU for the 1-D
 tridiagonal top eigenpair and resolvent, and, for the inertia counts, a
 sparse LU without pivoting and dense numpy.linalg.eigvalsh counts.  The
-operator's stencil is pinned bit for bit to its scipy CSR copy ``H``, and
-the swap sectors to the sparse products ``P^T H P`` of the sparse maps they
+operator's stencil is pinned bit for bit to its scipy CSR copy ``H``, that
+copy to the scipy ``kronsum`` build it replaced (``kronsum_csr``), and the
+swap sectors to the sparse products ``P^T H P`` of the sparse maps they
 replaced (``sparse_swap_sectors``, ``lower_band``).
 """
 
@@ -116,8 +117,26 @@ def lower_band(M):
 
 def lower_diagonals(M):
     """Symmetric sparse M as the ``(k, d_k)`` lower diagonals that
-    ``operators._band_blocks`` reads, k up to M's half-bandwidth."""
+    ``operators._count_above`` reads, k up to M's half-bandwidth."""
     return tuple((k, row[:M.shape[0] - k]) for k, row in enumerate(lower_band(M)))
+
+
+def kronsum_csr(op):
+    """H's CSR copy as scipy sums it: the 1-D second difference T (in 2-D
+    ``kronsum(T, T)``) plus ``diags_array(v_diag)``."""
+    inv_h2 = 1.0 / (op.h * op.h)
+    T = sparse.diags_array([inv_h2, -2.0 * inv_h2, inv_h2], offsets=[-1, 0, 1],
+                           shape=(op.n_side, op.n_side))
+    return ((T if op.nu == 1 else sparse.kronsum(T, T)) + sparse.diags_array(op.v_diag)).tocsr()
+
+
+def zero_diagonal_operator():
+    """A 2-D operator on 9 x 9 points whose main diagonal -4/h^2 + V is exactly 0:
+    V = 2^-40 (inside the 1e-12 slack above 0) and h = 2^21, so 4/h^2 = 2^-40."""
+    op = discretize(sampled_potential(np.full(16, 2.0 ** -40), -1.0, 1.0, nu=2),
+                    L=5 * 2.0 ** 21, h=2.0 ** 21)
+    assert op.N == 81 and not np.any(op._diagonals[0][1])
+    return op
 
 
 def sparse_swap_sectors(n):
@@ -323,6 +342,17 @@ class TestOperatorMatrix:
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("case", [*CASES, "zero-diagonal"])
+    def test_csr_copy_equals_the_kronsum_build(self, case):
+        if case == "zero-diagonal":
+            op = zero_diagonal_operator()
+        else:
+            op = discretize(*self.CASES[case])
+        got, expected = op.H, kronsum_csr(op)  # a sum stores no 0, so neither does H
+        for arr, oracle in ((got.data, expected.data), (got.indices, expected.indices),
+                            (got.indptr, expected.indptr)):
+            assert np.array_equal(arr, oracle)
+
     def test_apply_rejects_wrong_length(self):
         op = discretize(constant_potential(0.0), L=2.0, h=0.25)
         with pytest.raises(DomainError):
@@ -367,6 +397,15 @@ class TestOnDemandSolves:
         expected = np.linalg.solve(1j * np.eye(op.N) - dense, u.astype(complex))
         assert np.linalg.norm(resolvent_apply(op, u) - expected) <= 1e-12 * np.linalg.norm(u)
         assert "_eig" not in op.__dict__
+
+    def test_2d_resolvent_of_a_zero_diagonal_operator(self):
+        # H stores no diagonal entry here, yet iI - H must store all N of them:
+        # without them SuperLU finds the factor exactly singular
+        op = zero_diagonal_operator()
+        u = np.random.default_rng(36).uniform(-1.0, 1.0, op.N)
+        dense = op.apply(np.eye(op.N))
+        expected = np.linalg.solve(1j * np.eye(op.N) - dense, u.astype(complex))
+        assert np.linalg.norm(resolvent_apply(op, u) - expected) <= 1e-12 * np.linalg.norm(u)
 
     def test_2d_lambda_max_is_bit_identical_across_operators(self):
         V = gaussian_well(depth=0.8, width=1.3, nu=2)
@@ -731,17 +770,22 @@ def random_band_matrix(rng, N, b, zero_diagonal=False):
     return sparse.diags_array([diagonals[abs(k)] for k in offsets], offsets=offsets).tocsr()
 
 
-def scattered_blocks(blocks):
-    """The lower triangle that ``operators._BandBlocks`` holds, scattered block
-    by block into a dense N x N array."""
-    N, m, b = blocks.N, blocks.m, blocks.b
+def scattered_blocks(diagonals):
+    """The m x m diagonal blocks and b x b couplings that
+    ``operators._count_above`` copies from ``diagonals``
+    (``operators._lower_block``), scattered into a dense N x N array, with
+    m = max(ceil(sqrt(N)), b) at half-bandwidth b."""
+    N, b = diagonals[0][1].size, diagonals[-1][0]
+    m = max(math.ceil(math.sqrt(N)), b)
     dense = np.zeros((-(-N // m) * m,) * 2)
     for q in range(-(-N // m)):
         rows = slice(q * m, (q + 1) * m)
-        dense[rows, rows] = blocks.block(2 * q, np.full((m, m), np.nan))
+        dense[rows, rows] = operators._lower_block(diagonals, q * m, q * m,
+                                                   np.full((m, m), np.nan))
         if q:
             dense[rows.start:rows.start + b, rows.start - b:rows.start] = \
-                blocks.block(2 * q - 1, np.full((b, b), np.nan))
+                operators._lower_block(diagonals, rows.start, rows.start - b,
+                                       np.full((b, b), np.nan))
     return dense[:N, :N]
 
 
@@ -765,55 +809,61 @@ class TestInertiaCount:
         scale = float(np.max(np.abs(vals)))
         gaps = np.flatnonzero(vals[:-1] - vals[1:] > 1e-6 * scale)
         assert case != "nu2-square" or gaps.size < op.N - 1  # the degenerate x <-> y pairs
-        blocks = operators._band_blocks(op._diagonals)
         for k in gaps[np.unique(np.linspace(0, gaps.size - 1, 40).round().astype(int))]:
             sigma = 0.5 * float(vals[k] + vals[k + 1])
-            assert operators._count_above(blocks, sigma) == k + 1
+            assert operators._count_above(op._diagonals, sigma) == k + 1
             assert splu_count_above(op.H, sigma) == k + 1
 
     @pytest.mark.parametrize("N, b", [(10, 1), (37, 2), (50, 3), (83, 5), (20, 6)])
     @pytest.mark.parametrize("zero_diagonal", [False, True])
-    def test_random_band_counts_match_both_oracles(self, N, b, zero_diagonal):
+    def test_random_band_counts_match_both_oracles(self, monkeypatch, N, b, zero_diagonal):
         rng = np.random.default_rng(N * 10 + b)
         M = random_band_matrix(rng, N, b, zero_diagonal)
-        blocks = operators._band_blocks(lower_diagonals(M))
+        diagonals = lower_diagonals(M)
         m = max(math.ceil(math.sqrt(N)), b)
-        assert (blocks.N, blocks.m, blocks.b) == (N, m, b)
-        assert blocks.starts.size == 2 * -(-N // m) and N % m  # N is not a multiple of m
+        assert N % m  # N is not a multiple of m
+        sizes, solve = [], operators.dsysv
+
+        def recording(S, *args, **kwargs):
+            sizes.append(len(S))
+            return solve(S, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "dsysv", recording)
         vals = np.linalg.eigvalsh(M.toarray())
         sigmas = [0.0, *rng.uniform(vals[0], vals[-1], 8)]
         for sigma in sigmas:
             expected = int(np.count_nonzero(vals > sigma))
-            assert operators._count_above(blocks, sigma) == expected
+            sizes.clear()
+            assert operators._count_above(diagonals, sigma) == expected
+            assert sizes == [m] * (N // m) + [N % m]  # one solve per block of m rows
             assert splu_count_above(M, sigma) in (expected, None)
         if zero_diagonal:
             # at sigma = 0 every diagonal pivot is 0: Bunch-Kaufman takes 2 x 2
             # pivots, and the count without pivoting fails at once
-            assert np.any(dsytrf(blocks.block(0, np.empty((m, m))), lower=1)[1] < 0)
+            block = operators._lower_block(diagonals, 0, 0, np.empty((m, m)))
+            assert np.any(dsytrf(block, lower=1)[1] < 0)
             assert splu_count_above(M, 0.0) is None
 
     @pytest.mark.parametrize("N, b", [(10, 1), (49, 7), (50, 3), (20, 6)])
     def test_blocks_scatter_back_to_the_lower_triangle(self, N, b):
         M = random_band_matrix(np.random.default_rng(N + b), N, b)
-        blocks = operators._band_blocks(lower_diagonals(M))
-        assert np.array_equal(scattered_blocks(blocks), np.tril(M.toarray()))
+        assert np.array_equal(scattered_blocks(lower_diagonals(M)), np.tril(M.toarray()))
 
     @pytest.mark.parametrize("case", TestOperatorMatrix.CASES)
     def test_operator_blocks_scatter_back_to_the_csr_lower_triangle(self, case):
         V, L, h = TestOperatorMatrix.CASES[case]
         op = discretize(V, L=L, h=h)
-        blocks = operators._band_blocks(op._diagonals)
-        assert blocks.b == op.n_side ** (op.nu - 1)
-        assert np.array_equal(scattered_blocks(blocks), np.tril(op.H.toarray()))
-        # the triplets are the stored lower entries of the CSR copy, no more
-        assert blocks.data.size == np.count_nonzero(np.tril(op.H.toarray()))
+        assert op._diagonals[-1][0] == op.n_side ** (op.nu - 1)
+        assert np.array_equal(scattered_blocks(op._diagonals), np.tril(op.H.toarray()))
+        assert np.array_equal(scattered_blocks(op._diagonals),
+                              np.tril(oracle_dense_matrix(V, L, h)))
 
     def test_inertia_check_peak_memory(self):
-        # the check holds H's lower triplets with their sort temporaries and the
-        # O(N) pivot arrays, under 8 doubles per stored entry of H, and a few
-        # m x m blocks at a time.  Measured on numpy 2.4.6: 0.81 MB at N = 3481,
-        # inside 1.21 MB.  Holding the n_side diagonal blocks dense, n_side^3
-        # doubles or 1.64 MB, does not fit
+        # the check copies each block from H's diagonals, so it holds the O(N)
+        # pivot arrays and a few m x m blocks at a time, under the bound of 8
+        # doubles per stored entry of H and four blocks.  Measured on numpy
+        # 2.4.6: 0.31 MB at N = 3481, inside 1.21 MB.  Holding the n_side
+        # diagonal blocks dense, n_side^3 doubles or 1.64 MB, does not fit
         op = discretize(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), L=3.0, h=0.1)
         m = op.n_side
         assert op.N <= operators._N_CAP < (m + 2) ** 2  # the largest 2-D grid on this box
@@ -858,18 +908,18 @@ class TestInertiaCount:
         M[r, :] = 0.0
         M[:, r] = 0.0
         M[r, r] = 0.75  # the Schur complement at sigma = 0.75 has a zero row
-        blocks = operators._band_blocks(lower_diagonals(M.tocsr()))
-        assert operators._count_above(blocks, 0.75) is None
-        assert operators._count_above(blocks, 0.7) is not None
+        diagonals = lower_diagonals(M.tocsr())
+        assert operators._count_above(diagonals, 0.75) is None
+        assert operators._count_above(diagonals, 0.7) is not None
 
     def test_check_inertia_moves_on_after_no_count(self, monkeypatch):
         op = discretize(exp_well(depth=0.5, width=2.0), L=5.0, h=0.25)
         vals = np.array(op.eigenvalues)
         count, shifts = operators._count_above, []
 
-        def first_shift_fails(blocks, sigma):
+        def first_shift_fails(diagonals, sigma):
             shifts.append(sigma)
-            return None if len(shifts) == 1 else count(blocks, sigma)
+            return None if len(shifts) == 1 else count(diagonals, sigma)
 
         monkeypatch.setattr(operators, "_count_above", first_shift_fails)
         operators._check_inertia(op, vals, float(np.max(np.abs(vals))))
