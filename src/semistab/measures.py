@@ -25,10 +25,17 @@ a stack of measures with the same atom count: one logsumexp row per
 memory.  ``_log_laplace_stack`` groups a list of measures by atom count
 for it, and ``log_laplace`` and ``log_laplace_moment`` are its stack of
 one.  Densities have one log-domain integral, ``_log_integral``: the mass,
-ball masses without a closed form, the closed form's self-check and each t
-of the Laplace transform are one call of it.  Its quadrature takes the
-endpoint-weighted rule only at a singular edge and the plain adaptive rule
-otherwise.  Every transform refuses a NaN or infinite t.  The linear-scale
+a ball mass of a density of no family and each t of the Laplace transform
+are one call of it.  Its quadrature takes the endpoint-weighted rule only
+at a singular edge and the plain adaptive rule otherwise, and refuses a
+negative integral, the mark of a density negative between the points its
+construction checks.  Every transform refuses a NaN or infinite t.
+
+Each density family (power law, monomial profile, uniform, sampled) is
+declared once, in its constructor: the family's name, parameters, closed-form
+log ball mass and exact mass ride on the measure as one private record,
+which ``to_text``, ``log_ball_mass`` and ``mass`` read.  The tests check each
+closed form and exact mass against the integral.  The linear-scale
 accessors are the exp of the log quantities, through one overflow-safe
 helper; only a family that states its exact mass (uniform, monomial
 profile, power law) reports that in place of ``exp(log_mass)``.
@@ -40,9 +47,8 @@ Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
 from __future__ import annotations
 
 import math
-import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -375,27 +381,25 @@ class DensityMeasure(_Measure):
     the endpoint-weighted rule; a vanishing one is a factor of the
     integrand of the plain adaptive rule.
 
-    ``log_ball_mass_fn`` is the optional closed form of the ball mass, in
-    the log domain: it maps ``ln eps`` (an array) to ``ln mu(B(0, eps))``,
-    with ``-inf`` for an empty ball.  When given, it is checked against
-    the integral at 10 radii on construction, and both ``log_ball_mass`` and
-    ``ball_mass`` (as ``exp(log_ball_mass(ln eps))``) read it; without it,
-    both integrate the density.  ``log_mass``, ln of the total mass, is
-    integrated once on construction.  ``exact_mass`` is the optional exact
-    linear mass, which ``mass`` then returns in place of ``exp(log_mass)``
-    (a few ulp off); it must agree with ``exp(log_mass)`` to 1e-12 relative.
+    ``log_mass``, ln of the total mass, is integrated once on construction,
+    and ``log_ball_mass`` integrates the density.  A measure built by one of
+    the family constructors (``power_law_measure`` and the rest) carries its
+    family's record, ``_family = (kind, params, log_ball, exact_mass)``: the
+    family's name and parameters, which ``to_text`` writes, its closed-form
+    log ball mass, which ``log_ball_mass`` and ``ball_mass`` then read in
+    place of the integral, and its exact linear mass or None, which ``mass``
+    then returns in place of ``exp(log_mass)`` (a few ulp off).  The closed
+    forms are checked against the integral in the tests, not on construction.
     """
 
     s_lo: float
     s_hi: float
     density: Callable[[np.ndarray], np.ndarray]
-    kind: str = "density"
-    params: dict = field(default_factory=dict)
-    log_ball_mass_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     alg_power: float = 0.0
     smooth_factor: Optional[Callable[[float], float]] = None
     quad_breaks: Optional[np.ndarray] = None
-    exact_mass: Optional[float] = None
+
+    _family = None  # not a field: only the family constructors set it
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.s_lo < self.s_hi < math.inf):
@@ -407,7 +411,8 @@ class DensityMeasure(_Measure):
         s = self.s_lo + (self.s_hi - self.s_lo) * np.linspace(0.07, 0.93, 32)
         sig = s - self.s_lo  # exactly the offsets of the points density reads
         vals = np.asarray(self.density(s), dtype=float)
-        if not np.all((vals >= -1e-12) & (vals < math.inf)):  # NaN fails both
+        # a density may round below 0 by 1e-12 of its largest value, whatever its scale
+        if not np.all(np.isfinite(vals) & (vals >= -1e-12 * np.max(np.abs(vals)))):
             raise InvariantViolation("density must be finite and nonnegative on the support")
         if self.smooth_factor is not None:
             recon = sig ** self.alg_power * np.asarray(
@@ -423,36 +428,16 @@ class DensityMeasure(_Measure):
         if not math.isfinite(log_mass):
             raise InvariantViolation("total mass must be finite and positive")
         object.__setattr__(self, "log_mass", log_mass)
-        # a subnormal mass has fewer digits than the tolerance asks for
-        if self.exact_mass is not None and not math.isclose(
-                self.exact_mass, _linear(log_mass), rel_tol=1e-12, abs_tol=sys.float_info.min):
-            raise InvariantViolation(f"exact mass {self.exact_mass!r} disagrees with the "
-                                     f"integrated mass {_linear(log_mass)!r}")
-        if self.log_ball_mass_fn is not None:
-            self._check_closed_form()
+
+    @property
+    def kind(self) -> str:
+        """The family's name, or ``density`` for a density of no family."""
+        return "density" if self._family is None else self._family[0]
 
     @property
     def mass(self) -> float:
-        return _linear(self.log_mass) if self.exact_mass is None else self.exact_mass
-
-    def _check_closed_form(self) -> None:
-        # the closed form must agree with quadrature at the check radii, to
-        # 1e-8 in log (an empty ball on both sides agrees); both sides read
-        # the radius exp(ln eps) that the closed form sees
-        for eps in self._check_radii():
-            le = math.log(eps)
-            closed = float(np.atleast_1d(self.log_ball_mass_fn(le))[0])
-            by_quad = self._log_ball_mass_by_quad(le)
-            if not (closed == by_quad or abs(closed - by_quad) <= 1e-8):
-                raise InvariantViolation(
-                    f"closed-form log ball mass disagrees with quadrature at eps={eps!r}: "
-                    f"{closed!r} vs {by_quad!r}"
-                )
-
-    def _check_radii(self) -> np.ndarray:
-        """10 fixed pseudo-random radii inside the support, for the self-checks."""
-        rng = np.random.default_rng(774411)
-        return self.s_lo + (self.s_hi - self.s_lo) * rng.uniform(0.02, 0.98, size=10)
+        exact = None if self._family is None else self._family[3]
+        return _linear(self.log_mass) if exact is None else exact
 
     # -- quadrature core ---------------------------------------------------
 
@@ -509,6 +494,9 @@ class DensityMeasure(_Measure):
             raise InvariantViolation(
                 f"quadrature did not converge (value {val!r}, error estimate {err!r})"
             )
+        if val < 0.0:  # its log would be NaN
+            raise InvariantViolation(f"the density integrates to {val!r} < 0: it is "
+                                     f"negative on part of the support")
         return float(val)
 
     # -- measure operations ---------------------------------------------
@@ -517,8 +505,8 @@ class DensityMeasure(_Measure):
         arr, scalar = _as_1d(log_eps)
         if np.any(np.isnan(arr)):
             raise DomainError("log ball radius must not be NaN")
-        if self.log_ball_mass_fn is not None:
-            out = np.asarray(self.log_ball_mass_fn(arr), dtype=float)
+        if self._family is not None:
+            out = np.asarray(self._family[2](arr), dtype=float)
         else:
             out = np.array([self._log_ball_mass_by_quad(float(le)) for le in arr])
         return _as_scalar_or_array(out, scalar)
@@ -578,43 +566,32 @@ class DensityMeasure(_Measure):
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        if self.kind == "atomic" or self.kind not in _FAMILIES:
+        if self._family is None:
             raise DomainError(f"a density of kind {self.kind!r} has no measure file format; "
                               f"only the families {sorted(set(_FAMILIES) - {'atomic'})} do")
-        head = (
-            f"density kind={self.kind} support={self.s_lo!r},{self.s_hi!r} "
-            f"mass={self.mass!r}"
-        )
-        lines = [head]
-        if self.kind == "sampled-density":
-            grid = self.params["grid"]
-            vals = self.params["values"]
-            lines.append(f"n={len(grid)}")
-            for s, v in zip(grid, vals):
+        kind, params = self._family[:2]
+        lines = [f"density kind={kind} support={self.s_lo!r},{self.s_hi!r} mass={self.mass!r}"]
+        if kind == "sampled-density":
+            lines.append(f"n={len(params['grid'])}")
+            for s, v in zip(params["grid"], params["values"]):
                 lines.append(f"{float(s)!r} {float(v)!r}")
         else:
-            for key, val in sorted(self.params.items()):
+            for key, val in sorted(params.items()):
                 lines.append(f"{key}={float(val)!r}")
-        text = "\n".join(lines) + "\n"
-        # kind and params are labels the caller supplied: the text must load
-        # back as this measure, to 1e-9 in log ball mass at the check radii
-        # (an empty ball matches only an empty ball)
-        le = np.log(self._check_radii())
-        ours = self.log_ball_mass(le)
-        try:
-            theirs = measure_from_text(text).log_ball_mass(le)
-        except DomainError as exc:
-            raise DomainError(f"this density does not load back from its kind={self.kind} "
-                              f"text: {exc}") from None
-        if not all(a == b or abs(a - b) <= 1e-9 for a, b in zip(ours, theirs)):
-            raise DomainError(f"this density is not the {self.kind} measure its params "
-                              f"describe, so its text would load as a different measure")
-        return text
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # constructors for the standard density families
 # ---------------------------------------------------------------------------
+
+
+def _family_measure(family: tuple, **fields) -> DensityMeasure:
+    """The density of ``fields`` carrying ``family``, its record
+    ``(kind, params, log_ball, exact_mass)`` (see :class:`DensityMeasure`)."""
+    mu = DensityMeasure(**fields)
+    object.__setattr__(mu, "_family", family)
+    return mu
 
 
 def power_law_measure(gamma: float) -> DensityMeasure:
@@ -626,16 +603,14 @@ def power_law_measure(gamma: float) -> DensityMeasure:
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise DomainError("gamma must be positive and finite")
     g = float(gamma)
-    return DensityMeasure(
+    return _family_measure(
+        ("power-law", {"gamma": g},
+         lambda le: g * np.minimum(np.asarray(le, dtype=float), 0.0), 1.0),
         s_lo=0.0,
         s_hi=1.0,
         density=lambda s: g * np.asarray(s, dtype=float) ** (g - 1.0),
-        kind="power-law",
-        params={"gamma": g},
-        log_ball_mass_fn=lambda le: g * np.minimum(np.asarray(le, dtype=float), 0.0),
         alg_power=g - 1.0,
         smooth_factor=(lambda sig: g) if g != 1.0 else None,
-        exact_mass=1.0,
     )
 
 
@@ -651,17 +626,14 @@ def monomial_profile_measure(delta: float) -> DensityMeasure:
         raise DomainError("delta must be positive and finite")
     d = float(delta)
     p = 2.0 * d + 1.0
-
-    return DensityMeasure(
+    return _family_measure(
+        ("monomial-profile", {"delta": d}, lambda le: p * np.minimum(le, 0.0) - math.log(p),
+         1.0 / p),
         s_lo=0.0,
         s_hi=1.0,
         density=lambda s: np.asarray(s, dtype=float) ** (2.0 * d),
-        kind="monomial-profile",
-        params={"delta": d},
-        log_ball_mass_fn=lambda le: p * np.minimum(le, 0.0) - math.log(p),
         alg_power=2.0 * d,
         smooth_factor=lambda sig: 1.0,
-        exact_mass=1.0 / p,
     )
 
 
@@ -679,15 +651,8 @@ def uniform_measure(s_lo: float, s_hi: float, height: float = 1.0) -> DensityMea
         with np.errstate(divide="ignore"):
             return np.log(h * np.maximum(np.minimum(np.exp(le), hi) - lo, 0.0))
 
-    return DensityMeasure(
-        s_lo=lo,
-        s_hi=hi,
-        density=lambda s: np.full_like(np.asarray(s, dtype=float), h),
-        kind="uniform",
-        params={"height": h},
-        log_ball_mass_fn=_log_ball,
-        exact_mass=h * (hi - lo),
-    )
+    return _family_measure(("uniform", {"height": h}, _log_ball, h * (hi - lo)), s_lo=lo, s_hi=hi,
+                           density=lambda s: np.full_like(np.asarray(s, dtype=float), h))
 
 
 def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) -> DensityMeasure:
@@ -734,13 +699,11 @@ def sampled_density_measure(s_grid: Sequence[float], values: Sequence[float]) ->
     # the quadratures read the density at sig = s - grid[0]: at large t they see
     # only sig ~ 1/t, which grid[0] + sig would round away
     offsets = grid - grid[0]
-    return DensityMeasure(
+    return _family_measure(
+        ("sampled-density", {"grid": grid, "values": vals}, _log_ball, None),
         s_lo=float(grid[0]),
         s_hi=float(grid[-1]),
         density=lambda s: np.interp(np.asarray(s, dtype=float), grid, vals),
-        kind="sampled-density",
-        params={"grid": grid, "values": vals},
-        log_ball_mass_fn=_log_ball,
         smooth_factor=lambda sig: np.interp(sig, offsets, vals),
         quad_breaks=grid,
     )

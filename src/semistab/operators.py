@@ -98,10 +98,13 @@ _N_CAP = 3600
 _INERTIA_SHIFTS = 6
 #: the sup in ``metric_d``'s term j is sampled with spacing _SUP_STEP * j + _SUP_STEP
 _SUP_STEP = 0.01
-_BOUND_SLACK = 1e-12
-#: ulps of a_bound by which a grid value may round below -a_bound, as the
-#: interpolation weights of a sampled potential can
+#: ulps of a_bound by which V may round past its bounds 0 and -a_bound, as a
+#: shift's arithmetic and a sampled potential's interpolation weights can
 _GRID_ULPS = 4
+
+
+def _slack(a_bound: float) -> float:
+    return _GRID_ULPS * np.finfo(float).eps * a_bound
 
 
 def _lazy(module: str, name: str) -> Callable:
@@ -246,9 +249,9 @@ class Potential:
         lo, hi = self.value_range
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvariantViolation("potential evaluates to a non-finite value")
-        if hi > _BOUND_SLACK:
+        if hi > _slack(self.a_bound):
             raise InvariantViolation("potential must be <= 0 everywhere")
-        if lo < -self.a_bound - _BOUND_SLACK:
+        if lo < -self.a_bound - _slack(self.a_bound):
             raise InvariantViolation("potential must be >= -a_bound everywhere")
 
     @property
@@ -609,8 +612,8 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
         gx, gy = np.meshgrid(coords, coords, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         v_diag = np.asarray(V.eval(grid), dtype=float)
-    floor = -V.a_bound - _GRID_ULPS * np.finfo(float).eps * V.a_bound
-    if np.any(v_diag > _BOUND_SLACK) or np.any(v_diag < floor):
+    slack = _slack(V.a_bound)
+    if np.any(v_diag > slack) or np.any(v_diag < -V.a_bound - slack):
         raise InvariantViolation("potential violates its bounds on the grid")
 
     return DiscretizedOperator(nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,

@@ -424,6 +424,10 @@ class TestInputErrors:
         ("study", "narrow-well.cfg", WELL_STUDY.replace("radius = 1", "radius = 1e-20")
          .replace("2, 4\nh = 0.25", "3, 9\nh = 0.4") + "depth = 5\n",
          "square-well potential: potential must be >= -a_bound everywhere"),
+        # 10^7 times deeper than its bound: the slack is a few ulp of a_bound, not 1e-12
+        ("operator", "too-deep.potential",
+         "potential kind=constant nu=1 a_bound=1e-20 value=-1e-13\n",
+         "constant potential: potential must be >= -a_bound everywhere"),
         ("study --jobs 0", "bounds.cfg", BOUNDS_HEAD, "--jobs"),
         ("operator", "nu-twice.potential",
          "potential kind=gaussian-well nu=1 a_bound=1.0 nu=2\ndepth=1.0\nwidth=1.0\n", "nu="),
@@ -462,7 +466,7 @@ class TestInputErrors:
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
             "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support",
             "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "study-L-overflow",
-            "study-narrow-well",
+            "study-narrow-well", "potential-below-tiny-a-bound",
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
             "stated-mass-mismatch", "stated-atomic-mass-mismatch", "t-window-from-zero",

@@ -9,6 +9,7 @@ and direct small-case enumeration.
 import math
 import os
 import re
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -146,11 +147,65 @@ def test_family_masses_are_exact():
     assert st.measure_to_text(mu).splitlines()[0].endswith(" mass=5.0")
 
 
-def test_exact_mass_must_match_the_integral():
-    with pytest.raises(InvariantViolation, match="exact mass 1.000000000001 disagrees"):
-        st.DensityMeasure(0.0, 1.0, density=np.ones_like, exact_mass=1.000000000001)
+# ---------------------------------------------------------------------------
+# family closed forms against the integral
+# ---------------------------------------------------------------------------
+
+# each family constructor states a closed-form log ball mass and (all but the
+# sampled density) an exact mass; the integral of its density is the oracle
+_FAMILY_CASES = {
+    **{f"power-law-{g}": (st.power_law_measure, (g,)) for g in (0.3, 1.0, 2.0, 7.5, 105.0)},
+    **{f"monomial-profile-{d}": (st.monomial_profile_measure, (d,))
+       for d in (0.55, 0.75, 0.99, 534.0)},
+    "uniform-from-zero": (st.uniform_measure, (0.0, 2.0, 2.5)),
+    "uniform-offset": (st.uniform_measure, (0.5, 3.0, 0.25)),
+    "uniform-subnormal-mass": (st.uniform_measure, (0.0, 1e-160, 1e-160)),
+    "sampled-from-zero": (st.sampled_density_measure, ([0.0, 2.0, 3.0], [1.0, 3.0, 0.0])),
+    "sampled-from-zero-vanishing": (st.sampled_density_measure, ([0.0, 1.0], [0.0, 2.0])),
+    "sampled-offset": (st.sampled_density_measure,
+                       (np.linspace(0.5, 1.5, 11), np.linspace(1.0, 2.0, 11))),
+    "sampled-offset-sine": (st.sampled_density_measure,
+                            (np.linspace(0.25, 2.0, 41), 1.0 + 0.5 * np.sin(np.arange(41)))),
+    "sampled-at-1e6": (st.sampled_density_measure,
+                       ([1e6, 1e6 + 1e-6, 1e6 + 2e-6], [1.0, 2.0, 1.0])),
+}
+
+
+def family_check_radii(mu):
+    """10 fixed pseudo-random radii inside the support."""
+    rng = np.random.default_rng(774411)
+    return mu.s_lo + (mu.s_hi - mu.s_lo) * rng.uniform(0.02, 0.98, size=10)
+
+
+@pytest.mark.parametrize("case", _FAMILY_CASES)
+def test_family_closed_form_and_mass_match_the_integral(case):
+    build, args = _FAMILY_CASES[case]
+    mu = build(*args)
+    # both sides read the radius exp(ln eps) the closed form sees; an empty
+    # ball on both sides agrees
+    for eps in family_check_radii(mu):
+        le = math.log(eps)
+        closed, by_quad = float(mu.log_ball_mass(le)), mu._log_ball_mass_by_quad(le)
+        assert closed == by_quad or abs(closed - by_quad) <= 1e-8, eps
     # a subnormal mass carries fewer digits than 1e-12 asks for
-    assert st.uniform_measure(0.0, 1e-160, 1e-160).mass == 1e-160 * 1e-160
+    assert math.isclose(mu.mass, math.exp(mu.log_mass), rel_tol=1e-12,
+                        abs_tol=sys.float_info.min)
+
+
+def test_family_build_integrates_once_and_writes_without_integrating(monkeypatch):
+    from scipy import integrate
+
+    calls = []
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: calls.append(1) or quad(*a, **k))
+    for build, args in _FAMILY_CASES.values():
+        del calls[:]
+        mu = build(*args)
+        assert len(calls) == 1  # the mass
+        text = st.measure_to_text(mu)
+        assert len(calls) == 1
+        st.measure_from_text(text)
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("build", [
@@ -820,20 +875,26 @@ def test_atomic_property_mass_and_monotonicity(positions, data):
 # ---------------------------------------------------------------------------
 
 
-def test_density_rejects_wrong_closed_form():
-    with pytest.raises(InvariantViolation):
-        st.DensityMeasure(
-            s_lo=0.0,
-            s_hi=1.0,
-            density=lambda s: np.full_like(np.asarray(s, float), 1.0),
-            # ln(eps) - ln 2: the uniform ball mass off by a factor 2
-            log_ball_mass_fn=lambda le: np.minimum(le, 0.0) - math.log(2.0),
-        )
-
-
 def test_density_rejects_negative_density():
     with pytest.raises(InvariantViolation):
         st.DensityMeasure(s_lo=0.0, s_hi=1.0, density=lambda s: np.asarray(s) - 0.5)
+
+
+def test_density_sign_check_is_relative_to_the_density():
+    # negative on [0, 0.4) at any scale: the floor is 1e-12 of the largest value
+    with pytest.raises(InvariantViolation, match="finite and nonnegative"):
+        st.DensityMeasure(0.0, 1.0, density=lambda s: 1e-20 * (np.asarray(s) - 0.4))
+    mu = st.DensityMeasure(0.0, 1.0, density=lambda s: 1e-20 * (1.0 + np.asarray(s)))
+    assert mu.log_ball_mass(math.log(0.3)) == pytest.approx(math.log(1e-20 * 0.345), rel=1e-14)
+
+
+def test_density_negative_between_the_check_points_is_refused_not_nan():
+    # a dip of width 1e-3 at s = 0.3 falls between the 32 points construction
+    # reads; the integral over [0, 0.31] is about 0.31 - 0.45 < 0
+    mu = st.DensityMeasure(
+        0.0, 1.0, density=lambda s: 1.0 - 254.0 * np.exp(-(((np.asarray(s) - 0.3) / 1e-3) ** 2)))
+    with pytest.raises(InvariantViolation, match="negative on part of the support"):
+        mu.log_ball_mass(math.log(0.31))
 
 
 def test_density_rejects_bad_support():
@@ -1008,8 +1069,8 @@ def test_density_mass_is_one_log_integral_of_a_tiny_support():
 
 
 def test_sampled_density_with_short_segments_far_from_zero():
-    # segments of 1e-6 at s = 1e6: eps = exp(ln eps) moves by an ulp (1.2e-10),
-    # and the closed form and the integral must be read at the same radius
+    # segments of 1e-6 at s = 1e6, where an ulp of s is 1.2e-10; the closed form
+    # is checked against the integral in the sampled-at-1e6 family case
     grid, vals = np.array([1e6, 1e6 + 1e-6, 1e6 + 2e-6]), np.array([1.0, 2.0, 1.0])
     mu = st.sampled_density_measure(grid, vals)
     trapezoid = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)))
@@ -1087,9 +1148,12 @@ def test_sampled_density_roundtrip():
     grid = np.linspace(0.5, 1.5, 11)
     vals = np.linspace(1.0, 2.0, 11)
     mu = st.sampled_density_measure(grid, vals)
-    back = st.measure_from_text(st.measure_to_text(mu))
-    assert np.array_equal(back.params["grid"], grid)
-    assert np.array_equal(back.params["values"], vals)
+    text = st.measure_to_text(mu)
+    back = st.measure_from_text(text)
+    assert st.measure_to_text(back) == text
+    assert np.array_equal(back.density(grid), vals)
+    le = np.log(family_check_radii(mu))
+    assert np.array_equal(back.log_ball_mass(le), mu.log_ball_mass(le))
 
 
 def test_atomic_roundtrip_mass_beyond_double_range():
@@ -1148,26 +1212,11 @@ def test_measure_file_io(tmp_path):
     assert np.array_equal(back.log_s, mu.log_s)
 
 
-@pytest.mark.parametrize("kind", ["density", "atomic", "my-profile"])
-def test_unregistered_density_is_not_written(kind):
+def test_density_of_no_family_is_not_written():
     # measure_from_text could not read it back, so to_text refuses it
-    mu = st.DensityMeasure(0.0, 1.0, density=np.ones_like, kind=kind)
-    with pytest.raises(DomainError, match=re.escape(repr(kind))):
-        st.measure_to_text(mu)
-
-
-def _mislabelled_uniform():
-    # density 2s on [0, 1] labelled as the uniform density of height 1: same
-    # support and mass, but ball_mass(0.5) is 0.25 here and 0.5 as labelled
-    return st.DensityMeasure(0.0, 1.0, density=lambda s: 2.0 * s, kind="uniform",
-                             params={"height": 1.0})
-
-
-def test_mislabelled_density_is_not_written():
-    mu = _mislabelled_uniform()
-    assert mu.ball_mass(0.5) == pytest.approx(0.25)
-    assert st.uniform_measure(0.0, 1.0).ball_mass(0.5) == pytest.approx(0.5)
-    with pytest.raises(DomainError, match="uniform"):
+    mu = st.DensityMeasure(0.0, 1.0, density=np.ones_like)
+    assert mu.kind == "density"
+    with pytest.raises(DomainError, match="a density of kind 'density' has no measure file"):
         st.measure_to_text(mu)
 
 
@@ -1175,10 +1224,9 @@ def test_refused_save_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "kept.measure"
     st.save_measure(st.power_law_measure(2.0), path)
     before = path.read_bytes()
-    for refused in (st.DensityMeasure(0.0, 1.0, density=np.ones_like), _mislabelled_uniform()):
-        with pytest.raises(DomainError):
-            st.save_measure(refused, path)
-        assert path.read_bytes() == before
+    with pytest.raises(DomainError):
+        st.save_measure(st.DensityMeasure(0.0, 1.0, density=np.ones_like), path)
+    assert path.read_bytes() == before
 
 
 def test_measure_from_text_rejects_garbage():

@@ -132,9 +132,9 @@ def kronsum_csr(op):
 
 def zero_diagonal_operator():
     """A 2-D operator on 9 x 9 points whose main diagonal -4/h^2 + V is exactly 0:
-    V = 2^-40 (inside the 1e-12 slack above 0) and h = 2^21, so 4/h^2 = 2^-40."""
-    op = discretize(sampled_potential(np.full(16, 2.0 ** -40), -1.0, 1.0, nu=2),
-                    L=5 * 2.0 ** 21, h=2.0 ** 21)
+    V = 0 and h = 2^540, where h^2 overflows and 1/h^2, so every entry of H, is 0."""
+    op = discretize(sampled_potential(np.zeros(16), -1.0, 1.0, nu=2),
+                    L=5 * 2.0 ** 540, h=2.0 ** 540)
     assert op.N == 81 and not np.any(op._diagonals[0][1])
     return op
 
@@ -201,6 +201,24 @@ class TestDiscretize:
         else:
             with pytest.raises(InvariantViolation, match="violates its bounds on the grid"):
                 discretize(V, L=1.0, h=0.25)
+
+    @pytest.mark.parametrize("a_bound", [1e-20, 1.0, 1e6])
+    @pytest.mark.parametrize("ulps, passes", [(2, True), (16, False)])
+    def test_declared_range_allowance_is_a_few_ulp_of_a_bound(self, a_bound, ulps, passes):
+        # a constant V that many ulp of a_bound above 0 or below -a_bound
+        past = ulps * np.finfo(float).eps * a_bound
+        for value in (past, -a_bound - past):
+            if passes:
+                op = discretize(constant_potential(value, a_bound=a_bound), L=1.0, h=0.25)
+                assert np.all(op.v_diag == value)
+            else:
+                with pytest.raises(InvariantViolation, match="potential must be"):
+                    constant_potential(value, a_bound=a_bound)
+
+    def test_tiny_positive_constant_is_refused(self):
+        # 1e-13 > 0 is far more than a few ulp of the default a_bound 1
+        with pytest.raises(InvariantViolation, match="potential must be <= 0 everywhere"):
+            constant_potential(1e-13)
 
     def test_free_laplacian_matches_closed_form(self):
         op = discretize(constant_potential(0.0), L=10.0, h=0.1)
