@@ -93,7 +93,6 @@ class OrbitTrace:
     t: np.ndarray
     log_norm_sq: np.ndarray
     log_mass: float
-    source: str = ""
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float)
@@ -137,8 +136,7 @@ def evolve_norms(mu, t_min: float, t_max: float, n_t: int) -> OrbitTrace:
     kernel is chunked, so million-point scans stay in bounded memory.
     """
     ts = _geomgrid(t_min, t_max, n_t, 2)
-    return OrbitTrace(t=ts, log_norm_sq=mu.log_laplace(ts), log_mass=float(mu.log_mass),
-                      source=mu.describe())
+    return OrbitTrace(t=ts, log_norm_sq=mu.log_laplace(ts), log_mass=float(mu.log_mass))
 
 
 def orbit_to_csv(trace: OrbitTrace, path) -> None:

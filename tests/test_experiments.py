@@ -402,6 +402,24 @@ class TestExponentTable:
         )
         assert (row[3], row[4]) == (est.d_minus, est.d_plus)
 
+    @pytest.mark.parametrize("build, keys, error", [
+        ("power_law_measure", dict(gamma_list=(2.0,), delta_list=()), 0.02),
+        ("monomial_profile_measure", dict(gamma_list=(), delta_list=(0.75,)), 0.015),
+    ], ids=["gamma", "delta"])
+    def test_scaling_accuracy_fails_on_a_family_built_off_its_parameter(self, monkeypatch,
+                                                                       build, keys, error):
+        assert study("exponent-table", **keys).passed
+        family = getattr(experiments, build)
+        monkeypatch.setattr(experiments, build, lambda value: family(1.01 * value))
+        rep = study("exponent-table", **keys)
+        # decay-accuracy is not asserted: the decay exponent moves by the same
+        # error, which passes its 0.05 tolerance
+        verdict = {v.name: v for v in rep.verdicts}["scaling-accuracy"]
+        assert not verdict.passed and not rep.passed
+        row = rep.table("exponent-table").rows[0]
+        assert row[3] - row[2] == pytest.approx(error, rel=1e-6)
+        assert row[4] - row[2] == pytest.approx(error, rel=1e-6)
+
     def test_empty_delta_list_gives_gamma_only_report(self):
         rep = study("exponent-table", delta_list=[], gamma_list=[0.5, 1.0], n_scales=40,
                     n_times=80)

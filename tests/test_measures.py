@@ -6,6 +6,7 @@ quadrature algorithms than the package), closed-form antiderivatives,
 and direct small-case enumeration.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -614,8 +615,8 @@ def test_density_vanishing_at_an_inner_edge_stays_finite():
 
 
 def test_sampled_density_with_segments_near_rounding_loads():
-    # segments of 1e-9 at s = 1: density(s) and the quadratures' h(sig) round
-    # differently, so the self-check must compare them at the same points
+    # segments of 1e-9 at s = 1: the density is read at offsets sig from the
+    # edge, which 1 + sig would round
     mu = st.sampled_density_measure([1.0, 1.0 + 1e-9, 1.0 + 3e-9], [1.0, 2.0, 1.0])
     assert mu.mass == pytest.approx(4.5e-9, rel=1e-7)
 
@@ -626,7 +627,7 @@ def _linear_log_transform(mu, t, shift=None):
     the exponential underflows); right while the integral is a normal double."""
     width = mu.s_hi - mu.s_lo
     upper = min(width, 745.0 / (2.0 * t)) if t > 0.0 else width
-    smooth = mu._smooth()
+    smooth = mu.smooth_factor
     c = 0.0 if shift is None else shift - mu.s_lo
     power = 0 if shift is None else 2
     f = lambda sig: float(smooth(sig)) * (c - sig) ** power * math.exp(-2.0 * t * sig)
@@ -877,14 +878,14 @@ def test_atomic_property_mass_and_monotonicity(positions, data):
 
 def test_density_rejects_negative_density():
     with pytest.raises(InvariantViolation):
-        st.DensityMeasure(s_lo=0.0, s_hi=1.0, density=lambda s: np.asarray(s) - 0.5)
+        st.DensityMeasure(s_lo=0.0, s_hi=1.0, smooth_factor=lambda sig: sig - 0.5)
 
 
 def test_density_sign_check_is_relative_to_the_density():
     # negative on [0, 0.4) at any scale: the floor is 1e-12 of the largest value
     with pytest.raises(InvariantViolation, match="finite and nonnegative"):
-        st.DensityMeasure(0.0, 1.0, density=lambda s: 1e-20 * (np.asarray(s) - 0.4))
-    mu = st.DensityMeasure(0.0, 1.0, density=lambda s: 1e-20 * (1.0 + np.asarray(s)))
+        st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1e-20 * (sig - 0.4))
+    mu = st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1e-20 * (1.0 + sig))
     assert mu.log_ball_mass(math.log(0.3)) == pytest.approx(math.log(1e-20 * 0.345), rel=1e-14)
 
 
@@ -892,31 +893,60 @@ def test_density_negative_between_the_check_points_is_refused_not_nan():
     # a dip of width 1e-3 at s = 0.3 falls between the 32 points construction
     # reads; the integral over [0, 0.31] is about 0.31 - 0.45 < 0
     mu = st.DensityMeasure(
-        0.0, 1.0, density=lambda s: 1.0 - 254.0 * np.exp(-(((np.asarray(s) - 0.3) / 1e-3) ** 2)))
+        0.0, 1.0, smooth_factor=lambda sig: 1.0 - 254.0 * math.exp(-(((sig - 0.3) / 1e-3) ** 2)))
     with pytest.raises(InvariantViolation, match="negative on part of the support"):
         mu.log_ball_mass(math.log(0.31))
 
 
 def test_density_rejects_bad_support():
     with pytest.raises(DomainError):
-        st.DensityMeasure(s_lo=1.0, s_hi=1.0, density=lambda s: np.ones_like(np.asarray(s)))
+        st.DensityMeasure(s_lo=1.0, s_hi=1.0, smooth_factor=lambda sig: 1.0)
     with pytest.raises(DomainError):
-        st.DensityMeasure(s_lo=-0.5, s_hi=1.0, density=lambda s: np.ones_like(np.asarray(s)))
+        st.DensityMeasure(s_lo=-0.5, s_hi=1.0, smooth_factor=lambda sig: 1.0)
 
 
 @pytest.mark.parametrize("extra, message", [
-    (dict(alg_power=-1.0, smooth_factor=lambda sig: 1.0), "alg_power must be > -1"),
-    (dict(alg_power=0.5), "a nonzero alg_power requires an explicit smooth_factor"),
-], ids=["alg-power-minus-one", "alg-power-without-smooth-factor"])
+    (dict(alg_power=-1.0), "alg_power must be > -1"),
+], ids=["alg-power-minus-one"])
 def test_density_edge_guards(extra, message):
     with pytest.raises(DomainError, match=re.escape(message)):
-        st.DensityMeasure(s_lo=0.0, s_hi=1.0, density=lambda s: np.ones_like(np.asarray(s)),
-                          **extra)
+        st.DensityMeasure(s_lo=0.0, s_hi=1.0, smooth_factor=lambda sig: 1.0, **extra)
+
+
+def test_density_takes_its_smooth_factor_by_keyword_only():
+    # the old density(s) callable, by name or in third place, is never misread
+    with pytest.raises(TypeError, match="density"):
+        st.DensityMeasure(0.0, 1.0, density=lambda s: 1.0)
+    with pytest.raises(TypeError, match="positional"):
+        st.DensityMeasure(0.0, 1.0, lambda sig: 1.0)
+    with pytest.raises(TypeError, match="smooth_factor"):
+        st.DensityMeasure(0.0, 1.0, alg_power=1.0)
+    fields = [f.name for f in dataclasses.fields(st.DensityMeasure)]
+    assert fields == ["s_lo", "s_hi", "smooth_factor", "alg_power", "quad_breaks"]
+
+
+def test_density_reads_its_smooth_factor_at_the_offset_from_the_inner_edge():
+    # h(sig) = sig on [1/2, 1] is the density s - 1/2: mass 1/8, and
+    # (eps - 1/2)^2 / 2 in the ball of radius eps
+    mu = st.DensityMeasure(0.5, 1.0, smooth_factor=lambda sig: sig)
+    assert mu.mass == pytest.approx(0.125, rel=1e-12)
+    assert mu.log_ball_mass(math.log(0.75)) == pytest.approx(math.log(0.25 ** 2 / 2), rel=1e-12)
+
+
+def test_narrow_feature_given_as_a_break_is_integrated():
+    # a peak of width 1e-3 at s = 0.3: the quadrature sees the density only at
+    # its nodes and breaks, so the peak is integrated once 0.3 is a break
+    mu = st.DensityMeasure(
+        0.0, 1.0, smooth_factor=lambda sig: 1.0 + 254.0 * math.exp(-(((sig - 0.3) / 1e-3) ** 2)),
+        quad_breaks=np.array([0.3]))
+    exact = 1.0 + 254.0 * 1e-3 * math.sqrt(math.pi) / 2.0 * (math.erf(0.7 / 1e-3)
+                                                           + math.erf(0.3 / 1e-3))
+    assert mu.mass == pytest.approx(exact, rel=1e-12)
 
 
 def test_density_rejects_zero_mass():
     with pytest.raises(InvariantViolation, match="total mass must be finite and positive"):
-        st.DensityMeasure(s_lo=0.0, s_hi=1.0, density=lambda s: np.zeros_like(np.asarray(s)))
+        st.DensityMeasure(s_lo=0.0, s_hi=1.0, smooth_factor=lambda sig: 0.0)
 
 
 @pytest.mark.parametrize("grid, values, error, message", [
@@ -931,17 +961,6 @@ def test_density_rejects_zero_mass():
 def test_sampled_density_grid_guards(grid, values, error, message):
     with pytest.raises(error, match=re.escape(message)):
         st.sampled_density_measure(grid, values)
-
-
-def test_density_rejects_inconsistent_smooth_factor():
-    with pytest.raises(InvariantViolation):
-        st.DensityMeasure(
-            s_lo=0.0,
-            s_hi=1.0,
-            density=lambda s: np.asarray(s, float) ** 2,
-            alg_power=2.0,
-            smooth_factor=lambda sig: 3.0,  # density is sig^2 * 1, not sig^2 * 3
-        )
 
 
 def _mp_log_first_segment(v0, slope, log_eps):
@@ -967,11 +986,9 @@ def test_density_ball_mass_below_double_range(mu, oracle):
 # User densities without a closed form: density(s) = s^p (c0 + s) on [0, 1].
 # The oracle integrates the ball mass exactly in mpmath.
 _USER_DENSITIES = {
-    0: st.DensityMeasure(0.0, 1.0, density=lambda s: 1.5 + s),
-    2: st.DensityMeasure(0.0, 1.0, density=lambda s: s ** 2 * (2.0 + s), alg_power=2.0,
-                         smooth_factor=lambda sig: 2.0 + sig),
-    -0.5: st.DensityMeasure(0.0, 1.0, density=lambda s: s ** -0.5 * (1.0 + s), alg_power=-0.5,
-                            smooth_factor=lambda sig: 1.0 + sig),
+    0: st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1.5 + sig),
+    2: st.DensityMeasure(0.0, 1.0, alg_power=2.0, smooth_factor=lambda sig: 2.0 + sig),
+    -0.5: st.DensityMeasure(0.0, 1.0, alg_power=-0.5, smooth_factor=lambda sig: 1.0 + sig),
 }
 
 
@@ -985,8 +1002,7 @@ def test_user_density_ball_mass_below_double_range(p, c0):
 
 
 # A pure edge power: at ln eps = -700 eps is a normal double but eps^3 / 3 is not.
-_CUBIC_BALL = st.DensityMeasure(0.0, 1.0, density=lambda s: s ** 2, alg_power=2.0,
-                                smooth_factor=lambda sig: 1.0)
+_CUBIC_BALL = st.DensityMeasure(0.0, 1.0, alg_power=2.0, smooth_factor=lambda sig: 1.0)
 
 
 def test_user_density_ball_mass_in_the_underflow_band():
@@ -1004,20 +1020,19 @@ def test_user_density_with_edge_power_scaling_exponents():
 
 def test_user_density_breaks_leave_the_ball_mass_below_double_range_unchanged():
     # eps = e^-2000 is 0.0 as a double: no break lies inside the scaled range
-    mu = st.DensityMeasure(0.0, 1.0, density=lambda s: 1.0 + np.asarray(s),
+    mu = st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1.0 + sig,
                            quad_breaks=np.array([0.0, 0.5, 1.0]))
     assert mu.log_ball_mass(-2000.0) == -2000.0
     assert mu.log_ball_mass(math.log(0.7)) == pytest.approx(math.log(0.7 + 0.245), rel=1e-14)
 
 
 def test_user_density_ball_mass_keeps_minus_inf_without_edge_value():
-    mu = st.DensityMeasure(0.0, 1.0, density=lambda s: s, alg_power=1.0,
-                           smooth_factor=lambda sig: 1.0 * (sig > 0.0))
+    mu = st.DensityMeasure(0.0, 1.0, alg_power=1.0, smooth_factor=lambda sig: 1.0 * (sig > 0.0))
     assert mu.log_ball_mass(-2000.0) == -math.inf
 
 
 def test_user_density_scaling_exponents_below_double_range():
-    mu = st.DensityMeasure(0.0, 1.0, density=np.ones_like)
+    mu = st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1.0)
     est = st.scaling_exponents(mu, log_window=(-2000.0, -1.0))
     assert not est.convention_branch
     assert est.d_minus == pytest.approx(1.0, abs=1e-12)
@@ -1049,8 +1064,7 @@ def test_sampled_density_ball_mass_matches_trapezoid():
 def test_inner_edge_power_ball_mass_keeps_its_log():
     # a density (s - 1/2)^30 on [1/2, 3/2]: one ulp above the inner edge the
     # ball mass (eps - 1/2)^31 / 31 is about exp(-1142), far below double range
-    mu = st.DensityMeasure(0.5, 1.5, density=lambda s: (np.asarray(s) - 0.5) ** 30,
-                           alg_power=30.0, smooth_factor=lambda sig: 1.0)
+    mu = st.DensityMeasure(0.5, 1.5, alg_power=30.0, smooth_factor=lambda sig: 1.0)
     for eps in (math.nextafter(0.5, 1.0), 0.75):
         want = 31.0 * math.log(eps - 0.5) - math.log(31.0)
         assert mu.log_ball_mass(math.log(eps)) == pytest.approx(want, rel=1e-14)
@@ -1061,8 +1075,7 @@ def test_inner_edge_power_ball_mass_keeps_its_log():
 
 def test_density_mass_is_one_log_integral_of_a_tiny_support():
     # mass 1e-16^31 / 31: its log is finite though the mass underflows to 0.0
-    mu = st.DensityMeasure(0.5, 0.5 + 1e-16, density=lambda s: (np.asarray(s) - 0.5) ** 30,
-                           alg_power=30.0, smooth_factor=lambda sig: 1.0)
+    mu = st.DensityMeasure(0.5, 0.5 + 1e-16, alg_power=30.0, smooth_factor=lambda sig: 1.0)
     width = mu.s_hi - mu.s_lo
     assert mu.log_mass == pytest.approx(31.0 * math.log(width) - math.log(31.0), rel=1e-14)
     assert mu.mass == 0.0
@@ -1151,7 +1164,7 @@ def test_sampled_density_roundtrip():
     text = st.measure_to_text(mu)
     back = st.measure_from_text(text)
     assert st.measure_to_text(back) == text
-    assert np.array_equal(back.density(grid), vals)
+    assert np.array_equal(back.smooth_factor(grid - grid[0]), vals)
     le = np.log(family_check_radii(mu))
     assert np.array_equal(back.log_ball_mass(le), mu.log_ball_mass(le))
 
@@ -1189,6 +1202,17 @@ def test_measure_file_the_family_refuses_is_bad_input(text):
         st.measure_from_text(text)
 
 
+def test_power_law_refuses_a_gamma_that_rounds_its_edge_power_to_minus_one():
+    # gamma - 1 rounds to -1 for gamma <= 2^-54; the family names gamma, and
+    # read from a file the refusal stays bad input
+    named = re.escape("gamma=1e-17 is too small: its edge power gamma - 1 rounds to -1")
+    with pytest.raises(DomainError, match=named):
+        st.power_law_measure(1e-17)
+    with pytest.raises(DomainError, match=named):
+        st.measure_from_text("density kind=power-law\ngamma=1e-17\n")
+    assert st.power_law_measure(2.0 ** -53).kind == "power-law"
+
+
 def test_readme_lists_every_measure_family_and_entry():
     """The README "File formats" measure list matches the family table exactly."""
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
@@ -1214,7 +1238,7 @@ def test_measure_file_io(tmp_path):
 
 def test_density_of_no_family_is_not_written():
     # measure_from_text could not read it back, so to_text refuses it
-    mu = st.DensityMeasure(0.0, 1.0, density=np.ones_like)
+    mu = st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1.0)
     assert mu.kind == "density"
     with pytest.raises(DomainError, match="a density of kind 'density' has no measure file"):
         st.measure_to_text(mu)
@@ -1225,7 +1249,7 @@ def test_refused_save_leaves_the_file_as_it_was(tmp_path):
     st.save_measure(st.power_law_measure(2.0), path)
     before = path.read_bytes()
     with pytest.raises(DomainError):
-        st.save_measure(st.DensityMeasure(0.0, 1.0, density=np.ones_like), path)
+        st.save_measure(st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1.0), path)
     assert path.read_bytes() == before
 
 
