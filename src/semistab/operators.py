@@ -25,6 +25,9 @@ bit, makes H commute with the swap (x, y) -> (y, x).  Every radial kind is,
 and so is a sampled V with a symmetric sample matrix.  The eigenvalues are
 then solved on the swap's even and odd sectors: two bands of about N/2
 points and half-bandwidth about n_side/2, whose spectra together are H's.
+The two run at once on two threads: the values-only solves call LAPACK
+``dsbevd`` through ctypes, which releases the GIL, and give ``eig_banded``'s
+values bit for bit at any thread count.
 The mirrors x -> -x and y -> -y are not used: the grid points
 ``-L + h k`` are not mirror-exact in floating point, so V is not exactly
 mirror-symmetric on the grid.
@@ -54,10 +57,12 @@ discretized operators are in the strong-resolvent sense.
 
 from __future__ import annotations
 
+import ctypes
 import importlib
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -421,21 +426,22 @@ class DiscretizedOperator:
     * the factorization of ``iI - H`` behind ``resolvent_apply``: a
       tridiagonal LU in 1-D, a sparse LU in 2-D.
 
-    The banded solves (LAPACK ``?sbevd`` through ``scipy.linalg.eig_banded``)
-    read H in lower band storage, so neither forms a dense N x N copy of H;
-    without vectors the band reduction costs O(N^2 b) at half-bandwidth b
-    where a dense one costs O(N^3).  The 2-D full decomposition reads
-    ``_band``, all of H with ``b = n_side``.  ``eigenvalues`` reads it too in
-    1-D and for a 2-D V that is not swap-symmetric on the grid; for a
-    swap-symmetric one it solves the swap's two sectors
-    ``P+-^T H P+-`` (``_swap_sectors``, ``_sector_band``), of about N/2
-    points and ``b`` about n_side/2 each, for about a third of the time.
-    The solves are independent, so ``lambda_max``, ``eigenvalues`` and the
-    values paired with ``eigenvectors`` agree only to about 1e-12 times the
-    Dirichlet spectral scale, not bit for bit.  Every computed eigenvalue
-    and eigenpair is validated before it is cached.  The grid is the
-    interior of [-L, L]^nu with spacing h; for nu=2 the flat index is
-    ``i * n_side + j`` for the point ``(x_i, y_j)``.
+    The banded solves (LAPACK ``?sbevd``, in ``_band_eigenvalues`` and
+    ``scipy.linalg.eig_banded``) read H in lower band storage, so neither
+    forms a dense N x N copy of H; without vectors the band reduction costs
+    O(N^2 b) at half-bandwidth b where a dense one costs O(N^3).  The 2-D
+    full decomposition reads ``_band``, all of H with ``b = n_side``.
+    ``eigenvalues`` reads it too in 1-D and for a 2-D V that is not
+    swap-symmetric on the grid; for a swap-symmetric one it solves the swap's
+    two sectors ``P+-^T H P+-`` (``_swap_sectors``, ``_sector_band``), of
+    about N/2 points and ``b`` about n_side/2 each, a third of the unfolded
+    work, at once on two threads.  The solves are independent, so
+    ``lambda_max``, ``eigenvalues`` and the values paired with
+    ``eigenvectors`` agree only to about 1e-12 times the Dirichlet spectral
+    scale, not bit for bit.  Every computed eigenvalue and eigenpair is
+    validated before it is cached.  The grid is the interior of [-L, L]^nu
+    with spacing h; for nu=2 the flat index is ``i * n_side + j`` for the
+    point ``(x_i, y_j)``.
     """
 
     nu: int
@@ -519,7 +525,7 @@ class DiscretizedOperator:
         # the swap sectors P+^T H P+ and P-^T H P- hold H's spectrum between them
         bands = ([_sector_band(self._diagonals, *sector) for sector in _swap_sectors(self.n_side)]
                  if self._swap_symmetric else [self._band])
-        vals = np.concatenate([eig_banded(band, lower=True, eigvals_only=True) for band in bands])
+        vals = np.concatenate(_band_eigenvalues(bands))
         vals = np.sort(vals)[::-1]
         _check_eigenvalues(self, vals)
         vals.setflags(write=False)
@@ -686,6 +692,58 @@ def _sector_band(diagonals: tuple, col: np.ndarray, weight: np.ndarray) -> np.nd
     band = band[:np.flatnonzero(band.any(axis=1))[-1] + 1]
     band.setflags(write=False)
     return band
+
+
+@cache
+def _dsbevd() -> Callable:
+    """LAPACK ``dsbevd`` of ``scipy.linalg.cython_lapack``, bound with ctypes,
+    whose calls release the GIL where scipy's f2py wrapper holds it."""
+    capsule = importlib.import_module("scipy.linalg.cython_lapack").__pyx_capi__["dsbevd"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(pointer(capsule, name(capsule)))
+
+
+def _band_eigenvalues(bands: list) -> list:
+    """The eigenvalues, ascending, of each symmetric band in LAPACK lower storage:
+    ``dsbevd`` without vectors, on the input ``eig_banded(band, lower=True,
+    eigvals_only=True)`` gives it, so bit for bit that call's values.  Every
+    array is made on this thread, which solves the first band while a worker
+    thread solves each other one; a worker's exception is raised here."""
+    calls, results = [], []
+    for band in bands:
+        if not np.isfinite(band).all():
+            raise InvariantViolation("a band of H holds a value that is not finite")
+        kd, n = band.shape[0] - 1, band.shape[1]
+        ab, w, z, info = np.array(band, float, order="F"), np.empty(n), np.empty(1), ctypes.c_int(0)
+        work, iwork = np.empty(max(1, 2 * n)), np.empty(1, np.intc)  # LAPACK's sizes for jobz='N'
+        n_, kd_, ldab, ldz, lwork, liwork = (ctypes.byref(ctypes.c_int(v))
+                                             for v in (n, kd, kd + 1, 1, work.size, iwork.size))
+        calls.append(partial(_dsbevd(), b"N", b"L", n_, kd_, ab.ctypes, ldab, w.ctypes, z.ctypes,
+                             ldz, work.ctypes, lwork, iwork.ctypes, liwork, ctypes.byref(info)))
+        results.append((w, info))
+    errors = []
+
+    def solve(call):
+        try:
+            call()
+        except BaseException as exc:  # raised on the calling thread, below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=solve, args=(call,)) for call in calls[1:]]
+    for worker in workers:
+        worker.start()
+    solve(calls[0])
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    for _, info in results:
+        if info.value != 0:
+            raise InvariantViolation(f"LAPACK dsbevd failed on a band of H: info = {info.value}")
+    return [w for w, _ in results]
 
 
 def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarray,

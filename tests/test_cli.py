@@ -853,6 +853,22 @@ class TestScipyLoadsAtItsSolve:
         )
         assert _loaded(script) == ["scipy.linalg"]
 
+    def test_2d_spectrum_imports_nothing_after_cli_import(self, tmp_path):
+        # an import inside the command would count in its run time; the two
+        # swap sectors' solves on two threads use ctypes, threading and the
+        # cython_lapack that the CLI's scipy.linalg preload brings
+        pot, out = str(tmp_path / "well.potential"), str(tmp_path / "spectrum.csv")
+        save_potential(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), pot)
+        script = ("import sys\n"
+                  "from semistab.cli import main\n"
+                  "before = set(sys.modules)\n"
+                  f"assert main(['operator', 'spectrum', {pot!r}, '--L', '2', '--h', '0.25',"
+                  f" '--out', {out!r}]) == 0\n"
+                  "print(sorted(set(sys.modules) - before))\n")
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_cli_preload_is_frozen(self):
         # a module imported after gc.freeze() is torn down by the collector at exit again
         proc = _run_python("-c", "import gc, semistab.cli, scipy.linalg\n"

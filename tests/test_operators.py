@@ -4,7 +4,8 @@ and resolvent diagnostics.
 Oracles used here are independent of the package internals: the cosine
 form of the Dirichlet second-difference spectrum, dense matrices built
 by explicit loops, scipy.linalg.expm for semigroup evolution,
-scipy.linalg.eigh_tridiagonal and eig_banded for the 1-D solves, numpy.linalg
+scipy.linalg.eigh_tridiagonal and eig_banded for the 1-D solves, eig_banded
+for the values-only banded solves that call LAPACK through ctypes, numpy.linalg
 solves for resolvents, ARPACK ``eigsh`` and SuperLU for the 1-D
 tridiagonal top eigenpair and resolvent, and, for the inertia counts, a
 sparse LU without pivoting and dense numpy.linalg.eigvalsh counts.  The
@@ -14,10 +15,12 @@ swap sectors to the sparse products ``P^T H P`` of the sparse maps they
 replaced (``sparse_swap_sectors``, ``lower_band``).
 """
 
+import ctypes
 import dataclasses
 import math
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -723,6 +726,86 @@ class TestSwapFoldFaults:
         monkeypatch.setattr(operators.DiscretizedOperator, "_swap_symmetric", True)
         with pytest.raises(InvariantViolation):
             forced.eigenvalues
+
+
+_DSBEVD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)  # the binding's C signature
+
+
+class TestBandEigenvalues:
+    """``_band_eigenvalues``, the values-only solve behind ``eigenvalues``: LAPACK
+    ``dsbevd`` called through ctypes, with each band after the first on a
+    worker thread, against ``eig_banded``'s f2py call of the same routine."""
+
+    SECTORS = {"odd": TestOperatorMatrix.CASES["nu2"],  # n_side = 15
+               "even": TestOperatorMatrix.CASES["nu2-exp"],  # n_side = 8
+               "spectrum-2d": TestSwapFold.SYMMETRIC["spectrum-2d"]}  # n_side = 24
+
+    @staticmethod
+    def sector_bands(case):
+        op = discretize(*TestBandEigenvalues.SECTORS[case])
+        return [operators._sector_band(op._diagonals, *sector)
+                for sector in operators._swap_sectors(op.n_side)]
+
+    @pytest.mark.parametrize("case", ["nu1", "nu2-sampled"])
+    def test_unfolded_band_is_bit_for_bit_eig_banded(self, case):
+        op = discretize(*TestOperatorMatrix.CASES[case])
+        assert not op._swap_symmetric
+        (vals,) = operators._band_eigenvalues([op._band])
+        assert np.array_equal(vals, eig_banded(op._band, lower=True, eigvals_only=True))
+
+    @pytest.mark.parametrize("case", SECTORS)
+    def test_sectors_are_bit_for_bit_eig_banded_together_and_alone(self, case):
+        bands = self.sector_bands(case) * 2  # each sector twice: three worker threads
+        together = operators._band_eigenvalues(bands)
+        assert len(together) == 4
+        for band, vals in zip(bands, together):
+            assert np.array_equal(vals, eig_banded(band, lower=True, eigvals_only=True))
+            assert np.array_equal(vals, operators._band_eigenvalues([band])[0])
+
+    @pytest.mark.parametrize("path", ["unfolded", "sectors"])
+    def test_nan_in_v_fails_before_the_solve(self, monkeypatch, path):
+        op = discretize(*TestOperatorMatrix.CASES["nu2"])
+        n = op.n_side
+        v = op.v_diag.copy()
+        v[2 * n + 5] = v[5 * n + 2] = np.nan  # placed symmetrically
+        bad = dataclasses.replace(op, v_diag=v)
+        assert not bad._swap_symmetric  # NaN != NaN, so the grid test sends it unfolded
+        if path == "sectors":
+            monkeypatch.setattr(operators.DiscretizedOperator, "_swap_symmetric", True)
+        solve, seen = operators._band_eigenvalues, []
+        monkeypatch.setattr(operators, "_band_eigenvalues",
+                            lambda bands: seen.append(len(bands)) or solve(bands))
+        with pytest.raises(InvariantViolation, match="not finite"):
+            bad.eigenvalues
+        assert seen == [{"unfolded": 1, "sectors": 2}[path]]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-band", "worker-band"])
+    def test_lapack_info_fails_the_solve(self, monkeypatch, failing):
+        bands = self.sector_bands("odd")
+        real = operators._dsbevd()
+
+        @_DSBEVD
+        def fails_one_band(*args):
+            real(*args)
+            if ctypes.c_int.from_address(args[2]).value == bands[failing].shape[1]:  # n
+                ctypes.c_int.from_address(args[-1]).value = 1  # info
+
+        monkeypatch.setattr(operators, "_dsbevd", lambda: fails_one_band)
+        with pytest.raises(InvariantViolation, match="info = 1"):
+            discretize(*self.SECTORS["odd"]).eigenvalues
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        bands, caller, real = self.sector_bands("odd"), threading.get_ident(), operators._dsbevd()
+
+        def fails_off_the_calling_thread(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker failed")
+            real(*args)
+
+        monkeypatch.setattr(operators, "_dsbevd", lambda: fails_off_the_calling_thread)
+        assert len(operators._band_eigenvalues(bands[:1])) == 1  # one band: no worker
+        with pytest.raises(RuntimeError, match="worker failed"):
+            operators._band_eigenvalues(bands)
 
 
 class TestEigenvalueChecks:
