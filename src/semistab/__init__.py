@@ -47,7 +47,6 @@ from .operators import (
     potential_from_text,
     potential_to_text,
     resolvent_apply,
-    resolvent_gap,
     sampled_potential,
     save_potential,
     shift_potential,

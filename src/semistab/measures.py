@@ -595,8 +595,12 @@ def power_law_measure(gamma: float) -> DensityMeasure:
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise DomainError("gamma must be positive and finite")
     g = float(gamma)
-    if not g - 1.0 > -1.0:  # gamma <= 2^-54 rounds the edge power to -1
-        raise DomainError(f"gamma={g!r} is too small: its edge power gamma - 1 rounds to -1")
+    # the density is held as g s^alg with alg = g - 1 rounded, so its mass is
+    # g / (alg + 1), not the stated 1, where that rounding moves alg + 1 off g
+    # (below about 6e-5 by more than 1e-12 g); gamma <= 2^-54 rounds alg to -1
+    if abs((g - 1.0) + 1.0 - g) > 1e-12 * g:
+        raise DomainError(f"gamma={g!r} is too small: its edge power gamma - 1 rounds to "
+                          f"{g - 1.0!r}, which moves the mass by more than 1e-12")
     return _family_measure(
         ("power-law", {"gamma": g},
          lambda le: g * np.minimum(np.asarray(le, dtype=float), 0.0), 1.0),

@@ -89,7 +89,6 @@ __all__ = [
     "MetricValue",
     "metric_d",
     "resolvent_apply",
-    "resolvent_gap",
     "potential_to_text",
     "potential_from_text",
     "save_potential",
@@ -473,6 +472,15 @@ class DiscretizedOperator:
             d.setflags(write=False)
         return tuple(diagonals)
 
+    def _same_matrix(self, other: "DiscretizedOperator") -> bool:
+        """H is ``other``'s H bit for bit: the stencils have the same offsets and
+        diagonals of the same bytes, which cover nu, n_side and h.  Bytes never
+        count -0.0 as 0.0 or one NaN payload as another, so every solve on one
+        is, bit for bit, the same solve on the other."""
+        return len(self._diagonals) == len(other._diagonals) and all(
+            k == k_other and d.tobytes() == d_other.tobytes()
+            for (k, d), (k_other, d_other) in zip(self._diagonals, other._diagonals))
+
     @cached_property
     def H(self) -> scipy.sparse.csr_array:
         """H as a read-only scipy CSR matrix of the stencil's nonzero entries
@@ -539,7 +547,9 @@ class DiscretizedOperator:
     def lambda_max(self) -> float:
         if self.nu == 1:
             # the top eigenpair of the tridiagonal H; tol = 2 * tiny is LAPACK
-            # ?stebz's most accurate bisection, at no extra cost
+            # ?stebz's most accurate bisection, and the studies' CSV bits rest on
+            # it; it costs about a fifth more than the default tolerance (0.70 against
+            # 0.58 ms at N = 799, interleaved, one BLAS thread, 2-core Xeon)
             (_, d), (_, e) = self._diagonals
             vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(self.N - 1, self.N - 1),
                                           tol=2.0 * np.finfo(float).tiny)
@@ -966,6 +976,21 @@ def _sup_abs_diff(V: Potential, U: Potential, j: int, spacing: float) -> float:
     return float(np.max(np.abs(V.eval(pts) - U.eval(pts))))
 
 
+@cache
+def _radial_samples(nu: int, J: int) -> tuple:
+    """(points, starts), read-only and built once per (nu, J): the radii of
+    every term j = 0..J of ``metric_d``'s radial branch concatenated, as points
+    of R^nu on the first axis, and the index where each term's radii start."""
+    radii = [np.linspace(0.0, float(j), int(math.ceil(j / (_SUP_STEP * j + _SUP_STEP))) + 1)
+             for j in range(J + 1)]
+    r = np.concatenate(radii)
+    pts = r if nu == 1 else np.stack([r, np.zeros_like(r)], axis=-1)
+    starts = np.cumsum([0] + [x.size for x in radii[:-1]])
+    for arr in (pts, starts):
+        arr.setflags(write=False)
+    return pts, starts
+
+
 def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5) -> MetricValue:
     """Partial sum of sum_j min(2^-j, sup_{|x| <= j} |V - U|) up to j = J.
 
@@ -985,11 +1010,7 @@ def metric_d(V: Potential, U: Potential, J: int = 20, tail_tol: float = 1e-5) ->
     if V.is_radial and U.is_radial:
         # V and U are evaluated once, on every term's radii concatenated; the
         # evaluation is elementwise, so each term's sup is _sup_abs_diff's
-        radii = [np.linspace(0.0, float(j), int(math.ceil(j / (_SUP_STEP * j + _SUP_STEP))) + 1)
-                 for j in range(J + 1)]
-        r = np.concatenate(radii)
-        pts = r if V.nu == 1 else np.stack([r, np.zeros_like(r)], axis=-1)
-        starts = np.cumsum([0] + [x.size for x in radii[:-1]])
+        pts, starts = _radial_samples(V.nu, J)
         sups = np.maximum.reduceat(np.abs(V.eval(pts) - U.eval(pts)), starts).tolist()
     else:
         sups = [_sup_abs_diff(V, U, j, _SUP_STEP * j + _SUP_STEP) for j in range(J + 1)]
@@ -1029,24 +1050,23 @@ def resolvent_apply(H: DiscretizedOperator, u) -> np.ndarray:
     return w
 
 
-def resolvent_gap(H_approx: DiscretizedOperator, H: DiscretizedOperator, u) -> tuple:
-    """(lhs, rhs) of the second-resolvent-identity bound at the point i.
+def _resolvent_gap(H_approx: DiscretizedOperator, H: DiscretizedOperator, u,
+                   ru: np.ndarray) -> tuple:
+    """(lhs, rhs) of the second-resolvent-identity bound at the point i, given
+    ``ru = resolvent_apply(H, u)``, so one solve on H serves every H_approx.
 
     lhs = ||R_i(H_approx) u - R_i(H) u||, rhs = ||(V_approx - V) R_i(H) u||
     with pointwise multiplication on the shared grid; the resolvent of a
     self-adjoint operator at i has norm <= 1, so lhs <= rhs up to solver
-    tolerance.
+    tolerance.  Where H_approx's matrix is H's bit for bit (``_same_matrix``),
+    R_i(H_approx) u is ``ru`` itself, as the same solve on the same input
+    gives the same bits, so lhs is 0.0 with no solve.  rhs reads both
+    ``v_diag`` all the same: they may differ below the rounding of H's main
+    diagonal, ``-2 nu / h^2 + V``.
     """
-    return _resolvent_gap(H_approx, H, u, resolvent_apply(H, u))
-
-
-def _resolvent_gap(H_approx: DiscretizedOperator, H: DiscretizedOperator, u,
-                   ru: np.ndarray) -> tuple:
-    """``resolvent_gap(H_approx, H, u)`` given ``ru = resolvent_apply(H, u)``,
-    so one solve on H serves every H_approx."""
     if (H_approx.nu, H_approx.L, H_approx.h, H_approx.N) != (H.nu, H.L, H.h, H.N):
         raise DomainError("operators are not discretized on the same grid")
-    ru_approx = resolvent_apply(H_approx, u)
+    ru_approx = ru if H_approx._same_matrix(H) else resolvent_apply(H_approx, u)
     lhs = float(np.linalg.norm(ru_approx - ru))
     rhs = float(np.linalg.norm((H_approx.v_diag - H.v_diag) * ru))
     return lhs, rhs

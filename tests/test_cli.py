@@ -500,8 +500,9 @@ class TestInputErrors:
         ("density kind=sampled-density\nn=2\n0.0 1e308\n1.0 1e308\n", "finite total mass"),
         ("density kind=sampled-density\nn=2\n0.0 1.0\n1e-320 2.0\n", "finite and nonnegative"),
         ("density kind=power-law\ngamma=1e-17\n", "gamma=1e-17 is too small"),
+        ("density kind=power-law\ngamma=1e-12\n", "gamma=1e-12 is too small"),
     ], ids=["power-law-huge-gamma", "uniform-huge-mass", "sampled-huge-values",
-            "sampled-subnormal-grid", "power-law-tiny-gamma"])
+            "sampled-subnormal-grid", "power-law-tiny-gamma", "power-law-rounded-edge-power"])
     @pytest.mark.parametrize("command", ["classify", "evolve", "exponents"])
     def test_measure_the_family_refuses_exits_two(self, tmp_path, capsys, content, named,
                                                    command):

@@ -7,6 +7,7 @@ exponent columns.
 """
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -37,7 +38,7 @@ from semistab import (
     power_law_measure,
     range_bound_check,
     resolve_output_dir,
-    resolvent_gap,
+    resolvent_apply,
     run_study,
     sampled_potential,
     scaling_exponents,
@@ -47,7 +48,7 @@ from semistab import (
     truncate_potential,
     write_report,
 )
-from semistab import errors, experiments
+from semistab import errors, experiments, operators
 from semistab.errors import csv_cell, csv_text, write_ascii, write_csv
 
 GAUSSIAN = gaussian_well(depth=1.0, width=1.0, nu=1, a_bound=1.0)
@@ -57,6 +58,34 @@ FREE = constant_potential(0.0, a_bound=1.0)
 def small_truncation_report(seed=11):
     return study("approximation", potential=GAUSSIAN, seq_kind="truncation",
                  indices=range(1, 7), n_probes=2, L=8.0, h=0.1, seed=seed)
+
+
+def approx_1d_report(seed):
+    """The approximation study of the approx-1d benchmark workload."""
+    return study("approximation", potential=GAUSSIAN, seq_kind="truncation",
+                 indices=range(1, 13), n_probes=3, L=20.0, h=0.05, seed=seed)
+
+
+def spy_on_1d_solves(monkeypatch) -> dict:
+    """Counts, filled as a 1-D study runs, of its top-eigenpair solves
+    (``eigh_tridiagonal`` with ``select``), its tridiagonal factorizations of
+    iI - H (``zgttrf``) and its refined resolvent solves."""
+    solves = {"top-eigenpair": 0, "zgttrf": 0, "resolvent_apply": 0}
+
+    def spy(name, inner, counts=lambda *args, **kwargs: True):
+        def call(*args, **kwargs):
+            solves[name] += counts(*args, **kwargs)
+            return inner(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(operators, "eigh_tridiagonal",
+                        spy("top-eigenpair", operators.eigh_tridiagonal,
+                            lambda *args, **kwargs: "select" in kwargs))
+    monkeypatch.setattr(operators, "zgttrf", spy("zgttrf", operators.zgttrf))
+    apply = spy("resolvent_apply", operators.resolvent_apply)
+    monkeypatch.setattr(operators, "resolvent_apply", apply)
+    monkeypatch.setattr(experiments, "resolvent_apply", apply)
+    return solves
 
 
 def assert_matches_benchmark_reference(rep, workload, seed, skip_prefix=None):
@@ -203,14 +232,12 @@ class TestApproximationStudy:
         assert row[1] == float(metric_d(V4, GAUSSIAN, J=20))
         H4 = discretize(V4, 8.0, 0.1)
         assert row[2] == float(H4.lambda_max)
-        lhs, rhs = resolvent_gap(H4, H, probes[0])
+        lhs, rhs = operators._resolvent_gap(H4, H, probes[0], resolvent_apply(H, probes[0]))
         assert (row[3], row[4]) == (float(lhs), float(rhs))
-        lhs2, rhs2 = resolvent_gap(H4, H, probes[1])
+        lhs2, rhs2 = operators._resolvent_gap(H4, H, probes[1], resolvent_apply(H, probes[1]))
         assert (row[5], row[6]) == (float(lhs2), float(rhs2))
 
     def test_base_resolvent_is_solved_once_per_probe(self, monkeypatch):
-        from semistab import operators
-
         solved = []
         inner = operators.resolvent_apply
 
@@ -221,16 +248,105 @@ class TestApproximationStudy:
         monkeypatch.setattr(operators, "resolvent_apply", counting)
         monkeypatch.setattr(experiments, "resolvent_apply", counting)
         small_truncation_report()
-        # 2 probes: one base solve each, and one per probe on each of the 6 truncations
+        # 2 probes: one base solve each, and one per probe on truncations 1..5;
+        # truncation 6 rounds to the base V on the grid, so it reuses the base solves
         assert solved.count("gaussian-well") == 2
-        assert solved.count("truncated") == 6 * 2 and len(solved) == 14
+        assert solved.count("truncated") == 5 * 2 and len(solved) == 12
+
+    @pytest.mark.parametrize("reuse, counts", [
+        (True, {"top-eigenpair": 6, "zgttrf": 6, "resolvent_apply": 18}),
+        (False, {"top-eigenpair": 12, "zgttrf": 13, "resolvent_apply": 39}),
+    ], ids=["reuse", "every-row-solved"])
+    def test_workload_config_solves_each_distinct_matrix_once(self, monkeypatch, reuse, counts):
+        # truncations 6..12 of the approx-1d config round to the base V on the grid:
+        # one top eigenpair and one factorization of the base H serve all 7 rows,
+        # and each probe's stored R_i(H) u stands in for their 3 resolvent solves
+        if not reuse:
+            monkeypatch.setattr(operators.DiscretizedOperator, "_same_matrix",
+                                lambda self, other: False)
+        solves = spy_on_1d_solves(monkeypatch)
+        assert approx_1d_report(seed=0).passed
+        assert solves == counts
+
+    @pytest.mark.parametrize("make, shared", [
+        (lambda: approx_1d_report(seed=3), True),
+        (lambda: study("approximation", potential=GAUSSIAN, seq_kind="shift",
+                       indices=range(1, 9), n_probes=2, L=8.0, h=0.1, seed=3), False),
+        (lambda: study("approximation", potential=square_well(1.0, 1.0, nu=2, a_bound=1.0),
+                       seq_kind="truncation", indices=range(1, 5), L=3.0, h=0.25), True),
+    ], ids=["approx-1d", "1d-shift", "2d-square-well-truncation"])
+    def test_reuse_gives_the_bytes_of_solving_every_row(self, monkeypatch, make, shared):
+        # the oracle solves every approximant, as if no two matrices were the same;
+        # the 2-D study reuses ARPACK's top eigenpair and SuperLU's solves
+        same_matrix, answers = operators.DiscretizedOperator._same_matrix, []
+
+        def recording(self, other):
+            answers.append(same_matrix(self, other))
+            return answers[-1]
+
+        monkeypatch.setattr(operators.DiscretizedOperator, "_same_matrix", recording)
+        reused = make()
+        assert any(answers) == shared
+        monkeypatch.setattr(operators.DiscretizedOperator, "_same_matrix",
+                            lambda self, other: False)
+        solved = make()
+        assert reused.passed
+        assert (solved.table("approximation").to_csv_text()
+                == reused.table("approximation").to_csv_text())
+        assert ([line for line in solved.summary_text().splitlines()
+                 if not line.startswith("generated: ")]
+                == [line for line in reused.summary_text().splitlines()
+                    if not line.startswith("generated: ")])
+
+    def test_a_one_ulp_change_in_a_tail_approximant_defeats_reuse(self, monkeypatch):
+        # at L = 8, h = 0.1 truncations 6 and 7 share the base matrix; one entry of
+        # truncation 7's v_diag is moved so that H's main diagonal moves by one ulp
+        # there (|v| <= 1 has finer ulps than -2/h^2 + v), and that row is solved
+        inner = experiments.discretize
+        nudged = []
+
+        def discretize_nudged(V, L, h):
+            op = inner(V, L, h)
+            if V.kind != "truncated" or V.params["k"] != 7:
+                return op
+            main, p = op._diagonals[0][1], op.N // 2
+            v = op.v_diag.copy()
+            v[p] += np.spacing(main[p])
+            nudged.append(dataclasses.replace(op, v_diag=v))
+            return nudged[-1]
+
+        def run():
+            return study("approximation", potential=GAUSSIAN, seq_kind="truncation",
+                         indices=[6, 7], n_probes=1, L=8.0, h=0.1)
+
+        solves = spy_on_1d_solves(monkeypatch)
+        run()
+        assert solves == {"top-eigenpair": 1, "zgttrf": 1, "resolvent_apply": 1}
+        monkeypatch.setattr(experiments, "discretize", discretize_nudged)
+        solves.update(dict.fromkeys(solves, 0))
+        rep = run()
+        base = discretize(GAUSSIAN, 8.0, 0.1)._diagonals[0][1]
+        moved = nudged[0]._diagonals[0][1]
+        assert np.flatnonzero(moved != base).tolist() == [base.size // 2]
+        assert moved[base.size // 2] == np.nextafter(base[base.size // 2], -np.inf)
+        assert solves == {"top-eigenpair": 2, "zgttrf": 2, "resolvent_apply": 2}
+        assert rep.passed
+
+    def test_shift_sequence_reuses_nothing(self, monkeypatch):
+        # V_l <= -a/(l+1) < 0 moves every grid value of the well, so each shift
+        # is a matrix of its own: one top eigenpair per row, one factorization
+        # per row and for the base, one resolvent solve per probe on each
+        solves = spy_on_1d_solves(monkeypatch)
+        rep = study("approximation", potential=GAUSSIAN, seq_kind="shift", indices=range(1, 9),
+                    n_probes=2, L=8.0, h=0.1, seed=3)
+        assert rep.passed
+        assert solves == {"top-eigenpair": 8, "zgttrf": 9, "resolvent_apply": 2 * 9}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_workload_config_matches_the_benchmark_reference(self, seed):
         # the approx-1d workload: its lhs_* columns are noise-level, checked
         # by the resolvent-domination verdict rather than by value
-        rep = study("approximation", potential=GAUSSIAN, seq_kind="truncation",
-                    indices=range(1, 13), n_probes=3, L=20.0, h=0.05, seed=seed)
+        rep = approx_1d_report(seed)
         assert rep.passed
         assert_matches_benchmark_reference(rep, "approx-1d", seed, skip_prefix="lhs_")
 

@@ -1213,6 +1213,23 @@ def test_power_law_refuses_a_gamma_that_rounds_its_edge_power_to_minus_one():
     assert st.power_law_measure(2.0 ** -53).kind == "power-law"
 
 
+@pytest.mark.parametrize("gamma", [1e-6, 1e-12, 1e-16])
+def test_power_law_refuses_a_gamma_whose_rounded_edge_power_moves_the_mass(gamma):
+    # the density gamma s^alg with alg = gamma - 1 rounded has mass
+    # gamma / (alg + 1), not the stated 1: +2.2e-5 in ln at 1e-12, -0.105 at 1e-16
+    named = re.escape(f"gamma={gamma!r} is too small: its edge power gamma - 1 rounds to "
+                      f"{gamma - 1.0!r}")
+    with pytest.raises(DomainError, match=named):
+        st.power_law_measure(gamma)
+    with pytest.raises(DomainError, match=named):
+        st.measure_from_text(f"density kind=power-law\ngamma={gamma!r}\n")
+
+
+def test_power_law_at_gamma_1e_4_keeps_its_stated_mass():
+    mu = st.power_law_measure(1e-4)
+    assert mu.mass == 1.0 and abs(mu.log_mass) <= 1e-12
+
+
 def test_readme_lists_every_measure_family_and_entry():
     """The README "File formats" measure list matches the family table exactly."""
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),

@@ -49,7 +49,6 @@ from semistab import (
     potential_from_text,
     potential_to_text,
     resolvent_apply,
-    resolvent_gap,
     run_study,
     sampled_potential,
     save_potential,
@@ -1509,10 +1508,11 @@ class TestResolvent:
         op_full = discretize(self.V, L=10.0, h=0.25)
         rng = np.random.default_rng(77)
         u = rng.uniform(-1.0, 1.0, op_full.N)
+        ru = resolvent_apply(op_full, u)
         rhs_prev = math.inf
         for k in range(1, 7):
             op_k = discretize(truncate_potential(self.V, k), L=10.0, h=0.25)
-            lhs, rhs = resolvent_gap(op_k, op_full, u)
+            lhs, rhs = operators._resolvent_gap(op_k, op_full, u, ru)
             assert lhs <= rhs + 1e-9
             assert rhs <= rhs_prev + 1e-15
             rhs_prev = rhs
@@ -1523,10 +1523,11 @@ class TestResolvent:
         op_full = discretize(self.V, L=10.0, h=0.25)
         rng = np.random.default_rng(78)
         u = rng.uniform(-1.0, 1.0, op_full.N)
+        ru = resolvent_apply(op_full, u)
         rhs_values = []
         for l in range(1, 21):
             op_l = discretize(shift_potential(self.V, l), L=10.0, h=0.25)
-            lhs, rhs = resolvent_gap(op_l, op_full, u)
+            lhs, rhs = operators._resolvent_gap(op_l, op_full, u, ru)
             assert lhs <= rhs + 1e-9
             rhs_values.append(rhs)
         assert rhs_values[-1] < rhs_values[0] / 5
@@ -1539,13 +1540,26 @@ class TestResolvent:
         op_trunc = discretize(W, L=10.0, h=0.25)
         rng = np.random.default_rng(79)
         u = rng.uniform(-1.0, 1.0, op_full.N)
-        lhs, _ = resolvent_gap(op_trunc, op_full, u)
+        lhs, _ = operators._resolvent_gap(op_trunc, op_full, u, resolvent_apply(op_full, u))
         assert lhs < 1e-9
 
     def test_grid_mismatch_rejected(self):
         other = discretize(self.V, L=5.0, h=0.5)
+        u = np.ones(self.op.N)
+        ru = resolvent_apply(self.op, u)
         with pytest.raises(DomainError):
-            resolvent_gap(other, self.op, np.ones(self.op.N))
+            operators._resolvent_gap(other, self.op, u, ru)
+
+    def test_same_matrix_compares_the_stencils(self):
+        # truncation 6 of the Gaussian rounds to V on this grid, truncation 5 does not
+        op_full = discretize(self.V, L=10.0, h=0.25)
+        assert op_full._same_matrix(discretize(truncate_potential(self.V, 6), L=10.0, h=0.25))
+        assert not op_full._same_matrix(discretize(truncate_potential(self.V, 5), L=10.0,
+                                                   h=0.25))
+        assert not op_full._same_matrix(discretize(self.V, L=10.0, h=0.5))
+        plane = discretize(gaussian_well(nu=2), L=2.0, h=0.25)
+        assert plane._same_matrix(discretize(gaussian_well(nu=2), L=2.0, h=0.25))
+        assert not plane._same_matrix(discretize(self.V, L=56.5, h=0.5))  # N = 225 in 1-D
 
 
 class TestGapShrinkage:
