@@ -528,10 +528,17 @@ def _approximation_row(plan: dict, item: tuple) -> dict:
 def _judge_approximation(plan: dict, tables: dict):
     rows = tables["approximation"]
     metric = [row["metric_d"] for row in rows]
-    worst_gap = max(row[f"lhs_{p}"] - row[f"rhs_{p}"]
-                    for row in rows for p in range(1, plan["n_probes"] + 1))
+    pairs = [[(row[f"lhs_{p}"], row[f"rhs_{p}"]) for p in range(1, plan["n_probes"] + 1)]
+             for row in rows]
+    # a row whose approximant shares H has lhs 0.0 with no solve, so its margin
+    # says nothing of the solver; the detail names the worst margin where lhs > 0
+    solved = [lhs - rhs for row in pairs for lhs, rhs in row if lhs > 0.0]
+    zero = sum(all(lhs == 0.0 for lhs, _ in row) for row in pairs)
+    worst_gap = max(lhs - rhs for row in pairs for lhs, rhs in row)
+    detail = (f"max lhs-rhs {csv_cell(max(solved))} where lhs > 0" if solved
+              else "lhs 0 in every row")
     verdicts = [VerdictLine("resolvent-domination", worst_gap <= _RESOLVENT_SLACK,
-                            f"max lhs-rhs {csv_cell(worst_gap)}")]
+                            f"{detail}; lhs 0 in {zero} of {len(rows)} rows")]
     notes = []
     if len(metric) > 1:
         verdicts.append(VerdictLine("metric-nonincreasing",

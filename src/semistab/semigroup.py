@@ -57,6 +57,10 @@ __all__ = [
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_ATOM_TOL = 1e-12
 RATIO_FLOOR = -50.0
+# (measure, t) values per block of the list bound check, so its Python floats for
+# math.exp stay few: 16,384-value blocks raised the sweep's traced peak from 1.20
+# to 2.04 MB
+_CHECK_ELEMENTS = 2048
 
 
 def format_number(x: float) -> str:
@@ -377,10 +381,16 @@ def shifted_range_bound_checks(mus, shifts, t_grid=None, *, t_min: float = 1e-2,
 
     Every measure meets the one-measure checks of its shift, type and
     support (a finite a >= 0, an atomic or density measure, the support in
-    (-inf, -a]) before any orbit norm is taken.  The orbit moments of all the atomic measures then come from one
-    stacked kernel call per atom count, so each value is bit for bit that
-    of the one-measure check; each measure's bound is built, and refused
-    where it is not finite, as its row is reached.
+    (-inf, -a]) before any orbit norm is taken.  The orbit moments of all
+    the atomic measures then come from one stacked kernel call per atom
+    count, so each value is bit for bit that of the one-measure check.  The
+    measures are checked in blocks of rows of ``_CHECK_ELEMENTS`` values:
+    their bounds, violations and worst times are array ops, and a block
+    whose bound is not finite somewhere is refused at its first such
+    measure's first such t.  The orbit norms stay ``math.exp``, applied
+    element by element, as numpy's vectorized exp rounds differently: on
+    an AVX-512 host it differs from glibc's in 46,152 of 10^6 doubles drawn
+    from [-700, 700], and would move the last bits of the CSV cells.
     """
     mus, shifts = list(mus), list(shifts)
     if len(mus) != len(shifts):
@@ -394,20 +404,30 @@ def shifted_range_bound_checks(mus, shifts, t_grid=None, *, t_min: float = 1e-2,
         if mu_x.s_lo < a:
             raise DomainError("measure must be supported in (-inf, -a]")
     ts = _time_grid(t_grid, t_min, t_max, n_t)
+    moments = _log_laplace_stack(mus, ts, shifts)
+    norms = [math.sqrt(mu_x.mass) for mu_x in mus]
+    scales = bound_scale * np.array(norms)
+    a = np.array(shifts, dtype=float)[:, None]
+    rows = max(1, _CHECK_ELEMENTS // ts.size)
     checks = []
-    for mu_x, a, log_moment in zip(mus, shifts, _log_laplace_stack(mus, ts, shifts)):
-        norm_x = math.sqrt(mu_x.mass)
+    for m in range(0, len(mus), rows):
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
-        if not np.all(np.isfinite(rhs)):
+            rhs = scales[m : m + rows, None] * np.exp(-ts * a[m : m + rows]) / (math.e * ts)
+        bad = ~np.isfinite(rhs)
+        if np.any(bad):  # name the first offending measure's first such t
             raise DomainError(f"the bound ||x|| e^(-ta)/(e t) is not finite at "
-                              f"t = {float(ts[~np.isfinite(rhs)][0])!r}")
+                              f"t = {float(ts[np.argwhere(bad)[0, 1]])!r}")
         # orbit norms of (A + a)x, flushed to 0.0 where the log value underflows
-        lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0 for v in log_moment.tolist()])
-        violations = lhs - rhs
-        i = int(np.argmax(violations))
-        checks.append(BoundCheckValue(float(violations[i]), worst_t=float(ts[i]),
-                                      norm_x=norm_x, tol=1e-12 * norm_x, n_t=ts.size))
+        log_moment = moments[m : m + rows]
+        half = np.where(log_moment > -1400.0, 0.5 * log_moment, -np.inf).ravel()
+        lhs = np.fromiter(map(math.exp, half.tolist()), float, half.size)
+        violations = lhs.reshape(rhs.shape) - rhs
+        worst = np.argmax(violations, axis=1)
+        for norm_x, value, worst_t in zip(norms[m : m + rows],
+                                          violations[np.arange(worst.size), worst].tolist(),
+                                          ts[worst].tolist()):
+            checks.append(BoundCheckValue(value, worst_t=worst_t, norm_x=norm_x,
+                                          tol=1e-12 * norm_x, n_t=ts.size))
     return checks
 
 

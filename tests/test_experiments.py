@@ -342,6 +342,25 @@ class TestApproximationStudy:
         assert rep.passed
         assert solves == {"top-eigenpair": 8, "zgttrf": 9, "resolvent_apply": 2 * 9}
 
+    @pytest.mark.parametrize("indices, shared", [(range(1, 7), 1), ([6, 7], 2)],
+                             ids=["one-row-shares", "every-row-shares"])
+    def test_resolvent_detail_names_the_worst_margin_where_lhs_is_positive(self, indices, shared):
+        # a row that shares H has lhs 0.0 with no solve; its margin would hide the
+        # solved rows' (truncation 6 of L = 8, h = 0.1 shares H, 1..5 do not)
+        rep = study("approximation", potential=GAUSSIAN, seq_kind="truncation",
+                    indices=indices, n_probes=2, L=8.0, h=0.1)
+        rows = rep.table("approximation").rows
+        margins = [(lhs, lhs - rhs) for row in rows for lhs, rhs in (row[3:5], row[5:7])]
+        verdict = rep.verdicts[0]
+        assert verdict.name == "resolvent-domination" and verdict.passed
+        solved = [gap for lhs, gap in margins if lhs > 0.0]
+        assert len(solved) == 2 * (len(rows) - shared)
+        head = (f"max lhs-rhs {csv_cell(max(solved))} where lhs > 0" if solved
+                else "lhs 0 in every row")
+        assert verdict.detail == f"{head}; lhs 0 in {shared} of {len(rows)} rows"
+        if solved:  # the shared row's margin, -rhs of about -1e-17, is the max of all
+            assert max(gap for _, gap in margins) > max(solved)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_workload_config_matches_the_benchmark_reference(self, seed):
         # the approx-1d workload: its lhs_* columns are noise-level, checked
@@ -677,20 +696,22 @@ class TestDecayBoundStudy:
         assert rep.summary_text().rstrip().endswith("overall: FAIL")
 
     def test_sweep_runs_in_a_few_cache_sized_blocks(self, monkeypatch):
-        # the default sweep is 250 measures x 200 t x 20 atoms = 10^6 terms; the
-        # equality witness adds one block
+        # the default sweep is 250 measures x 200 t x 20 atoms = 10^6 terms, in
+        # blocks of whole measures: 4 of 16,000 terms fit in a block, so 63
+        # blocks, one more than ceil(10^6 / _CHUNK_ELEMENTS) as no measure is
+        # split across two; the equality witness adds one block
         from semistab import measures
 
         calls = []
-        inner = measures._logsumexp
+        inner = measures._block_log_transform
 
-        def counting(a):
-            calls.append(a.size)
-            return inner(a)
+        def counting(s, log_coef, two_t):
+            calls.append(s.size * two_t.size)
+            return inner(s, log_coef, two_t)
 
-        monkeypatch.setattr(measures, "_logsumexp", counting)
+        monkeypatch.setattr(measures, "_block_log_transform", counting)
         assert study("section3-bounds").passed
-        assert len(calls) <= math.ceil(1_000_000 / measures._CHUNK_ELEMENTS) + 1
+        assert len(calls) == math.ceil(250 / (measures._CHUNK_ELEMENTS // (200 * 20))) + 1
         assert max(calls) <= measures._CHUNK_ELEMENTS
         assert sum(calls) == 1_000_000 + 1
 

@@ -429,9 +429,26 @@ def test_laplace_moment_shift_cancels_matching_atom():
     assert val == pytest.approx(0.3 * 4.0 * math.exp(-3.0), rel=1e-13)
 
 
+def row_logsumexp(a):
+    """ln sum exp(a) along the last axis, scipy.special.logsumexp's algorithm
+    as the kernel took it row by row before its blocks were atoms-major."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=-1, keepdims=True, dtype=float)
+        rest = np.where(top, -np.inf, a)
+        rest -= a_max
+        s = np.sum(np.exp(rest, out=rest), axis=-1, keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max)[..., 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=-1)), out)
+    return out[()]
+
+
 def test_logsumexp_is_bit_identical_to_scipy():
     # the kernel's numpy copy of scipy.special.logsumexp, on rows with tied
-    # maxima, -inf entries and all--inf rows, along the last axis and in 1-D
+    # maxima, -inf entries and all--inf rows, a stack of rows and one row at a time
     from scipy.special import logsumexp
 
     from semistab.measures import _logsumexp
@@ -444,11 +461,168 @@ def test_logsumexp_is_bit_identical_to_scipy():
         a[rng.uniform(size=a.shape) < 0.2] = -np.inf
         a[rng.integers(0, rows)] = -np.inf
         expected = logsumexp(a, axis=1)
-        assert _logsumexp(a).tobytes() == expected.tobytes()
+        assert _logsumexp(a.T.copy()).tobytes() == expected.tobytes()
         for row in a:
-            got = _logsumexp(row)
-            assert isinstance(got, np.float64)
+            got = _logsumexp(row[:, None].copy())
+            assert got.shape == (1,)
             assert got.tobytes() == np.float64(logsumexp(row)).tobytes()
+
+
+def row_major_log_transform(log_s, log_coef, t):
+    """The atomic kernel as it was before blocks were built atoms-major: blocks
+    of ``_CHUNK_ELEMENTS // n`` (measure, t) rows in (measure, t) order, cut
+    across measures, gathered through divmod index arrays and reduced along
+    each row's atoms."""
+    from semistab.measures import _CHUNK_ELEMENTS
+
+    n_t = t.size
+    s = np.exp(log_s)
+    rows = max(1, _CHUNK_ELEMENTS // log_s.shape[1])
+    out = np.empty(log_s.shape[0] * n_t)
+    for r in range(0, out.size, rows):
+        m, j = np.divmod(np.arange(r, min(r + rows, out.size)), n_t)
+        terms = s[m]
+        with np.errstate(over="ignore"):
+            terms *= 2.0 * t[j][:, None]
+        out[r : r + rows] = row_logsumexp(np.subtract(log_coef[m], terms, out=terms))
+    return out.reshape(log_s.shape[0], n_t)
+
+
+def kernel_stack(rng, n_measures, n_atoms, case):
+    """(log_s, log_coef) of a stack of n_measures measures of n_atoms atoms each,
+    the atoms spread over 0.01..10 with log weights of a few units, and one
+    edge case laid over them."""
+    log_s = np.log(rng.uniform(0.01, 10.0, (n_measures, n_atoms)))
+    log_coef = np.log(rng.uniform(0.05, 1.0, (n_measures, n_atoms)))
+    if case == "tied-maxima":  # the nearest, heaviest atom, repeated: every row's max ties
+        for k in (0, n_atoms // 2, n_atoms - 1):
+            log_s[:, k], log_coef[:, k] = math.log(0.005), 0.0
+    elif case == "atom-at-zero":  # the moment at shift 0 of an atom at 0: no term
+        log_s[::2, 0] = -np.inf
+        log_coef[::2, 0] = -np.inf
+        log_s[1::2, 0] = -np.inf  # the transform's atom at 0: the t-independent term
+    elif case == "weights-near-745":
+        log_coef = -745.0 + rng.uniform(-1.0, 1.0, log_coef.shape)
+    elif case == "overflowing-2ts":  # 2 t s = inf at the largest times: exact zero terms
+        log_s[:, ::2] = rng.uniform(700.0, 709.0, log_s[:, ::2].shape)
+    elif case == "all-minus-inf":  # every term -inf in every row of measure 0
+        log_coef[0] = -np.inf
+    return log_s, log_coef
+
+
+KERNEL_CASES = ["plain", "tied-maxima", "atom-at-zero", "weights-near-745", "overflowing-2ts",
+                "all-minus-inf"]
+
+
+class TestAtomsMajorKernel:
+    """The atomic kernel is bit for bit the row-major kernel it replaced, for
+    every atom count around numpy's pairwise-sum block edges (8 and 128) and
+    both block shapes (whole measures, t-ranges)."""
+
+    TS = np.concatenate([np.geomspace(1e-2, 1e3, 197), [1e-300, 1e12, 1e300]])
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("n_atoms", [1, 2, 7, 8, 9, 16, 20, 127, 129, 500])
+    def test_matches_the_row_major_kernel(self, n_atoms, case):
+        from semistab.measures import _atomic_log_transform
+
+        rng = np.random.default_rng(1000 + n_atoms)
+        n_measures = 3 if n_atoms >= 127 else 30
+        log_s, log_coef = kernel_stack(rng, n_measures, n_atoms, case)
+        got = _atomic_log_transform(log_s, log_coef, self.TS)
+        want = row_major_log_transform(log_s, log_coef, self.TS)
+        assert got.shape == (n_measures, self.TS.size)
+        assert got.tobytes() == want.tobytes()
+        if case == "all-minus-inf":
+            assert np.all(np.isneginf(got[0])) and np.all(np.isfinite(got[1:]))
+        if case == "overflowing-2ts":  # a lone atom that overflows leaves its row -inf
+            assert np.all(np.isfinite(got)) == (n_atoms > 1)
+
+    @pytest.mark.parametrize("chunk", [1, 143, 4_000, 10 ** 9])
+    @pytest.mark.parametrize("n_atoms", [9, 129, 500])
+    def test_any_block_size_matches(self, monkeypatch, n_atoms, chunk):
+        # 1 takes one (measure, t) row a block; 10^9 takes every stack as one block
+        import semistab.measures as ms
+
+        monkeypatch.setattr(ms, "_CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(77)
+        for case in KERNEL_CASES:
+            log_s, log_coef = kernel_stack(rng, 4, n_atoms, case)
+            got = ms._atomic_log_transform(log_s, log_coef, self.TS)
+            assert got.tobytes() == row_major_log_transform(log_s, log_coef, self.TS).tobytes()
+
+    def test_a_long_t_grid_spans_several_blocks_of_one_measure(self, monkeypatch):
+        import semistab.measures as ms
+
+        blocks = []
+        inner = ms._block_log_transform
+
+        def spy(s, log_coef, two_t):
+            blocks.append((s.shape[0], two_t.size))
+            return inner(s, log_coef, two_t)
+
+        monkeypatch.setattr(ms, "_block_log_transform", spy)
+        rng = np.random.default_rng(5)
+        log_s, log_coef = kernel_stack(rng, 2, 20, "tied-maxima")
+        ts = np.geomspace(1e-3, 1e4, 3000)
+        got = ms._atomic_log_transform(log_s, log_coef, ts)
+        assert got.tobytes() == row_major_log_transform(log_s, log_coef, ts).tobytes()
+        rows = ms._CHUNK_ELEMENTS // 20
+        assert blocks == [(1, rows)] * 3 + [(1, 3000 - 3 * rows)] + [(1, rows)] * 3 + [
+            (1, 3000 - 3 * rows)]
+
+    def test_mixed_count_stack_matches(self, monkeypatch):
+        import semistab.measures as ms
+
+        rng = np.random.default_rng(8)
+        mus = [st.AtomicMeasure.from_points(rng.uniform(-10.0, -0.5, n), rng.uniform(0.1, 1.0, n))
+               for n in (20, 7, 129, 20, 1, 7, 500)]
+        shifts = [0.0, 0.25, 0.5, 0.0, 0.4, 0.0, 0.3]
+        ts = np.geomspace(1e-2, 1e3, 150)
+        got = [ms._log_laplace_stack(mus, ts, a) for a in (None, shifts)]
+        monkeypatch.setattr(ms, "_atomic_log_transform", row_major_log_transform)
+        for new, a in zip(got, (None, shifts)):
+            assert new.tobytes() == ms._log_laplace_stack(mus, ts, a).tobytes()
+
+    def test_logsumexp_is_the_row_logsumexp(self):
+        # rows with tied maxima, -inf entries, an inf entry and every entry -inf;
+        # the last two take the ln sum exp fallback (without it they read nan)
+        from semistab.measures import _logsumexp
+
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            rows, n = rng.integers(2, 300), rng.integers(1, 140)
+            a = rng.normal(0.0, rng.choice([1.0, 40.0, 800.0]), (rows, n)).round(rng.integers(0, 3))
+            a[:, rng.integers(0, n)] = a.max(axis=1)
+            a[rng.uniform(size=a.shape) < 0.2] = -np.inf
+            empty, infinite = rng.choice(rows, 2, replace=False)
+            a[empty] = -np.inf
+            a[infinite, rng.integers(0, n)] = np.inf
+            want = row_logsumexp(a)
+            assert np.any(np.isneginf(want)) and np.any(np.isposinf(want))
+            assert _logsumexp(a.T.copy()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_atoms", [20, 500])
+    def test_block_lays_its_longer_axis_contiguous(self, monkeypatch, n_atoms):
+        # every block is an (atoms, rows) array; 20 atoms: 4 measures x 200 t =
+        # 800 rows a block, laid rows-contiguous; 500 atoms: 32 t of one measure
+        # a block, laid atoms-contiguous
+        import semistab.measures as ms
+
+        blocks = []
+        inner = ms._logsumexp
+        monkeypatch.setattr(ms, "_logsumexp", lambda a: (
+            blocks.append((a.shape, a.flags.c_contiguous, a.T.flags.c_contiguous)), inner(a))[1])
+        rng = np.random.default_rng(9)
+        mus = [st.AtomicMeasure.from_points(rng.uniform(-10.0, 0.0, n_atoms),
+                                            rng.uniform(0.1, 1.0, n_atoms)) for _ in range(8)]
+        ms._log_laplace_stack(mus, np.geomspace(1e-2, 1e3, 200))
+        rows = ms._CHUNK_ELEMENTS // n_atoms
+        if n_atoms == 20:
+            assert blocks == [((20, 4 * 200), True, False)] * 2
+        else:
+            assert blocks == 8 * ([((500, rows), False, True)] * 6
+                                  + [((500, 200 - 6 * rows), False, True)])
 
 
 # ---------------------------------------------------------------------------

@@ -640,7 +640,7 @@ def per_measure_rows(mus, ts, shifts=None):
             with np.errstate(divide="ignore"):
                 coef = coef + (2.0 * mu.log_s if shifts[m] == 0.0
                                else 2.0 * np.log(np.abs(shifts[m] - s)))
-        rows.append([_logsumexp(coef - 2.0 * t * s) for t in ts.tolist()])
+        rows.append([_logsumexp((coef - 2.0 * t * s)[:, None])[0] for t in ts.tolist()])
     return np.array(rows)
 
 
@@ -738,3 +738,104 @@ class TestStackedKernel:
         mus, shifts = mixed_batch()
         with pytest.raises(DomainError, match="one shift level per measure"):
             shifted_range_bound_checks(mus, shifts[:-1])
+
+
+def loop_bound_checks(mus, shifts, ts, bound_scale=1.0):
+    """shifted_range_bound_checks as it was before its rows were checked in
+    blocks: one bound, one list of math.exp and one argmax per measure, the
+    bound refused as its measure is reached."""
+    from semistab.measures import _log_laplace_stack
+    from semistab.semigroup import BoundCheckValue
+
+    checks = []
+    for mu_x, a, log_moment in zip(mus, shifts, _log_laplace_stack(mus, ts, shifts)):
+        norm_x = math.sqrt(mu_x.mass)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = bound_scale * norm_x * np.exp(-ts * a) / (math.e * ts)
+        if not np.all(np.isfinite(rhs)):
+            raise DomainError(f"the bound ||x|| e^(-ta)/(e t) is not finite at "
+                              f"t = {float(ts[~np.isfinite(rhs)][0])!r}")
+        lhs = np.array([math.exp(0.5 * v) if v > -1400.0 else 0.0 for v in log_moment.tolist()])
+        violations = lhs - rhs
+        i = int(np.argmax(violations))
+        checks.append(BoundCheckValue(float(violations[i]), worst_t=float(ts[i]), norm_x=norm_x,
+                                      tol=1e-12 * norm_x, n_t=ts.size))
+    return checks
+
+
+def check_fields(check):
+    """Every field of a BoundCheckValue, the floats as their bits."""
+    return (type(check), np.float64(check).tobytes(), np.float64(check.worst_t).tobytes(),
+            np.float64(check.norm_x).tobytes(), np.float64(check.tol).tobytes(), check.n_t,
+            check.passed)
+
+
+class TestBlockedBoundCheck:
+    """The list bound check, taken in blocks of rows, is bit for bit the loop
+    over measures it replaced, for any block size."""
+
+    # t to 1e5, where the farther atoms' log moments fall below -1400 and flush
+    TS = np.geomspace(1e-2, 1e5, 29)
+
+    def batch(self):
+        mus, shifts = mixed_batch()
+        mus.insert(3, uniform_measure(1.0, 3.0))
+        shifts.insert(3, 1.0)
+        rng = np.random.default_rng(31)
+        for k in range(40):
+            a = [0.0, 0.5, 2.0][k % 3]
+            mus.append(AtomicMeasure.from_points(rng.uniform(-12.0, -a, 20),
+                                                 rng.uniform(0.05, 1.0, 20)))
+            shifts.append(a)
+        # mass 1e300: norm_x 1e150, and its tol and violation scale with it
+        mus.append(AtomicMeasure.from_points([-0.5, -4.0], [4e299, 6e299]))
+        shifts.append(0.25)
+        # one atom at -1/t of a grid time meets the plain bound with equality there
+        mus.append(AtomicMeasure.from_points([-1.0 / self.TS[9]], [1.0]))
+        shifts.append(0.0)
+        return mus, shifts
+
+    @pytest.mark.parametrize("check_elements", [1, 29 * 3 + 1, 2048, 10 ** 9])
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.5])
+    def test_matches_the_measure_loop(self, monkeypatch, check_elements, bound_scale):
+        import semistab.semigroup as sg
+
+        monkeypatch.setattr(sg, "_CHECK_ELEMENTS", check_elements)
+        mus, shifts = self.batch()
+        got = shifted_range_bound_checks(mus, shifts, t_grid=self.TS, bound_scale=bound_scale)
+        want = loop_bound_checks(mus, shifts, self.TS, bound_scale)
+        assert [check_fields(c) for c in got] == [check_fields(c) for c in want]
+        log_moments = sg._log_laplace_stack(mus, self.TS, shifts)
+        assert np.any(log_moments <= -1400.0) and np.any(log_moments > -1400.0)
+        passed = [c.passed for c in got]
+        assert all(passed) if bound_scale == 1.0 else any(passed) and not all(passed)
+
+    def test_moments_below_the_flush_read_as_zero_norms(self):
+        # shift 400 with an atom at -401: the ln moment -802 t is below -1400 on the
+        # whole grid, where math.exp(0.5 v) would still be a subnormal above 0.0
+        mu = AtomicMeasure.from_points([-401.0], [1.0])
+        ts = np.geomspace(1.76, 1.84, 9)
+        (check,) = shifted_range_bound_checks([mu], [400.0], t_grid=ts)
+        assert check_fields(check) == check_fields(loop_bound_checks([mu], [400.0], ts)[0])
+        assert float(check) == float(np.max(-np.exp(-ts * 400.0) / (math.e * ts)))
+
+    @pytest.mark.parametrize("order", ["plain-first", "heavy-first"])
+    @pytest.mark.parametrize("check_elements", [1, 5, 2048])
+    def test_refusal_names_the_first_offending_measure(self, monkeypatch, order, check_elements):
+        # at t = 1e-320, 1/(e t) overflows for every measure; the heavy one's
+        # bound, 1e150/(e t), overflows from t = 1e-170 on
+        import semistab.semigroup as sg
+
+        monkeypatch.setattr(sg, "_CHECK_ELEMENTS", check_elements)
+        ts = np.array([1.0, 1e-170, 1e-200, 1e-320, 1e-100])
+        plain = AtomicMeasure.from_points([-1.0, -2.0], [0.5, 0.5])
+        heavy = AtomicMeasure.from_points([-0.5, -4.0], [4e299, 6e299])
+        mus = [plain, plain, heavy, plain] if order == "plain-first" else [heavy, plain]
+        shifts = [0.0] * len(mus)
+        with pytest.raises(DomainError) as oracle:
+            loop_bound_checks(mus, shifts, ts)
+        expected = "t = 1e-320" if order == "plain-first" else "t = 1e-170"
+        assert str(oracle.value).endswith(expected)
+        with pytest.raises(DomainError) as got:
+            shifted_range_bound_checks(mus, shifts, t_grid=ts)
+        assert str(got.value) == str(oracle.value)
