@@ -37,7 +37,7 @@ def main():
     for delta in (0.6, 0.75, 0.9):
         mu = ss.monomial_profile_measure(delta)
         print(f"   (closed-form ball mass at eps=0.01: "
-              f"{ss.ball_mass(mu, 0.01):.6e} = 0.01^{2 * delta + 1}/{2 * delta + 1})")
+              f"{mu.ball_mass(0.01):.6e} = 0.01^{2 * delta + 1}/{2 * delta + 1})")
         round_trip(f"delta={delta}", mu)
 
     print()

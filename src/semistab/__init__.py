@@ -19,14 +19,9 @@ from .measures import (
     AtomicMeasure,
     DensityMeasure,
     ScalingExponentEstimate,
-    ball_mass,
     lacunary_measure,
-    laplace_moment,
-    laplace_norm_sq,
     load_measure,
-    log_ball_mass,
     measure_from_text,
-    measure_to_text,
     monomial_profile_measure,
     power_law_measure,
     sampled_density_measure,

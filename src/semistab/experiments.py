@@ -49,7 +49,6 @@ from .measures import (
     _LOG_S_CAP,
     AtomicMeasure,
     lacunary_measure,
-    measure_to_text,
     monomial_profile_measure,
     power_law_measure,
     scaling_exponents,
@@ -696,7 +695,7 @@ def _judge_witness(plan: dict, tables: dict):
                             f"established={established} expected={plan['expect_witness']}")]
     notes = ["witness: oscillation witness established" if established
              else "witness: no oscillation witness"]
-    return verdicts, notes, {"witness.measure": measure_to_text(_lacunary(plan))}
+    return verdicts, notes, {"witness.measure": _lacunary(plan).to_text()}
 
 
 # -- section3-bounds (orbit-norm decay bound sweep) ----------------------------

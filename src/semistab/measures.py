@@ -24,15 +24,15 @@ Atoms have one Laplace kernel, ``_atomic_log_transform``, which works on
 a stack of measures with the same atom count: one logsumexp row per
 (measure, t), taken in cache-sized blocks of at most ``_CHUNK_ELEMENTS``
 (measure, t, atom) terms, so any stack and any t grid run in bounded
-memory.  A block is whole measures, or a t-range of one measure, broadcast
-against ``2 t`` into an (atoms, rows) array whose longer axis is laid
-contiguous: with more rows than atoms (the section3 sweep's blocks are 20
-atoms by 800 rows) the max, the count of maxima, the masking and exp run
-elementwise along contiguous rows.  It keeps the bits of a row-by-row
-logsumexp: max and the count are exact in any order, each elementwise op
-rounds per element, and each row's sum is still taken along its
-contiguous atoms, through one transposed copy where the rows were
-contiguous, so numpy's pairwise summation groups it alike.
+memory.  A block is whole measures, or a t-range of one measure, its
+doubled distances ``2 s`` broadcast against t into an (atoms, rows) array
+whose longer axis is laid contiguous: with more rows than atoms (the
+section3 sweep's blocks are 20 atoms by 800 rows) the max, the count of
+maxima, the masking and exp run elementwise along contiguous rows.  It
+keeps the bits of a row-by-row logsumexp: max and the count are exact in
+any order, each elementwise op rounds per element, and each row's sum is
+still taken along its contiguous atoms, through one transposed copy where
+the rows were contiguous, so numpy's pairwise summation groups it alike.
 ``_log_laplace_stack`` groups a list of measures by atom count for it, and
 ``log_laplace`` and ``log_laplace_moment`` are its stack of one.
 
@@ -51,9 +51,6 @@ closed form and exact mass against the integral.  The linear-scale
 accessors are the exp of the log quantities, through one overflow-safe
 helper; only a family that states its exact mass (uniform, monomial
 profile, power law) reports that in place of ``exp(log_mass)``.
-
-Free functions (:func:`ball_mass`, :func:`scaling_exponents`,
-:func:`laplace_norm_sq`, :func:`laplace_moment`) accept either kind.
 """
 
 from __future__ import annotations
@@ -71,17 +68,12 @@ __all__ = [
     "AtomicMeasure",
     "DensityMeasure",
     "ScalingExponentEstimate",
-    "ball_mass",
-    "log_ball_mass",
     "scaling_exponents",
-    "laplace_norm_sq",
-    "laplace_moment",
     "lacunary_measure",
     "power_law_measure",
     "monomial_profile_measure",
     "uniform_measure",
     "sampled_density_measure",
-    "measure_to_text",
     "measure_from_text",
     "save_measure",
     "load_measure",
@@ -323,9 +315,6 @@ class AtomicMeasure(_Measure):
         t_arr, scalar = _times(t)
         return _as_scalar_or_array(_log_laplace_stack([self], t_arr, [shift])[0], scalar)
 
-    def describe(self) -> str:
-        return f"atomic n={self.n_atoms} mass={self.mass!r}"
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -349,28 +338,29 @@ def _atomic_log_transform(log_s: np.ndarray, log_coef: np.ndarray, t: np.ndarray
     rows = max(1, _CHUNK_ELEMENTS // log_s.shape[1])
     t_rows = min(t.size, rows) or 1  # t per block
     m_rows = max(1, rows // t_rows)  # measures per block
-    s = np.exp(log_s)  # sub-double moduli round to 0.0, which is exact here
-    with np.errstate(over="ignore"):  # t past 9e307 doubles to inf
-        two_t = 2.0 * t
+    # the distance is doubled, not t: 2 s stays finite (s <= e^709) where 2 t
+    # overflows past 9e307, so an atom at 0 gives 0 t = 0, never 0 inf = nan;
+    # sub-double moduli round to 0.0, which is exact here
+    two_s = 2.0 * np.exp(log_s)
     out = np.empty((log_s.shape[0], t.size))
     for m in range(0, out.shape[0], m_rows):
         for j in range(0, t.size, t_rows):
             out[m : m + m_rows, j : j + t_rows] = _block_log_transform(
-                s[m : m + m_rows], log_coef[m : m + m_rows], two_t[j : j + t_rows])
+                two_s[m : m + m_rows], log_coef[m : m + m_rows], t[j : j + t_rows])
     return out
 
 
-def _block_log_transform(s: np.ndarray, log_coef: np.ndarray, two_t: np.ndarray) -> np.ndarray:
+def _block_log_transform(two_s: np.ndarray, log_coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """One block of ``_atomic_log_transform``: ln sum_k exp(log_coef[m, k] -
-    two_t[j] s[m, k]) for (mb, n) arrays ``s`` and ``log_coef``, an (mb, T)
-    array, reduced from one (n, mb T) array of terms.  Its longer axis is
-    laid contiguous, so numpy's loops run along it: the rows when there are
-    more rows than atoms, else the atoms."""
-    (mb, n), n_t = s.shape, two_t.size
+    t[j] two_s[m, k]) for (mb, n) arrays ``two_s`` and ``log_coef``, an
+    (mb, T) array, reduced from one (n, mb T) array of terms.  Its longer
+    axis is laid contiguous, so numpy's loops run along it: the rows when
+    there are more rows than atoms, else the atoms."""
+    (mb, n), n_t = two_s.shape, t.size
     terms = (np.empty((n, mb, n_t)) if mb * n_t >= n
              else np.empty((mb, n_t, n)).transpose(2, 0, 1))
-    with np.errstate(over="ignore"):  # 2 t s = inf is an exact zero term
-        np.multiply(s.T[:, :, None], two_t, out=terms)
+    with np.errstate(over="ignore"):  # 2 s t = inf is an exact zero term
+        np.multiply(two_s.T[:, :, None], t, out=terms)
         np.subtract(log_coef.T[:, :, None], terms, out=terms)
     return _logsumexp(terms.reshape(n, mb * n_t)).reshape(mb, n_t)
 
@@ -580,7 +570,7 @@ class DensityMeasure(_Measure):
                 scale, rate, log_scale = 0.5 / ti, 1.0, -math.log(2.0) - math.log(ti)
             else:
                 scale, rate, log_scale = width, 2.0 * ti * width, math.log(width)
-            log_front = -2.0 * ti * self.s_lo
+            log_front = -(ti * (2.0 * self.s_lo))  # 2 t overflows past 9e307
             if moment_shift is None:
                 weighted = lambda u, h: h * math.exp(-rate * u)
             else:
@@ -592,9 +582,6 @@ class DensityMeasure(_Measure):
             upper = min(width / scale, _TAIL_EXPONENT)
             out[i] = log_front + self._log_integral(scale, log_scale, upper, weighted)
         return _as_scalar_or_array(out, scalar)
-
-    def describe(self) -> str:
-        return f"density kind={self.kind} support=[{self.s_lo!r},{self.s_hi!r}] mass={self.mass!r}"
 
     # -- serialization ----------------------------------------------------
 
@@ -864,41 +851,6 @@ def scaling_exponents(
 
 
 # ---------------------------------------------------------------------------
-# free-function API over both representations
-# ---------------------------------------------------------------------------
-
-
-def ball_mass(mu, eps: float) -> float:
-    """mu({lambda : |lambda| < eps}) for eps > 0."""
-    return mu.ball_mass(eps)
-
-
-def log_ball_mass(mu, log_eps):
-    """ln of the open-ball mass, vectorized over ln(eps)."""
-    return mu.log_ball_mass(log_eps)
-
-
-def laplace_norm_sq(mu, t: float, log_domain: bool = False) -> float:
-    """integral exp(2 t lambda) dmu(lambda) = ||exp(tA) x||^2 for mu = mu_x."""
-    if t < 0.0 or not math.isfinite(t):
-        raise DomainError("t must be finite and >= 0")
-    log_val = float(mu.log_laplace(float(t)))
-    return log_val if log_domain else _linear(log_val)
-
-
-def laplace_moment(mu, t: float, shift: float = 0.0, log_domain: bool = False) -> float:
-    """integral (lambda + shift)^2 exp(2 t lambda) dmu(lambda).
-
-    With shift = 0 this is the squared orbit norm of u = Ax; with
-    shift = a it is the squared orbit norm of u = (A + a)x.
-    """
-    if t < 0.0 or not math.isfinite(t):
-        raise DomainError("t must be finite and >= 0")
-    log_val = float(mu.log_laplace_moment(float(t), shift=float(shift)))
-    return log_val if log_domain else _linear(log_val)
-
-
-# ---------------------------------------------------------------------------
 # plain-text serialization
 # ---------------------------------------------------------------------------
 
@@ -952,10 +904,6 @@ _FAMILIES = {
 }
 
 
-def measure_to_text(mu) -> str:
-    return mu.to_text()
-
-
 def measure_from_text(text: str):
     """Parse a measure file: ``atomic`` or ``density kind=<family>``.
 
@@ -991,7 +939,7 @@ def measure_from_text(text: str):
 
 
 def save_measure(mu, path) -> None:
-    write_ascii(path, measure_to_text(mu))  # a refused measure leaves the file as it was
+    write_ascii(path, mu.to_text())  # a refused measure leaves the file as it was
 
 
 def load_measure(path):

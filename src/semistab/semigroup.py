@@ -467,9 +467,8 @@ class BetaDescriptor:
 class GdeltaProbeResult:
     """Extremes of the alpha- and beta-weighted orbit norms (log domain).
 
-    Iterating yields the pair (log_max_alpha_weighted,
-    log_min_beta_weighted); a large first value together with a very
-    negative second one witnesses an orbit that outruns the polynomial
+    A large ``log_max_alpha_weighted`` together with a very negative
+    ``log_min_beta_weighted`` witnesses an orbit that outruns the polynomial
     weight along one time sequence yet is crushed by the
     sub-exponential weight along another.
     """
@@ -482,10 +481,6 @@ class GdeltaProbeResult:
     beta: BetaDescriptor
     horizon: tuple
     n_t: int
-
-    def __iter__(self):
-        yield self.log_max_alpha_weighted
-        yield self.log_min_beta_weighted
 
 
 def gdelta_probe(mu, alpha_exponent: float, beta: BetaDescriptor = BetaDescriptor(0.5),

@@ -36,7 +36,7 @@ def test_01_profile_ball_mass_matches_closed_form():
         power = 2.0 * delta + 1.0
         for eps in rng.uniform(1e-12, 1.0, 20):
             exact = eps**power / power
-            rel = abs(ss.ball_mass(mu, eps) - exact) / exact
+            rel = abs(mu.ball_mass(eps) - exact) / exact
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0

@@ -705,9 +705,9 @@ class TestDecayBoundStudy:
         calls = []
         inner = measures._block_log_transform
 
-        def counting(s, log_coef, two_t):
-            calls.append(s.size * two_t.size)
-            return inner(s, log_coef, two_t)
+        def counting(two_s, log_coef, t):
+            calls.append(two_s.size * t.size)
+            return inner(two_s, log_coef, t)
 
         monkeypatch.setattr(measures, "_block_log_transform", counting)
         assert study("section3-bounds").passed

@@ -109,9 +109,9 @@ def oracle_density_laplace(density, s_lo, s_hi, t):
 def test_ball_mass_monomial_profile_closed_form():
     # ball mass of the delta-profile measure is eps^(2 delta + 1)/(2 delta + 1)
     mu = st.monomial_profile_measure(0.75)
-    assert st.ball_mass(mu, 1.0) == pytest.approx(0.4, rel=1e-14)
+    assert mu.ball_mass(1.0) == pytest.approx(0.4, rel=1e-14)
     for eps in (0.01, 0.3, 0.9):
-        assert st.ball_mass(mu, eps) == pytest.approx(eps ** 2.5 / 2.5, rel=1e-12)
+        assert mu.ball_mass(eps) == pytest.approx(eps ** 2.5 / 2.5, rel=1e-12)
 
 
 def test_monomial_profile_mass_closed_form():
@@ -145,7 +145,7 @@ def test_family_masses_are_exact():
         assert st.power_law_measure(gamma).mass == 1.0
     mu = st.uniform_measure(0.0, 2.0, 2.5)
     assert mu.mass == 5.0
-    assert st.measure_to_text(mu).splitlines()[0].endswith(" mass=5.0")
+    assert mu.to_text().splitlines()[0].endswith(" mass=5.0")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_family_build_integrates_once_and_writes_without_integrating(monkeypatch
         del calls[:]
         mu = build(*args)
         assert len(calls) == 1  # the mass
-        text = st.measure_to_text(mu)
+        text = mu.to_text()
         assert len(calls) == 1
         st.measure_from_text(text)
         assert len(calls) == 2
@@ -220,24 +220,24 @@ def test_profile_constructors_reject_bad_parameters(build):
 
 def test_ball_mass_two_atoms():
     mu = st.AtomicMeasure.from_points([-1.0, -2.0], [0.5, 0.5])
-    assert st.ball_mass(mu, 3.0) == 1.0          # whole support
-    assert st.ball_mass(mu, 1.5) == 0.5          # only the atom at -1
-    assert st.ball_mass(mu, 1.0) == 0.0          # open ball excludes -1
-    assert st.ball_mass(mu, 0.5) == 0.0
+    assert mu.ball_mass(3.0) == 1.0          # whole support
+    assert mu.ball_mass(1.5) == 0.5          # only the atom at -1
+    assert mu.ball_mass(1.0) == 0.0          # open ball excludes -1
+    assert mu.ball_mass(0.5) == 0.0
 
 
 def test_ball_mass_rejects_nonpositive_radius():
     mu = st.AtomicMeasure.from_points([-1.0], [1.0])
     with pytest.raises(DomainError):
-        st.ball_mass(mu, 0.0)
+        mu.ball_mass(0.0)
     with pytest.raises(DomainError):
-        st.ball_mass(mu, -0.5)
+        mu.ball_mass(-0.5)
 
 
 @pytest.mark.parametrize("mu", [st.AtomicMeasure.from_points([-1.0], [1.0]),
                                 st.power_law_measure(0.5)], ids=["atomic", "density"])
 def test_nan_ball_radius_is_rejected(mu):
-    for call in (mu.ball_mass, mu.log_ball_mass, lambda eps: st.ball_mass(mu, eps),
+    for call in (mu.ball_mass, mu.log_ball_mass,
                  lambda le: mu.log_ball_mass(np.array([-1.0, le]))):
         with pytest.raises(DomainError):
             call(math.nan)
@@ -255,7 +255,7 @@ def test_ball_mass_monotone_on_random_radius_pairs():
         pairs = rng.uniform(1e-4, 5.0, size=(25, 2))
         for a, b in pairs:
             lo, hi = min(a, b), max(a, b)
-            assert st.ball_mass(mu, lo) <= st.ball_mass(mu, hi) + 1e-15
+            assert mu.ball_mass(lo) <= mu.ball_mass(hi) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +325,25 @@ def test_scaling_invariant_dminus_le_dplus_random():
 
 
 # ---------------------------------------------------------------------------
-# laplace_norm_sq
+# log_laplace
 # ---------------------------------------------------------------------------
 
 
 def test_laplace_at_zero_returns_mass():
     rng = np.random.default_rng(3)
     mu_a = st.AtomicMeasure.from_points(-rng.uniform(0.1, 5.0, 10), rng.uniform(0.2, 2.0, 10))
-    assert st.laplace_norm_sq(mu_a, 0.0) == pytest.approx(mu_a.mass, rel=1e-12)
+    assert math.exp(mu_a.log_laplace(0.0)) == pytest.approx(mu_a.mass, rel=1e-12)
     mu_d = st.monomial_profile_measure(0.6)
-    assert st.laplace_norm_sq(mu_d, 0.0) == pytest.approx(1.0 / 2.2, rel=1e-12)
-    assert st.laplace_norm_sq(st.power_law_measure(2.0), 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(mu_d.log_laplace(0.0)) == pytest.approx(1.0 / 2.2, rel=1e-12)
+    assert math.exp(st.power_law_measure(2.0).log_laplace(0.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_laplace_two_atom_value():
     # direct two-term sum: 0.5 e^-2 + 0.5 e^-4
     mu = st.AtomicMeasure.from_points([-1.0, -2.0], [0.5, 0.5])
     expected = 0.5 * math.exp(-2.0) + 0.5 * math.exp(-4.0)
-    assert st.laplace_norm_sq(mu, 1.0) == pytest.approx(expected, rel=1e-14)
-    assert st.laplace_norm_sq(mu, 1.0, log_domain=True) == pytest.approx(
-        math.log(expected), abs=1e-13
-    )
+    assert math.exp(mu.log_laplace(1.0)) == pytest.approx(expected, rel=1e-14)
+    assert mu.log_laplace(1.0) == pytest.approx(math.log(expected), abs=1e-13)
 
 
 def test_laplace_monomial_profile_asymptotic():
@@ -354,7 +352,7 @@ def test_laplace_monomial_profile_asymptotic():
     delta = 0.75
     mu = st.monomial_profile_measure(delta)
     t = 1e3
-    val = st.laplace_norm_sq(mu, t)
+    val = math.exp(mu.log_laplace(t))
     asym = float(mp.gamma(2 * delta + 1) / (2 * t) ** (2 * delta + 1))
     assert abs(val - asym) / asym < 0.02
     brute = float(oracle_density_laplace(lambda s: s ** 1.5, 0.0, 1.0, t))
@@ -364,10 +362,7 @@ def test_laplace_monomial_profile_asymptotic():
 def test_laplace_log_domain_far_support():
     # uniform density on s in [1, 3]: integral e^{-2 t s} ds = e^{-2t}(1 - e^{-4t})/(2t)
     mu = st.uniform_measure(1.0, 3.0)
-    lv = st.laplace_norm_sq(mu, 1e3, log_domain=True)
-    assert lv == pytest.approx(-2000.0 - math.log(2000.0), abs=1e-9)
-    # linear domain underflows cleanly to 0; no exception, no NaN
-    assert st.laplace_norm_sq(mu, 1e3) == 0.0
+    assert mu.log_laplace(1e3) == pytest.approx(-2000.0 - math.log(2000.0), abs=1e-9)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
@@ -375,7 +370,7 @@ def test_uniform_laplace_closed_form(t):
     # indicator profile on [1, 3]: integral e^{-2 t s} ds = (e^{-2t} - e^{-6t}) / (2t)
     mu = st.uniform_measure(1.0, 3.0)
     expected = (math.exp(-2.0 * t) - math.exp(-6.0 * t)) / (2.0 * t)
-    assert st.laplace_norm_sq(mu, t) == pytest.approx(expected, rel=1e-10)
+    assert math.exp(mu.log_laplace(t)) == pytest.approx(expected, rel=1e-10)
 
 
 def test_laplace_monotone_in_t():
@@ -385,18 +380,12 @@ def test_laplace_monotone_in_t():
         st.uniform_measure(0.2, 1.7),
     ):
         ts = np.geomspace(1e-3, 1e6, 40)
-        vals = [st.laplace_norm_sq(mu, t, log_domain=True) for t in ts]
+        vals = [mu.log_laplace(t) for t in ts]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
-def test_laplace_rejects_negative_t():
-    mu = st.AtomicMeasure.from_points([-1.0], [1.0])
-    with pytest.raises(DomainError):
-        st.laplace_norm_sq(mu, -0.1)
-
-
 # ---------------------------------------------------------------------------
-# laplace_moment
+# log_laplace_moment
 # ---------------------------------------------------------------------------
 
 
@@ -404,7 +393,7 @@ def test_laplace_moment_uniform_closed_form():
     # integral_0^1 s^2 e^{-2s} ds = 1/4 - (5/4) e^{-2}
     mu = st.uniform_measure(0.0, 1.0)
     exact = 0.25 - 1.25 * math.exp(-2.0)
-    assert st.laplace_moment(mu, 1.0) == pytest.approx(exact, rel=1e-12)
+    assert math.exp(mu.log_laplace_moment(1.0)) == pytest.approx(exact, rel=1e-12)
 
 
 def test_laplace_moment_atomic_vs_oracle():
@@ -418,14 +407,15 @@ def test_laplace_moment_atomic_vs_oracle():
                 mp.mpf(w) * (mp.mpf(p) + shift) ** 2 * mp.e ** (2 * mp.mpf(t) * mp.mpf(p))
                 for p, w in zip(pos, wts)
             ))
-            assert st.laplace_moment(mu, t, shift=shift) == pytest.approx(oracle, rel=1e-12)
+            assert math.exp(mu.log_laplace_moment(t, shift=shift)) == pytest.approx(
+                oracle, rel=1e-12)
 
 
 def test_laplace_moment_shift_cancels_matching_atom():
     # an atom exactly at -shift contributes zero to the moment; only the
     # atom at -3 survives: 0.3 * (-3 + 1)^2 * e^(2 * 0.5 * -3)
     mu = st.AtomicMeasure.from_points([-1.0, -3.0], [0.7, 0.3])
-    val = st.laplace_moment(mu, 0.5, shift=1.0)
+    val = math.exp(mu.log_laplace_moment(0.5, shift=1.0))
     assert val == pytest.approx(0.3 * 4.0 * math.exp(-3.0), rel=1e-13)
 
 
@@ -557,9 +547,9 @@ class TestAtomsMajorKernel:
         blocks = []
         inner = ms._block_log_transform
 
-        def spy(s, log_coef, two_t):
-            blocks.append((s.shape[0], two_t.size))
-            return inner(s, log_coef, two_t)
+        def spy(two_s, log_coef, t):
+            blocks.append((two_s.shape[0], t.size))
+            return inner(two_s, log_coef, t)
 
         monkeypatch.setattr(ms, "_block_log_transform", spy)
         rng = np.random.default_rng(5)
@@ -707,6 +697,16 @@ def test_laplace_transforms_refuse_non_finite_times(mu, moment):
         with pytest.raises(DomainError, match="times t must be finite"):
             transform(t)
     assert not math.isnan(transform(-0.5))  # negative t is a growing orbit, still defined
+    # 2 t overflows past 9e307, yet every finite t has a value
+    for t in (1e308, sys.float_info.max):
+        assert not math.isnan(transform(t)), t
+    if not moment and isinstance(mu, st.AtomicMeasure) and mu.s_lo == 0.0:
+        # the atom at 0 keeps its weight at every t: ln 1 = 0 exactly
+        assert transform(1e308) == transform(sys.float_info.max) == 0.0
+    if not moment and isinstance(mu, st.DensityMeasure) and mu.kind == "power-law":
+        # Gamma(3) / (2 t)^2, the power law gamma = 2's transform at large t
+        want = math.lgamma(3) - 2 * (math.log(2) + math.log(1e308))
+        assert transform(1e308) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("t", _HUGE_TS)
@@ -898,7 +898,7 @@ def test_lacunary_ball_positive_above_smallest_atom():
     mu = st.lacunary_measure(0.3, [2.0], 6)
     smallest = 0.3 ** (2 ** 6)
     for eps in (smallest * 1.01, 1e-20, 1e-3, 0.5):
-        assert st.log_ball_mass(mu, math.log(eps)) > -math.inf
+        assert mu.log_ball_mass(math.log(eps)) > -math.inf
 
 
 def test_lacunary_domain_errors():
@@ -923,7 +923,7 @@ def test_lacunary_domain_errors():
 def test_atomic_merges_duplicate_positions():
     mu = st.AtomicMeasure.from_points([-1.0, -2.0, -1.0], [0.25, 0.5, 0.25])
     assert mu.n_atoms == 2
-    assert st.ball_mass(mu, 1.5) == pytest.approx(0.5, rel=1e-14)
+    assert mu.ball_mass(1.5) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_atomic_orders_closest_to_zero_first():
@@ -935,9 +935,9 @@ def test_atomic_orders_closest_to_zero_first():
 def test_atomic_atom_at_zero_is_representable():
     mu = st.AtomicMeasure.from_points([0.0, -1.0], [0.3, 0.7])
     assert math.isinf(mu.log_s[0]) and mu.log_s[0] < 0
-    assert st.ball_mass(mu, 1e-12) == pytest.approx(0.3, rel=1e-14)
+    assert mu.ball_mass(1e-12) == pytest.approx(0.3, rel=1e-14)
     # the zero atom freezes the Laplace transform at its weight
-    assert st.laplace_norm_sq(mu, 1e9) == pytest.approx(0.3, rel=1e-12)
+    assert math.exp(mu.log_laplace(1e9)) == pytest.approx(0.3, rel=1e-12)
 
 
 def test_atomic_construction_errors():
@@ -1036,13 +1036,13 @@ def test_atomic_property_mass_and_monotonicity(positions, data):
         )
     )
     mu = st.AtomicMeasure.from_points(positions, weights)
-    assert st.laplace_norm_sq(mu, 0.0) == pytest.approx(float(np.sum(weights)), rel=1e-12)
+    assert math.exp(mu.log_laplace(0.0)) == pytest.approx(float(np.sum(weights)), rel=1e-12)
     eps_a = data.draw(hst.floats(min_value=1e-4, max_value=100.0))
     eps_b = data.draw(hst.floats(min_value=1e-4, max_value=100.0))
     lo, hi = sorted((eps_a, eps_b))
-    assert st.ball_mass(mu, lo) <= st.ball_mass(mu, hi) * (1 + 1e-12) + 1e-300
+    assert mu.ball_mass(lo) <= mu.ball_mass(hi) * (1 + 1e-12) + 1e-300
     t = data.draw(hst.floats(min_value=0.0, max_value=100.0))
-    assert st.laplace_norm_sq(mu, t) <= mu.mass * (1 + 1e-12)
+    assert math.exp(mu.log_laplace(t)) <= mu.mass * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1232,7 +1232,7 @@ def test_sampled_density_ball_mass_matches_trapezoid():
         hi = min(eps, 2.0)
         fine = np.linspace(0.0, hi, 20001)
         oracle = np.trapezoid(np.interp(fine, grid, vals), fine)
-        assert st.ball_mass(mu, eps) == pytest.approx(float(oracle), rel=1e-7)
+        assert mu.ball_mass(eps) == pytest.approx(float(oracle), rel=1e-7)
 
 
 def test_inner_edge_power_ball_mass_keeps_its_log():
@@ -1270,10 +1270,7 @@ def test_linear_accessors_leave_double_range_without_error(log_w, linear):
     mu = st.AtomicMeasure([-1.0], [log_w])  # one atom at -e^-1, weight e^log_w
     assert mu.mass == linear
     assert mu.ball_mass(1.0) == linear
-    assert st.ball_mass(mu, 1.0) == linear
-    assert st.laplace_norm_sq(mu, 0.0) == linear
-    assert st.laplace_moment(mu, 0.0) == linear
-    assert st.laplace_norm_sq(mu, 0.0, log_domain=True) == log_w
+    assert mu.log_laplace(0.0) == log_w
 
 
 def test_density_ball_mass_is_the_exp_of_its_log():
@@ -1293,21 +1290,21 @@ def test_density_ball_mass_is_the_exp_of_its_log():
 def test_atomic_roundtrip_exact_random():
     rng = np.random.default_rng(5)
     mu = st.AtomicMeasure.from_points(-rng.uniform(1e-8, 20.0, 17), rng.uniform(1e-6, 3.0, 17))
-    back = st.measure_from_text(st.measure_to_text(mu))
+    back = st.measure_from_text(mu.to_text())
     assert np.array_equal(back.log_s, mu.log_s)
     assert np.array_equal(back.log_w, mu.log_w)
 
 
 def test_atomic_roundtrip_exact_extreme_scales():
     mu = st.lacunary_measure(0.5, [0.5, 4.0], 12)  # moduli down to 2^-4096
-    back = st.measure_from_text(st.measure_to_text(mu))
+    back = st.measure_from_text(mu.to_text())
     assert np.array_equal(back.log_s, mu.log_s)
     assert np.array_equal(back.log_w, mu.log_w)
 
 
 def test_atomic_roundtrip_atom_at_zero():
     mu = st.AtomicMeasure.from_points([0.0, -2.0], [0.4, 0.6])
-    back = st.measure_from_text(st.measure_to_text(mu))
+    back = st.measure_from_text(mu.to_text())
     assert np.array_equal(back.log_s, mu.log_s)
     assert math.isinf(back.log_s[0])
 
@@ -1322,12 +1319,12 @@ def test_atomic_roundtrip_atom_at_zero():
     ids=["power-law", "monomial-profile", "uniform"],
 )
 def test_density_roundtrip_reproduces_values(mu):
-    back = st.measure_from_text(st.measure_to_text(mu))
+    back = st.measure_from_text(mu.to_text())
     assert back.kind == mu.kind
     assert back.s_lo == mu.s_lo and back.s_hi == mu.s_hi
     for eps in (0.3, 0.9, 1.7, 2.9):
         if eps <= back.s_hi + 1.0:
-            assert st.ball_mass(back, eps) == st.ball_mass(mu, eps)
+            assert back.ball_mass(eps) == mu.ball_mass(eps)
     assert back.log_laplace(2.0) == pytest.approx(mu.log_laplace(2.0), rel=1e-12)
 
 
@@ -1335,9 +1332,9 @@ def test_sampled_density_roundtrip():
     grid = np.linspace(0.5, 1.5, 11)
     vals = np.linspace(1.0, 2.0, 11)
     mu = st.sampled_density_measure(grid, vals)
-    text = st.measure_to_text(mu)
+    text = mu.to_text()
     back = st.measure_from_text(text)
-    assert st.measure_to_text(back) == text
+    assert back.to_text() == text
     assert np.array_equal(back.smooth_factor(grid - grid[0]), vals)
     le = np.log(family_check_radii(mu))
     assert np.array_equal(back.log_ball_mass(le), mu.log_ball_mass(le))
@@ -1346,7 +1343,7 @@ def test_sampled_density_roundtrip():
 def test_atomic_roundtrip_mass_beyond_double_range():
     mu = st.AtomicMeasure(log_s=[0.0, 1.0], log_w=[800.0, 0.0])
     assert mu.mass == math.inf
-    back = st.measure_from_text(st.measure_to_text(mu))
+    back = st.measure_from_text(mu.to_text())
     assert np.array_equal(back.log_w, mu.log_w)
 
 
@@ -1432,7 +1429,7 @@ def test_density_of_no_family_is_not_written():
     mu = st.DensityMeasure(0.0, 1.0, smooth_factor=lambda sig: 1.0)
     assert mu.kind == "density"
     with pytest.raises(DomainError, match="a density of kind 'density' has no measure file"):
-        st.measure_to_text(mu)
+        mu.to_text()
 
 
 def test_refused_save_leaves_the_file_as_it_was(tmp_path):
@@ -1451,3 +1448,33 @@ def test_measure_from_text_rejects_garbage():
         st.measure_from_text("blob n=1\n0.0 0.0\n")
     with pytest.raises(DomainError):
         st.measure_from_text("atomic n=2 coords=log mass=1.0\n-1.0 -1.0\n")
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+
+def test_package_exports_are_the_layer_modules_all():
+    import types
+
+    from semistab import errors, experiments, measures, operators, semigroup
+
+    public = {name for name, value in vars(st).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    declared = set().union(*(mod.__all__ for mod in (measures, operators, semigroup, experiments)))
+    error_classes = {"DomainError", "InvariantViolation", "PreconditionError", "ResourceCapError"}
+    assert public == declared | error_classes
+    assert all(getattr(st, name) is getattr(errors, name) for name in error_classes)
+    # the module-level duplicates of the measure methods are gone
+    for name in ("ball_mass", "log_ball_mass", "laplace_norm_sq", "laplace_moment",
+                 "measure_to_text"):
+        for module in (st, measures):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+    for cls in (st.AtomicMeasure, st.DensityMeasure):
+        with pytest.raises(AttributeError):
+            cls.describe
+    probe = st.gdelta_probe(st.lacunary_measure(0.5, [0.5, 4.0], 6), 0.7, n_t=11)
+    with pytest.raises(TypeError):
+        iter(probe)

@@ -42,7 +42,6 @@ from semistab import (
     discretize,
     exp_well,
     gaussian_well,
-    laplace_norm_sq,
     load_potential,
     metric_d,
     parse_study_config,
@@ -1268,7 +1267,7 @@ class TestSpectralMeasure:
         H = oracle_dense_matrix(self.op.potential, self.op.L, self.op.h)
         u_t = expm(t * H) @ self.x
         expected = float(u_t @ u_t)
-        got = laplace_norm_sq(self.mu, t)
+        got = math.exp(self.mu.log_laplace(t))
         assert abs(got - expected) <= 1e-10 * expected
 
     def test_atoms_have_positive_weight_and_negative_position(self):

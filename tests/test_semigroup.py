@@ -32,7 +32,6 @@ from semistab import (
     evolve_norms,
     gdelta_probe,
     lacunary_measure,
-    laplace_moment,
     monomial_profile_measure,
     orbit_to_csv,
     power_law_measure,
@@ -401,7 +400,7 @@ class TestFnMembership:
 class TestRangeBound:
     def test_unit_interval_example_value(self):
         mu = uniform_measure(0.0, 1.0)
-        moment = laplace_moment(mu, 1.0)
+        moment = math.exp(mu.log_laplace_moment(1.0))
         expected = 0.25 - 1.25 * math.exp(-2.0)
         assert moment == pytest.approx(expected, rel=1e-10)
         check = range_bound_check(mu, t_grid=np.array([1.0]))
@@ -510,9 +509,8 @@ class TestGdeltaProbe:
 
     def test_witness_thresholds(self):
         result = gdelta_probe(self.mu, 0.7, BetaDescriptor(0.1), (10.0, 1e12), 4001)
-        log_max, log_min = result
-        assert log_max >= 6.9
-        assert log_min <= -6.9
+        assert result.log_max_alpha_weighted >= 6.9
+        assert result.log_min_beta_weighted <= -6.9
 
     def test_probe_values_match_mp_oracle_at_their_nodes(self):
         result = gdelta_probe(self.mu, 0.7, BetaDescriptor(0.1), (10.0, 1e12), 2001)
@@ -588,7 +586,8 @@ class TestChunkedKernel:
         probe = gdelta_probe(lac, 0.7, BetaDescriptor(0.1), (10.0, 1e12), 301)
         plain = range_bound_check(mu, n_t=53)
         shifted = shifted_range_bound_check(shifted_mu, 1.0, n_t=53)
-        return (trace.log_norm_sq.tobytes(), tuple(probe)[0], tuple(probe)[1], probe.argmax_t,
+        return (trace.log_norm_sq.tobytes(), probe.log_max_alpha_weighted,
+                probe.log_min_beta_weighted, probe.argmax_t,
                 probe.argmin_t, float(plain), plain.worst_t, float(shifted), shifted.worst_t)
 
     @pytest.mark.parametrize("rows", [1, 3])
