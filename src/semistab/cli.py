@@ -28,15 +28,12 @@ environment variable sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import encodings.ascii  # noqa: F401  (preloaded, see below)
 import gc
 import os
 import sys
 
-# The library imports scipy at its first solve; every operator command needs
-# scipy.linalg, so load it here, before the freeze below, and keep that import
-# out of each command's run time.  scipy.sparse loads only at a 2-D lambda_max
-# or resolvent, which build a sparse copy of H or of iI - H.
-import scipy.linalg  # noqa: F401
+import numpy.random  # noqa: F401  (preloaded, see below)
 
 from .errors import DomainError, InvariantViolation, ResourceCapError, csv_cell, csv_text
 from .experiments import (
@@ -48,7 +45,7 @@ from .experiments import (
     write_report,
 )
 from .measures import load_measure, scaling_exponents
-from .operators import discretize, load_potential, spectrum_to_csv
+from .operators import _cython_lapack, discretize, load_potential, spectrum_to_csv
 from .semigroup import (
     DEFAULT_ATOM_TOL,
     DEFAULT_GAP_TOL,
@@ -56,6 +53,16 @@ from .semigroup import (
     evolve_norms,
     orbit_to_csv,
 )
+
+# Load here, before the freeze below, what the commands would otherwise import in
+# their run time: LAPACK's cython_lapack extension, which every 1-D and banded
+# solve calls through ctypes (operators._lapack), numpy.random, which the studies
+# draw from, and the codec of the ASCII files they read and write.  The extension
+# is loaded from its file, without scipy.linalg's Python layer, whose array-API
+# shim would import numpy.f2py, numpy.testing and numpy.ma; were it to import
+# scipy.linalg itself, a run would only be slower.  scipy.linalg and scipy.sparse
+# load only at a 2-D lambda_max or resolvent (ARPACK, SuperLU).
+_cython_lapack()
 
 # The CLI owns its process: the numpy/scipy graph loaded above lives until exit,
 # so keep it out of every later collection, the ones at interpreter exit included.

@@ -42,12 +42,23 @@ inertia additivity the blocks' counts add up to H's, at O(N m^2) per shift.
 Each block is copied from H's diagonals when the count reaches it, so the
 check holds one m x m block beyond the diagonals, never all blocks dense.
 
-scipy is imported at the first solve, not with this module, so
-``import semistab`` is numpy-only: the tridiagonal, banded and inertia solves
-load ``scipy.linalg``, and only the 2-D top eigenpair and 2-D resolvent load
-``scipy.sparse`` and ``scipy.sparse.linalg`` (the sparse copies, ARPACK,
-SuperLU).  The module-level names ``eig_banded``, ``splu`` and the rest call
-through to scipy's functions of the same name.
+scipy is loaded at the first solve, not with this module, so ``import
+semistab`` is numpy-only.  Every solve the benchmarked commands run calls
+LAPACK through ctypes (``_lapack``): the 1-D top eigenpair (``dstebz``,
+``dstein``), the 1-D resolvent (``zgttrf``, ``zgttrs``), the values-only
+banded solves (``dsbevd``) and the inertia counts (``dsysv``), each bit for
+bit the routine scipy's f2py wrapper calls, with the same arguments.  The
+routines come from the ``scipy.linalg.cython_lapack`` extension, loaded from
+its file (``_cython_lapack``): ``import scipy.linalg`` would also run
+scipy's array-API shim, which imports numpy.f2py, numpy.testing and numpy.ma,
+most of that import's time.  The results do not rest on that: were the
+extension to import scipy.linalg itself, a run would only be slower.  The
+other solves go through the module-level names ``eig_banded``,
+``eigh_tridiagonal``, ``eigsh``, ``splu`` and ``coo_array``, which import
+scipy's function of the same name at their first call: the full
+eigendecomposition, which only the spectral measure reads, and the 2-D top
+eigenpair and 2-D resolvent, which load ``scipy.sparse`` and
+``scipy.sparse.linalg`` (the sparse copies, ARPACK, SuperLU).
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -58,8 +69,11 @@ discretized operators are in the strong-resolvent sense.
 from __future__ import annotations
 
 import ctypes
-import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -124,12 +138,74 @@ def _lazy(module: str, name: str) -> Callable:
 
 eig_banded = _lazy("scipy.linalg", "eig_banded")
 eigh_tridiagonal = _lazy("scipy.linalg", "eigh_tridiagonal")
-dsysv = _lazy("scipy.linalg.lapack", "dsysv")
-zgttrf = _lazy("scipy.linalg.lapack", "zgttrf")
-zgttrs = _lazy("scipy.linalg.lapack", "zgttrs")
 eigsh = _lazy("scipy.sparse.linalg", "eigsh")
 splu = _lazy("scipy.sparse.linalg", "splu")
 coo_array = _lazy("scipy.sparse", "coo_array")
+
+
+@cache
+def _cython_lapack():
+    """``scipy.linalg.cython_lapack``, the module ``_lapack`` binds from: the one in
+    ``sys.modules`` if scipy.linalg has loaded it, else the extension loaded from its
+    file, so that scipy.linalg's package ``__init__`` never runs.  The extension
+    enters itself in ``sys.modules``; that entry is dropped again, so a later
+    ``import scipy.linalg`` finds it unloaded and attaches this same module."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if "scipy.linalg" not in sys.modules:
+        sys.modules.pop(name, None)
+    return module
+
+
+@cache
+def _lapack(name: str) -> Callable:
+    """LAPACK routine ``name`` of ``scipy.linalg.cython_lapack``, bound with ctypes;
+    a call releases the GIL.  Every argument is a pointer made by ``_by_ref``, so
+    no argument types are declared: ctypes would run each argument through them,
+    0.55 us more for an 11-argument ``zgttrs`` (2-core Xeon), which made a solve
+    slower than scipy's f2py call."""
+    capsule = _cython_lapack().__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None)(pointer_of(capsule, name_of(capsule)))
+
+
+#: a pointer to a writable C-contiguous array's data that keeps the array alive:
+#: a zero-length ctypes array laid over its buffer
+_ARRAY_DATA = ctypes.c_char * 0
+
+
+def _by_ref(*values) -> list:
+    """LAPACK arguments, each a pointer that keeps what it points to alive: an
+    array's data (``_ARRAY_DATA``, else a c_void_p from numpy), a new c_int for an
+    int, a new c_double for a float, a c_int or c_double itself (an output such as
+    info), and a flag's bytes as they are."""
+    refs = []
+    for value in values:
+        if isinstance(value, np.ndarray):
+            try:
+                value = _ARRAY_DATA.from_buffer(value)
+            except TypeError:  # a read-only or not C-contiguous array
+                value = value.ctypes.data_as(ctypes.c_void_p)
+        elif isinstance(value, int):
+            value = ctypes.byref(ctypes.c_int(value))
+        elif isinstance(value, float):
+            value = ctypes.byref(ctypes.c_double(value))
+        elif isinstance(value, (ctypes.c_int, ctypes.c_double)):
+            value = ctypes.byref(value)
+        refs.append(value)
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +622,8 @@ class DiscretizedOperator:
     @cached_property
     def lambda_max(self) -> float:
         if self.nu == 1:
-            # the top eigenpair of the tridiagonal H; tol = 2 * tiny is LAPACK
-            # ?stebz's most accurate bisection, and the studies' CSV bits rest on
-            # it; it costs about a fifth more than the default tolerance (0.70 against
-            # 0.58 ms at N = 799, interleaved, one BLAS thread, 2-core Xeon)
             (_, d), (_, e) = self._diagonals
-            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(self.N - 1, self.N - 1),
-                                          tol=2.0 * np.finfo(float).tiny)
+            vals, vecs = _tridiagonal_top(d, e)
         else:
             # H + cI is nonnegative and irreducible, so the top eigenvector is
             # positive and the constant start vector always overlaps it; a fixed
@@ -570,11 +641,26 @@ class DiscretizedOperator:
         of the tridiagonal in 1-D, SuperLU of a CSC copy in 2-D."""
         if self.nu == 1:
             (_, d), (_, e) = self._diagonals
-            off = -e.astype(complex)
-            *factors, info = zgttrf(off, 1j - d, off)
-            if info != 0:
-                raise InvariantViolation(f"tridiagonal LU of iI - H failed (zgttrf info {info})")
-            return lambda r: zgttrs(*factors, r)[0]
+            info = ctypes.c_int()
+            # LAPACK overwrites the sub- and superdiagonal with their factors, so each
+            # is its own copy of -e, as complex with imaginary parts -0.0
+            dl = -0j - e
+            n, one, info_ref, *factors = _by_ref(self.N, 1, info, dl, 1j - d, dl.copy(),
+                                                 np.empty(max(self.N - 2, 1), complex),
+                                                 np.empty(self.N, np.intc))
+            _lapack("zgttrf")(n, *factors, info_ref)
+            if info.value != 0:
+                raise InvariantViolation(f"tridiagonal LU of iI - H failed "
+                                         f"(zgttrf info {info.value})")
+            # every argument but the right-hand side is bound once (ldb is n), so a
+            # solve is one copy of r and one call
+            solve = partial(_lapack("zgttrs"), b"N", n, one, *factors)
+
+            def solver(r: np.ndarray) -> np.ndarray:
+                x = r.astype(complex)
+                solve(_ARRAY_DATA.from_buffer(x), n, info_ref)
+                return x
+            return solver
         # 1j - d is never 0, so every diagonal entry is stored, also where d == 0
         (_, d), *off = self._diagonals
         row, col, data = _triplets(((0, 1j - d), *((k, -e) for k, e in off)))
@@ -704,16 +790,34 @@ def _sector_band(diagonals: tuple, col: np.ndarray, weight: np.ndarray) -> np.nd
     return band
 
 
-@cache
-def _dsbevd() -> Callable:
-    """LAPACK ``dsbevd`` of ``scipy.linalg.cython_lapack``, bound with ctypes,
-    whose calls release the GIL where scipy's f2py wrapper holds it."""
-    capsule = importlib.import_module("scipy.linalg.cython_lapack").__pyx_capi__["dsbevd"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(pointer(capsule, name(capsule)))
+def _tridiagonal_top(d: np.ndarray, e: np.ndarray) -> tuple:
+    """(vals, vecs), shapes (1,) and (n, 1), of the top eigenpair of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, bit for bit as
+    ``eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1), tol=2 * tiny)``
+    gives it: LAPACK ``dstebz`` bisection (range 'I', block order 'B'), then
+    ``dstein`` inverse iteration.  tol = 2 * tiny is ``dstebz``'s most accurate
+    bisection, and the studies' CSV bits rest on it; it costs about a fifth more
+    than the default tolerance (0.70 against 0.58 ms at N = 799, interleaved, one
+    BLAS thread, 2-core Xeon)."""
+    d, e = np.ascontiguousarray(d, float), np.ascontiguousarray(e, float)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise InvariantViolation("the tridiagonal H holds a value that is not finite")
+    n, m, info = d.size, ctypes.c_int(), ctypes.c_int()
+    w, z, work = np.empty(n), np.empty((n, 1)), np.empty(5 * n)  # LAPACK's sizes
+    iblock, isplit, iwork = np.empty(n, np.intc), np.empty(n, np.intc), np.empty(3 * n, np.intc)
+    # the arguments both routines take, each converted once
+    n_, d_, e_, m_, w_, iblock_, isplit_, work_, iwork_, info_ = _by_ref(
+        n, d, e, m, w, iblock, isplit, work, iwork, info)
+    tol = 2.0 * np.finfo(float).tiny
+    _lapack("dstebz")(b"I", b"B", n_, *_by_ref(0.0, 1.0, n, n, tol), d_, e_, m_,
+                      *_by_ref(ctypes.c_int()), w_, iblock_, isplit_, work_, iwork_, info_)
+    if info.value == 0:
+        _lapack("dstein")(n_, d_, e_, m_, w_, iblock_, isplit_, *_by_ref(z, n), work_, iwork_,
+                          *_by_ref(np.empty(1, np.intc)), info_)
+    if info.value != 0 or m.value != 1:
+        raise InvariantViolation(f"LAPACK dstebz or dstein failed on the tridiagonal H: "
+                                 f"info = {info.value}, {m.value} eigenvalues")
+    return w[:1], z
 
 
 def _band_eigenvalues(bands: list) -> list:
@@ -729,10 +833,8 @@ def _band_eigenvalues(bands: list) -> list:
         kd, n = band.shape[0] - 1, band.shape[1]
         ab, w, z, info = np.array(band, float, order="F"), np.empty(n), np.empty(1), ctypes.c_int(0)
         work, iwork = np.empty(max(1, 2 * n)), np.empty(1, np.intc)  # LAPACK's sizes for jobz='N'
-        n_, kd_, ldab, ldz, lwork, liwork = (ctypes.byref(ctypes.c_int(v))
-                                             for v in (n, kd, kd + 1, 1, work.size, iwork.size))
-        calls.append(partial(_dsbevd(), b"N", b"L", n_, kd_, ab.ctypes, ldab, w.ctypes, z.ctypes,
-                             ldz, work.ctypes, lwork, iwork.ctypes, liwork, ctypes.byref(info)))
+        calls.append(partial(_lapack("dsbevd"), *_by_ref(b"N", b"L", n, kd, ab, kd + 1, w, z, 1,
+                                                         work, work.size, iwork, iwork.size, info)))
         results.append((w, info))
     errors = []
 
@@ -828,7 +930,9 @@ def _spread_gaps(gaps: np.ndarray, count: Callable[[int], Optional[int]]):
     that gap), the search moves on to the next gap not yet tried; once every
     later gap has failed, it stops."""
     untried = 0  # every gap tried so far lies before this position
-    for start in np.unique(np.linspace(0, gaps.size - 1, _INERTIA_SHIFTS).round().astype(int)):
+    # the distinct rounded positions, ascending; np.unique would import numpy.ma
+    positions = np.linspace(0, gaps.size - 1, _INERTIA_SHIFTS).round().astype(int)
+    for start in dict.fromkeys(positions.tolist()):
         for pos in range(max(start, untried), gaps.size):
             above = count(int(gaps[pos]))
             if above is not None:
@@ -865,9 +969,14 @@ def _count_above(diagonals: tuple, sigma: float) -> Optional[int]:
     N, b = diagonals[0][1].size, diagonals[-1][0]
     m = max(math.isqrt(N - 1) + 1, b)
     n_blocks = -(-N // m)
-    pivot, sub, ipiv = np.empty(N), np.zeros(N), np.empty(N, dtype=int)
+    pivot, sub, ipiv = np.empty(N), np.zeros(N), np.empty(N, dtype=np.intc)
     A, C = np.empty((m, m)), np.empty((b, b))
     rhs = np.zeros((m, b), order="F")
+    # dsysv's operands in Fortran order with leading dimension m, bound once; n is
+    # each block's size and also its work size, max(n, 1) as in scipy's wrapper
+    ldu, x = np.empty((m, m), order="F"), np.empty((m, b), order="F")
+    piv, work, n, info = np.empty(m, np.intc), np.empty(m), ctypes.c_int(), ctypes.c_int()
+    factor = partial(_lapack("dsysv"), *_by_ref(b"L", n, b, ldu, m, piv, x, m, work, n, info))
     for q in range(n_blocks):
         S = _lower_block(diagonals, q * m, q * m, A)
         S.reshape(-1)[::m + 1] -= sigma  # S's diagonal
@@ -877,13 +986,17 @@ def _count_above(diagonals: tuple, sigma: float) -> Optional[int]:
             rhs[m - b:] = _lower_block(diagonals, (q + 1) * m, (q + 1) * m - b, C).T
         else:
             S = S[:N - q * m, :N - q * m]  # and its solve is not used
-        ldu, piv, x, info = dsysv(S, rhs[:len(S)], lower=1, overwrite_a=1)
-        if info != 0:
+        k = n.value = len(S)
+        block = ldu[:k, :k]
+        block[...] = S
+        x[...] = rhs
+        factor()
+        if info.value != 0:
             return None
-        rows = slice(q * m, q * m + len(S))
-        pivot[rows] = np.diagonal(ldu)
-        sub[rows][:-1] = np.diagonal(ldu, -1)
-        ipiv[rows] = piv
+        rows = slice(q * m, q * m + k)
+        pivot[rows] = block.diagonal()
+        sub[rows][:-1] = block.diagonal(-1)
+        ipiv[rows] = piv[:k]
     return _positive_pivots(pivot, sub, ipiv)
 
 

@@ -827,8 +827,13 @@ def _loaded(script):
 
 
 class TestScipyLoadsAtItsSolve:
-    """``import semistab`` is numpy-only; scipy's solvers load at the first solve
-    that calls them, and the CLI preloads the ones every operator command needs."""
+    """``import semistab`` is numpy-only.  The CLI preloads LAPACK's cython_lapack
+    extension, loaded from its file, so neither it nor the 1-D and banded solves
+    that call LAPACK through it load scipy.linalg's Python layer; scipy.linalg and
+    scipy.sparse load only at a 2-D top eigenpair or resolvent."""
+
+    #: numpy's lazy submodules that scipy.linalg's array-API layer would load
+    NUMPY_EXTRAS = ("numpy.ma", "numpy.f2py", "numpy.testing")
 
     def test_library_import_loads_no_solver(self):
         assert _loaded("import semistab") == []
@@ -836,33 +841,30 @@ class TestScipyLoadsAtItsSolve:
     def test_bounds_study_loads_no_solver(self):
         assert _loaded("import semistab\nsemistab.study('section3-bounds')") == []
 
-    def test_cli_import_preloads_only_the_banded_solvers(self):
-        assert _loaded("import semistab.cli") == ["scipy.linalg"]
+    def test_cli_import_loads_no_scipy_linalg_and_no_numpy_extras(self):
+        proc = _run_python("-c", "import sys, semistab.cli\n"
+                                 f"print([m for m in {self.NUMPY_EXTRAS!r} if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert _loaded("import semistab.cli") == []
 
-    def test_1d_study_and_2d_spectrum_load_no_sparse_module(self, tmp_path):
-        # the approx-1d and spectrum-2d benchmark paths: every solve reads H's
-        # stencil, the tridiagonal or the band storage, never its CSR copy
-        script = (
-            "from semistab import gaussian_well, save_potential, square_well, study\n"
-            "from semistab.cli import main\n"
-            "rep = study('approximation', potential=gaussian_well(a_bound=1.0),"
-            " seq_kind='truncation', indices=[1, 2], L=4.0, h=0.1, n_probes=2)\n"
-            "assert len(rep.table('approximation').rows) == 2\n"
-            f"save_potential(square_well(nu=2), {str(tmp_path / 'well.potential')!r})\n"
-            f"assert main(['operator', 'spectrum', {str(tmp_path / 'well.potential')!r},"
-            f" '--L', '2', '--h', '0.25', '--out', {str(tmp_path / 'spectrum.csv')!r}]) == 0\n"
-        )
-        assert _loaded(script) == ["scipy.linalg"]
-
-    def test_2d_spectrum_imports_nothing_after_cli_import(self, tmp_path):
-        # an import inside the command would count in its run time; the two
-        # swap sectors' solves on two threads use ctypes, threading and the
-        # cython_lapack that the CLI's scipy.linalg preload brings
+    def test_benchmark_commands_import_nothing_after_cli_import(self, tmp_path):
+        # an import inside a command would count in its run time: a 1-D
+        # approximation study (top eigenpairs, tridiagonal LU and solves) and a
+        # 2-D spectrum (the two swap sectors' dsbevd on two threads and the
+        # inertia counts' dsysv) call LAPACK through the preloaded extension
         pot, out = str(tmp_path / "well.potential"), str(tmp_path / "spectrum.csv")
         save_potential(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), pot)
+        config = tmp_path / "approx.ini"
+        config.write_text("[study]\nkind = approximation\n\n[potential]\nkind = gaussian-well\n"
+                          "nu = 1\na_bound = 1.0\ndepth = 1.0\nwidth = 1.0\n\n[approximation]\n"
+                          "seq_kind = truncation\nindices = 1..12\nL = 20\nh = 0.05\n"
+                          "n_probes = 3\n", encoding="ascii")
+        report = str(tmp_path / "report")
         script = ("import sys\n"
                   "from semistab.cli import main\n"
                   "before = set(sys.modules)\n"
+                  f"assert main(['study', {str(config)!r}, '--out', {report!r}]) == 0\n"
                   f"assert main(['operator', 'spectrum', {pot!r}, '--L', '2', '--h', '0.25',"
                   f" '--out', {out!r}]) == 0\n"
                   "print(sorted(set(sys.modules) - before))\n")
@@ -870,13 +872,34 @@ class TestScipyLoadsAtItsSolve:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_scipy_linalg_imported_later_gets_the_same_cython_lapack(self, tmp_path):
+        # the extension's own sys.modules entry is dropped after its load, so a
+        # later import of scipy.linalg attaches it as its submodule
+        pot = str(tmp_path / "well.potential")
+        save_potential(square_well(nu=2), pot)
+        script = ("import sys\n"
+                  "from semistab import operators\n"
+                  "from semistab.cli import main\n"
+                  f"assert main(['operator', 'spectrum', {pot!r}, '--L', '2', '--h', '0.25',"
+                  f" '--out', {str(tmp_path / 'spectrum.csv')!r}]) == 0\n"
+                  "assert 'scipy.linalg.cython_lapack' not in sys.modules\n"
+                  "import scipy.linalg, scipy.sparse.linalg\n"
+                  "print(scipy.linalg.cython_lapack is operators._cython_lapack(),"
+                  " sys.modules['scipy.linalg.cython_lapack'] is operators._cython_lapack())\n")
+        proc = _run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True True"
+
     def test_cli_preload_is_frozen(self):
         # a module imported after gc.freeze() is torn down by the collector at exit again
-        proc = _run_python("-c", "import gc, semistab.cli, scipy.linalg\n"
-                                 "d = scipy.linalg.__dict__\n"
-                                 "print(gc.is_tracked(d), any(o is d for o in gc.get_objects()))")
+        proc = _run_python("-c", "import gc, numpy.random, semistab.cli\n"
+                                 "from semistab import operators\n"
+                                 "heap = gc.get_objects()\n"
+                                 "for d in (operators._cython_lapack().__dict__,"
+                                 " numpy.random.__dict__):\n"
+                                 "    print(gc.is_tracked(d), any(o is d for o in heap))")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True False\n"
+        assert proc.stdout == "True False\nTrue False\n"
 
     @pytest.mark.parametrize("solve, reads_H", [
         ("assert abs(op.lambda_max - np.linalg.eigvalsh(dense)[-1]) < 1e-10", True),

@@ -68,20 +68,22 @@ def approx_1d_report(seed):
 
 def spy_on_1d_solves(monkeypatch) -> dict:
     """Counts, filled as a 1-D study runs, of its top-eigenpair solves
-    (``eigh_tridiagonal`` with ``select``), its tridiagonal factorizations of
-    iI - H (``zgttrf``) and its refined resolvent solves."""
+    (``_tridiagonal_top``: LAPACK ``dstebz`` and ``dstein``), its tridiagonal
+    factorizations of iI - H (LAPACK ``zgttrf``) and its refined resolvent
+    solves."""
     solves = {"top-eigenpair": 0, "zgttrf": 0, "resolvent_apply": 0}
 
-    def spy(name, inner, counts=lambda *args, **kwargs: True):
+    def spy(name, inner):
         def call(*args, **kwargs):
-            solves[name] += counts(*args, **kwargs)
+            solves[name] += 1
             return inner(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(operators, "eigh_tridiagonal",
-                        spy("top-eigenpair", operators.eigh_tridiagonal,
-                            lambda *args, **kwargs: "select" in kwargs))
-    monkeypatch.setattr(operators, "zgttrf", spy("zgttrf", operators.zgttrf))
+    monkeypatch.setattr(operators, "_tridiagonal_top",
+                        spy("top-eigenpair", operators._tridiagonal_top))
+    lapack = operators._lapack
+    monkeypatch.setattr(operators, "_lapack", lambda routine: spy("zgttrf", lapack(routine))
+                        if routine == "zgttrf" else lapack(routine))
     apply = spy("resolvent_apply", operators.resolvent_apply)
     monkeypatch.setattr(operators, "resolvent_apply", apply)
     monkeypatch.setattr(experiments, "resolvent_apply", apply)

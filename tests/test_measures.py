@@ -775,6 +775,81 @@ def test_density_transforms_match_mpmath(name, t):
         assert got == pytest.approx(float(oracle), rel=1e-14, abs=1e-12), shift
 
 
+def oracle_log_growth(density, s_lo, s_hi, t, shift=None, breaks=()):
+    """mpmath ln integral density(s) [(shift - s)^2] e^{-2 t s} ds over [s_lo, s_hi]
+    at t < 0, where e^{-2 t s} peaks at s_hi: over v = 2|t| (s_hi - s), cut at
+    the density's breaks and at v = 2^k, with e^{-2 t s_hi} carried in log
+    (``density`` takes s - s_lo)."""
+    with mp.workdps(40):
+        a, lo, hi = -mp.mpf(t), mp.mpf(s_lo), mp.mpf(s_hi)
+        top = 2 * a * (hi - lo)
+        cuts = {2 * a * (hi - mp.mpf(b)) for b in breaks} | {mp.mpf(2) ** k for k in range(-1, 11)}
+        pts = [mp.mpf(0)] + sorted(c for c in cuts if 0 < c < top)
+
+        def f(v):
+            s = hi - v / (2 * a)
+            val = density(s - lo) * mp.exp(-v)
+            return val if shift is None else val * (shift - s) ** 2
+
+        return 2 * a * hi + mp.log(mp.quad(f, pts + [top]) / (2 * a))
+
+
+@pytest.mark.parametrize("name", ["power-law-2", "power-law-0.5", "uniform-0.5-2",
+                                  "sampled-kinked"])
+@pytest.mark.parametrize("t", (-1e-3, -1.0, -400.0, -1e308))
+def test_density_transform_of_a_growing_orbit_matches_mpmath(name, t):
+    # at t < 0 the integrand grows to e^{-2 t s_hi}: carried in log, no value
+    # past the double range inside the quadrature; at t = -1e308 the value
+    # itself, about 2e308, is past it, so it is inf
+    mu, density, breaks = {
+        "power-law-2": (st.power_law_measure(2.0), lambda sig: 2 * sig, ()),
+        "power-law-0.5": (st.power_law_measure(0.5), lambda sig: mp.mpf(0.5) * sig ** -0.5, ()),
+        "uniform-0.5-2": (st.uniform_measure(0.5, 2.0), lambda sig: mp.mpf(1), ()),
+        "sampled-kinked": _DENSITY_ORACLES["sampled-kinked"],
+    }[name]
+    for shift in (None, 0.0, 0.3, 3.0):
+        got = mu.log_laplace(t) if shift is None else mu.log_laplace_moment(t, shift)
+        oracle = float(oracle_log_growth(density, mu.s_lo, mu.s_hi, t, shift, breaks))
+        assert got == pytest.approx(oracle, rel=1e-14, abs=1e-13), shift
+    if t == -400.0 and name == "power-law-2":
+        # ln integral_0^1 2s e^{800 s} ds = 800 + ln(2/800) + ln(1 - 1/800), about
+        assert mu.log_laplace(t) == pytest.approx(800.0 + math.log(2 / 800) + math.log1p(-1 / 800),
+                                                  rel=1e-15)
+
+
+def test_density_breaks_at_a_subnormal_scale_raise_no_warning():
+    # at |t| = 1e308 the scale 1/(2|t|) is subnormal, and a break's offset over it
+    # overflows: it lies past every node, so it is dropped without a warning
+    mu = _DENSITY_ORACLES["sampled-kinked"][0]
+    # h(0) / (2 t) with h(0) = 1 at the lower edge; at -1e308 about 2e308, past the range
+    assert mu.log_laplace(1e308) == pytest.approx(-math.log(2.0) - math.log(1e308), rel=1e-14)
+    assert mu.log_laplace(-1e308) == math.inf
+
+
+# ln transform bits at t >= 0, from before the t < 0 branch: log_laplace at
+# t = 0, 1e-3, 1, 400, 1e308, then log_laplace_moment(t, 0.3) at t = 0, 1, 400
+_NONNEGATIVE_T_BITS = {
+    "power-law-2": ["0x0.0p+0", "-0x1.5d7f073389dfbp-10", "-0x1.36caddacb0400p+0",
+                    "-0x1.95a26ab638730p+3", "-0x1.62c579e3609a5p+10", "-0x1.a925ae2cbedfdp+0",
+                    "-0x1.a660457e1721dp+1", "-0x1.e3391f993742fp+3"],
+    "power-law-0.5": ["0x0.0p+0", "-0x1.5d6ea09f8b890p-11", "-0x1.07210331a8cb4p-1",
+                      "-0x1.bb46788d7d0dbp+1", "-0x1.6310c1ff0f238p+8", "-0x1.34378fcbda721p+1",
+                      "-0x1.a4c656627fe3ep+1", "-0x1.7803361c2a619p+2"],
+    "uniform-0.5-2": ["0x1.9f323ecbf984cp-2", "0x1.9ca2fbcd7713bp-2", "-0x1.be84f6a5cd4ebp+0",
+                      "-0x1.96af42b6d4cabp+8", "-0x1.1ccf385ebc8a0p+1023", "0x1.f7713617f9756p-2",
+                      "-0x1.34ed590260dffp+1", "-0x1.99e417c808586p+8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONNEGATIVE_T_BITS))
+def test_density_transform_at_nonnegative_t_keeps_its_bits(name):
+    mu = {"power-law-2": st.power_law_measure(2.0), "power-law-0.5": st.power_law_measure(0.5),
+          "uniform-0.5-2": st.uniform_measure(0.5, 2.0)}[name]
+    got = ([mu.log_laplace(t) for t in (0.0, 1e-3, 1.0, 400.0, 1e308)]
+           + [mu.log_laplace_moment(t, 0.3) for t in (0.0, 1.0, 400.0)])
+    assert [x.hex() for x in got] == _NONNEGATIVE_T_BITS[name]
+
+
 def test_density_vanishing_at_an_inner_edge_stays_finite():
     # density 0 at s_lo = 0.5: at large t only sig ~ 1/t matters, which 0.5 + sig
     # would round away; the result is -2 t s_lo plus what its last bit resolves

@@ -4,8 +4,10 @@ and resolvent diagnostics.
 Oracles used here are independent of the package internals: the cosine
 form of the Dirichlet second-difference spectrum, dense matrices built
 by explicit loops, scipy.linalg.expm for semigroup evolution,
-scipy.linalg.eigh_tridiagonal and eig_banded for the 1-D solves, eig_banded
-for the values-only banded solves that call LAPACK through ctypes, numpy.linalg
+scipy.linalg.eigh_tridiagonal and eig_banded for the 1-D solves, scipy's
+f2py LAPACK wrappers (``eigh_tridiagonal``, ``eig_banded`` and
+``scipy.linalg.lapack``) for every routine the package calls through ctypes,
+bit for bit, numpy.linalg
 solves for resolvents, ARPACK ``eigsh`` and SuperLU for the 1-D
 tridiagonal top eigenpair and resolvent, and, for the inertia counts, a
 sparse LU without pivoting and dense numpy.linalg.eigvalsh counts.  The
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eig_banded, eigh_tridiagonal, expm
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dsytrf
 from scipy.sparse.linalg import eigsh, splu
 
@@ -120,6 +123,19 @@ def lower_diagonals(M):
     """Symmetric sparse M as the ``(k, d_k)`` lower diagonals that
     ``operators._count_above`` reads, k up to M's half-bandwidth."""
     return tuple((k, row[:M.shape[0] - k]) for k, row in enumerate(lower_band(M)))
+
+
+def patch_lapack(monkeypatch, name, wrap):
+    """Make ``operators._lapack(name)`` return ``wrap(real)``, for the real
+    binding ``real``; every other routine stays bound as it is."""
+    lapack_binding, real = operators._lapack, operators._lapack(name)
+    monkeypatch.setattr(operators, "_lapack",
+                        lambda routine: wrap(real) if routine == name else lapack_binding(routine))
+
+
+def by_ref_int(arg):
+    """The c_int behind a ``_by_ref`` argument ``ctypes.byref(c_int)``."""
+    return arg._obj
 
 
 def kronsum_csr(op):
@@ -549,15 +565,99 @@ class TestTridiagonalSolves:
 
     def test_singular_tridiagonal_factor_is_refused(self, monkeypatch):
         op = discretize(gaussian_well(), L=5.0, h=0.25)
-        lu = operators.zgttrf
 
-        def singular(dl, d, du):
-            *factors, info = lu(dl, d, du)
-            return (*factors, 3)
+        def singular(zgttrf):
+            def call(*args):
+                zgttrf(*args)
+                by_ref_int(args[-1]).value = 3  # info
+            return call
 
-        monkeypatch.setattr(operators, "zgttrf", singular)
+        patch_lapack(monkeypatch, "zgttrf", singular)
         with pytest.raises(InvariantViolation, match="zgttrf info 3"):
             resolvent_apply(op, np.ones(op.N))
+
+    def test_non_finite_tridiagonal_is_refused_before_the_solve(self, monkeypatch):
+        op = discretize(gaussian_well(), L=5.0, h=0.25)
+        v = op.v_diag.copy()
+        v[7] = np.nan
+        patch_lapack(monkeypatch, "dstebz", lambda dstebz: pytest.fail("dstebz was called"))
+        with pytest.raises(InvariantViolation, match="not finite"):
+            dataclasses.replace(op, v_diag=v).lambda_max
+
+
+class TestLapackBindings:
+    """Each LAPACK routine the package calls through ctypes (``operators._lapack``)
+    against scipy's f2py wrapper of the same routine, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 799, 3600])
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    def test_top_eigenpair_is_eigh_tridiagonal(self, n, split):
+        rng = np.random.default_rng(n)
+        d, e = rng.uniform(-4.0, 0.0, n), rng.uniform(0.1, 1.0, n - 1)
+        if split and n > 1:
+            e[(n - 1) // 2] = 0.0  # a zero off-diagonal splits the matrix in two blocks
+        got = operators._tridiagonal_top(d, e)
+        want = eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1),
+                                tol=2.0 * np.finfo(float).tiny)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_top_eigenpair_of_the_1d_operator_is_eigh_tridiagonal(self):
+        op = discretize(gaussian_well(depth=1.0, width=1.0, a_bound=1.0), 20.0, 0.05)  # N = 799
+        (_, d), (_, e) = op._diagonals
+        vals, _ = eigh_tridiagonal(d, e, select="i", select_range=(op.N - 1, op.N - 1),
+                                   tol=2.0 * np.finfo(float).tiny)
+        assert op.lambda_max == vals[0]
+
+    @pytest.mark.parametrize("nrhs", [None, 1, 3], ids=["vector", "one-column", "three-columns"])
+    def test_tridiagonal_lu_and_solve_are_zgttrf_and_zgttrs(self, nrhs):
+        n, rng = 799, np.random.default_rng(5)
+        d = rng.uniform(-4.0, 0.0, n) + 1j
+        dl, du = rng.uniform(-1.0, 1.0, (2, n - 1)) + 0j
+        b = rng.uniform(-1.0, 1.0, (n, nrhs or 1)) + 1j * rng.uniform(-1.0, 1.0, (n, nrhs or 1))
+        b = np.asfortranarray(b) if nrhs else b[:, 0].copy()
+        want = lapack.zgttrf(dl, d, du)
+        factors = [dl.copy(), d.copy(), du.copy(), np.empty(n - 2, complex), np.empty(n, np.intc)]
+        info = ctypes.c_int(-1)
+        operators._lapack("zgttrf")(*operators._by_ref(n, *factors, info))
+        assert info.value == want[-1] == 0
+        for got, w in zip(factors, want[:5]):
+            assert np.array_equal(got, w)
+        x = b.copy(order="F")
+        operators._lapack("zgttrs")(*operators._by_ref(b"N", n, nrhs or 1, *factors, x, n, info))
+        want_x, want_info = lapack.zgttrs(*want[:5], b)
+        assert info.value == want_info == 0
+        assert x.shape == want_x.shape and np.array_equal(x, want_x)
+
+    def test_resolvent_solver_is_zgttrs(self):
+        op = discretize(gaussian_well(depth=1.0, width=1.0, a_bound=1.0), 20.0, 0.05)
+        (_, d), (_, e) = op._diagonals
+        factors = lapack.zgttrf(-e.astype(complex), 1j - d, -e.astype(complex))[:5]
+        r = np.random.default_rng(8).uniform(-1.0, 1.0, op.N) * (1.0 - 2.0j)
+        got = op._resolvent_solver(r)
+        assert np.array_equal(got, lapack.zgttrs(*factors, r)[0])
+        assert got is not op._resolvent_solver(r)  # each solve returns a new array
+
+    @pytest.mark.parametrize("lead", [0, 3], ids=["lda-n", "lda-n+3"])
+    def test_symmetric_solve_with_2x2_pivots_is_dsysv(self, lead):
+        # a zero diagonal makes Bunch-Kaufman take 2 x 2 pivots; the inertia count
+        # solves its last, shorter block in the leading part of larger buffers
+        n, rng = 9, np.random.default_rng(11)
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        A = A + A.T
+        np.fill_diagonal(A, 0.0)
+        b = rng.uniform(-1.0, 1.0, (n, 2))
+        ldu, ipiv, x, info = lapack.dsysv(A, b, lower=1)
+        assert info == 0 and np.any(ipiv < 0)
+        lda = n + lead
+        a_f, x_f = np.zeros((lda, n), order="F"), np.zeros((lda, 2), order="F")
+        a_f[:n], x_f[:n] = A, b
+        piv, work, got_info = np.empty(n, np.intc), np.empty(n), ctypes.c_int(-1)
+        operators._lapack("dsysv")(*operators._by_ref(b"L", n, 2, a_f, lda, piv, x_f, lda, work,
+                                                      n, got_info))
+        assert got_info.value == 0
+        assert np.array_equal(a_f[:n], ldu) and np.array_equal(piv, ipiv)
+        assert np.array_equal(x_f[:n], x)
 
 
 class TestBandedSolves:
@@ -726,9 +826,6 @@ class TestSwapFoldFaults:
             forced.eigenvalues
 
 
-_DSBEVD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)  # the binding's C signature
-
-
 class TestBandEigenvalues:
     """``_band_eigenvalues``, the values-only solve behind ``eigenvalues``: LAPACK
     ``dsbevd`` called through ctypes, with each band after the first on a
@@ -780,27 +877,29 @@ class TestBandEigenvalues:
     @pytest.mark.parametrize("failing", [0, 1], ids=["first-band", "worker-band"])
     def test_lapack_info_fails_the_solve(self, monkeypatch, failing):
         bands = self.sector_bands("odd")
-        real = operators._dsbevd()
 
-        @_DSBEVD
-        def fails_one_band(*args):
-            real(*args)
-            if ctypes.c_int.from_address(args[2]).value == bands[failing].shape[1]:  # n
-                ctypes.c_int.from_address(args[-1]).value = 1  # info
+        def fails_one_band(dsbevd):
+            def call(*args):
+                dsbevd(*args)
+                if by_ref_int(args[2]).value == bands[failing].shape[1]:  # n
+                    by_ref_int(args[-1]).value = 1  # info
+            return call
 
-        monkeypatch.setattr(operators, "_dsbevd", lambda: fails_one_band)
+        patch_lapack(monkeypatch, "dsbevd", fails_one_band)
         with pytest.raises(InvariantViolation, match="info = 1"):
             discretize(*self.SECTORS["odd"]).eigenvalues
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        bands, caller, real = self.sector_bands("odd"), threading.get_ident(), operators._dsbevd()
+        bands, caller = self.sector_bands("odd"), threading.get_ident()
 
-        def fails_off_the_calling_thread(*args):
-            if threading.get_ident() != caller:
-                raise RuntimeError("worker failed")
-            real(*args)
+        def fails_off_the_calling_thread(dsbevd):
+            def call(*args):
+                if threading.get_ident() != caller:
+                    raise RuntimeError("worker failed")
+                dsbevd(*args)
+            return call
 
-        monkeypatch.setattr(operators, "_dsbevd", lambda: fails_off_the_calling_thread)
+        patch_lapack(monkeypatch, "dsbevd", fails_off_the_calling_thread)
         assert len(operators._band_eigenvalues(bands[:1])) == 1  # one band: no worker
         with pytest.raises(RuntimeError, match="worker failed"):
             operators._band_eigenvalues(bands)
@@ -921,13 +1020,15 @@ class TestInertiaCount:
         diagonals = lower_diagonals(M)
         m = max(math.ceil(math.sqrt(N)), b)
         assert N % m  # N is not a multiple of m
-        sizes, solve = [], operators.dsysv
+        sizes = []
 
-        def recording(S, *args, **kwargs):
-            sizes.append(len(S))
-            return solve(S, *args, **kwargs)
+        def recording(dsysv):
+            def call(*args):
+                sizes.append(by_ref_int(args[1]).value)  # n
+                dsysv(*args)
+            return call
 
-        monkeypatch.setattr(operators, "dsysv", recording)
+        patch_lapack(monkeypatch, "dsysv", recording)
         vals = np.linalg.eigvalsh(M.toarray())
         sigmas = [0.0, *rng.uniform(vals[0], vals[-1], 8)]
         for sigma in sigmas:
