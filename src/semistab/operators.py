@@ -715,8 +715,14 @@ def discretize(V: Potential, L: float, h: float) -> DiscretizedOperator:
         grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         v_diag = np.asarray(V.eval(grid), dtype=float)
     slack = _slack(V.a_bound)
-    if np.any(v_diag > slack) or np.any(v_diag < -V.a_bound - slack):
+    if not np.all((v_diag <= slack) & (v_diag >= -V.a_bound - slack)):
         raise InvariantViolation("potential violates its bounds on the grid")
+    # H's main diagonal as _diagonals builds it, and its scale as lambda_max
+    # reads it: 1/h^2 overflows below h ~ 1e-154
+    if not (math.isfinite(V.nu * (4.0 / (h * h)))
+            and np.all(np.isfinite(-2.0 * V.nu * (1.0 / (h * h)) + v_diag))):
+        raise DomainError(f"h={h!r} is too small: the stencil 2 nu / h^2 of H, or its "
+                          f"scale 4 nu / h^2, is not finite")
 
     return DiscretizedOperator(nu=V.nu, L=float(L), h=float(h), n_side=n, N=N, potential=V,
                                grid=grid, v_diag=v_diag)
@@ -862,14 +868,14 @@ def _check_eigenpairs(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarra
                       scale: float) -> None:
     """Eigenpairs (vals[j], vecs[:, j]) of a Dirichlet operator: nonpositive
     and orthonormal to 1e-10, with residuals below 1e-9 * scale."""
-    if np.any(vals > 1e-10 * scale):
+    if not np.all(vals <= 1e-10 * scale):  # each check is failed by a nan too
         raise InvariantViolation("positive eigenvalue in a Dirichlet discretization")
     gram = vecs.T @ vecs
-    if float(np.max(np.abs(gram - np.eye(vals.size)))) > 1e-10:
+    if not float(np.max(np.abs(gram - np.eye(vals.size)))) <= 1e-10:
         raise InvariantViolation("eigenvector basis is not orthonormal to 1e-10")
     resid = op.apply(vecs) - vecs * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
-    if worst > 1e-9 * scale:
+    if not worst <= 1e-9 * scale:
         raise InvariantViolation("eigenpair residual exceeds 1e-9 * scale")
 
 
@@ -881,15 +887,15 @@ def _check_eigenvalues(op: DiscretizedOperator, vals: np.ndarray) -> None:
     sum(vals) = tr H and vals @ vals = ||H||_F^2 to 1e-12 N scale and
     1e-12 N scale^2."""
     scale = float(np.max(np.abs(vals)))
-    if np.any(vals > 1e-10 * scale):
+    if not np.all(vals <= 1e-10 * scale):  # each check is failed by a nan too
         raise InvariantViolation("positive eigenvalue in a Dirichlet discretization")
     _check_inertia(op, vals, scale)
     (_, main), *off = op._diagonals
-    if abs(float(np.sum(vals)) - float(np.sum(main))) > 1e-12 * op.N * scale:
+    if not abs(float(np.sum(vals)) - float(np.sum(main))) <= 1e-12 * op.N * scale:
         raise InvariantViolation("eigenvalue sum misses the trace of H by more than "
                                  "1e-12 N scale")
     frobenius = float(main @ main) + sum(2.0 * float(d @ d) for _, d in off)
-    if abs(float(vals @ vals) - frobenius) > 1e-12 * op.N * scale * scale:
+    if not abs(float(vals @ vals) - frobenius) <= 1e-12 * op.N * scale * scale:
         raise InvariantViolation("eigenvalue sum of squares misses the squared Frobenius "
                                  "norm of H by more than 1e-12 N scale^2")
 
@@ -1049,7 +1055,7 @@ def spectral_measure(H: DiscretizedOperator, x) -> AtomicMeasure:
     # eigenvalues within the validation tolerance of 0 count as 0
     positions = np.minimum(vals[keep], 0.0)
     mu = AtomicMeasure.from_points(positions, weights[keep])
-    if abs(mu.mass - norm_sq) > 1e-12 * norm_sq:
+    if not abs(mu.mass - norm_sq) <= 1e-12 * norm_sq:  # a nan mass fails too
         raise InvariantViolation("spectral measure mass does not match ||x||^2")
     return mu
 
@@ -1157,7 +1163,7 @@ def resolvent_apply(H: DiscretizedOperator, u) -> np.ndarray:
         if resid <= 1e-12 * norm_u or rounds == 3:
             break
         w = w + solve(r)
-    if resid > 1e-10 * norm_u:
+    if not resid <= 1e-10 * norm_u:  # a nan residual fails too
         raise InvariantViolation(f"resolvent residual {resid!r} exceeds 1e-10 ||u|| = "
                                  f"{1e-10 * norm_u!r}")
     return w

@@ -8,9 +8,10 @@ horizons like t = 10^12 stay representable.  Orbit traces and the
 oscillation probes read it from the measure's ``log_laplace``.  The range
 bounds read its (lambda + a)^2 moment for a whole list of measures at
 once: ``shifted_range_bound_checks`` checks every measure as the
-one-measure form does, then stacks the atomic ones by atom count into
-one kernel that runs in cache-sized, bounded-memory blocks.  Each
-generated time grid is geometric and needs 0 < t_min < t_max.
+one-measure form does, then takes the moments on a coarse subgrid and
+only on the cells between coarse times whose log-convexity bound can
+reach a measure's maximum, each a stacked-kernel call.  Each generated
+time grid is geometric and needs 0 < t_min < t_max.
 Decay exponents are estimated from two-point slopes of ln ||e^{tA}x||^2
 against ln t; stability is read off the spectral gap; the range bounds
 ``||e^{tA}Ax|| <= ||x||/(e t)`` and their shifted refinement are checked
@@ -248,6 +249,9 @@ class StabilityVerdict:
     atom_tol: float
 
     def __post_init__(self) -> None:
+        if not (self.gap >= 0.0 and self.mass_at_zero >= 0.0):  # nan fails
+            raise InvariantViolation(f"gap {self.gap!r} and mass at 0 {self.mass_at_zero!r} "
+                                     f"must be numbers >= 0")
         if self.classification == "ExponentiallyStable":
             if self.rate is None or not self.rate > 0.0:
                 raise InvariantViolation("exponential stability requires a positive rate")
@@ -291,8 +295,8 @@ def classify_stability(subject, gap_tol: float = DEFAULT_GAP_TOL,
         raise DomainError(f"tolerances must be positive and finite, got gap_tol={gap_tol!r}, "
                           f"atom_tol={atom_tol!r}")
     lam_top, mass_at_zero = _spectral_top(subject, atom_tol)
-    gap = max(0.0, -lam_top)
-    if mass_at_zero > atom_tol:
+    gap = 0.0 if lam_top >= 0.0 else -lam_top  # a nan top stays nan
+    if not mass_at_zero <= atom_tol:
         classification, rate = "NotStable", None
     elif gap > gap_tol:
         classification, rate = "ExponentiallyStable", gap
@@ -381,16 +385,59 @@ def shifted_range_bound_checks(mus, shifts, t_grid=None, *, t_min: float = 1e-2,
 
     Every measure meets the one-measure checks of its shift, type and
     support (a finite a >= 0, an atomic or density measure, the support in
-    (-inf, -a]) before any orbit norm is taken.  The orbit moments of all
-    the atomic measures then come from one stacked kernel call per atom
-    count, so each value is bit for bit that of the one-measure check.  The
-    measures are checked in blocks of rows of ``_CHECK_ELEMENTS`` values:
-    their bounds, violations and worst times are array ops, and a block
-    whose bound is not finite somewhere is refused at its first such
-    measure's first such t.  The orbit norms stay ``math.exp``, applied
-    element by element, as numpy's vectorized exp rounds differently: on
-    an AVX-512 host it differs from glibc's in 46,152 of 10^6 doubles drawn
-    from [-700, 700], and would move the last bits of the CSV cells.
+    (-inf, -a]) before any orbit norm is taken.  Then every bound ``rhs`` =
+    ||x|| e^(-ta)/(e t) is taken, in blocks of rows of ``_CHECK_ELEMENTS``
+    values, and a block whose bound is not finite somewhere is refused at
+    its first such measure's first such t, still before any moment.  The
+    orbit norms ``lhs`` = exp(ln L / 2), with L(t) = integral (lambda + a)^2
+    e^(2 t lambda) dmu, stay ``math.exp``, applied element by element, as
+    numpy's vectorized exp rounds differently: on an AVX-512 host it differs
+    from glibc's in 46,152 of 10^6 doubles drawn from [-700, 700], and would
+    move the last bits of the CSV cells.  They read 0.0 where ln L <= -1400.
+
+    Only the times that can hold a measure's maximum violation ``lhs - rhs``
+    are evaluated, and every field is still bit for bit the full-grid scan's.
+    The times are sorted (stably) and cut into cells of about sqrt(T) times:
+    every such time and the last are the coarse times, evaluated for every
+    measure.  ``best`` is a measure's largest violation found so far, at
+    the least grid index that reaches it.  For a time t_i strictly inside
+    the cell t0 < t1, theta = (t_i - t0)/(t1 - t0):
+
+    * ln L is convex in t, as the log of a Laplace transform (Hoelder).  The
+      kernel evaluates F(t) = ln sum_k exp(c_k - t d_k) for fixed doubles c_k
+      and d_k >= 0, the log-sum-exp of affine functions of t, which is
+      convex as well; a density's integral is convex up to its quadrature's
+      error.  So ln L(t_i) <= ln L(t0) + theta (ln L(t1) - ln L(t0)), the
+      chord, up to the roundings of the three values and of the chord.
+    * delta = eps (1 + |ln L(t0)| + |ln L(t1)|) covers those roundings.
+      Atomic: eps = 1e-9, and each kernel value is within about 8 ulp of
+      max(|c_k|, t d_k), with |c_k| at most about 2200 for an atom and a
+      weight inside the double range: 2e-12 + 2e-15 |ln L| at most, a
+      100-fold margin (the tests measure under 1e-6 of delta).  Density:
+      eps = 1e-5, ten times the 1e-6 relative error estimate the quadrature
+      may return (it asks for ``_QUAD_RELTOL`` = 1e-12).
+    * Where chord + delta <= -1400, lhs_i is the flushed 0.0, so the
+      violation is 0.0 - rhs_i without its moment (not -rhs_i, which is
+      -0.0 at rhs_i = 0.0).  Elsewhere lhs_i <= ub_i = exp((chord + delta)/2)
+      (1 + 1e-12), the factor covering np.exp against math.exp, each within
+      an ulp.
+    * A measure takes the cell's moments only if ``ub_i - rhs_i < best``
+      fails at some time i of it that is not flushed.  Rounded subtraction is
+      monotone, so every other time has lhs_i - rhs_i < best <= the maximum:
+      it neither reaches nor ties the maximum, and the least grid index
+      reaching the maximum is the full scan's argmax.  Each value taken is
+      the full scan's too, as a (measure, t) value of the stacked kernel
+      depends on no other measure or time.
+    * A bound that is not finite keeps its cell: an endpoint at
+      ln L = -inf (a single atom exactly at -a, whose moment is 0, or
+      2 d t overflowing at t1 alone, where the inner moments need not be
+      0) gives a nan chord, and a repeated time a cell of zero width and a
+      nan theta.  A grid of at most three times is all coarse.
+
+    Each kept cell is one stacked kernel call, on the cell's inner times and
+    the measures that keep it.  The default section3-bounds sweep (250
+    measures of 20 atoms, 200 times) takes its 16 coarse times alone: 8% of
+    the full grid's kernel terms.
     """
     mus, shifts = list(mus), list(shifts)
     if len(mus) != len(shifts):
@@ -404,31 +451,75 @@ def shifted_range_bound_checks(mus, shifts, t_grid=None, *, t_min: float = 1e-2,
         if mu_x.s_lo < a:
             raise DomainError("measure must be supported in (-inf, -a]")
     ts = _time_grid(t_grid, t_min, t_max, n_t)
-    moments = _log_laplace_stack(mus, ts, shifts)
     norms = [math.sqrt(mu_x.mass) for mu_x in mus]
-    scales = bound_scale * np.array(norms)
+    scales = bound_scale * np.array(norms)[:, None]
     a = np.array(shifts, dtype=float)[:, None]
-    rows = max(1, _CHECK_ELEMENTS // ts.size)
-    checks = []
-    for m in range(0, len(mus), rows):
+
+    def bounds(rows=slice(None), cols=slice(None)):  # one expression, so the same bits
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = scales[m : m + rows, None] * np.exp(-ts * a[m : m + rows]) / (math.e * ts)
-        bad = ~np.isfinite(rhs)
+            return scales[rows] * np.exp(-ts[cols] * a[rows]) / (math.e * ts[cols])
+
+    block = max(1, _CHECK_ELEMENTS // ts.size)
+    for m in range(0, len(mus), block):
+        bad = ~np.isfinite(bounds(slice(m, m + block)))
         if np.any(bad):  # name the first offending measure's first such t
             raise DomainError(f"the bound ||x|| e^(-ta)/(e t) is not finite at "
                               f"t = {float(ts[np.argwhere(bad)[0, 1]])!r}")
-        # orbit norms of (A + a)x, flushed to 0.0 where the log value underflows
-        log_moment = moments[m : m + rows]
-        half = np.where(log_moment > -1400.0, 0.5 * log_moment, -np.inf).ravel()
-        lhs = np.fromiter(map(math.exp, half.tolist()), float, half.size)
-        violations = lhs.reshape(rhs.shape) - rhs
-        worst = np.argmax(violations, axis=1)
-        for norm_x, value, worst_t in zip(norms[m : m + rows],
-                                          violations[np.arange(worst.size), worst].tolist(),
-                                          ts[worst].tolist()):
-            checks.append(BoundCheckValue(value, worst_t=worst_t, norm_x=norm_x,
-                                          tol=1e-12 * norm_x, n_t=ts.size))
-    return checks
+    # cells of about sqrt(T) times: a measure takes T/s coarse moments and the
+    # few cells of s times near its maximum
+    order = np.argsort(ts, kind="stable")
+    ends = np.r_[np.arange(0, ts.size - 1, max(1, math.isqrt(ts.size))), ts.size - 1]
+    best, worst = np.full(len(mus), -np.inf), np.zeros(len(mus), dtype=np.intp)
+
+    def merge(rows, violations, cols):  # each row's max, at its least grid index
+        value = np.max(violations, axis=1)
+        index = np.min(np.where(violations == value[:, None], cols, cols.max()), axis=1)
+        wins = (value > best[rows]) | ((value == best[rows]) & (index < worst[rows]))
+        best[rows[wins]], worst[rows[wins]] = value[wins], index[wins]
+
+    everyone = np.arange(len(mus))
+    log_ends = _log_laplace_stack(mus, ts[order[ends]], shifts)
+    merge(everyone, _orbit_norms(log_ends) - bounds(cols=order[ends]), order[ends])
+    slack = np.array([1e-9 if isinstance(mu_x, AtomicMeasure) else 1e-5 for mu_x in mus])[:, None]
+    with np.errstate(all="ignore"):  # a bound that is inf or nan keeps its cell
+        rise = log_ends[:, 1:] - log_ends[:, :-1]
+        base = log_ends[:, :-1] + slack * (1.0 + np.abs(log_ends[:, :-1]) + np.abs(log_ends[:, 1:]))
+    for k in range(ends.size - 1):
+        inner = order[ends[k] + 1 : ends[k + 1]]
+        if inner.size == 0:
+            continue
+        t0, t1 = ts[order[ends[k]]], ts[order[ends[k + 1]]]
+        rhs = bounds(cols=inner)
+        with np.errstate(all="ignore"):
+            log_cap = base[:, k : k + 1] + (ts[inner] - t0) / (t1 - t0) * rise[:, k : k + 1]
+            flushed = log_cap <= -1400.0
+            # a bound on each violation, and where lhs is flushed the violation itself:
+            # 0.0 - rhs, as the full scan has it (not -rhs, which is -0.0 at rhs = 0.0)
+            cap = np.where(flushed, 0.0, np.exp(0.5 * log_cap) * (1.0 + 1e-12)) - rhs
+            reach = ~(cap < best[:, None])
+        rows = np.flatnonzero(np.any(reach, axis=1))
+        if rows.size == 0:
+            continue
+        unknown = np.any(reach[rows] & ~flushed[rows], axis=1)
+        merge(rows[~unknown], cap[rows[~unknown]], inner)
+        keep = rows[unknown]
+        if keep.size:
+            log_moment = _log_laplace_stack([mus[m] for m in keep], ts[inner],
+                                            [shifts[m] for m in keep])
+            merge(keep, _orbit_norms(log_moment) - rhs[keep], inner)
+    return [BoundCheckValue(value, worst_t=worst_t, norm_x=norm_x, tol=1e-12 * norm_x,
+                            n_t=ts.size)
+            for norm_x, value, worst_t in zip(norms, best.tolist(), ts[worst].tolist())]
+
+
+def _orbit_norms(log_moment: np.ndarray) -> np.ndarray:
+    """exp(v / 2) of each log moment v, by ``math.exp`` in blocks of
+    ``_CHECK_ELEMENTS`` values, flushed to 0.0 where v is not above -1400."""
+    half = np.where(log_moment > -1400.0, 0.5 * log_moment, -np.inf).ravel()
+    out = np.empty(half.size)
+    for j in range(0, half.size, _CHECK_ELEMENTS):
+        out[j : j + _CHECK_ELEMENTS] = list(map(math.exp, half[j : j + _CHECK_ELEMENTS].tolist()))
+    return out.reshape(log_moment.shape)
 
 
 # ---------------------------------------------------------------------------

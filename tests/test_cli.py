@@ -418,6 +418,19 @@ class TestInputErrors:
         ("operator --L 1e308 --h 1", "well.potential", WELL, "L=1e+308"),
         ("operator --h nan", "well.potential", WELL, "h=nan"),
         ("operator --h 1e-320", "well.potential", WELL, "h=1e-320"),
+        # 1/h^2 overflows: H's main diagonal is -inf, where the solves gave nan or
+        # SuperLU's "Factor is exactly singular" traceback
+        ("operator --L 1e-160 --h 1e-161", "gauss.potential",
+         "potential kind=gaussian-well nu=1 a_bound=1.0\ndepth=1.0\nwidth=1.0\n",
+         "h=1e-161 is too small"),
+        ("study", "tiny-approx.cfg",
+         "[study]\nkind = approximation\n\n[potential]\nkind = gaussian-well\nnu = 1\n"
+         "a_bound = 1.0\ndepth = 1.0\nwidth = 1.0\n\n[approximation]\nseq_kind = truncation\n"
+         "indices = 1..3\nL = 1e-159\nh = 1e-160\n", "h=1e-160 is too small"),
+        ("study", "tiny-box.cfg",
+         "[study]\nkind = gap-vs-box\n\n[potential]\nkind = square-well\nnu = 2\n"
+         "a_bound = 1.0\ndepth = 1.0\nradius = 1e-161\n\n[box]\nL_list = 2e-159, 4e-159\n"
+         "h = 2.5e-160\n", "h=2.5e-160 is too small"),
         ("study", "huge-box.cfg", WELL_STUDY.replace("2, 4", "2, 1e308") + "depth = 1\n",
          "L=1e+308"),
         # no sampling could find this well; its declared range breaks a_bound
@@ -465,7 +478,8 @@ class TestInputErrors:
             "misspelled-potential-param", "misspelled-potential-file", "non-ascii-potential",
             "non-ascii-measure", "atomic-without-n", "non-numeric-n", "non-numeric-atom",
             "power-law-without-gamma", "sampled-without-n-line", "uniform-without-support",
-            "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "study-L-overflow",
+            "L-nan", "L-inf", "L-overflow", "h-nan", "h-subnormal", "stencil-overflow-1d",
+            "study-stencil-overflow-1d", "study-stencil-overflow-2d", "study-L-overflow",
             "study-narrow-well", "potential-below-tiny-a-bound",
             "jobs-zero", "repeated-potential-nu", "repeated-potential-param",
             "repeated-measure-param", "unknown-measure-param", "stated-support-mismatch",
@@ -852,7 +866,9 @@ class TestScipyLoadsAtItsSolve:
         # an import inside a command would count in its run time: a 1-D
         # approximation study (top eigenpairs, tridiagonal LU and solves) and a
         # 2-D spectrum (the two swap sectors' dsbevd on two threads and the
-        # inertia counts' dsysv) call LAPACK through the preloaded extension
+        # inertia counts' dsysv) call LAPACK through the preloaded extension, and
+        # the default section3-bounds study's scan (no np.unique or np.isin, which
+        # load numpy.ma) loads nothing either
         pot, out = str(tmp_path / "well.potential"), str(tmp_path / "spectrum.csv")
         save_potential(square_well(depth=1.0, radius=1.0, nu=2, a_bound=1.0), pot)
         config = tmp_path / "approx.ini"
@@ -860,6 +876,8 @@ class TestScipyLoadsAtItsSolve:
                           "nu = 1\na_bound = 1.0\ndepth = 1.0\nwidth = 1.0\n\n[approximation]\n"
                           "seq_kind = truncation\nindices = 1..12\nL = 20\nh = 0.05\n"
                           "n_probes = 3\n", encoding="ascii")
+        bounds = tmp_path / "bounds.ini"
+        bounds.write_text("[study]\nkind = section3-bounds\n", encoding="ascii")
         report = str(tmp_path / "report")
         script = ("import sys\n"
                   "from semistab.cli import main\n"
@@ -867,6 +885,8 @@ class TestScipyLoadsAtItsSolve:
                   f"assert main(['study', {str(config)!r}, '--out', {report!r}]) == 0\n"
                   f"assert main(['operator', 'spectrum', {pot!r}, '--L', '2', '--h', '0.25',"
                   f" '--out', {out!r}]) == 0\n"
+                  f"assert main(['study', {str(bounds)!r}, '--out', {report + '-bounds'!r}])"
+                  " == 0\n"
                   "print(sorted(set(sys.modules) - before))\n")
         proc = _run_python("-c", script)
         assert proc.returncode == 0, proc.stderr

@@ -327,6 +327,23 @@ class TestDiscretize:
 _SYMMETRIC_SAMPLES = -np.random.default_rng(41).uniform(0.0, 0.5, (5, 5))
 
 
+class TestStencilOverflow:
+    """1/h^2 overflows below h ~ 1e-154: discretize refuses such an (L, h), where
+    H's main diagonal was -inf and its solves returned nan or raised."""
+
+    @pytest.mark.parametrize("nu, L, h", [(1, 1e-160, 1e-161), (2, 2e-159, 2.5e-160),
+                                          (1, 1e-153, 1.25e-154)],
+                             ids=["1d", "2d", "scale-only"])
+    def test_refused_naming_h(self, nu, L, h):
+        with pytest.raises(DomainError, match=re.escape(f"h={h!r} is too small")):
+            discretize(gaussian_well(a_bound=1.0, nu=nu), L, h)
+
+    def test_smallest_finite_stencil_still_builds(self):
+        # 4 / h^2 = 1e308 at h = 2e-154; at 1.25e-154 (scale-only above) it is 2.6e308
+        op = discretize(gaussian_well(a_bound=1.0), 1.6e-153, 2e-154)
+        assert np.isfinite(op._diagonals[0][1]).all()
+
+
 class TestOperatorMatrix:
     # every 2-D case but "nu2-sampled" is swap-symmetric, V(x, y) == V(y, x);
     # the 1.8 / 0.4 grids have an even side, n_side = 8
@@ -985,6 +1002,84 @@ def scattered_blocks(diagonals):
                 operators._lower_block(diagonals, rows.start, rows.start - b,
                                        np.full((b, b), np.nan))
     return dense[:N, :N]
+
+
+class TestContractChecksFailOnNan:
+    """Every contract check reads ``not (x <= bound)``: a nan compares false both
+    ways, so the form ``x > bound`` would let a nan pass."""
+
+    @pytest.mark.parametrize("where, named", [
+        ("value", "positive eigenvalue"),
+        ("vector", "orthonormal"),
+        ("residual", "residual exceeds"),
+    ])
+    def test_eigenpair_checks(self, monkeypatch, where, named):
+        op = discretize(gaussian_well(), L=5.0, h=0.25)
+        top = operators._tridiagonal_top
+
+        def nan_top(d, e):
+            vals, vecs = top(d, e)
+            if where == "value":
+                vals = np.full_like(vals, np.nan)
+            elif where == "vector":
+                vecs = vecs.copy()
+                vecs[3] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(operators, "_tridiagonal_top", nan_top)
+        if where == "residual":
+            monkeypatch.setattr(operators.DiscretizedOperator, "apply",
+                                lambda self, u: np.full(np.shape(u), np.nan))
+        with pytest.raises(InvariantViolation, match=named):
+            op.lambda_max
+
+    @pytest.mark.parametrize("where, named", [
+        ("value", "positive eigenvalue"),
+        ("trace", "trace of H"),
+        ("frobenius", "Frobenius"),
+    ])
+    def test_eigenvalue_checks(self, monkeypatch, where, named):
+        op = discretize(*TestOperatorMatrix.CASES["nu2"])
+        vals = op.eigenvalues.copy()
+        if where == "value":
+            solve = operators._band_eigenvalues
+            monkeypatch.setattr(operators, "_band_eigenvalues", lambda bands: [
+                np.r_[w[:-1], np.nan] for w in solve(bands)])
+            with pytest.raises(InvariantViolation, match=named):
+                discretize(*TestOperatorMatrix.CASES["nu2"]).eigenvalues
+            return
+        # a nan on H's main diagonal, or on an off-diagonal only, past the inertia count
+        monkeypatch.setattr(operators, "_check_inertia", lambda *args: None)
+        (_, main), *off = op._diagonals
+        k, d = off[0]
+        if where == "trace":
+            main = np.r_[np.nan, main[1:]]
+        else:
+            off[0] = (k, np.r_[np.nan, d[1:]])
+        fresh = discretize(*TestOperatorMatrix.CASES["nu2"])
+        fresh.__dict__["_diagonals"] = ((0, main), *off)
+        with pytest.raises(InvariantViolation, match=named):
+            operators._check_eigenvalues(fresh, vals)
+
+    def test_spectral_measure_mass_check(self, monkeypatch):
+        op = discretize(gaussian_well(), L=5.0, h=0.25)
+        monkeypatch.setattr(AtomicMeasure, "mass", property(lambda self: math.nan))
+        with pytest.raises(InvariantViolation, match="mass does not match"):
+            spectral_measure(op, np.ones(op.N))
+
+    def test_resolvent_residual_check(self, monkeypatch):
+        op = discretize(gaussian_well(), L=5.0, h=0.25)
+        monkeypatch.setattr(operators.DiscretizedOperator, "_resolvent_solver",
+                            property(lambda self: lambda r: np.full(r.shape, np.nan, complex)))
+        with pytest.raises(InvariantViolation, match="resolvent residual nan exceeds"):
+            resolvent_apply(op, np.ones(op.N))
+
+    def test_potential_bounds_check(self, monkeypatch):
+        V = gaussian_well()
+        monkeypatch.setattr(Potential, "eval",
+                            lambda self, points: np.full(np.shape(points), np.nan))
+        with pytest.raises(InvariantViolation, match="violates its bounds"):
+            discretize(V, L=5.0, h=0.25)
 
 
 class TestInertiaCount:

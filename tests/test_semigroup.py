@@ -13,6 +13,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.special import logsumexp
 
 from semistab import (
@@ -277,6 +279,17 @@ class TestDecayExponents:
 
 
 class TestClassifyStability:
+    @pytest.mark.parametrize("top", [(0.0, math.nan), (math.nan, 0.0)],
+                             ids=["nan-mass-at-zero", "nan-top"])
+    def test_nan_spectral_evidence_fails(self, monkeypatch, top):
+        # not (mass <= atom_tol) reads a nan mass as NotStable, and the verdict
+        # refuses it; max(0.0, nan) would have read a nan top as gap 0
+        import semistab.semigroup as sg
+
+        monkeypatch.setattr(sg, "_spectral_top", lambda subject, atom_tol: top)
+        with pytest.raises(InvariantViolation, match="must be numbers >= 0"):
+            classify_stability(AtomicMeasure.from_points([-1.0], [1.0]))
+
     def test_two_atom_measure_is_exponentially_stable(self):
         mu = AtomicMeasure.from_points([-1.0, -2.0], [0.5, 0.5])
         v = classify_stability(mu)
@@ -740,9 +753,10 @@ class TestStackedKernel:
 
 
 def loop_bound_checks(mus, shifts, ts, bound_scale=1.0):
-    """shifted_range_bound_checks as it was before its rows were checked in
-    blocks: one bound, one list of math.exp and one argmax per measure, the
-    bound refused as its measure is reached."""
+    """shifted_range_bound_checks on the full grid, as it was before its rows
+    were checked in blocks and its cells pruned: every (measure, t) moment, one
+    bound, one list of math.exp and one argmax per measure, the bound refused
+    as its measure is reached."""
     from semistab.measures import _log_laplace_stack
     from semistab.semigroup import BoundCheckValue
 
@@ -838,3 +852,137 @@ class TestBlockedBoundCheck:
         with pytest.raises(DomainError) as got:
             shifted_range_bound_checks(mus, shifts, t_grid=ts)
         assert str(got.value) == str(oracle.value)
+
+    # grids for the scan of cells between coarse times: every I-th sorted time
+    # and the last, I = isqrt(T)
+    GEOM = np.geomspace(1e-2, 1e3, 60)
+    SCAN_GRIDS = {
+        **{f"n_t={n}": np.geomspace(1e-2, 1e3, n) for n in (1, 2, 3, 16, 17, 33, 200)},
+        "unsorted": np.random.default_rng(5).permutation(GEOM),
+        # repeats inside a cell, across a coarse time (a cell of zero width) and last
+        "repeated": np.r_[GEOM[:10], GEOM[9], GEOM[10:17], GEOM[16], GEOM[16], GEOM[17:],
+                          GEOM[-1]],
+        "unsorted-repeated": np.r_[GEOM[::-1], GEOM[20:40]],
+        "window-1e-300": np.geomspace(1e-300, 1e-2, 150),
+        "window-1e300": np.geomspace(1e2, 1e300, 150),
+        "window-1e-300-1e300": np.geomspace(1e-300, 1e300, 200),
+    }
+
+    @staticmethod
+    def scan_batch(ts):
+        """The scan's edge cases, and 30 measures of 20 atoms at three shifts."""
+        step = math.isqrt(ts.size)
+        off_grid = [j for j in range(ts.size) if j % step and j != ts.size - 1]
+        t_eq = np.sort(ts)[off_grid[len(off_grid) // 2] if off_grid else 0]
+        rng = np.random.default_rng(41)
+        twin = AtomicMeasure.from_points(rng.uniform(-6.0, -0.5, 20), rng.uniform(0.05, 1.0, 20))
+        mus = [
+            # one atom at -1/t of a time off the coarse grid: the plain bound with
+            # equality there, a violation of about 0 between two negative ones
+            AtomicMeasure.from_points([-1.0 / t_eq], [1.0]),
+            twin, twin,  # tied maxima
+            # ln moment -802 t: the norm flushes to 0.0 and the bound underflows from
+            # t ~ 1.9 on, so the violations tie at 0.0 there
+            AtomicMeasure.from_points([-401.0], [1.0]),
+            AtomicMeasure.from_points([-2.0], [0.4]),  # exactly at -a: the moment is 0
+            uniform_measure(1.0, 3.0), power_law_measure(1.5),
+            AtomicMeasure.from_points(-np.geomspace(1e-3, 1e3, 500), rng.uniform(0.05, 1.0, 500)),
+        ]
+        shifts = [0.0, 0.5, 0.5, 400.0, 2.0, 1.0, 0.0, 0.0]
+        for k in range(30):
+            a = [0.0, 0.5, 2.0][k % 3]
+            mus.append(AtomicMeasure.from_points(rng.uniform(-12.0, -a, 20),
+                                                 rng.uniform(0.05, 1.0, 20)))
+            shifts.append(a)
+        return mus, shifts
+
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.5])
+    @pytest.mark.parametrize("grid", SCAN_GRIDS)
+    def test_scan_matches_the_full_grid(self, grid, bound_scale):
+        ts = self.SCAN_GRIDS[grid]
+        mus, shifts = self.scan_batch(ts)
+        got = shifted_range_bound_checks(mus, shifts, t_grid=ts, bound_scale=bound_scale)
+        want = loop_bound_checks(mus, shifts, ts, bound_scale)
+        assert [check_fields(c) for c in got] == [check_fields(c) for c in want]
+
+    def test_scan_prunes_and_keeps_the_ties(self, monkeypatch):
+        import semistab.semigroup as sg
+
+        ts = self.SCAN_GRIDS["n_t=200"]
+        mus, shifts = self.scan_batch(ts)
+        zero, flushed = mus[4].log_laplace_moment(ts, 2.0), mus[3].log_laplace_moment(ts, 400.0)
+        assert np.all(np.isneginf(zero)) and np.all(np.isfinite(flushed))
+        pairs = []
+        inner = sg._log_laplace_stack
+
+        def counting(stack, t, stack_shifts=None):
+            pairs.append(len(stack) * t.size)
+            return inner(stack, t, stack_shifts)
+
+        monkeypatch.setattr(sg, "_log_laplace_stack", counting)
+        got = shifted_range_bound_checks(mus, shifts, t_grid=ts)
+        assert sum(pairs) < 0.25 * len(mus) * ts.size
+        tied = ts[(np.exp(-400.0 * ts) == 0.0) & (flushed <= -1400.0)]
+        assert float(got[3]) == 0.0 and got[3].worst_t == tied[0]
+        assert check_fields(got[1])[1:] == check_fields(got[2])[1:]
+
+    @pytest.mark.parametrize("case", ["single-atoms", "20-atoms", "ln-coefficients-2100"])
+    def test_kernel_values_lie_under_their_chords(self, case):
+        # the premise of the scan's bound: inside a cell, each kernel value is at most
+        # the chord of its endpoints plus delta = 1e-9 (1 + |ln L(t0)| + |ln L(t1)|),
+        # by less than a hundredth of delta.  A single atom's ln L is affine in t, so
+        # only rounding sets it above its chord.  An atom and a weight near e^700
+        # give ln coefficients of about 2100, the largest the double range allows,
+        # and from t = 1e-306 to 1e-300 the term t 2 s runs through them
+        from semistab.measures import _log_laplace_stack
+
+        rng = np.random.default_rng(8)
+        ts = np.geomspace(1e-3, 1e3, 401)
+        if case == "single-atoms":
+            mus = [AtomicMeasure.from_points([-p], [w]) for p, w in
+                   zip(10.0 ** rng.uniform(-3, 3, 100), 10.0 ** rng.uniform(-3, 3, 100))]
+        elif case == "20-atoms":
+            mus = [AtomicMeasure.from_points(-10.0 ** rng.uniform(-3, 3, 20),
+                                             10.0 ** rng.uniform(-3, 3, 20)) for _ in range(100)]
+        else:
+            mus = [AtomicMeasure(np.array([700.0 + u]), np.array([700.0]))
+                   for u in rng.uniform(0.0, 1.0, 100)]
+            ts = np.geomspace(1e-306, 1e-300, 401)
+        log_moment = _log_laplace_stack(mus, ts, [0.0] * len(mus))
+        excess = []
+        for k0 in range(0, ts.size - 8, 8):
+            l0, l1 = log_moment[:, k0 : k0 + 1], log_moment[:, k0 + 8 : k0 + 9]
+            theta = (ts[k0 + 1 : k0 + 8] - ts[k0]) / (ts[k0 + 8] - ts[k0])
+            chord = (1.0 - theta) * l0 + theta * l1
+            excess.append((log_moment[:, k0 + 1 : k0 + 8] - chord)
+                          / (1e-9 * (1.0 + np.abs(l0) + np.abs(l1))))
+        excess = np.concatenate(excess, axis=1)
+        assert np.all(np.isfinite(excess)) and np.max(excess) < 0.01
+        if case != "20-atoms":
+            assert np.any(excess > 0.0)  # the bare chord alone would not bound them
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hst.data())
+    def test_scan_matches_the_full_grid_on_drawn_batches(self, data):
+        draw = data.draw
+        n_t = draw(hst.integers(1, 90))
+        lo = draw(hst.floats(-8.0, 6.0))
+        ts = np.geomspace(10.0 ** lo, 10.0 ** (lo + draw(hst.floats(0.5, 12.0))), n_t)
+        if draw(hst.booleans()):
+            ts = ts[draw(hst.permutations(range(n_t)))]
+        if draw(hst.booleans()):
+            ts = np.r_[ts, ts[draw(hst.lists(hst.integers(0, n_t - 1), max_size=5))]]
+        mus, shifts = [], []
+        for _ in range(draw(hst.integers(1, 6))):
+            n = draw(hst.integers(1, 8))
+            log_s = draw(hst.lists(hst.floats(-6.0, 6.0), min_size=n, max_size=n))
+            log_w = draw(hst.lists(hst.floats(-3.0, 3.0), min_size=n, max_size=n))
+            if draw(hst.booleans()):  # an atom at -1/t of a grid time: equality there
+                log_s[0] = -math.log10(ts[draw(hst.integers(0, ts.size - 1))])
+            mu = AtomicMeasure.from_points(-(10.0 ** np.array(log_s)), 10.0 ** np.array(log_w))
+            mus.append(mu)
+            shifts.append(mu.s_lo * draw(hst.sampled_from([0.0, 0.5, 1.0])))
+        bound_scale = draw(hst.sampled_from([1.0, 0.999, 0.9, 0.5]))
+        got = shifted_range_bound_checks(mus, shifts, t_grid=ts, bound_scale=bound_scale)
+        want = loop_bound_checks(mus, shifts, ts, bound_scale)
+        assert [check_fields(c) for c in got] == [check_fields(c) for c in want]
