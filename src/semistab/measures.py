@@ -41,7 +41,7 @@ ball mass of a density of no family and each t of the Laplace transform
 are one call of it.  Its quadrature takes the endpoint-weighted rule only
 at a singular edge and the plain adaptive rule otherwise, and refuses a
 negative integral, the mark of a density negative between the points its
-construction checks.  Every transform refuses a NaN or infinite t.
+construction checks.  Every transform refuses a negative, NaN or infinite t.
 
 Each density family (power law, monomial profile, uniform, sampled) is
 declared once, in its constructor: the family's name, parameters, closed-form
@@ -134,10 +134,11 @@ def _as_1d(values) -> tuple:
 
 
 def _times(t) -> tuple:
-    """``_as_1d(t)`` for a Laplace transform, which refuses a NaN or infinite t."""
+    """``_as_1d(t)`` for a Laplace transform, which takes only the semigroup's
+    times: it refuses a negative, NaN or infinite t (-0.0 is 0)."""
     t_arr, scalar = _as_1d(t)
-    if not np.all(np.isfinite(t_arr)):
-        raise DomainError("Laplace transform times t must be finite")
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0.0)):
+        raise DomainError("Laplace transform times t must be finite and >= 0")
     return t_arr, scalar
 
 
@@ -493,18 +494,17 @@ class DensityMeasure(_Measure):
         with np.errstate(divide="ignore"):
             return (self.alg_power + 1.0) * log_scale + float(np.log(val))
 
-    def _quad(self, f: Callable[[float], float], upper: float, points=None,
-              alg: Optional[float] = None) -> float:
-        """integral_0^upper sig^alg f(sig) dsig, alg = alg_power unless given.  A
-        singular edge (alg < 0) takes the endpoint-weighted rule; otherwise sig^alg
-        is a factor of the integrand, which the plain rule integrates with
-        ``points`` as breaks."""
+    def _quad(self, f: Callable[[float], float], upper: float, points) -> float:
+        """integral_0^upper sig^alg f(sig) dsig, alg = alg_power.  A singular
+        edge (alg < 0) takes the endpoint-weighted rule; otherwise sig^alg is a
+        factor of the integrand, which the plain rule integrates with ``points``
+        as breaks."""
         # imported at its only use: scipy.integrate (with scipy.optimize,
         # scipy.spatial and scipy.fft behind it) would otherwise slow every
         # start, and runs without a density never need it
         from scipy import integrate
 
-        alg = self.alg_power if alg is None else alg
+        alg = self.alg_power
         rule = dict(weight="alg", wvar=(alg, 0.0)) if alg < 0.0 else dict(points=points)
         g = f if alg <= 0.0 else lambda u: u ** alg * f(u)
         # roundoff warnings on extreme-decay integrands are expected; accuracy
@@ -563,16 +563,12 @@ class DensityMeasure(_Measure):
         most 1 over a range of at least 1, so it neither underflows nor
         overflows; e^{-2 t s_lo} is carried in log.  A moment's factor
         (c - scale u)^2, c = shift - s_lo, is divided by m^2 with
-        m = max(|c|, scale), which keeps it in [0, (1 + U)^2].  A negative t,
-        where e^{-2 t s} grows with s, is ``_log_growth``'s.
+        m = max(|c|, scale), which keeps it in [0, (1 + U)^2].
         """
         t_arr, scalar = _times(t)
         width = self.s_hi - self.s_lo
         out = np.empty(t_arr.shape)
         for i, ti in enumerate(t_arr.tolist()):
-            if ti < 0.0:
-                out[i] = self._log_growth(ti, moment_shift)
-                continue
             if 2.0 * ti * width > 1.0:
                 scale, rate, log_scale = 0.5 / ti, 1.0, -math.log(2.0) - math.log(ti)
             else:
@@ -589,48 +585,6 @@ class DensityMeasure(_Measure):
             upper = min(width / scale, _TAIL_EXPONENT)
             out[i] = log_front + self._log_integral(scale, log_scale, upper, weighted)
         return _as_scalar_or_array(out, scalar)
-
-    def _log_growth(self, t: float, moment_shift: Optional[float]) -> float:
-        """``_log_transform`` at a t < 0, where e^{-2 t s} peaks at s_hi: there
-        e^{-2 t s_hi} is carried in log, and the factor left, e^{-2|t| (s_hi - s)},
-        decays from the upper edge, as e^{-2 t (s - s_lo)} does from the lower one
-        at t > 0.  The support is cut at its midpoint.  The lower half is
-        ``_log_integral``'s, over u = sig / half in [0, 1], whose factor
-        e^{-2|t| half (2 - u)} is at most e^{-2|t| half}.  The upper half is
-        integrated over v = (s_hi - s) / scale in [0, V], with
-        scale = min(1/(2|t|), half) and V = min(half / scale, 745), so its
-        factor e^{-2|t| scale v} decays at rate at most 1; the density there is
-        away from its edge s_lo, so sig^alg is a plain factor.  A moment's factor
-        (shift - s)^2 is divided by m^2 in each half, as in ``_log_transform``."""
-        half, a = 0.5 * (self.s_hi - self.s_lo), -t
-        if 2.0 * a * half > 1.0:
-            scale, log_scale = 0.5 / a, -math.log(2.0) - math.log(a)
-        else:
-            scale, log_scale = half, math.log(half)
-        lo_factor = hi_factor = lambda x: 1.0
-        log_m_lo = log_m_hi = 0.0
-        if moment_shift is not None:
-            c_lo, c_hi = moment_shift - self.s_lo, moment_shift - self.s_hi
-            m_lo, m_hi = max(abs(c_lo), half), max(abs(c_hi), scale)
-            lo_factor = lambda u: ((c_lo - half * u) / m_lo) ** 2
-            hi_factor = lambda v: ((c_hi + scale * v) / m_hi) ** 2
-            log_m_lo, log_m_hi = 2.0 * math.log(m_lo), 2.0 * math.log(m_hi)
-        rate_lo, rate_hi = a * (2.0 * half), a * (2.0 * scale)
-        lower = self._log_integral(half, math.log(half), 1.0, lambda u, h: h * lo_factor(u)
-                                   * math.exp(-rate_lo * (2.0 - u)))
-        width, alg, smooth = 2.0 * half, self.alg_power, self.smooth_factor
-        upper_v = min(half / scale, _TAIL_EXPONENT)
-        f = lambda v: ((width - scale * v) ** alg * float(smooth(width - scale * v))
-                       * hi_factor(v) * math.exp(-rate_hi * v))
-        points = None
-        if self.quad_breaks is not None:  # the breaks as v inside (0, V), as in ``_points``
-            with np.errstate(over="ignore"):  # a subnormal scale: no break inside
-                inner = (self.s_hi - self.quad_breaks) / scale
-            inner = inner[(inner > 0.0) & (inner < upper_v)]
-            points = inner if inner.size else None
-        with np.errstate(divide="ignore"):
-            upper = log_scale + float(np.log(self._quad(f, upper_v, points, alg=0.0)))
-        return -(t * (2.0 * self.s_hi)) + float(np.logaddexp(lower + log_m_lo, upper + log_m_hi))
 
     # -- serialization ----------------------------------------------------
 

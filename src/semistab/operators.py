@@ -53,12 +53,11 @@ its file (``_cython_lapack``): ``import scipy.linalg`` would also run
 scipy's array-API shim, which imports numpy.f2py, numpy.testing and numpy.ma,
 most of that import's time.  The results do not rest on that: were the
 extension to import scipy.linalg itself, a run would only be slower.  The
-other solves go through the module-level names ``eig_banded``,
-``eigh_tridiagonal``, ``eigsh``, ``splu`` and ``coo_array``, which import
-scipy's function of the same name at their first call: the full
-eigendecomposition, which only the spectral measure reads, and the 2-D top
-eigenpair and 2-D resolvent, which load ``scipy.sparse`` and
-``scipy.sparse.linalg`` (the sparse copies, ARPACK, SuperLU).
+other solves import scipy's solver at the call: the full eigendecomposition
+(``eigh_tridiagonal``, ``eig_banded``), which only the spectral measure
+reads, and the 2-D top eigenpair and 2-D resolvent, which load
+``scipy.sparse`` and ``scipy.sparse.linalg`` (the sparse copies, ARPACK,
+SuperLU).
 
 A metric on potentials ``d(V, U) = sum_j min(2^-j, sup_{|x| <= j} |V - U|)``
 and two canonical approximation sequences (truncation and downward shift)
@@ -77,16 +76,13 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (DomainError, InvariantViolation, ResourceCapError, read_ascii,
                      read_descriptor, write_ascii, write_csv)
 from .measures import AtomicMeasure
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "Potential",
@@ -123,24 +119,6 @@ _GRID_ULPS = 4
 
 def _slack(a_bound: float) -> float:
     return _GRID_ULPS * np.finfo(float).eps * a_bound
-
-
-def _lazy(module: str, name: str) -> Callable:
-    """``module.name``, imported at the first call: ``import semistab`` loads no
-    scipy, and ARPACK and SuperLU load only for the 2-D solves that call them."""
-
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(module), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
-eig_banded = _lazy("scipy.linalg", "eig_banded")
-eigh_tridiagonal = _lazy("scipy.linalg", "eigh_tridiagonal")
-eigsh = _lazy("scipy.sparse.linalg", "eigsh")
-splu = _lazy("scipy.sparse.linalg", "splu")
-coo_array = _lazy("scipy.sparse", "coo_array")
 
 
 @cache
@@ -366,7 +344,9 @@ class Potential:
         arr = np.asarray(points, dtype=float)
         profile = _KINDS[self.kind].profile
         if profile is not None:
-            return profile(self._radius(arr), self.params)
+            # past the double range, a narrow well's r / width is inf: exp(-inf) = 0 exactly
+            with np.errstate(over="ignore"):
+                return profile(self._radius(arr), self.params)
         if self.kind == "sampled":
             return self._eval_sampled(arr)
         if self.kind == "truncated":
@@ -558,10 +538,12 @@ class DiscretizedOperator:
             for (k, d), (k_other, d_other) in zip(self._diagonals, other._diagonals))
 
     @cached_property
-    def H(self) -> scipy.sparse.csr_array:
+    def H(self):
         """H as a read-only scipy CSR matrix of the stencil's nonzero entries
         (``_triplets``), built (and scipy.sparse loaded) at the first read: the
         2-D ``lambda_max`` reads it."""
+        from scipy.sparse import coo_array
+
         row, col, data = _triplets(self._diagonals)
         H = coo_array((data, (row, col)), shape=(self.N, self.N)).tocsr()
         for arr in (H.data, H.indices, H.indptr):
@@ -589,6 +571,8 @@ class DiscretizedOperator:
 
     @cached_property
     def _eig(self) -> tuple:
+        from scipy.linalg import eig_banded, eigh_tridiagonal
+
         if self.nu == 1:
             # eig_banded's ?sbevd would multiply the tridiagonal's eigenvectors by
             # its band reduction's Q, the identity here, in an N^3 DGEMM
@@ -628,6 +612,8 @@ class DiscretizedOperator:
             # H + cI is nonnegative and irreducible, so the top eigenvector is
             # positive and the constant start vector always overlaps it; a fixed
             # start vector also makes re-runs bit-identical
+            from scipy.sparse.linalg import eigsh
+
             vals, vecs = eigsh(self.H, k=1, sigma=0.0, v0=np.ones(self.N))
         # bottom of the free Dirichlet spectrum; V <= 0 puts H's bottom below it
         n = self.n_side
@@ -661,6 +647,9 @@ class DiscretizedOperator:
                 solve(_ARRAY_DATA.from_buffer(x), n, info_ref)
                 return x
             return solver
+        from scipy.sparse import coo_array
+        from scipy.sparse.linalg import splu
+
         # 1j - d is never 0, so every diagonal entry is stored, also where d == 0
         (_, d), *off = self._diagonals
         row, col, data = _triplets(((0, 1j - d), *((k, -e) for k, e in off)))

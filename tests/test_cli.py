@@ -5,6 +5,7 @@ path.  Everything runs in-process through main(argv); one subprocess
 test covers the python -m wiring.
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -12,10 +13,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from semistab import (
@@ -667,6 +669,126 @@ class TestParserFuzz:
                 f"{type(exc).__name__}: {exc} on {text!r}")
 
 
+# Whole small studies for the run fuzz: each key is left out (its default) or
+# given one of its regular values or, one time in 6, an extreme token; a list
+# key's extreme value is a list of 1 to 3 tokens, extreme or regular.  The
+# regular L and h keep every grid at N <= 400 (2-D: L = 2, h = 0.2 gives
+# 19 x 19 points); the extreme ones are refused before any grid is built.
+_EXTREME = ["0", "-0.0", "1e300", "-1e300", "1e-300", "-1e-300", "1e-160", "nan", "inf", "-inf"]
+_POTENTIALS = {"square-well": ("depth", "radius"), "gaussian-well": ("depth", "width"),
+               "exp-well": ("depth", "width"), "constant": ("value",)}
+# each kind's sections: key -> (regular values, whether it is a list, whether it is always
+# given); n_measures and n_shifted are always given, so no study holds more than 3 measures
+_FUZZ_KEYS = {
+    "approximation": {"approximation": {
+        "seq_kind": (["truncation", "shift"], False, True),
+        "indices": (["1..3", "1, 2", "2..4"], False, True),
+        "L": (["1", "2", "1.5"], False, True),
+        "h": (["0.25", "0.2", "0.5"], False, True),
+        "n_probes": (["1", "2", "3"], False, False),
+        "metric_J": (["18", "20"], False, False),
+        "metric_tol": (["1e-3", "0.5"], False, False)}},
+    "gap-vs-box": {"box": {"L_list": (["1, 2", "1, 1.5, 2", "1.5, 2"], True, True),
+                           "h": (["0.25", "0.2", "0.5"], False, True)}},
+    "exponent-table": {"exponents": {
+        "scale_window": (["1e-6, 1e-1", "2^-40, 0.5"], True, False),
+        "time_window": (["10, 1e3", "1, 1e6"], True, False),
+        "n_scales": (["2", "20"], False, False),
+        "n_times": (["10", "40", "2"], False, True),
+        "scaling_tol": (["1e-3", "0.5"], False, False),
+        "tail_fraction": (["0.8", "0.05", "1"], False, False)}},
+    "gdelta-witness": {
+        "lacunary": {"scale_base": (["0.5", "0.25"], False, False),
+                     "exponents": (["0.5, 4", "2"], True, False),
+                     "n_atoms": (["3", "6", "12"], False, False)},
+        "witness": {"alpha_exponent": (["0.7", "2"], False, False),
+                    "beta_p": (["0.1", "0.5"], False, False),
+                    "horizon": (["10, 1e4", "10, 1e12"], True, False),
+                    "n_t": (["2", "50", "400"], False, True),
+                    "scale_window": (["2^-2048, 2^-1", "1e-6, 0.5"], True, False),
+                    "n_scales": (["2", "40"], False, False),
+                    "expect_witness": (["true", "false"], False, False)}},
+    "section3-bounds": {
+        "bounds": {"n_measures": (["1", "2", "3"], False, True),
+                   "n_atoms": (["1", "8", "20"], False, False),
+                   "position_lo": (["-10", "-1"], False, False),
+                   "position_hi": (["0", "-0.5"], False, False),
+                   "t_window": (["1e-2, 1e3", "1, 10"], True, False),
+                   "n_t": (["1", "20", "80"], False, False),
+                   "shifts": (["0.5, 1, 2", "0", "2"], True, False),
+                   "n_shifted": (["0", "1", "3"], False, True),
+                   "equality_position": (["-2.7", "-1"], False, False)},
+        "hooks": {"bound_scale": (["1", "0.5"], False, False)}},
+}
+
+
+@hst.composite
+def _study_run(draw):
+    """A small study config of any kind, as INI text."""
+    kind = draw(hst.sampled_from(sorted(_FUZZ_KEYS)))
+
+    def value(regular, is_list=False):
+        if draw(hst.integers(0, 5)) < 5:  # hypothesis shrinks toward 0: the regular values
+            return draw(hst.sampled_from(regular))
+        if not is_list:
+            return draw(hst.sampled_from(_EXTREME))
+        atoms = _EXTREME + [tok.strip() for val in regular for tok in val.split(",")]
+        return ", ".join(draw(hst.lists(hst.sampled_from(atoms), min_size=1, max_size=3)))
+
+    lines = ["[study]", f"kind = {kind}", f"seed = {draw(hst.sampled_from(['0', '7']))}"]
+    if kind in ("approximation", "gap-vs-box"):
+        potential = draw(hst.sampled_from(sorted(_POTENTIALS)))
+        lines += ["", "[potential]", f"kind = {potential}",
+                  f"nu = {draw(hst.sampled_from(['1', '2']))}", f"a_bound = {value(['1', '2'])}"]
+        lines += [f"{key} = {value(['0', '-0.5'] if key == 'value' else ['1', '0.5'])}"
+                  for key in _POTENTIALS[potential]]
+    extra = []
+    if kind == "exponent-table":  # the two families hold 0 to 3 measures between them
+        n_measures = draw(hst.sampled_from([1, 2, 3, 0]))
+        n_delta = draw(hst.integers(0, n_measures))
+        counts = {"delta_list": (["0.6", "0.75", "0.9"], n_delta),
+                  "gamma_list": (["0.5", "1", "2"], n_measures - n_delta)}
+        extra = [f"{key} = {', '.join(value(regular) for _ in range(n))}"
+                 for key, (regular, n) in counts.items() if n]
+    for section, keys in _FUZZ_KEYS[kind].items():
+        lines += ["", f"[{section}]"] + (extra if section == "exponents" else [])
+        for key, (regular, is_list, always) in keys.items():
+            if always or draw(hst.booleans()):
+                lines.append(f"{key} = {value(regular, is_list)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWholeRunFuzz:
+    """Small studies of every kind run through ``main`` to their end: the exit code is
+    0, 1 or 2, no exception escapes, and exit 1 comes only with a failed verdict
+    or a contract violation."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_study_run())
+    # a power law whose mass is not finite: a contract violation, exit 1
+    @example("[study]\nkind = exponent-table\n\n[exponents]\ngamma_list = 1e300\nn_times = 10\n")
+    # a well narrower than 1e-154 once warned of an overflow in (r / width)^2
+    @example("[study]\nkind = approximation\n\n[potential]\nkind = gaussian-well\na_bound = 1\n"
+             "depth = 1\nwidth = 1e-300\n\n[approximation]\nseq_kind = truncation\n"
+             "indices = 1..3\nL = 1\nh = 0.25\n")
+    def test_study_runs_end_in_an_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "study.ini")
+            with open(config, "w", encoding="ascii") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(["study", config, "--out", os.path.join(tmp, "report")])
+                except BaseException as exc:  # noqa: BLE001 -- nothing may escape main
+                    raise AssertionError(f"{type(exc).__name__}: {exc} on\n{text}") from exc
+        stdout, stderr = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2), (rc, text)
+        if rc == 1:
+            assert ("\nFAIL " in "\n" + stdout
+                    or "contract violation: " in stderr), (stdout, stderr, text)
+
+
 class TestUsageErrors:
     def test_unknown_flag_prints_usage_on_stderr(self, two_atom_file, capsys):
         rc = main(["classify", two_atom_file, "--frobnicate"])
@@ -909,6 +1031,15 @@ class TestScipyLoadsAtItsSolve:
         proc = _run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True True"
+
+    def test_scipy_linalg_imported_first_lends_its_cython_lapack(self):
+        # with scipy.linalg loaded, the extension is its submodule, never a second copy
+        proc = _run_python("-c", "import sys, scipy.linalg\n"
+                                 "from semistab import operators\n"
+                                 "print(operators._cython_lapack()"
+                                 " is sys.modules['scipy.linalg.cython_lapack'])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
 
     def test_cli_preload_is_frozen(self):
         # a module imported after gc.freeze() is torn down by the collector at exit again

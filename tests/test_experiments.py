@@ -153,7 +153,8 @@ class TestScaleTokens:
             parse_scale_token("2^-10"), parse_scale_token("0.0009765625"), rel_tol=1e-15
         )
 
-    @pytest.mark.parametrize("token", ["", "abc", "2^", "^3", "-1", "0", "inf", "1^x"])
+    @pytest.mark.parametrize("token", ["", "abc", "2^", "^3", "-1", "0", "inf", "1^x", "0^2",
+                                       "2^inf"])
     def test_rejects_malformed_tokens(self, token):
         with pytest.raises(DomainError):
             parse_scale_token(token)
@@ -201,6 +202,9 @@ class TestConfigParsing:
     def test_direct_construction_validates_kind(self):
         with pytest.raises(DomainError):
             StudyConfig(kind="nope", seed=0, output_dir=None, sections={})
+        for seed in (-1, 1.5):  # and its seed, as parsing does
+            with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+                StudyConfig(kind="section3-bounds", seed=seed, output_dir=None, sections={})
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +918,17 @@ class TestSpotCheck:
 
     def test_tampered_cell_is_caught(self):
         rep = study("section3-bounds", n_measures=4, n_shifted=2, n_t=60, seed=4)
+        with pytest.raises(DomainError, match="report has no table named 'nope'"):
+            rep.table("nope")
         tab = rep.table("section3-bounds")
         row = list(tab.rows[2])
         row[3] = row[3] + 1e-9
         tab.rows[2] = tuple(row)
         checks = spot_check(rep, n_cells=len(tab.rows) * 5, seed=0)
         assert any(not c.matches for c in checks)
+        # a report whose every cell is text has no cell to re-derive
+        text = dataclasses.replace(tab, rows=[tuple(map(str, row)) for row in tab.rows])
+        assert spot_check(dataclasses.replace(rep, tables=[text])) == []
 
 
 # One small run per kind, with each table's header and the artifacts it

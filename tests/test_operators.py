@@ -27,6 +27,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
 from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 from scipy.linalg import lapack
@@ -497,13 +499,13 @@ class TestOnDemandSolves:
         with pytest.raises(InvariantViolation, match="eigenpair residual"):
             operators._check_eigenpairs(op, vals, mixed, scale)
         # vectors 1e-9 too long are still eigenvectors, but not orthonormal to 1e-10
-        true_solver = getattr(operators, solver)
+        true_solver = getattr(scipy.linalg, solver)
 
         def stretched(*args, **kwargs):
             w, v = true_solver(*args, **kwargs)
             return w, v * (1.0 + 1e-9)
 
-        monkeypatch.setattr(operators, solver, stretched)
+        monkeypatch.setattr(scipy.linalg, solver, stretched)
         fresh = discretize(exp_well(depth=0.5, width=2.0, nu=nu), *box)
         with pytest.raises(InvariantViolation, match="not orthonormal"):
             fresh.eigenvectors
@@ -1250,7 +1252,7 @@ class TestInertiaCount:
         def no_splu(*args, **kwargs):
             raise AssertionError("sparse LU")
 
-        monkeypatch.setattr(operators, "splu", no_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
         V, L, h = TestOperatorMatrix.CASES[case]
         op = discretize(V, L=L, h=h)
         assert op.eigenvalues.size == op.N
@@ -1263,7 +1265,7 @@ class TestInertiaCount:
             raise AssertionError("ARPACK")
 
         # the 1-D top eigenpair and resolvent are tridiagonal LAPACK solves
-        monkeypatch.setattr(operators, "eigsh", no_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
         assert op.lambda_max < 0.0
         assert np.all(np.isfinite(resolvent_apply(op, np.ones(op.N))))
 
@@ -1292,6 +1294,9 @@ class TestPotentialConstruction:
     def test_nu_must_be_one_or_two(self):
         with pytest.raises(DomainError):
             constant_potential(0.0, nu=3)
+        # a nu=2 potential reads points (x, y) along the last axis
+        with pytest.raises(DomainError, match="trailing axis of size 2"):
+            square_well(nu=2).eval(np.zeros(3))
 
     def test_sampled_2d_needs_square_count(self):
         with pytest.raises(DomainError):
@@ -1429,6 +1434,16 @@ class TestValueRange:
         assert shift_potential(V, 3).value_range == shifted
         assert truncate_potential(shift_potential(V, 3), 2).value_range == (shifted[0], 0.0)
         assert truncate_potential(constant_potential(-0.4), 2).value_range == (-0.4, 0.0)
+
+    @pytest.mark.parametrize("V", [gaussian_well(width=1e-300), exp_well(width=1e-310),
+                                   gaussian_well(width=1e-300, nu=2)],
+                             ids=["gaussian", "exp-subnormal", "gaussian-2d"])
+    def test_narrow_well_vanishes_off_its_centre_without_a_warning(self, V):
+        # r / width overflows past the double range: the profile is exp(-inf) = 0
+        # there, and a RuntimeWarning from semistab is an error in this suite
+        pts = np.array([0.0, 0.5, -2.0]) if V.nu == 1 else np.array([[0.0, 0.0], [0.5, 1.0]])
+        vals = V.eval(pts)
+        assert vals[0] == -1.0 and np.all(vals[1:] == 0.0)
 
     def test_construction_evaluates_no_point(self, monkeypatch):
         def no_eval(self, pts):
@@ -1586,6 +1601,8 @@ class TestMetric:
         V = constant_potential(0.0, a_bound=1.0)
         with pytest.raises(DomainError):
             metric_d(V, V, J=3, tail_tol=1e-5)
+        with pytest.raises(DomainError, match="J must be a nonnegative integer"):
+            metric_d(V, V, J=2.5)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):

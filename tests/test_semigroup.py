@@ -255,6 +255,10 @@ class TestDecayExponents:
         short = evolve_norms(power_law_measure(1.0), 1.0, 50.0, 10)
         with pytest.raises(DomainError):
             decay_exponents(short)
+        # 5% of 10 times leaves a tail of one point, no slope to fit
+        few = evolve_norms(power_law_measure(1.0), 1.0, 1e4, 10)
+        with pytest.raises(DomainError, match="tail window is degenerate"):
+            decay_exponents(few, tail_fraction=0.05)
 
     def test_estimate_ordering_enforced(self):
         with pytest.raises(InvariantViolation):
